@@ -110,39 +110,18 @@ class Alphabet:
     modulus: tuple[int, ...] | None
     _mul: tuple[tuple[int, ...], ...] = field(default=None, compare=False, repr=False)
     _inv: tuple[int, ...] = field(default=None, compare=False, repr=False)
+    _add: tuple[tuple[int, ...], ...] = field(default=None, compare=False, repr=False)
+    _neg: tuple[int, ...] = field(default=None, compare=False, repr=False)
 
     @property
     def is_field(self) -> bool:
         return self.kind == FIELD
 
-    def _digits(self, a: int) -> list[int]:
-        out = []
-        for _ in range(self.e):
-            out.append(a % self.p)
-            a //= self.p
-        return out
-
     def add(self, a: int, b: int) -> int:
-        if self.kind == CYCLIC:
-            return (a + b) % self.q
-        if self.p == 2:
-            return a ^ b
-        da, db = self._digits(a), self._digits(b)
-        out = 0
-        for i in range(self.e - 1, -1, -1):
-            out = out * self.p + (da[i] + db[i]) % self.p
-        return out
+        return self._add[a][b]
 
     def neg(self, a: int) -> int:
-        if self.kind == CYCLIC:
-            return (-a) % self.q
-        if self.p == 2:
-            return a
-        da = self._digits(a)
-        out = 0
-        for i in range(self.e - 1, -1, -1):
-            out = out * self.p + (-da[i]) % self.p
-        return out
+        return self._neg[a]
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
@@ -168,6 +147,28 @@ class Alphabet:
         return f"Alphabet(Z_{self.q})"
 
 
+def _add_table(q: int, p: int, e: int) -> tuple[tuple[int, ...], ...]:
+    """Z_q addition for e <= 1; otherwise digit-wise mod p on the base-p
+    labels (XOR when p = 2)."""
+    if e <= 1:
+        return tuple(tuple((a + b) % q for b in range(q)) for a in range(q))
+
+    def add(a: int, b: int) -> int:
+        out, mult = 0, 1
+        for _ in range(e):
+            out += (a % p + b % p) % p * mult
+            a, b, mult = a // p, b // p, mult * p
+        return out
+
+    return tuple(tuple(add(a, b) for b in range(q)) for a in range(q))
+
+
+def _with_additive_tables(q: int, kind: str, p: int, e: int, **fields) -> Alphabet:
+    add = _add_table(q, p, e)
+    neg = tuple(row.index(0) for row in add)
+    return Alphabet(q=q, kind=kind, p=p, e=e, _add=add, _neg=neg, **fields)
+
+
 @lru_cache(maxsize=None)
 def alphabet(q: int) -> Alphabet:
     """Deterministic alphabet for size q: GF(q) if q is a prime power, else Z_q.
@@ -179,7 +180,7 @@ def alphabet(q: int) -> Alphabet:
         raise ValueError(f"alphabet size must be >= 2, got {q}")
     pe = _prime_power(q)
     if pe is None:
-        return Alphabet(q=q, kind=CYCLIC, p=0, e=0, modulus=None)
+        return _with_additive_tables(q, CYCLIC, 0, 0, modulus=None)
     p, e = pe
     if e == 1:
         mul = tuple(tuple((a * b) % q for b in range(q)) for a in range(q))
@@ -217,8 +218,8 @@ def alphabet(q: int) -> Alphabet:
                 break
         else:
             raise AssertionError(f"element {a} of GF({q}) has no inverse")
-    return Alphabet(q=q, kind=FIELD, p=p, e=e, modulus=modulus,
-                    _mul=mul, _inv=tuple(inv))
+    return _with_additive_tables(q, FIELD, p, e, modulus=modulus,
+                                 _mul=mul, _inv=tuple(inv))
 
 
 def field_alphabet(q: int) -> Alphabet:

@@ -17,9 +17,9 @@ from .cr_analysis import (
     CodeAnalysis,
     analyze_code,
     certify_completely_regular,
-    free_coordinates,
+    is_reduced,
 )
-from .errors import TheoremViolationError
+from .errors import TheoremViolationError, jsonable
 from .hamming_space import (
     Code,
     ambient,
@@ -222,53 +222,56 @@ def graph_isomorphic(g1: Graph, g2: Graph) -> list[int] | None:
         by_color.setdefault(c2[w], []).append(w)
     n = g1.n
     mapping = [-1] * n
-    used = [False] * n
+    inverse = [-1] * n
+    mapped_nbrs = [0] * n  # mapped neighbours of each g1 vertex
     color_rarity = {c: len(vs) for c, vs in by_color.items()}
     remaining = set(range(n))
 
-    def pick() -> int:
-        return min(
-            remaining,
-            key=lambda v: (
-                -sum(1 for u in g1.adjacency[v] if mapping[u] >= 0),
-                color_rarity[c1[v]],
-                v,
-            ),
-        )
+    def fits(v: int, w: int) -> bool:
+        """w can take v: edges to every mapped vertex agree both ways."""
+        if inverse[w] >= 0 or g2.degree(w) != g1.degree(v):
+            return False
+        if any(not g2.has_edge(w, mapping[u])
+               for u in g1.adjacency[v] if mapping[u] >= 0):
+            return False
+        return all(inverse[x] < 0 or g1.has_edge(v, inverse[x])
+                   for x in g2.adjacency[w])
 
-    def extend() -> bool:
-        if not remaining:
-            return True
-        v = pick()
+    def assign(v: int, w: int) -> None:
+        mapping[v], inverse[w] = w, v
+        for u in g1.adjacency[v]:
+            mapped_nbrs[u] += 1
+
+    def unassign(v: int) -> None:
+        inverse[mapping[v]], mapping[v] = -1, -1
+        for u in g1.adjacency[v]:
+            mapped_nbrs[u] -= 1
+
+    def open_frame() -> list:
+        v = min(remaining,
+                key=lambda x: (-mapped_nbrs[x], color_rarity[c1[x]], x))
         remaining.discard(v)
-        mapped_nbrs = [(u, mapping[u]) for u in g1.adjacency[v] if mapping[u] >= 0]
-        for w in by_color[c1[v]]:
-            if used[w]:
-                continue
-            if g2.degree(w) != g1.degree(v):
-                continue
-            if any(not g2.has_edge(w, mw) for _, mw in mapped_nbrs):
-                continue
-            # mapped non-neighbors of v must stay non-adjacent to w
-            ok = True
-            for u in range(n):
-                mu = mapping[u]
-                if mu >= 0 and g2.has_edge(w, mu) and not g1.has_edge(v, u):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            mapping[v] = w
-            used[w] = True
-            if extend():
-                return True
-            mapping[v] = -1
-            used[w] = False
-        remaining.add(v)
-        return False
+        return [v, iter(by_color[c1[v]])]
 
-    if extend():
+    # Depth-first backtracking on an explicit stack (the depth reaches n, past
+    # Python's recursion limit for large fixtures).  A frame is a g1 vertex
+    # and its remaining candidates; the top frame's vertex is unmapped.
+    if not remaining:
         return mapping
+    stack = [open_frame()]
+    while stack:
+        v, candidates = stack[-1]
+        w = next((w for w in candidates if fits(v, w)), None)
+        if w is None:
+            stack.pop()
+            remaining.add(v)
+            if stack:
+                unassign(stack[-1][0])
+            continue
+        assign(v, w)
+        if not remaining:
+            return mapping
+        stack.append(open_frame())
     return None
 
 
@@ -333,17 +336,7 @@ class QuotientFamily:
 
     def to_json(self) -> dict:
         return {"tag": self.tag, "params": dict(self.params),
-                "evidence": _jsonable(self.evidence)}
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, IntersectionArray):
-        return obj.to_json()
-    return obj
+                "evidence": jsonable(self.evidence)}
 
 
 def _hamming_array_params(array: IntersectionArray) -> tuple[int, int] | None:
@@ -607,7 +600,7 @@ def column_classes(code: Code, analysis: CodeAnalysis | None = None) -> ColumnCl
     """
     if not code.is_linear:
         raise ValueError("column classes need a linear code")
-    if free_coordinates(code):
+    if not is_reduced(code):
         raise ValueError("column classes are defined for reduced codes")
     analysis = analysis or analyze_code(code)
     if not analysis.cr:
@@ -903,7 +896,7 @@ class SmallRadiusReport:
     detail: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
-        return {"case": self.case, "detail": _jsonable(self.detail)}
+        return {"case": self.case, "detail": jsonable(self.detail)}
 
 
 def classify_small_covering_radius(code: Code,
@@ -1015,7 +1008,7 @@ class ArithmeticFormsReport:
         return {c["case"] for c in self.cases}
 
     def to_json(self) -> dict:
-        return {"cases": [_jsonable(c) for c in self.cases], "violation": self.violation}
+        return {"cases": [jsonable(c) for c in self.cases], "violation": self.violation}
 
 
 def classify_arithmetic_forms(code: Code,

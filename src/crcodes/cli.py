@@ -39,6 +39,7 @@ from .errors import (
     CrcodesError,
     DigestMismatchError,
     TheoremViolationError,
+    jsonable,
 )
 from .hamming_space import DEFAULT_VERTEX_CAP, is_additive
 from .partitions_quotients import (
@@ -380,8 +381,8 @@ def _error(kind: str, exc: Exception) -> None:
     payload = {"error": kind, "message": str(exc)}
     witness = getattr(exc, "witness", None)
     if witness is not None:
-        payload["witness"] = repr(witness)
-    sys.stderr.write(json.dumps(payload, sort_keys=True) + "\n")
+        payload["witness"] = jsonable(witness)
+    sys.stderr.write(json.dumps(payload, sort_keys=True, default=repr) + "\n")
 
 
 def main(argv=None) -> int:

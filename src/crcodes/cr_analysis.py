@@ -19,7 +19,9 @@ from dataclasses import dataclass
 from .errors import SpectrumError, TheoremViolationError
 from .hamming_space import (
     Code,
+    Translations,
     code_from_words,
+    column_offsets,
     neighbor_table,
     neighbors,
     ambient,
@@ -92,13 +94,16 @@ class IntersectionNumbers:
     def validate(self) -> None:
         k = self.k
         rho = self.rho
-        assert self.gamma[0] == 0 and self.beta[rho] == 0
+        if self.gamma[0] != 0 or self.beta[rho] != 0:
+            raise TheoremViolationError(
+                "gamma_0 and beta_rho must be 0", witness=self)
         for i in range(rho + 1):
             if self.gamma[i] + self.alpha[i] + self.beta[i] != k:
                 raise TheoremViolationError(
                     f"row sum broken at class {i}", witness=self)
-        assert all(g >= 1 for g in self.gamma[1:])
-        assert all(b >= 1 for b in self.beta[:rho])
+            if (i >= 1 and self.gamma[i] < 1) or (i < rho and self.beta[i] < 1):
+                raise TheoremViolationError(
+                    f"class {i} is cut off from a neighbouring class", witness=self)
 
 
 @dataclass(frozen=True)
@@ -126,7 +131,7 @@ class CrWitness:
 @dataclass(frozen=True)
 class CrCertificate:
     completely_regular: bool
-    partition: DistancePartition
+    partition: DistancePartition | SyndromePartition
     numbers: IntersectionNumbers | None = None
     witness: CrWitness | None = None
 
@@ -134,28 +139,68 @@ class CrCertificate:
 _DIRECTIONS = ("previous", "same", "next")
 
 
-def certify_completely_regular(code: Code, partition: DistancePartition | None = None) -> CrCertificate:
-    """Check the distance partition is equitable; witness the first conflict."""
-    part = partition if partition is not None else distance_partition(code)
-    space = code.ambient
-    dist = part.class_of
+@dataclass(frozen=True)
+class SyndromePartition:
+    """Distance classes of a linear code, read off its syndromes.
+
+    Translation by a codeword is an automorphism of H(n,q) fixing the code,
+    so d(x, C) depends only on the syndrome s = Hx: it is the coset-leader
+    weight, the BFS distance of s from 0 in the Cayley graph on GF(q)^r with
+    connection multiset {lambda*h_j}.  class_of_syndrome[s] holds it, and
+    class i has (syndromes at distance i) * |C| words.  The word-indexed
+    map is `distance_partition(code)`.
+    """
+
+    code: Code
+    class_of_syndrome: bytes
+    rho: int
+    class_sizes: tuple[int, ...]
+
+    @property
+    def ambient(self):
+        return self.code.ambient
+
+
+def _word_syndromes(h, columns: Translations):
+    """Syndromes of the words 0, 1, 2, ... in encoding order, one translation
+    per word; `columns` translates by the column offsets lambda*h_j.
+
+    Stepping x to x+1 wraps the digits below some coordinate t from q-1 to 0
+    and moves digit t from label d to d+1, which adds
+    delta[t][d] = sum_{i<t} -(q-1)*h_i + ((d+1) - d)*h_t to the syndrome.
+    """
+    alpha = h.alphabet
+    q, n = alpha.q, h.ncols
+    wrap_index = alpha.neg(q - 1) - 1
+    wrap = 0
+    deltas = []
+    for j in range(n):
+        base = j * (q - 1)
+        for d in range(q - 1):
+            deltas.append(columns.one(wrap, base + alpha.sub(d + 1, d) - 1))
+        wrap = columns.one(wrap, base + wrap_index)
+    step = Translations(alpha, deltas)
+    digits = [0] * n
+    s = 0
+    yield s
+    for _ in range(q**n - 1):
+        t = 0
+        while digits[t] == q - 1:
+            digits[t] = 0
+            t += 1
+        d = digits[t]
+        digits[t] = d + 1
+        s = step.one(s, t * (q - 1) + d)
+        yield s
+
+
+def _scan(part, rows) -> CrCertificate:
+    """Compare each vertex's (previous, same, next) counts with the first
+    vertex of its class; rows yields (vertex, class, counts) in order."""
     rho = part.rho
     reference: list[tuple[int, int, int] | None] = [None] * (rho + 1)
     ref_vertex = [0] * (rho + 1)
-    use_table = space.size <= _TABLE_CAP
-    table = neighbor_table(space) if use_table else None
-    for v in range(space.size):
-        c = dist[v]
-        prev = same = nxt = 0
-        for w in table[v] if use_table else neighbors(v, space):
-            dw = dist[w]
-            if dw == c:
-                same += 1
-            elif dw == c - 1:
-                prev += 1
-            else:
-                nxt += 1
-        counts = (prev, same, nxt)
+    for v, c, counts in rows:
         ref = reference[c]
         if ref is None:
             reference[c] = counts
@@ -178,6 +223,117 @@ def certify_completely_regular(code: Code, partition: DistancePartition | None =
     )
     numbers.validate()
     return CrCertificate(True, part, numbers=numbers)
+
+
+def _certify_by_syndrome(code: Code) -> CrCertificate:
+    """BFS from syndrome 0 and the neighbour counts of every syndrome.
+
+    Equal counts within each class prove complete regularity.  Otherwise the
+    words are walked in encoding order, each looked up by its syndrome, so
+    the witness is the first conflict of the full-space scan.
+    """
+    h = code.linear.parity_check
+    alpha = h.alphabet
+    size = alpha.q**h.nrows
+    step = Translations(alpha, column_offsets(h))
+    dist = bytearray([255]) * size
+    counts: list[tuple[int, int, int] | None] = [None] * size
+    dist[0] = 0
+    order = [0]
+    for v in order:  # grows while it is walked: a BFS queue
+        c = dist[v]
+        prev = same = nxt = 0
+        for w in step.all(v):
+            dw = dist[w]
+            if dw == 255:
+                dist[w] = dw = c + 1
+                order.append(w)
+            if dw == c:
+                same += 1
+            elif dw < c:
+                prev += 1
+            else:
+                nxt += 1
+        counts[v] = (prev, same, nxt)
+    if len(order) != size:
+        raise TheoremViolationError(
+            "columns of a full-rank parity check do not reach every syndrome",
+            witness={"syndrome": dist.index(255), "reached": len(order)})
+    rho = dist[order[-1]]
+    sizes = [0] * (rho + 1)
+    for s in order:
+        sizes[dist[s]] += code.size
+    part = SyndromePartition(code, bytes(dist), rho, tuple(sizes))
+    cert = _scan(part, ((s, dist[s], counts[s]) for s in order))
+    if cert.completely_regular:
+        return cert
+    words = enumerate(_word_syndromes(h, step))
+    return _scan(part, ((x, dist[s], counts[s]) for x, s in words))
+
+
+def _certifies_by_syndrome(code: Code) -> bool:
+    """A linear code whose parity check has full row rank, so its syndromes
+    are exactly GF(q)^r and there are no more of them than words."""
+    return code.is_linear and code.linear.rank == code.linear.parity_check.nrows
+
+
+# Spaces of at most this many words (binary length 7) are also certified word
+# by word, and the two certificates must agree: a runtime differential check
+# of the syndrome path, under a millisecond per code.
+_CROSS_CHECK_WORDS = 1 << 7
+
+
+def certify_completely_regular(code: Code, partition: DistancePartition | None = None) -> CrCertificate:
+    """Check the distance partition is equitable; witness the first conflict.
+
+    A linear code with a full-rank parity check is certified on its q^r
+    syndromes; the verdict, numbers, class sizes and witness are those of the
+    full-space scan, which runs for word-listed codes and whenever a
+    word-indexed `partition` is passed in.
+    """
+    if partition is None and _certifies_by_syndrome(code):
+        code.ambient.require_materializable("distance partition")
+        cert = _certify_by_syndrome(code)
+        if code.ambient.size <= _CROSS_CHECK_WORDS:
+            _cross_check(cert, _certify_words(code, distance_partition(code)))
+        return cert
+    return _certify_words(
+        code, partition if partition is not None else distance_partition(code))
+
+
+def _cross_check(by_syndrome: CrCertificate, by_words: CrCertificate) -> None:
+    def summary(cert):
+        return (cert.completely_regular, cert.numbers, cert.witness,
+                cert.partition.rho, cert.partition.class_sizes)
+
+    if summary(by_syndrome) != summary(by_words):
+        raise TheoremViolationError(
+            "syndrome and full-space certificates disagree",
+            witness={"syndrome": summary(by_syndrome), "words": summary(by_words)})
+
+
+def _certify_words(code: Code, part: DistancePartition) -> CrCertificate:
+    """The equitability scan over all q^n words."""
+    space = code.ambient
+    dist = part.class_of
+    use_table = space.size <= _TABLE_CAP
+    table = neighbor_table(space) if use_table else None
+
+    def rows():
+        for v in range(space.size):
+            c = dist[v]
+            prev = same = nxt = 0
+            for w in table[v] if use_table else neighbors(v, space):
+                dw = dist[w]
+                if dw == c:
+                    same += 1
+                elif dw == c - 1:
+                    prev += 1
+                else:
+                    nxt += 1
+            yield v, c, (prev, same, nxt)
+
+    return _scan(part, rows())
 
 
 def recount_witness(code: Code, witness: CrWitness) -> tuple[int, int]:
@@ -459,6 +615,10 @@ def _relinearize(space, members, h):
 
 
 def is_reduced(code: Code) -> bool:
+    """No free coordinate.  For a linear code, e_i is in C iff H e_i = 0, so
+    coordinate i is free exactly when column i of H is zero."""
+    if code.is_linear:
+        return all(any(col) for col in code.linear.parity_check.columns())
     return not free_coordinates(code)
 
 

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the JSON form of the
+witnesses they carry."""
+
+import dataclasses
 
 
 class CrcodesError(Exception):
@@ -47,3 +50,21 @@ class DigestMismatchError(CrcodesError):
 
 class CodeSpecError(CrcodesError):
     """A code-spec JSON document is malformed or inconsistent."""
+
+
+def jsonable(obj):
+    """A JSON-ready copy of a witness or report value: ``to_json()`` where
+    the object has one, a dataclass as its public fields, containers element
+    by element, and ``repr()`` for anything else."""
+    if obj is None or isinstance(obj, (bool, int, float, str)):
+        return obj
+    if hasattr(obj, "to_json"):
+        return obj.to_json()
+    if isinstance(obj, dict):
+        return {k: jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [jsonable(v) for v in obj]
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: jsonable(getattr(obj, f.name))
+                for f in dataclasses.fields(obj) if not f.name.startswith("_")}
+    return repr(obj)

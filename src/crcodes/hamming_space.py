@@ -181,6 +181,63 @@ def neighbor_table(space: AmbientSpace):
     return table
 
 
+class Translations:
+    """Translation by each of a fixed list of offsets, on base-q words.
+
+    Symbols add without carries, so in characteristic 2 a translation is one
+    XOR; otherwise each nonzero digit of the offset goes through the q x q
+    addition table of the alphabet.  Nothing of size q^length is built.
+    """
+
+    def __init__(self, alpha: Alphabet, offsets: Sequence[int]):
+        self.offsets = tuple(offsets)
+        self.xor = alpha.is_field and alpha.p == 2
+        q = self.q = alpha.q
+        self.add = alpha._add
+        self.digits = []
+        for s in () if self.xor else self.offsets:
+            pairs, mult = [], 1
+            while s:
+                s, d = divmod(s, q)
+                if d:
+                    pairs.append((mult, d))
+                mult *= q
+            self.digits.append(tuple(pairs))
+
+    def one(self, v: int, k: int) -> int:
+        """v plus offset number k."""
+        if self.xor:
+            return v ^ self.offsets[k]
+        q, add = self.q, self.add
+        for mult, d in self.digits[k]:
+            old = v // mult % q
+            v += (add[old][d] - old) * mult
+        return v
+
+    def all(self, v: int) -> list[int]:
+        """v plus each offset, in offset order (repeats and zeros kept)."""
+        if self.xor:
+            return [v ^ s for s in self.offsets]
+        q, add = self.q, self.add
+        out = []
+        for pairs in self.digits:
+            w = v
+            for mult, d in pairs:
+                old = w // mult % q
+                w += (add[old][d] - old) * mult
+            out.append(w)
+        return out
+
+
+def column_offsets(h: GFMatrix) -> list[int]:
+    """lambda*h_j for every column j and nonzero lambda, as syndrome words;
+    zero columns give 0 (loops) and repeated columns repeat."""
+    alpha = h.alphabet
+    q = alpha.q
+    return [encode(tuple(alpha.mul(lam, x) for x in col), q)
+            for col in h.columns() for lam in range(1, q)]
+
+
 def sphere_size(space: AmbientSpace, radius: int) -> int:
     from math import comb
 

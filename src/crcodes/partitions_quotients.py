@@ -28,8 +28,9 @@ from .errors import (
 )
 from .hamming_space import (
     Code,
+    Translations,
     _TABLE_CAP,
-    ambient,
+    column_offsets,
     decode,
     encode,
     is_additive,
@@ -82,6 +83,12 @@ class Graph:
         if self.labels is not None:
             out["labels"] = list(self.labels)
         return out
+
+
+@dataclass(frozen=True)
+class CayleyGraph(Graph):
+    """A Cayley graph Cay(G, S): translation by a group element is an
+    automorphism, so every vertex sees the same distance layering."""
 
 
 def graph_from_edges(n: int, edges, labels=None) -> Graph:
@@ -261,7 +268,7 @@ def quotient_graph(partition: VertexPartition) -> Graph:
 
 @dataclass(frozen=True)
 class SyndromeGraph:
-    graph: Graph
+    graph: CayleyGraph
     coset_to_syndrome: tuple[int, ...]  # indexed by coset-partition class
 
 
@@ -275,28 +282,13 @@ def coset_graph_by_syndrome(code: Code, partition: VertexPartition | None = None
         raise NotAdditiveError("syndrome construction needs a linear code")
     h = code.linear.parity_check
     space = code.ambient
-    alpha = space.alphabet
     q = space.q
     r = h.nrows
-    syndrome_space = ambient(max(r, 1), q) if r else None
-    connection = set()
-    for j in range(h.ncols):
-        col = h.column(j)
-        if not any(col):
-            continue
-        for lam in range(1, q):
-            scaled = tuple(alpha.mul(lam, x) for x in col)
-            connection.add(encode(scaled, q))
-    connection.discard(0)
     count = q**r
-    edges = []
-    for s in range(count):
-        for offset in connection:
-            t = word_add(s, offset, syndrome_space)
-            if s < t:
-                edges.append((s, t))
+    step = Translations(h.alphabet, sorted(set(column_offsets(h)) - {0}))
+    adjacency = tuple(tuple(sorted(step.all(s))) for s in range(count))
     labels = tuple(str(decode(s, r, q)) if r else "()" for s in range(count))
-    graph = graph_from_edges(count, edges, labels)
+    graph = CayleyGraph(adjacency, labels)
 
     part = partition if partition is not None else coset_partition(code)
     mapping = []
@@ -338,9 +330,11 @@ class IntersectionArray:
         return self.k - self.b_at(i) - self.c_at(i)
 
     def validate(self) -> None:
-        assert self.c[0] == 1
-        assert all(x >= 1 for x in self.b)
-        assert all(x >= 1 for x in self.c)
+        if self.c and self.c[0] != 1:
+            raise TheoremViolationError("c_1 must be 1", witness=self)
+        if min(self.b + self.c, default=1) < 1:
+            raise TheoremViolationError(
+                "every b_i and c_i must be positive", witness=self)
 
     def to_json(self) -> dict:
         return {"b": list(self.b), "c": list(self.c)}
@@ -370,7 +364,11 @@ def bfs_distances(graph: Graph, root: int) -> list[int]:
 
 
 def certify_distance_regular(graph: Graph) -> DrgCertificate:
-    """BFS from every vertex; all (distance, direction) counts must agree."""
+    """BFS from every vertex; all (distance, direction) counts must agree.
+
+    A CayleyGraph is vertex-transitive, so the BFS from vertex 0 alone gives
+    the same verdict, array and witness (root 0 is scanned first either way).
+    """
     if graph.n == 0:
         raise DisconnectedGraphError("empty graph")
     if graph.n == 1:
@@ -385,7 +383,8 @@ def certify_distance_regular(graph: Graph) -> DrgCertificate:
     c_ref: dict[int, int] = {}
     b_where: dict[int, tuple[int, int]] = {}
     c_where: dict[int, tuple[int, int]] = {}
-    for x in range(graph.n):
+    roots = (0,) if isinstance(graph, CayleyGraph) else range(graph.n)
+    for x in roots:
         dist = bfs_distances(graph, x)
         if min(dist) < 0:
             raise DisconnectedGraphError("graph is not connected")

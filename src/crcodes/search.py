@@ -163,7 +163,11 @@ def build_record(code: Code, analysis: CodeAnalysis | None = None) -> dict:
 
     partition = coset_partition(code)
     part_cert = certify_cr_partition(partition, use_translation_shortcut=True)
-    assert part_cert.is_cr_partition  # translation-invariant consequence of CR
+    if not part_cert.is_cr_partition:  # translation-invariant consequence of CR
+        raise TheoremViolationError(
+            "coset partition of a CR code is not a CR partition",
+            witness={"failure": part_cert.failure, "witness": part_cert.witness,
+                     "record": record})
 
     syn = coset_graph_by_syndrome(code, partition)
     drg = certify_distance_regular(syn.graph)

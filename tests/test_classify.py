@@ -514,3 +514,21 @@ def test_clique_checks_ternary_hamming():
     assert results["hamming_alphabet_bound"] == "PASS"  # q' = 9 >= q = 3
     assert results["no_doob_quotient_q_ge_4"] == "INAPPLICABLE"
     assert results["no_folded_array_q_ge_3"] == "PASS"
+
+
+def test_isomorphism_search_deeper_than_the_recursion_limit():
+    # the folded 11-cube has 1,024 vertices: backtracking one level per
+    # vertex would pass the interpreter's default limit of 1,000 frames
+    import sys
+
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        syn = coset_graph_by_syndrome(repetition_code(11, 2))
+        fixture = construct_fixture("folded_cube", m=11)
+        mapping = graph_isomorphic(syn.graph, fixture)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert sorted(mapping) == list(range(1024))
+    assert all(fixture.has_edge(mapping[u], mapping[v]) for u, v in syn.graph.edges())
+    assert classify_quotient(syn.graph).params == {"m": 11}

@@ -205,3 +205,18 @@ def test_golden_reports(tmp_path, capsys, name):
     }[name]
     _, out, _ = _run(capsys, *args)
     assert out == golden.read_text()
+
+
+def test_theorem_violation_witness_is_json(tmp_path, capsys, monkeypatch):
+    import crcodes.cli as cli_mod
+    from crcodes.cr_analysis import IntersectionNumbers
+
+    def broken(code):
+        IntersectionNumbers((0, 0), (0, 7), (7, 0)).validate()
+
+    monkeypatch.setattr(cli_mod, "analyze_code", broken)
+    code, _, err = _run(capsys, "check", _hamming74_spec(tmp_path))
+    assert code == 4
+    payload = json.loads(err)
+    assert payload["error"] == "theorem_violation"
+    assert payload["witness"] == {"gamma": [0, 0], "alpha": [0, 7], "beta": [7, 0]}

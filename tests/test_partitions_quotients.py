@@ -163,7 +163,8 @@ def test_syndrome_map_is_graph_isomorphism():
     from crcodes.constructions import repetition_code
 
     for code in (hamming_code(2, 2), hamming_code(3, 2), repetition_code(6, 2),
-                 extended_hamming_code(3)):
+                 extended_hamming_code(3), hamming_code(2, 3), hamming_code(2, 4),
+                 repetition_code(4, 3), repetition_code(3, 5)):
         part = coset_partition(code)
         quotient = quotient_graph(part)
         syn = coset_graph_by_syndrome(code, part)
@@ -256,3 +257,44 @@ def test_min_eigenvalue_bound_on_certified_partitions():
         numbers = cert.numbers
         spec = code_spectrum(quotient_matrix(numbers), part.space)
         assert spec[-1] <= numbers.alpha[0] - numbers.gamma[1]
+
+
+def test_validate_raises_with_a_witness():
+    from crcodes.cr_analysis import IntersectionNumbers
+    from crcodes.errors import TheoremViolationError
+
+    broken = (IntersectionArray((3, 2), (2, 1)), IntersectionArray((3, 0), (1, 1)),
+              IntersectionNumbers((0, 0), (0, 3), (3, 0)),
+              IntersectionNumbers((0, 1), (0, 2), (3, 1)),
+              IntersectionNumbers((1, 1), (0, 1), (1, 0)))
+    for item in broken:
+        with pytest.raises(TheoremViolationError) as caught:
+            item.validate()
+        assert caught.value.witness is item
+
+
+def test_validate_survives_python_optimize_flag():
+    # python -O strips assert statements; the theorem checks must still fire
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    script = (
+        "from crcodes.cr_analysis import IntersectionNumbers\n"
+        "from crcodes.errors import TheoremViolationError\n"
+        "from crcodes.partitions_quotients import IntersectionArray\n"
+        "assert False, 'asserts are live'\n"
+        "for broken in (IntersectionArray((3, 2), (2, 1)),\n"
+        "               IntersectionNumbers((0, 0), (0, 3), (3, 0))):\n"
+        "    try:\n"
+        "        broken.validate()\n"
+        "    except TheoremViolationError as exc:\n"
+        "        print(type(exc.witness).__name__)\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": str(src)},
+                          timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["IntersectionArray", "IntersectionNumbers"]

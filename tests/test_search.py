@@ -174,3 +174,16 @@ def test_census_fail_aborts_and_persists_witness(tmp_path, monkeypatch):
     # the embedded record replays cleanly (the sabotage was in the copy only)
     result = replay(witness)
     assert result["digest"] == witness["record"]["digest"]
+
+
+def test_build_record_rejects_a_coset_partition_that_is_not_cr(monkeypatch):
+    import crcodes.search as search_mod
+    from crcodes.constructions import hamming_code
+    from crcodes.partitions_quotients import CrPartitionCertificate
+
+    monkeypatch.setattr(
+        search_mod, "certify_cr_partition",
+        lambda partition, **_: CrPartitionCertificate(False, failure="sabotaged"))
+    with pytest.raises(TheoremViolationError) as caught:
+        build_record(hamming_code(3, 2))
+    assert caught.value.witness["failure"] == "sabotaged"
