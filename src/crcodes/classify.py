@@ -469,33 +469,19 @@ class CheckResult:
         return {"name": self.name, "status": self.status, "detail": self.detail}
 
 
-def _partition_min_distance(partition: VertexPartition) -> int | None:
-    """Least class minimum distance; None when every class is a singleton."""
-    if partition.coset_of is not None:
-        code = partition.coset_of
-        # cosets share the minimum distance of the code itself
-        return minimum_distance(code) if code.size >= 2 else None
-    best = None
-    for members in partition.classes():
-        if len(members) < 2:
-            continue
-        cls = Code(partition.space, tuple(members))
-        d = minimum_distance(cls)
-        best = d if best is None else min(best, d)
-    return best
-
-
 def clique_bound_checks(partition: VertexPartition, family: QuotientFamily,
-                        array: IntersectionArray) -> list[CheckResult]:
+                        array: IntersectionArray,
+                        min_distance: int | None) -> list[CheckResult]:
     """The four quotient restrictions that hold when every class has
-    minimum distance at least 2; inapplicable (never asserted) otherwise."""
+    minimum distance at least 2; inapplicable (never asserted) otherwise.
+    ``min_distance`` is the least minimum distance of a class (a coset
+    partition's is the code's delta), None when every class is a singleton."""
     q = partition.space.q
     is_coset = partition.coset_of is not None
-    delta = _partition_min_distance(partition)
     names = ("hamming_alphabet_bound", "no_doob_quotient_q_ge_4",
              "no_folded_array_q_ge_3", "additive_654_array_is_folded")
-    if delta is not None and delta < 2:
-        return [CheckResult(n, "INAPPLICABLE", f"class min distance {delta} < 2")
+    if min_distance is not None and min_distance < 2:
+        return [CheckResult(n, "INAPPLICABLE", f"class min distance {min_distance} < 2")
                 for n in names]
     out = []
     if family.tag == "hamming":

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from pathlib import Path
 
 from .classify import (
@@ -223,7 +224,8 @@ def _cmd_classify(args) -> int:
         raise TheoremViolationError(
             "coset graph of a CR code is not distance-regular", witness=drg.witness)
     family = classify_quotient(graph, drg)
-    checks = [r.to_json() for r in clique_bound_checks(partition, family, drg.array)]
+    checks = [r.to_json() for r in clique_bound_checks(
+        partition, family, drg.array, min_distance=analysis.delta)]
     if code.is_linear:
         checks.append({
             "name": "no_doob_coset_quotient",
@@ -309,10 +311,30 @@ def _cmd_construct(args) -> int:
     return EXIT_OK
 
 
+PROGRESS_INTERVAL_S = 5.0
+
+
+def _census_progress():
+    """A run_census callback: one JSON line on stderr at most every
+    PROGRESS_INTERVAL_S seconds."""
+    start = last = time.monotonic()
+
+    def report(n: int, records: int, cr: int) -> None:
+        nonlocal last
+        if time.monotonic() - last >= PROGRESS_INTERVAL_S:
+            last = time.monotonic()
+            line = {"progress": "census", "n": n, "records": records,
+                    "completely_regular": cr,
+                    "records_per_s": round(records / max(last - start, 1e-9), 1)}
+            sys.stderr.write(json.dumps(line, sort_keys=True) + "\n")
+
+    return report
+
+
 def _cmd_search(args) -> int:
     params = CensusParams(q=args.q, max_n=args.max_n, min_n=args.min_n,
                           max_redundancy=args.max_redundancy)
-    summary = run_census(params, args.out_dir)
+    summary = run_census(params, args.out_dir, _census_progress())
     _emit({"schema": "census-summary@1", **summary}, args)
     return EXIT_OK
 

@@ -350,7 +350,10 @@ def recount_witness(code: Code, witness: CrWitness) -> tuple[int, int]:
     target = witness.class_index + offset
     counts = []
     for v in (witness.vertex_a, witness.vertex_b):
-        assert dist_to_code(v) == witness.class_index
+        d = dist_to_code(v)
+        if d != witness.class_index:
+            raise TheoremViolationError("witness vertex is not in its claimed class",
+                                        witness={"vertex": v, "distance": d})
         counts.append(sum(1 for w in neighbors(v, space) if dist_to_code(w) == target))
     return tuple(counts)
 
@@ -420,7 +423,9 @@ def code_spectrum(u: QuotientMatrix, space) -> tuple[int, ...]:
             "the input is not the quotient matrix of a code in this space"
         )
     roots.sort(reverse=True)
-    assert roots[0] == space.valency
+    if roots[0] != space.valency:
+        raise TheoremViolationError("largest quotient eigenvalue is not the valency",
+                                    witness={"roots": roots, "valency": space.valency})
     return tuple(roots)
 
 
@@ -510,7 +515,9 @@ def arithmetic_certificate(spectrum: tuple[int, ...], q: int) -> ArithmeticCerti
     if len(gaps) != 1:
         return ArithmeticCertificate(False, None)
     gap = gaps.pop()
-    assert gap % q == 0  # eigenvalues all equal n(q-1) mod q
+    if gap % q:  # eigenvalues all equal n(q-1) mod q
+        raise TheoremViolationError("spectrum gap is not a multiple of q",
+                                    witness={"spectrum": list(spectrum), "q": q})
     return ArithmeticCertificate(True, gap // q)
 
 
@@ -595,7 +602,9 @@ def reduce_code(code: Code) -> tuple[Code, tuple[int, ...]]:
         members = sorted({_drop_coordinate(w, i, space.q) for w in current.members})
         if current.is_linear:
             h = current.linear.parity_check
-            assert all(x == 0 for x in h.column(i))  # free coordinate has a zero column
+            if any(h.column(i)):  # free coordinate has a zero column
+                raise TheoremViolationError("free coordinate has a nonzero column",
+                                            witness={"coordinate": i, "h": h.to_lists()})
             rows = tuple(r[:i] + r[i + 1:] for r in h.rows)
             if rows and rows[0]:
                 reduced_h = GFMatrix(h.alphabet, rows)
@@ -610,7 +619,9 @@ def _relinearize(space, members, h):
     from .hamming_space import code_from_parity_check
 
     rebuilt = code_from_parity_check(space, h)
-    assert list(rebuilt.members) == list(members)
+    if list(rebuilt.members) != list(members):
+        raise TheoremViolationError("shortened parity check misses the code", witness={
+            "h": h.to_lists(), "sizes": [len(members), rebuilt.size]})
     return rebuilt
 
 

@@ -1,12 +1,15 @@
 """Exhaustive desk-scale enumeration of linear codes, census persistence,
 and empirical verification of the structural results over the census.
 
-Enumeration walks one reduced-row-echelon parity check per dual subspace of
-GF(q)^n (so each code appears exactly once per coordinate frame), then
-deduplicates monomially equivalent frames by the sorted multiset of
-normalized columns.  That key is sound (equal keys imply monomial
+Enumeration generates H = [I_r | A] once per redundancy r and sorted multiset
+A of normalized columns (the zero column, or first nonzero entry 1): every
+RREF frame's key (r, sorted normalized columns) contains e_1..e_r, so these
+are all the keys, each once.  The key is sound (equal keys imply monomial
 equivalence) but deliberately incomplete: permuted copies of one code may
 survive as separate records, which the census tolerates as redundancy.
+``census-record@2`` changed H, its digest and the record order from the
+RREF frames of ``census-record@1``, so the open-question scan may name
+another digest for the same code; every invariant field is unchanged.
 
 Any theorem-check FAIL aborts the run after writing a replayable witness
 file; a FAIL always means an implementation bug, never a new theorem.
@@ -19,7 +22,7 @@ import hashlib
 import io
 import json
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations_with_replacement, product
 from pathlib import Path
 
 from .algebra import GFMatrix, alphabet, gf_matrix
@@ -42,83 +45,37 @@ from .partitions_quotients import (
     quotient_graph,
 )
 
-RECORD_SCHEMA = "census-record@1"
+RECORD_SCHEMA = "census-record@2"
 
 _ALLOWED_ARITHMETIC_FAMILIES = {"hamming", "doob", "folded_cube", "ia654_non_folded"}
 
 
-def gaussian_binomial(n: int, k: int, q: int) -> int:
-    if k < 0 or k > n:
-        return 0
-    num = den = 1
-    for i in range(k):
-        num *= q ** (n - i) - 1
-        den *= q ** (i + 1) - 1
-    assert num % den == 0
-    return num // den
-
-
-def enumerate_parity_checks(n: int, q: int, max_redundancy: int | None = None):
-    """Every rank-r RREF matrix with r rows and n columns, r = 1..n-1.
-
-    One matrix per dual subspace, in a fixed order: redundancy, then pivot
-    set (lexicographic), then free entries as a base-q counter.
-    """
+def systematic_parity_checks(n: int, q: int, max_redundancy: int | None = None):
+    """H = [I_r | A] for r = 1..n-1 and every sorted multiset A of n-r
+    normalized columns, in order of r, then of A as a sorted index tuple."""
     alpha = alphabet(q)
     top = n - 1 if max_redundancy is None else min(max_redundancy, n - 1)
     for r in range(1, top + 1):
-        for pivots in combinations(range(n), r):
-            free_positions = [
-                (i, j)
-                for i in range(r)
-                for j in range(n)
-                if j not in pivots and j > pivots[i]
-            ]
-            for fill in product(range(q), repeat=len(free_positions)):
-                rows = [[0] * n for _ in range(r)]
-                for i, p in enumerate(pivots):
-                    rows[i][p] = 1
-                for (i, j), value in zip(free_positions, fill):
-                    rows[i][j] = value
-                yield gf_matrix(alpha, rows)
-
-
-def _column_key(h: GFMatrix) -> tuple:
-    """Sorted normalized columns: invariant under column permutation/scaling."""
-    alpha = h.alphabet
-    cols = []
-    for col in h.columns():
-        lead = next((x for x in col if x), None)
-        if lead is None:
-            cols.append(col)
-        else:
-            inv = alpha.inv(lead)
-            cols.append(tuple(alpha.mul(inv, x) for x in col))
-    return tuple(sorted(cols))
+        columns = [c for c in product(range(q), repeat=r)  # lexicographic
+                   if next((x for x in c if x), 1) == 1]
+        identity = [tuple(int(i == j) for j in range(r)) for i in range(r)]
+        for tail in combinations_with_replacement(columns, n - r):
+            yield GFMatrix(alpha, tuple(
+                row + tuple(col[i] for col in tail) for i, row in enumerate(identity)))
 
 
 @dataclass
 class EnumerationStats:
-    subspaces: int = 0
-    deduplicated: int = 0
-    yielded: int = 0
+    candidates: int = 0
 
 
 def enumerate_linear_codes(n: int, q: int, max_redundancy: int | None = None,
                            stats: EnumerationStats | None = None):
-    """Nontrivial linear codes of length n, one per monomial column-frame key."""
-    seen: set = set()
-    for h in enumerate_parity_checks(n, q, max_redundancy):
+    """Nontrivial linear codes of length n, one per monomial column-frame key
+    (see ``systematic_parity_checks``)."""
+    for h in systematic_parity_checks(n, q, max_redundancy):
         if stats is not None:
-            stats.subspaces += 1
-        key = (h.nrows, _column_key(h))
-        if key in seen:
-            if stats is not None:
-                stats.deduplicated += 1
-            continue
-        seen.add(key)
-        if stats is not None:
-            stats.yielded += 1
+            stats.candidates += 1
         yield code_from_parity_check(ambient(n, q), h)
 
 
@@ -189,7 +146,8 @@ def build_record(code: Code, analysis: CodeAnalysis | None = None) -> dict:
     else:
         checks["reduced_min_distance"] = "INAPPLICABLE"
 
-    for result in clique_bound_checks(partition, family, drg.array):
+    for result in clique_bound_checks(partition, family, drg.array,
+                                      min_distance=analysis.delta):
         checks[result.name] = result.status
 
     checks["no_doob_coset_quotient"] = "FAIL" if family.tag == "doob" else "PASS"
@@ -247,11 +205,12 @@ def _dumps(record: dict) -> str:
     return json.dumps(record, sort_keys=True, separators=(",", ":"))
 
 
-def run_census(params: CensusParams, out_dir) -> dict:
+def run_census(params: CensusParams, out_dir, progress=None) -> dict:
     """Write census.jsonl and summary.csv under out_dir; abort on any FAIL
     after persisting witness.json.  Returns the summary (also printed by the
     CLI), including the open-question scan over the smallest-eigenvalue
-    slack, which is reported but never asserted.
+    slack, which is reported but never asserted.  ``progress``, if given, is
+    called after every record as progress(n, records, cr_records).
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -293,6 +252,8 @@ def run_census(params: CensusParams, out_dir) -> dict:
                     if slack is not None and (question_min is None or slack < question_min):
                         question_min = slack
                         question_digest = record["digest"]
+                if progress is not None:
+                    progress(n, recorded, cr_count)
 
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
@@ -303,11 +264,11 @@ def run_census(params: CensusParams, out_dir) -> dict:
 
     summary = {
         "params": params.to_json(),
-        "enumerated_subspaces": stats.subspaces,
-        "deduplicated": stats.deduplicated,
+        # census-summary@1 names: every generated candidate is a record
+        "enumerated_subspaces": stats.candidates,
+        "deduplicated": 0,
         "recorded": recorded,
-        "reconciled": stats.yielded == recorded
-        and stats.subspaces == recorded + stats.deduplicated,
+        "reconciled": stats.candidates == recorded,
         "completely_regular": cr_count,
         "failures": 0,
         "question_scan": {

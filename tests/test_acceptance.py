@@ -45,9 +45,11 @@ from crcodes.cr_analysis import (
     _poly_from_roots,
 )
 from crcodes.hamming_space import (
+    Code,
     ambient,
     code_from_parity_check,
     distance,
+    minimum_distance,
     neighbors,
 )
 from crcodes.partitions_quotients import (
@@ -238,7 +240,10 @@ def test_acceptance_08_h24_partition():
         assert family.tag == "hamming" and family.params == {"m": 2, "q": 2}
         # classes have minimum distance 1, so every clique check must be
         # reported inapplicable rather than asserted
-        checks = clique_bound_checks(partition, family, drg.array)
+        class_delta = min(minimum_distance(Code(sp, tuple(members)))
+                          for members in partition.classes())
+        assert class_delta == 1
+        checks = clique_bound_checks(partition, family, drg.array, class_delta)
         assert all(c.status == "INAPPLICABLE" for c in checks)
 
 

@@ -35,7 +35,7 @@ from crcodes.constructions import (
     replicate_columns,
 )
 from crcodes.algebra import alphabet, gf_identity, gf_matrix, hstack
-from crcodes.hamming_space import ambient, code_from_parity_check
+from crcodes.hamming_space import Code, ambient, code_from_parity_check, minimum_distance
 from crcodes.partitions_quotients import (
     certify_distance_regular,
     coset_graph_by_syndrome,
@@ -170,12 +170,21 @@ def test_classify_quotients_of_codes():
 # -- clique bound checks -------------------------------------------------------
 
 
+def _class_min_distance(partition):
+    """Oracle: least minimum distance over the classes with two or more
+    members, each scanned as a word list; None when all are singletons."""
+    dists = [minimum_distance(Code(partition.space, tuple(members)))
+             for members in partition.classes() if len(members) >= 2]
+    return min(dists, default=None)
+
+
 def test_clique_checks_hamming74():
     part = coset_partition(hamming_code(3, 2))
     g = quotient_graph(part)
     drg = certify_distance_regular(g)
     family = classify_quotient(g, drg)
-    results = {r.name: r.status for r in clique_bound_checks(part, family, drg.array)}
+    results = {r.name: r.status for r in clique_bound_checks(
+        part, family, drg.array, _class_min_distance(part))}
     assert results["hamming_alphabet_bound"] == "PASS"
     assert results["no_doob_quotient_q_ge_4"] == "INAPPLICABLE"
     assert results["no_folded_array_q_ge_3"] == "INAPPLICABLE"
@@ -193,7 +202,8 @@ def test_clique_checks_h24_partition_inapplicable():
     drg = certify_distance_regular(g)
     family = classify_quotient(g, drg)
     assert family.tag == "hamming" and family.params == {"m": 2, "q": 2}
-    results = clique_bound_checks(part, family, drg.array)
+    assert _class_min_distance(part) == 1
+    results = clique_bound_checks(part, family, drg.array, 1)
     assert all(r.status == "INAPPLICABLE" for r in results)
 
 
@@ -202,7 +212,8 @@ def test_clique_checks_repetition6():
     g = quotient_graph(part)
     drg = certify_distance_regular(g)
     family = classify_quotient(g, drg)
-    results = {r.name: r.status for r in clique_bound_checks(part, family, drg.array)}
+    results = {r.name: r.status for r in clique_bound_checks(
+        part, family, drg.array, _class_min_distance(part))}
     assert results["no_folded_array_q_ge_3"] == "INAPPLICABLE"  # q = 2
     assert results["additive_654_array_is_folded"] == "PASS"
     assert drg.array == IA_654
@@ -510,7 +521,8 @@ def test_clique_checks_ternary_hamming():
     drg = certify_distance_regular(g)
     family = classify_quotient(g, drg)
     assert family.params == {"m": 1, "q": 9}
-    results = {r.name: r.status for r in clique_bound_checks(part, family, drg.array)}
+    results = {r.name: r.status for r in clique_bound_checks(
+        part, family, drg.array, _class_min_distance(part))}
     assert results["hamming_alphabet_bound"] == "PASS"  # q' = 9 >= q = 3
     assert results["no_doob_quotient_q_ge_4"] == "INAPPLICABLE"
     assert results["no_folded_array_q_ge_3"] == "PASS"
@@ -532,3 +544,37 @@ def test_isomorphism_search_deeper_than_the_recursion_limit():
     assert sorted(mapping) == list(range(1024))
     assert all(fixture.has_edge(mapping[u], mapping[v]) for u, v in syn.graph.edges())
     assert classify_quotient(syn.graph).params == {"m": 11}
+
+
+def test_clique_checks_take_the_known_min_distance(monkeypatch):
+    # the analysis' delta gives the same check list as the class-by-class
+    # oracle, and clique_bound_checks runs no minimum-distance scan of its own
+    import crcodes.classify as classify_mod
+    from crcodes.cr_analysis import analyze_code
+    from crcodes.search import enumerate_linear_codes
+
+    cases = []
+    for q, top in ((2, 5), (3, 4), (4, 3)):
+        for n in range(1, top + 1):
+            for code in enumerate_linear_codes(n, q):
+                analysis = analyze_code(code)
+                if not analysis.cr:
+                    continue
+                part = coset_partition(code)
+                graph = coset_graph_by_syndrome(code, part).graph
+                drg = certify_distance_regular(graph)
+                family = classify_quotient(graph, drg)
+                assert analysis.delta == _class_min_distance(part)
+                cases.append((part, family, drg.array, analysis.delta,
+                              clique_bound_checks(part, family, drg.array,
+                                                  _class_min_distance(part))))
+    assert len(cases) > 50
+    assert {r.status for *_, results in cases for r in results} == {
+        "PASS", "INAPPLICABLE"}
+
+    def no_scan(code):
+        raise AssertionError("minimum distance recomputed")
+
+    monkeypatch.setattr(classify_mod, "minimum_distance", no_scan)
+    for part, family, array, delta, results in cases:
+        assert clique_bound_checks(part, family, array, delta) == results

@@ -143,6 +143,27 @@ def test_search_and_replay(tmp_path, capsys):
     assert code == 0 and json.loads(out)["match"]
 
 
+def test_search_progress_goes_to_stderr_only(tmp_path, capsys, monkeypatch):
+    import crcodes.cli as cli_mod
+    from crcodes.search import CensusParams, run_census
+
+    monkeypatch.setattr(cli_mod, "PROGRESS_INTERVAL_S", 0.0)  # a line per record
+    code, out, err = _run(capsys, "search", "--q", "2", "--max-n", "4",
+                          "--out-dir", str(tmp_path / "cli"))
+    assert code == 0
+    lines = [json.loads(line) for line in err.splitlines()]
+    summary = json.loads(out)
+    assert len(lines) == summary["recorded"]
+    assert set(lines[-1]) == {"progress", "n", "records", "completely_regular",
+                              "records_per_s"}
+    assert (lines[-1]["n"], lines[-1]["records"], lines[-1]["completely_regular"]) == (
+        4, summary["recorded"], summary["completely_regular"])
+    run_census(CensusParams(q=2, max_n=4), tmp_path / "quiet")
+    for name in ("census.jsonl", "summary.csv"):
+        assert (tmp_path / "cli" / name).read_bytes() == (
+            tmp_path / "quiet" / name).read_bytes()
+
+
 def test_bad_input_exits_two(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{not json")

@@ -9,6 +9,8 @@ from crcodes.constructions import (
     repetition_code,
 )
 from crcodes.cr_analysis import (
+    IntersectionNumbers,
+    QuotientMatrix,
     arithmetic_certificate,
     certify_completely_regular,
     code_spectrum,
@@ -25,7 +27,7 @@ from crcodes.cr_analysis import (
     _charpoly_coefficients,
     _poly_from_roots,
 )
-from crcodes.errors import SpectrumError
+from crcodes.errors import SpectrumError, TheoremViolationError
 from crcodes.hamming_space import ambient, code_from_words, distance, neighbors
 
 
@@ -260,3 +262,53 @@ def test_reduce_full_space_stops_at_one_coordinate():
     assert reduced.ambient.n == 1
     assert reduced.size == 2
     assert stripped == (0, 1)
+
+
+# -- theorem checks raise with a witness (they survive python -O) -------------------
+
+
+def test_recount_witness_rejects_a_vertex_outside_its_class():
+    from dataclasses import replace
+
+    code = code_from_words(ambient(3, 2), [[0, 0, 0], [0, 1, 1]])
+    w = certify_completely_regular(code).witness
+    with pytest.raises(TheoremViolationError) as caught:
+        recount_witness(code, replace(w, class_index=w.class_index + 1))
+    assert caught.value.witness["vertex"] == w.vertex_a
+    assert caught.value.witness["distance"] == w.class_index
+
+
+def test_code_spectrum_rejects_a_top_root_below_the_valency():
+    # eigenvalues 0 and -2 are ambient roots of H(2,2), but the valency 2 is not
+    numbers = IntersectionNumbers(gamma=(0, 1), alpha=(-1, -1), beta=(1, 0))
+    u = QuotientMatrix(((-1, 1), (1, -1)), numbers)
+    with pytest.raises(TheoremViolationError) as caught:
+        code_spectrum(u, ambient(2, 2))
+    assert caught.value.witness["roots"] == [0, -2]
+    assert caught.value.witness["valency"] == 2
+
+
+def test_arithmetic_certificate_rejects_a_gap_not_divisible_by_q():
+    with pytest.raises(TheoremViolationError) as caught:
+        arithmetic_certificate((7, 4, 1), 2)
+    assert caught.value.witness == {"spectrum": [7, 4, 1], "q": 2}
+
+
+def test_reduce_code_rejects_a_free_coordinate_with_a_nonzero_column(monkeypatch):
+    import crcodes.cr_analysis as cr_mod
+
+    monkeypatch.setattr(cr_mod, "free_coordinates", lambda code: [0])
+    with pytest.raises(TheoremViolationError) as caught:
+        reduce_code(hamming_code(3, 2))
+    assert caught.value.witness["coordinate"] == 0
+
+
+def test_relinearize_rejects_a_parity_check_for_other_members():
+    from crcodes.algebra import gf_matrix
+    from crcodes.cr_analysis import _relinearize
+
+    space = ambient(3, 2)
+    h = gf_matrix(space.alphabet, [[1, 1, 1]])  # even-weight code, 4 words
+    with pytest.raises(TheoremViolationError) as caught:
+        _relinearize(space, [0, 7], h)
+    assert caught.value.witness["sizes"] == [2, 4]

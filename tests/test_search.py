@@ -1,19 +1,89 @@
 import json
-from itertools import permutations
+import os
+import subprocess
+import sys
+from itertools import combinations, permutations, product
+from math import comb
+from pathlib import Path
 
 import pytest
 
+from crcodes.algebra import GFMatrix, alphabet, gf_matrix
 from crcodes.errors import DigestMismatchError, TheoremViolationError
+from crcodes.hamming_space import ambient, code_from_parity_check
 from crcodes.search import (
     CensusParams,
     EnumerationStats,
     build_record,
     enumerate_linear_codes,
-    enumerate_parity_checks,
-    gaussian_binomial,
     replay,
     run_census,
+    systematic_parity_checks,
 )
+
+
+# -- the reduced-row-echelon enumerator: the generator's differential oracle --
+
+
+def gaussian_binomial(n: int, k: int, q: int) -> int:
+    if k < 0 or k > n:
+        return 0
+    num = den = 1
+    for i in range(k):
+        num *= q ** (n - i) - 1
+        den *= q ** (i + 1) - 1
+    assert num % den == 0
+    return num // den
+
+
+def enumerate_parity_checks(n: int, q: int, max_redundancy: int | None = None):
+    """Every rank-r RREF matrix with r rows and n columns, r = 1..n-1.
+
+    One matrix per dual subspace, in a fixed order: redundancy, then pivot
+    set (lexicographic), then free entries as a base-q counter.
+    """
+    alpha = alphabet(q)
+    top = n - 1 if max_redundancy is None else min(max_redundancy, n - 1)
+    for r in range(1, top + 1):
+        for pivots in combinations(range(n), r):
+            free_positions = [
+                (i, j)
+                for i in range(r)
+                for j in range(n)
+                if j not in pivots and j > pivots[i]
+            ]
+            for fill in product(range(q), repeat=len(free_positions)):
+                rows = [[0] * n for _ in range(r)]
+                for i, p in enumerate(pivots):
+                    rows[i][p] = 1
+                for (i, j), value in zip(free_positions, fill):
+                    rows[i][j] = value
+                yield gf_matrix(alpha, rows)
+
+
+def _column_key(h: GFMatrix) -> tuple:
+    """Sorted normalized columns: invariant under column permutation/scaling."""
+    alpha = h.alphabet
+    cols = []
+    for col in h.columns():
+        lead = next((x for x in col if x), None)
+        if lead is None:
+            cols.append(col)
+        else:
+            inv = alpha.inv(lead)
+            cols.append(tuple(alpha.mul(inv, x) for x in col))
+    return tuple(sorted(cols))
+
+
+def rref_dedup_parity_checks(n: int, q: int):
+    """The census enumeration of census-record@1: every RREF frame, keeping
+    the first of each (r, column key)."""
+    seen = set()
+    for h in enumerate_parity_checks(n, q):
+        key = (h.nrows, _column_key(h))
+        if key not in seen:
+            seen.add(key)
+            yield key, h
 
 
 def test_gaussian_binomial_values():
@@ -32,12 +102,57 @@ def test_parity_check_enumeration_counts_match_gaussian_binomials():
             assert per_rank[r] == gaussian_binomial(n, r, q)
 
 
+@pytest.mark.parametrize("q,top", [(2, 6), (3, 5), (4, 4), (5, 3)])
+def test_systematic_keys_equal_rref_dedup_keys(q, top):
+    for n in range(1, top + 1):
+        generated = [(h.nrows, _column_key(h)) for h in systematic_parity_checks(n, q)]
+        assert len(set(generated)) == len(generated)  # no duplicates
+        assert set(generated) == {key for key, _ in rref_dedup_parity_checks(n, q)}
+        # one candidate per multiset of n-r of the 1 + (q^r-1)/(q-1) columns
+        columns = {r: 1 + (q**r - 1) // (q - 1) for r in range(1, n)}
+        assert len(generated) == sum(
+            comb(columns[r] + n - r - 1, n - r) for r in range(1, n))
+
+
+def _invariant_fields(record):
+    return {key: value for key, value in record.items()
+            if key not in {"parity_check", "digest", "witness", "schema"}}
+
+
+@pytest.mark.parametrize("q,top", [(2, 6), (3, 4)])
+def test_records_match_rref_dedup_records_key_by_key(q, top):
+    for n in range(1, top + 1):
+        oracle = {key: _invariant_fields(build_record(
+                      code_from_parity_check(ambient(n, q), h)))
+                  for key, h in rref_dedup_parity_checks(n, q)}
+        fresh = {}
+        for code in enumerate_linear_codes(n, q):
+            h = code.linear.parity_check
+            fresh[(h.nrows, _column_key(h))] = _invariant_fields(build_record(code))
+        assert fresh.keys() == oracle.keys()
+        for key in oracle:
+            assert fresh[key] == oracle[key], key
+
+
+def test_replay_accepts_rref_records_of_schema_one():
+    replayed = {True: 0, False: 0}
+    for _, h in rref_dedup_parity_checks(4, 2):
+        record = build_record(code_from_parity_check(ambient(4, 2), h))
+        record["schema"] = "census-record@1"
+        result = replay(json.loads(json.dumps(record)))
+        assert result["match"], result
+        if not record["cr"]:
+            assert result["witness_reconfirmed"]
+        replayed[record["cr"]] += 1
+    assert replayed[True] and replayed[False]
+
+
 def test_redundancy_one_dedup_matches_weight_classes():
-    # n=3, q=2, redundancy 1: subspaces {100},{010},{001},{110},...,{111}
-    # collapse to one representative per weight: {1,0,0}, {1,1,0}, {1,1,1}
+    # n=3, q=2, redundancy 1: the candidates are [1 | a b] for the sorted
+    # column pairs ab in {00, 01, 11}, one per weight: {1,0,0}, {1,1,0}, {1,1,1}
     stats = EnumerationStats()
     codes = list(enumerate_linear_codes(3, 2, max_redundancy=1, stats=stats))
-    assert stats.subspaces == 7
+    assert stats.candidates == 3
     assert len(codes) == 3
     weights = sorted(sum(code.linear.parity_check.rows[0]) for code in codes)
     assert weights == [1, 2, 3]
@@ -117,6 +232,23 @@ def test_census_small_run_is_deterministic(tmp_path):
         tmp_path / "b" / "summary.csv").read_bytes()
 
 
+def test_census_bytes_do_not_depend_on_progress(tmp_path):
+    params = CensusParams(q=2, max_n=4)
+    calls = []
+    with_progress = run_census(params, tmp_path / "on",
+                               lambda *state: calls.append(state))
+    without = run_census(params, tmp_path / "off")
+    assert with_progress.pop("files") != without.pop("files")
+    assert with_progress == without
+    for name in ("census.jsonl", "summary.csv"):
+        assert (tmp_path / "on" / name).read_bytes() == (
+            tmp_path / "off" / name).read_bytes()
+    # one call per record: (n, records so far, CR records so far)
+    assert [records for _, records, _ in calls] == list(
+        range(1, without["recorded"] + 1))
+    assert calls[-1] == (4, without["recorded"], without["completely_regular"])
+
+
 def test_census_ternary_small(tmp_path):
     summary = run_census(CensusParams(q=3, max_n=4), tmp_path)
     assert summary["failures"] == 0 and summary["reconciled"]
@@ -187,3 +319,22 @@ def test_build_record_rejects_a_coset_partition_that_is_not_cr(monkeypatch):
     with pytest.raises(TheoremViolationError) as caught:
         build_record(hamming_code(3, 2))
     assert caught.value.witness["failure"] == "sabotaged"
+
+
+def test_census_under_python_O_reaches_the_same_summary(tmp_path):
+    # theorem checks raise instead of asserting, so -O runs them all
+    run_census(CensusParams(q=2, max_n=4), tmp_path / "plain")
+    script = (
+        "import sys\n"
+        "from crcodes.search import CensusParams, run_census\n"
+        "assert False, 'asserts are live'\n"
+        "run_census(CensusParams(q=2, max_n=4), sys.argv[1])\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run([sys.executable, "-O", "-c", script, str(tmp_path / "opt")],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
+    assert done.returncode == 0, done.stderr
+    for name in ("census.jsonl", "summary.csv"):
+        assert (tmp_path / "opt" / name).read_bytes() == (
+            tmp_path / "plain" / name).read_bytes()
