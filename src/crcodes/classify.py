@@ -34,7 +34,6 @@ from .hamming_space import (
 from .partitions_quotients import (
     Graph,
     IntersectionArray,
-    VertexPartition,
     certify_distance_regular,
     coset_graph_by_syndrome,
     graph_from_edges,
@@ -469,15 +468,12 @@ class CheckResult:
         return {"name": self.name, "status": self.status, "detail": self.detail}
 
 
-def clique_bound_checks(partition: VertexPartition, family: QuotientFamily,
-                        array: IntersectionArray,
+def clique_bound_checks(q: int, family: QuotientFamily, array: IntersectionArray,
                         min_distance: int | None) -> list[CheckResult]:
-    """The four quotient restrictions that hold when every class has
-    minimum distance at least 2; inapplicable (never asserted) otherwise.
-    ``min_distance`` is the least minimum distance of a class (a coset
-    partition's is the code's delta), None when every class is a singleton."""
-    q = partition.space.q
-    is_coset = partition.coset_of is not None
+    """The four restrictions on the coset graph of an additive code over a
+    q-ary alphabet that hold when the code has minimum distance at least 2;
+    inapplicable (never asserted) otherwise.  ``min_distance`` is the code's
+    delta, None for a one-word code."""
     names = ("hamming_alphabet_bound", "no_doob_quotient_q_ge_4",
              "no_folded_array_q_ge_3", "additive_654_array_is_folded")
     if min_distance is not None and min_distance < 2:
@@ -500,12 +496,33 @@ def clique_bound_checks(partition: VertexPartition, family: QuotientFamily,
         out.append(CheckResult(names[2], "FAIL" if bad else "PASS"))
     else:
         out.append(CheckResult(names[2], "INAPPLICABLE", "q < 3"))
-    if is_coset and array == IA_654:
+    if array == IA_654:
         ok = q == 2 and family.tag == "folded_cube" and family.params.get("m") == 6
         out.append(CheckResult(names[3], "PASS" if ok else "FAIL"))
     else:
         out.append(CheckResult(names[3], "INAPPLICABLE",
                                "not an additive partition with the {6,5,4;1,2,6} array"))
+    return out
+
+
+_ARITHMETIC_QUOTIENT_FAMILIES = frozenset(
+    {"hamming", "doob", "folded_cube", "ia654_non_folded"})
+
+
+def coset_graph_checks(code: Code, analysis: CodeAnalysis, family: QuotientFamily,
+                       array: IntersectionArray) -> list[CheckResult]:
+    """Every theorem check on the coset graph of a CR additive code: the
+    clique bounds, no Doob coset graph for a linear code, and (for an
+    arithmetic spectrum with rho >= 3) an allowed quotient family."""
+    out = clique_bound_checks(code.ambient.q, family, array, analysis.delta)
+    if code.is_linear:
+        out.append(CheckResult("no_doob_coset_quotient",
+                               "FAIL" if family.tag == "doob" else "PASS"))
+    if analysis.arithmetic.arithmetic and analysis.rho >= 3:
+        out.append(CheckResult(
+            "arithmetic_quotient_family",
+            "PASS" if family.tag in _ARITHMETIC_QUOTIENT_FAMILIES else "FAIL",
+            family.tag))
     return out
 
 
@@ -731,15 +748,17 @@ class DecompositionReport:
         }
 
 
-def decompose_product(code: Code, family: QuotientFamily) -> DecompositionReport:
+def decompose_product(code: Code, family: QuotientFamily,
+                      min_distance: int) -> DecompositionReport:
     """Under an H(m, q') quotient, split an additive code with min distance
-    >= 2 into m blockwise factors of covering radius 1 and verify the product
-    reproduces the code member-for-member."""
+    (given, as computed by ``analyze_code``) >= 2 into m blockwise factors of
+    covering radius 1 and verify the product reproduces the code
+    member-for-member."""
     if family.tag != "hamming":
         raise ValueError("decomposition applies to Hamming-quotient codes")
     if not is_additive(code):
         raise ValueError("decomposition needs an additive code")
-    if minimum_distance(code) < 2:
+    if min_distance < 2:
         raise ValueError("decomposition needs minimum distance >= 2")
     m = family.params["m"]
     space = code.ambient
@@ -1019,10 +1038,10 @@ def classify_arithmetic_forms(code: Code,
     cases = []
     if (q == 2 and form.matches and d_code.size == 2
             and d_code.members == (0, 2**m - 1) and m >= 2):
-        syn = coset_graph_by_syndrome(code)
         iso = None
         if 2 ** (m - 1) <= ISO_VERTEX_CAP:
-            iso = graph_isomorphic(syn.graph, construct_fixture("folded_cube", m=m))
+            iso = graph_isomorphic(coset_graph_by_syndrome(code),
+                                   construct_fixture("folded_cube", m=m))
         if iso is not None:
             cases.append({
                 "case": "folded_cube_replication",
@@ -1100,8 +1119,7 @@ def classify_hamming_quotient_code(code: Code) -> HammingQuotientReport:
     analysis = analyze_code(code)
     if not analysis.cr:
         raise ValueError("pipeline needs a completely regular code")
-    syn = coset_graph_by_syndrome(code)
-    family = classify_quotient(syn.graph)
+    family = classify_quotient(coset_graph_by_syndrome(code))
     if family.tag != "hamming":
         raise ValueError(f"coset graph is not a Hamming graph (got {family.tag})")
     m, qprime = family.params["m"], family.params["q"]

@@ -22,9 +22,9 @@ from .classify import (
     classify_hamming_quotient_code,
     classify_quotient,
     classify_small_covering_radius,
-    clique_bound_checks,
     column_classes,
     coordinate_classes,
+    coset_graph_checks,
     decompose_product,
 )
 from .codespec import emit_codespec, parse_codespec
@@ -46,8 +46,10 @@ from .hamming_space import DEFAULT_VERTEX_CAP, is_additive
 from .partitions_quotients import (
     certify_cr_partition,
     certify_distance_regular,
+    coset_graph,
     coset_graph_by_syndrome,
     coset_partition,
+    coset_to_syndrome,
     drg_spectrum,
     predicted_quotient_array,
     quotient_graph,
@@ -190,11 +192,11 @@ def _cmd_quotient(args) -> int:
             "distance-regularity prediction", witness=report)
     report["quotient_spectrum"] = list(drg_spectrum(drg.array))
     if code.is_linear:
-        syn = coset_graph_by_syndrome(code, partition)
-        phi = syn.coset_to_syndrome
-        same = graph.edge_count() == syn.graph.edge_count() and all(
-            syn.graph.has_edge(phi[u], phi[v]) for u, v in graph.edges())
-        report["syndrome_graph"] = syn.graph.to_json()
+        syndrome_graph = coset_graph_by_syndrome(code)
+        phi = coset_to_syndrome(code, partition)
+        same = graph.edge_count() == syndrome_graph.edge_count() and all(
+            syndrome_graph.has_edge(phi[u], phi[v]) for u, v in graph.edges())
+        report["syndrome_graph"] = syndrome_graph.to_json()
         report["syndrome_isomorphic"] = same
         if not same:
             raise TheoremViolationError(
@@ -214,31 +216,13 @@ def _cmd_classify(args) -> int:
             "witness": analysis.certificate.witness.to_json(),
         }, args)
         return EXIT_REFUTED
-    partition = coset_partition(code)
-    if code.is_linear:
-        graph = coset_graph_by_syndrome(code, partition).graph
-    else:
-        graph = quotient_graph(partition)
+    graph = coset_graph(code)
     drg = certify_distance_regular(graph)
     if not drg.is_drg:
         raise TheoremViolationError(
             "coset graph of a CR code is not distance-regular", witness=drg.witness)
     family = classify_quotient(graph, drg)
-    checks = [r.to_json() for r in clique_bound_checks(
-        partition, family, drg.array, min_distance=analysis.delta)]
-    if code.is_linear:
-        checks.append({
-            "name": "no_doob_coset_quotient",
-            "status": "FAIL" if family.tag == "doob" else "PASS",
-            "detail": "",
-        })
-    if analysis.arithmetic.arithmetic and analysis.rho >= 3:
-        allowed = {"hamming", "doob", "folded_cube", "ia654_non_folded"}
-        checks.append({
-            "name": "arithmetic_quotient_family",
-            "status": "PASS" if family.tag in allowed else "FAIL",
-            "detail": family.tag,
-        })
+    checks = [r.to_json() for r in coset_graph_checks(code, analysis, family, drg.array)]
     report = {
         "schema": "classification-report@1",
         "cr": True,
@@ -277,13 +261,12 @@ def _cmd_decompose(args) -> int:
     violation = False
     if is_additive(code):
         report["coordinate_classes"] = [list(c) for c in coordinate_classes(code)]
-    graph = coset_graph_by_syndrome(code).graph if code.is_linear else \
-        quotient_graph(coset_partition(code))
+    graph = coset_graph(code)
     drg = certify_distance_regular(graph)
     family = classify_quotient(graph, drg)
     report["family"] = family.to_json()
     if family.tag == "hamming" and analysis.delta is not None and analysis.delta >= 2:
-        decomposition = decompose_product(code, family)
+        decomposition = decompose_product(code, family, analysis.delta)
         report["decomposition"] = decomposition.to_json()
         violation |= not decomposition.verified
     if code.is_linear and analysis.reduced and analysis.arithmetic.arithmetic:

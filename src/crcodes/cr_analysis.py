@@ -25,7 +25,6 @@ from .hamming_space import (
     neighbor_table,
     neighbors,
     ambient,
-    _TABLE_CAP,
 )
 
 
@@ -55,12 +54,11 @@ def distance_partition(code: Code) -> DistancePartition:
     frontier = deque(code.members)
     for w in code.members:
         dist[w] = 0
-    use_table = size <= _TABLE_CAP
-    table = neighbor_table(space) if use_table else None
+    table = neighbor_table(space)
     while frontier:
         v = frontier.popleft()
         d = dist[v] + 1
-        for w in table[v] if use_table else neighbors(v, space):
+        for w in table[v]:
             if dist[w] == 255:
                 dist[w] = d
                 frontier.append(w)
@@ -316,14 +314,13 @@ def _certify_words(code: Code, part: DistancePartition) -> CrCertificate:
     """The equitability scan over all q^n words."""
     space = code.ambient
     dist = part.class_of
-    use_table = space.size <= _TABLE_CAP
-    table = neighbor_table(space) if use_table else None
+    table = neighbor_table(space)
 
     def rows():
         for v in range(space.size):
             c = dist[v]
             prev = same = nxt = 0
-            for w in table[v] if use_table else neighbors(v, space):
+            for w in table[v]:
                 dw = dist[w]
                 if dw == c:
                     same += 1

@@ -13,6 +13,7 @@ desk-scale memory within ~64 MB.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .algebra import Alphabet, GFMatrix, alphabet, gf_identity, nullspace_basis, rref
@@ -25,6 +26,7 @@ from .errors import (
 
 DEFAULT_VERTEX_CAP = 1 << 26
 _TABLE_CAP = 1 << 17
+_TABLE_CACHE_SIZE = 4
 
 _SYMBOLS = "0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ+/"
 
@@ -166,19 +168,29 @@ def neighbors(u: int, space: AmbientSpace) -> list[int]:
     return out
 
 
-_neighbor_tables: dict[tuple[int, int], list] = {}
+class _NeighborView:
+    """Neighbour lists computed on demand, for spaces too large to tabulate."""
+
+    def __init__(self, space: AmbientSpace):
+        self.space = space
+
+    def __getitem__(self, v: int) -> list[int]:
+        return neighbors(v, self.space)
+
+
+@lru_cache(maxsize=_TABLE_CACHE_SIZE)
+def _tabulate(n: int, q: int) -> list[list[int]]:
+    space = ambient(n, q)
+    return [neighbors(v, space) for v in range(space.size)]
 
 
 def neighbor_table(space: AmbientSpace):
-    """Full adjacency table of H(n, q); cached, small spaces only."""
-    key = (space.n, space.q)
-    table = _neighbor_tables.get(key)
-    if table is None:
-        if space.size > _TABLE_CAP:
-            raise CapacityError(f"refusing to tabulate {space.size} neighbor lists")
-        table = [neighbors(v, space) for v in range(space.size)]
-        _neighbor_tables[key] = table
-    return table
+    """The neighbour lists of H(n, q), indexed by word: a cached table for
+    spaces of at most _TABLE_CAP words (the last _TABLE_CACHE_SIZE are kept),
+    ``neighbors(v, space)`` on demand above that."""
+    if space.size > _TABLE_CAP:
+        return _NeighborView(space)
+    return _tabulate(space.n, space.q)
 
 
 class Translations:

@@ -1,10 +1,11 @@
 """Vertex partitions, coset partitions, quotient and coset graphs, and
 distance-regularity certification with intersection arrays.
 
-Coset graphs of linear codes are built on syndrome vertices (a Cayley graph
-on GF(q)^r whose connection set is the scaled parity-check columns); the
-class-to-syndrome bijection is emitted so the equivalence with the explicit
-quotient graph can be checked rather than assumed.
+The coset graph of a linear code is built on syndrome vertices only (a
+Cayley graph on GF(q)^r whose connection set is the scaled parity-check
+columns); the explicit coset partition and quotient graph are for additive
+codes without a parity check and for showing the quotient itself, where the
+class-to-syndrome bijection lets the two constructions be compared.
 """
 
 from __future__ import annotations
@@ -29,13 +30,11 @@ from .errors import (
 from .hamming_space import (
     Code,
     Translations,
-    _TABLE_CAP,
     column_offsets,
     decode,
     encode,
     is_additive,
     neighbor_table,
-    neighbors,
     word_add,
 )
 
@@ -111,7 +110,6 @@ class VertexPartition:
     class_count: int
     representatives: tuple[int, ...]
     class_sizes: tuple[int, ...]
-    coset_of: Code | None = None  # provenance when built as a coset partition
 
     def class_members(self, i: int) -> list[int]:
         return [v for v, c in enumerate(self.class_of) if c == i]
@@ -161,8 +159,7 @@ def coset_partition(code: Code) -> VertexPartition:
         for c in code.members:
             class_of[word_add(v, c, space)] = idx
     sizes = (code.size,) * len(reps)
-    return VertexPartition(space, tuple(class_of), len(reps), tuple(reps), sizes,
-                           coset_of=code)
+    return VertexPartition(space, tuple(class_of), len(reps), tuple(reps), sizes)
 
 
 @dataclass(frozen=True)
@@ -172,7 +169,6 @@ class CrPartitionCertificate:
     class_certificates: tuple[CrCertificate, ...] | None = None
     failure: str | None = None
     witness: object = None
-    used_translation_shortcut: bool = False
 
 
 def _partition_equitable(partition: VertexPartition):
@@ -181,12 +177,11 @@ def _partition_equitable(partition: VertexPartition):
     class_of = partition.class_of
     reference: dict[int, dict[int, int]] = {}
     ref_vertex: dict[int, int] = {}
-    use_table = space.size <= _TABLE_CAP
-    table = neighbor_table(space) if use_table else None
+    table = neighbor_table(space)
     for v in range(space.size):
         c = class_of[v]
         counts: dict[int, int] = {}
-        for w in table[v] if use_table else neighbors(v, space):
+        for w in table[v]:
             cw = class_of[w]
             counts[cw] = counts.get(cw, 0) + 1
         if c not in reference:
@@ -197,29 +192,9 @@ def _partition_equitable(partition: VertexPartition):
     return reference, None
 
 
-def certify_cr_partition(partition: VertexPartition, *,
-                         use_translation_shortcut: bool = False) -> CrPartitionCertificate:
+def certify_cr_partition(partition: VertexPartition) -> CrPartitionCertificate:
     """Certify that every class is completely regular with equal numbers and
-    that the partition itself is equitable.
-
-    The shortcut is only legal for coset partitions: translation by a group
-    element is a graph automorphism permuting the classes, so certifying the
-    code class settles every coset and the partition-level counts.  It
-    defaults off so the full definition is what gets exercised.
-    """
-    if use_translation_shortcut:
-        code = partition.coset_of
-        if code is None:
-            raise ValueError("translation shortcut needs a coset partition")
-        cert = certify_completely_regular(code)
-        if not cert.completely_regular:
-            return CrPartitionCertificate(
-                False, failure="class_not_completely_regular",
-                witness=(0, cert.witness), used_translation_shortcut=True)
-        return CrPartitionCertificate(
-            True, numbers=cert.numbers, class_certificates=(cert,),
-            used_translation_shortcut=True)
-
+    that the partition itself is equitable (the full definition)."""
     _, equit_witness = _partition_equitable(partition)
     if equit_witness is not None:
         return CrPartitionCertificate(
@@ -254,11 +229,10 @@ def quotient_graph(partition: VertexPartition) -> Graph:
     space = partition.space
     class_of = partition.class_of
     edges = set()
-    use_table = space.size <= _TABLE_CAP
-    table = neighbor_table(space) if use_table else None
+    table = neighbor_table(space)
     for v in range(space.size):
         cv = class_of[v]
-        for w in table[v] if use_table else neighbors(v, space):
+        for w in table[v]:
             cw = class_of[w]
             if cv != cw:
                 edges.add((cv, cw) if cv < cw else (cw, cv))
@@ -266,40 +240,46 @@ def quotient_graph(partition: VertexPartition) -> Graph:
     return graph_from_edges(partition.class_count, edges, labels)
 
 
-@dataclass(frozen=True)
-class SyndromeGraph:
-    graph: CayleyGraph
-    coset_to_syndrome: tuple[int, ...]  # indexed by coset-partition class
-
-
-def coset_graph_by_syndrome(code: Code, partition: VertexPartition | None = None) -> SyndromeGraph:
+def coset_graph_by_syndrome(code: Code) -> CayleyGraph:
     """Coset graph on syndrome words: s ~ s + lambda*h_i for nonzero lambda.
 
-    Provably isomorphic to the quotient graph of the coset partition and far
-    cheaper; the coset -> syndrome map realizing the isomorphism is emitted.
+    Isomorphic to the quotient graph of the coset partition (the coset of x
+    goes to the syndrome Hx, see ``coset_to_syndrome``) without touching the
+    q^n words.
     """
     if not code.is_linear:
         raise NotAdditiveError("syndrome construction needs a linear code")
     h = code.linear.parity_check
-    space = code.ambient
-    q = space.q
+    q = code.ambient.q
     r = h.nrows
     count = q**r
     step = Translations(h.alphabet, sorted(set(column_offsets(h)) - {0}))
     adjacency = tuple(tuple(sorted(step.all(s))) for s in range(count))
     labels = tuple(str(decode(s, r, q)) if r else "()" for s in range(count))
-    graph = CayleyGraph(adjacency, labels)
+    return CayleyGraph(adjacency, labels)
 
-    part = partition if partition is not None else coset_partition(code)
-    mapping = []
-    for rep in part.representatives:
-        digits = decode(rep, space.n, q)
-        syndrome = mat_vec(h, digits)
-        mapping.append(encode(syndrome, q) if r else 0)
-    if sorted(mapping) != list(range(count)):
+
+def coset_to_syndrome(code: Code, partition: VertexPartition) -> tuple[int, ...]:
+    """The syndrome of each class of the coset partition of a linear code,
+    checked to be a bijection onto the q^r syndromes."""
+    h = code.linear.parity_check
+    space = code.ambient
+    q = space.q
+    r = h.nrows
+    mapping = [encode(mat_vec(h, decode(rep, space.n, q)), q) if r else 0
+               for rep in partition.representatives]
+    if sorted(mapping) != list(range(q**r)):
         raise TheoremViolationError("coset-to-syndrome map is not a bijection",
                                     witness=mapping)
-    return SyndromeGraph(graph, tuple(mapping))
+    return tuple(mapping)
+
+
+def coset_graph(code: Code) -> Graph:
+    """The coset graph of an additive code: the syndrome Cayley graph of a
+    linear code, the explicit quotient of the coset partition otherwise."""
+    if code.is_linear:
+        return coset_graph_by_syndrome(code)
+    return quotient_graph(coset_partition(code))
 
 
 # -- distance-regularity -------------------------------------------------------

@@ -25,29 +25,25 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement, product
 from pathlib import Path
 
-from .algebra import GFMatrix, alphabet, gf_matrix
+from .algebra import GFMatrix, alphabet, gf_matrix, mat_vec
 from .classify import (
     classify_arithmetic_forms,
     classify_quotient,
-    clique_bound_checks,
+    coset_graph_checks,
     decompose_product,
 )
-from .cr_analysis import CodeAnalysis, analyze_code, recount_witness
+from .cr_analysis import analyze_code, recount_witness
 from .errors import DigestMismatchError, TheoremViolationError
-from .hamming_space import Code, ambient, code_from_parity_check
+from .hamming_space import Code, ambient, code_from_parity_check, decode, encode
 from .partitions_quotients import (
-    certify_cr_partition,
+    Graph,
     certify_distance_regular,
     coset_graph_by_syndrome,
-    coset_partition,
     drg_spectrum,
     predicted_quotient_array,
-    quotient_graph,
 )
 
 RECORD_SCHEMA = "census-record@2"
-
-_ALLOWED_ARITHMETIC_FAMILIES = {"hamming", "doob", "folded_cube", "ia654_non_folded"}
 
 
 def systematic_parity_checks(n: int, q: int, max_redundancy: int | None = None):
@@ -89,9 +85,31 @@ def code_digest(code: Code) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def build_record(code: Code, analysis: CodeAnalysis | None = None) -> dict:
+def _is_syndrome_quotient(code: Code, graph: Graph) -> bool:
+    """Whether graph has exactly the edges of the quotient of H(n, q) by the
+    cosets of C, named by syndrome: s ~ s + H(lambda e_j) for every syndrome
+    s, coordinate j and nonzero lambda.  Each step is H times a word, summed
+    digit by digit in the alphabet, independently of how graph was built."""
+    h = code.linear.parity_check
+    alpha = h.alphabet
+    n, q, r = code.ambient.n, code.ambient.q, h.nrows
+    steps = set()
+    for j in range(n):
+        for lam in range(1, q):
+            steps.add(mat_vec(h, tuple(lam if i == j else 0 for i in range(n))))
+    edges = set()
+    for s in range(q**r):
+        digits = decode(s, r, q)
+        for step in steps:
+            t = encode(tuple(alpha.add(a, b) for a, b in zip(digits, step)), q)
+            if s < t:
+                edges.add((s, t))
+    return edges == set(graph.edges())
+
+
+def build_record(code: Code) -> dict:
     """The full, replayable census record for one code."""
-    analysis = analysis or analyze_code(code)
+    analysis = analyze_code(code)
     record = {
         "schema": RECORD_SCHEMA,
         "q": code.ambient.q,
@@ -118,20 +136,12 @@ def build_record(code: Code, analysis: CodeAnalysis | None = None) -> dict:
         bounds=analysis.bounds.to_json(),
     )
 
-    partition = coset_partition(code)
-    part_cert = certify_cr_partition(partition, use_translation_shortcut=True)
-    if not part_cert.is_cr_partition:  # translation-invariant consequence of CR
-        raise TheoremViolationError(
-            "coset partition of a CR code is not a CR partition",
-            witness={"failure": part_cert.failure, "witness": part_cert.witness,
-                     "record": record})
-
-    syn = coset_graph_by_syndrome(code, partition)
-    drg = certify_distance_regular(syn.graph)
+    graph = coset_graph_by_syndrome(code)
+    drg = certify_distance_regular(graph)
     if not drg.is_drg:
         raise TheoremViolationError("coset graph of a CR code is not a DRG",
                                     witness=record)
-    family = classify_quotient(syn.graph, drg)
+    family = classify_quotient(graph, drg)
     record["family"] = {"tag": family.tag, "params": dict(family.params)}
     record["quotient_array"] = drg.array.to_json()
 
@@ -146,17 +156,9 @@ def build_record(code: Code, analysis: CodeAnalysis | None = None) -> dict:
     else:
         checks["reduced_min_distance"] = "INAPPLICABLE"
 
-    for result in clique_bound_checks(partition, family, drg.array,
-                                      min_distance=analysis.delta):
+    checks["arithmetic_quotient_family"] = "INAPPLICABLE"  # unless listed below
+    for result in coset_graph_checks(code, analysis, family, drg.array):
         checks[result.name] = result.status
-
-    checks["no_doob_coset_quotient"] = "FAIL" if family.tag == "doob" else "PASS"
-
-    if analysis.arithmetic.arithmetic and analysis.rho >= 3:
-        checks["arithmetic_quotient_family"] = (
-            "PASS" if family.tag in _ALLOWED_ARITHMETIC_FAMILIES else "FAIL")
-    else:
-        checks["arithmetic_quotient_family"] = "INAPPLICABLE"
 
     if analysis.reduced and analysis.arithmetic.arithmetic:
         forms = classify_arithmetic_forms(code, analysis)
@@ -166,7 +168,7 @@ def build_record(code: Code, analysis: CodeAnalysis | None = None) -> dict:
         checks["coset_case_forms"] = "INAPPLICABLE"
 
     if family.tag == "hamming" and analysis.delta >= 2:
-        decomposition = decompose_product(code, family)
+        decomposition = decompose_product(code, family, analysis.delta)
         checks["product_decomposition"] = "PASS" if decomposition.verified else "FAIL"
     else:
         checks["product_decomposition"] = "INAPPLICABLE"
@@ -174,11 +176,8 @@ def build_record(code: Code, analysis: CodeAnalysis | None = None) -> dict:
     predicted = predicted_quotient_array(numbers)
     checks["predicted_array_matches"] = "PASS" if predicted == drg.array else "FAIL"
 
-    explicit = quotient_graph(partition)
-    phi = syn.coset_to_syndrome
-    same_graph = explicit.edge_count() == syn.graph.edge_count() and all(
-        syn.graph.has_edge(phi[u], phi[v]) for u, v in explicit.edges())
-    checks["syndrome_graph_isomorphic"] = "PASS" if same_graph else "FAIL"
+    checks["syndrome_graph_isomorphic"] = (
+        "PASS" if _is_syndrome_quotient(code, graph) else "FAIL")
 
     g1 = numbers.gamma[1]
     scaled = tuple((eta - numbers.alpha[0]) // g1 for eta in analysis.spectrum)

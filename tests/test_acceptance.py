@@ -110,8 +110,8 @@ def test_acceptance_01_hamming74():
         assert (gamma, alpha, beta) == (
             analysis.numbers.gamma, analysis.numbers.alpha, analysis.numbers.beta)
         syn = coset_graph_by_syndrome(ham)
-        assert graph_isomorphic(syn.graph, complete_graph(8)) is not None
-        family = classify_quotient(syn.graph)
+        assert graph_isomorphic(syn, complete_graph(8)) is not None
+        family = classify_quotient(syn)
         assert family.tag == "hamming" and family.params == {"m": 1, "q": 8}
 
 
@@ -145,8 +145,8 @@ def test_acceptance_03_extended_hamming():
         assert (gamma, alpha, beta) == (
             analysis.numbers.gamma, analysis.numbers.alpha, analysis.numbers.beta)
         syn = coset_graph_by_syndrome(ext)
-        assert graph_isomorphic(syn.graph, complete_bipartite(8)) is not None
-        drg = certify_distance_regular(syn.graph)
+        assert graph_isomorphic(syn, complete_bipartite(8)) is not None
+        drg = certify_distance_regular(syn)
         assert drg.array == IntersectionArray((8, 7), (1, 8))
         small = classify_small_covering_radius(ext, analysis)
         assert small.case == "extended_hamming"
@@ -198,9 +198,9 @@ def test_acceptance_06_decompose_hamming_squared():
         ham = hamming_code(3, 2)
         hamham = cartesian_product(ham, ham)
         syn = coset_graph_by_syndrome(hamham)
-        family = classify_quotient(syn.graph)
+        family = classify_quotient(syn)
         assert family.tag == "hamming" and family.params == {"m": 2, "q": 8}
-        report = decompose_product(hamham, family)
+        report = decompose_product(hamham, family, minimum_distance(hamham))
         assert report.verified
         assert len(report.factors) == 2
         assert all(f.members == ham.members for f in report.factors)
@@ -218,7 +218,7 @@ def test_acceptance_07_replicated_parity_check():
         forms = classify_arithmetic_forms(code, analysis)
         assert "hamming_replication" in forms.case_names()
         syn = coset_graph_by_syndrome(code)
-        assert graph_isomorphic(syn.graph, complete_graph(8)) is not None
+        assert graph_isomorphic(syn, complete_graph(8)) is not None
 
 
 def test_acceptance_08_h24_partition():
@@ -243,7 +243,7 @@ def test_acceptance_08_h24_partition():
         class_delta = min(minimum_distance(Code(sp, tuple(members)))
                           for members in partition.classes())
         assert class_delta == 1
-        checks = clique_bound_checks(partition, family, drg.array, class_delta)
+        checks = clique_bound_checks(4, family, drg.array, class_delta)
         assert all(c.status == "INAPPLICABLE" for c in checks)
 
 

@@ -162,7 +162,7 @@ def test_classify_quotients_of_codes():
     fam = classify_quotient(folded)
     assert fam.tag == "folded_cube" and fam.params == {"m": 6}
 
-    k88 = coset_graph_by_syndrome(extended_hamming_code(3)).graph
+    k88 = coset_graph_by_syndrome(extended_hamming_code(3))
     fam = classify_quotient(k88)
     assert fam.tag == "complete_bipartite" and fam.params == {"v": 8}
 
@@ -184,7 +184,7 @@ def test_clique_checks_hamming74():
     drg = certify_distance_regular(g)
     family = classify_quotient(g, drg)
     results = {r.name: r.status for r in clique_bound_checks(
-        part, family, drg.array, _class_min_distance(part))}
+        2, family, drg.array, _class_min_distance(part))}
     assert results["hamming_alphabet_bound"] == "PASS"
     assert results["no_doob_quotient_q_ge_4"] == "INAPPLICABLE"
     assert results["no_folded_array_q_ge_3"] == "INAPPLICABLE"
@@ -203,7 +203,7 @@ def test_clique_checks_h24_partition_inapplicable():
     family = classify_quotient(g, drg)
     assert family.tag == "hamming" and family.params == {"m": 2, "q": 2}
     assert _class_min_distance(part) == 1
-    results = clique_bound_checks(part, family, drg.array, 1)
+    results = clique_bound_checks(4, family, drg.array, 1)
     assert all(r.status == "INAPPLICABLE" for r in results)
 
 
@@ -213,7 +213,7 @@ def test_clique_checks_repetition6():
     drg = certify_distance_regular(g)
     family = classify_quotient(g, drg)
     results = {r.name: r.status for r in clique_bound_checks(
-        part, family, drg.array, _class_min_distance(part))}
+        2, family, drg.array, _class_min_distance(part))}
     assert results["no_folded_array_q_ge_3"] == "INAPPLICABLE"  # q = 2
     assert results["additive_654_array_is_folded"] == "PASS"
     assert drg.array == IA_654
@@ -287,9 +287,9 @@ def test_decompose_hamming_squared():
     ham = hamming_code(3, 2)
     hamham = cartesian_product(ham, ham)
     syn = coset_graph_by_syndrome(hamham)
-    family = classify_quotient(syn.graph)
+    family = classify_quotient(syn)
     assert family.tag == "hamming" and family.params == {"m": 2, "q": 8}
-    report = decompose_product(hamham, family)
+    report = decompose_product(hamham, family, minimum_distance(hamham))
     assert report.verified
     assert report.blocks == (tuple(range(7)), tuple(range(7, 14)))
     assert all(f.members == ham.members for f in report.factors)
@@ -298,9 +298,9 @@ def test_decompose_hamming_squared():
 
 def test_decompose_single_factor():
     doubled = _doubled_hamming()
-    family = classify_quotient(coset_graph_by_syndrome(doubled).graph)
+    family = classify_quotient(coset_graph_by_syndrome(doubled))
     assert family.params == {"m": 1, "q": 8}
-    report = decompose_product(doubled, family)
+    report = decompose_product(doubled, family, minimum_distance(doubled))
     assert report.verified and len(report.factors) == 1
     assert report.factors[0].members == doubled.members
 
@@ -308,9 +308,9 @@ def test_decompose_single_factor():
 def test_decompose_rep2_squared():
     rep2 = repetition_code(2, 2)
     sq = cartesian_product(rep2, rep2)
-    family = classify_quotient(coset_graph_by_syndrome(sq).graph)
+    family = classify_quotient(coset_graph_by_syndrome(sq))
     assert family.tag == "hamming" and family.params == {"m": 2, "q": 2}
-    report = decompose_product(sq, family)
+    report = decompose_product(sq, family, minimum_distance(sq))
     assert report.verified
     assert all(f.members == rep2.members for f in report.factors)
 
@@ -399,7 +399,7 @@ def test_forms_folded_cube_case():
     assert case["copies"] == 2 and case["base_length"] == 4
     # quotient is the folded 4-cube, i.e. K_{4,4}
     syn = coset_graph_by_syndrome(code)
-    assert graph_isomorphic(syn.graph, complete_bipartite(4)) is not None
+    assert graph_isomorphic(syn, complete_bipartite(4)) is not None
 
 
 def test_forms_hamming_replication_case():
@@ -487,9 +487,9 @@ def test_scaled_column_class_over_gf3():
 def test_decompose_ternary_hamming_squared():
     th = hamming_code(2, 3)
     sq = cartesian_product(th, th)
-    family = classify_quotient(coset_graph_by_syndrome(sq).graph)
+    family = classify_quotient(coset_graph_by_syndrome(sq))
     assert family.tag == "hamming" and family.params == {"m": 2, "q": 9}
-    report = decompose_product(sq, family)
+    report = decompose_product(sq, family, minimum_distance(sq))
     assert report.verified and report.factor_radii == (1, 1)
     assert all(f.members == th.members for f in report.factors)
 
@@ -522,7 +522,7 @@ def test_clique_checks_ternary_hamming():
     family = classify_quotient(g, drg)
     assert family.params == {"m": 1, "q": 9}
     results = {r.name: r.status for r in clique_bound_checks(
-        part, family, drg.array, _class_min_distance(part))}
+        3, family, drg.array, _class_min_distance(part))}
     assert results["hamming_alphabet_bound"] == "PASS"  # q' = 9 >= q = 3
     assert results["no_doob_quotient_q_ge_4"] == "INAPPLICABLE"
     assert results["no_folded_array_q_ge_3"] == "PASS"
@@ -538,12 +538,12 @@ def test_isomorphism_search_deeper_than_the_recursion_limit():
     try:
         syn = coset_graph_by_syndrome(repetition_code(11, 2))
         fixture = construct_fixture("folded_cube", m=11)
-        mapping = graph_isomorphic(syn.graph, fixture)
+        mapping = graph_isomorphic(syn, fixture)
     finally:
         sys.setrecursionlimit(limit)
     assert sorted(mapping) == list(range(1024))
-    assert all(fixture.has_edge(mapping[u], mapping[v]) for u, v in syn.graph.edges())
-    assert classify_quotient(syn.graph).params == {"m": 11}
+    assert all(fixture.has_edge(mapping[u], mapping[v]) for u, v in syn.edges())
+    assert classify_quotient(syn).params == {"m": 11}
 
 
 def test_clique_checks_take_the_known_min_distance(monkeypatch):
@@ -561,12 +561,12 @@ def test_clique_checks_take_the_known_min_distance(monkeypatch):
                 if not analysis.cr:
                     continue
                 part = coset_partition(code)
-                graph = coset_graph_by_syndrome(code, part).graph
+                graph = coset_graph_by_syndrome(code)
                 drg = certify_distance_regular(graph)
                 family = classify_quotient(graph, drg)
                 assert analysis.delta == _class_min_distance(part)
-                cases.append((part, family, drg.array, analysis.delta,
-                              clique_bound_checks(part, family, drg.array,
+                cases.append((q, family, drg.array, analysis.delta,
+                              clique_bound_checks(q, family, drg.array,
                                                   _class_min_distance(part))))
     assert len(cases) > 50
     assert {r.status for *_, results in cases for r in results} == {
@@ -576,5 +576,36 @@ def test_clique_checks_take_the_known_min_distance(monkeypatch):
         raise AssertionError("minimum distance recomputed")
 
     monkeypatch.setattr(classify_mod, "minimum_distance", no_scan)
-    for part, family, array, delta, results in cases:
-        assert clique_bound_checks(part, family, array, delta) == results
+    for q, family, array, delta, results in cases:
+        assert clique_bound_checks(q, family, array, delta) == results
+
+
+def test_decompose_product_takes_the_known_min_distance(monkeypatch):
+    # on every Hamming-quotient census code the analysis' delta gives the
+    # report of the weight-scan oracle, and decompose_product scans nothing
+    import crcodes.classify as classify_mod
+    from crcodes.cr_analysis import analyze_code
+    from crcodes.search import enumerate_linear_codes
+
+    cases = []
+    for q, top in ((2, 6), (3, 5), (4, 4)):
+        for n in range(1, top + 1):
+            for code in enumerate_linear_codes(n, q):
+                analysis = analyze_code(code)
+                if not analysis.cr or analysis.delta < 2:
+                    continue
+                family = classify_quotient(coset_graph_by_syndrome(code))
+                if family.tag != "hamming":
+                    continue
+                assert analysis.delta == minimum_distance(code)
+                cases.append((code, family, analysis.delta,
+                              decompose_product(code, family, minimum_distance(code))))
+    assert len(cases) > 20
+    assert all(report.verified for *_, report in cases)
+
+    def no_scan(code):
+        raise AssertionError("minimum distance recomputed")
+
+    monkeypatch.setattr(classify_mod, "minimum_distance", no_scan)
+    for code, family, delta, report in cases:
+        assert decompose_product(code, family, delta) == report

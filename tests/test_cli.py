@@ -241,3 +241,47 @@ def test_theorem_violation_witness_is_json(tmp_path, capsys, monkeypatch):
     payload = json.loads(err)
     assert payload["error"] == "theorem_violation"
     assert payload["witness"] == {"gamma": [0, 0], "alpha": [0, 7], "beta": [7, 0]}
+
+
+def test_census_classify_and_decompose_never_build_the_coset_partition(
+        tmp_path, capsys, monkeypatch):
+    # the coset graph of a linear code comes from its syndromes alone: with
+    # the q^n partition, its quotient and its certificate made to raise, the
+    # census and the reports keep their bytes
+    import hashlib
+
+    import crcodes.cli as cli_mod
+    import crcodes.partitions_quotients as pq_mod
+    import crcodes.search as search_mod
+    from crcodes.search import CensusParams
+
+    rep6 = _write_spec(tmp_path, "rep6.json",
+                       {"type": "construct", "name": "repetition", "q": 2, "n": 6})
+    hamham = _write_spec(tmp_path, "hamham.json", {
+        "type": "construct", "name": "product",
+        "factors": [{"type": "construct", "name": "hamming", "q": 2, "r": 3}] * 2})
+    runs = [(command, spec) for command in ("classify", "decompose")
+            for spec in (rep6, hamham)]
+    plain = [_run(capsys, command, spec) for command, spec in runs]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("q^n coset partition built")
+
+    names = ("coset_partition", "quotient_graph", "certify_cr_partition")
+    assert not any(hasattr(search_mod, name) for name in names)
+    for module in (cli_mod, pq_mod):
+        for name in names:
+            monkeypatch.setattr(module, name, forbidden)
+
+    search_mod.run_census(CensusParams(q=3, max_n=4), tmp_path / "census")
+    digests = {name: hashlib.sha256((tmp_path / "census" / name).read_bytes()).hexdigest()
+               for name in ("census.jsonl", "summary.csv")}
+    assert digests == {
+        "census.jsonl": "d5d02fad160138635edd8c8167f015fbc21dcb11ca20ce57cf8ac9a2cc37d55b",
+        "summary.csv": "b1034097b9c00b718ec9c28cde8061d2cf62b1ea56b127e59670136557ad58e7",
+    }
+    guarded = [_run(capsys, command, spec) for command, spec in runs]
+    assert guarded == plain
+    assert all(code == 0 for code, _, _ in guarded)
+    assert guarded[0][1] == (GOLDEN_DIR / "classify-rep6.json").read_text()
+    assert guarded[3][1] == (GOLDEN_DIR / "decompose-hamham.json").read_text()

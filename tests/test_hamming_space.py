@@ -14,6 +14,7 @@ from crcodes.hamming_space import (
     encode,
     is_additive,
     minimum_distance,
+    neighbor_table,
     neighbors,
     sphere_size,
     weight,
@@ -80,6 +81,31 @@ def test_neighbors_consistent_with_distance():
             assert len(ns) == sp.valency
             assert len(set(ns)) == len(ns)
             assert all(distance(u, v, sp) == 1 for v in ns)
+
+
+def test_neighbor_table_above_the_cap_is_an_on_demand_view():
+    import crcodes.hamming_space as hs
+
+    sp = ambient(18, 2)
+    assert sp.size > hs._TABLE_CAP
+    before = hs._tabulate.cache_info()
+    table = neighbor_table(sp)
+    for v in (0, 1, 12345, sp.size - 1):
+        assert table[v] == neighbors(v, sp)
+    assert hs._tabulate.cache_info() == before  # nothing was tabulated
+
+
+def test_neighbor_table_cache_stays_bounded():
+    import crcodes.hamming_space as hs
+
+    spaces = [ambient(n, q) for q in (2, 3) for n in range(1, 6)]
+    assert len(spaces) > hs._TABLE_CACHE_SIZE
+    for sp in spaces:
+        table = neighbor_table(sp)
+        assert [table[v] for v in range(sp.size)] == [
+            neighbors(v, sp) for v in range(sp.size)]
+        assert hs._tabulate.cache_info().currsize <= hs._TABLE_CACHE_SIZE
+    assert neighbor_table(spaces[-1]) is table  # the latest one is kept
 
 
 def test_sphere_size_identity():

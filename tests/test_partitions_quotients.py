@@ -1,3 +1,5 @@
+import functools
+
 import pytest
 
 from crcodes.constructions import (
@@ -6,7 +8,12 @@ from crcodes.constructions import (
     hamming_parity_check,
     replicate_columns,
 )
-from crcodes.cr_analysis import certify_completely_regular, code_spectrum, quotient_matrix
+from crcodes.cr_analysis import (
+    analyze_code,
+    certify_completely_regular,
+    code_spectrum,
+    quotient_matrix,
+)
 from crcodes.errors import NotAdditiveError
 from crcodes.hamming_space import ambient, code_from_parity_check, code_from_words
 from crcodes.partitions_quotients import (
@@ -16,12 +23,14 @@ from crcodes.partitions_quotients import (
     certify_distance_regular,
     coset_graph_by_syndrome,
     coset_partition,
+    coset_to_syndrome,
     drg_spectrum,
     graph_from_edges,
     partition_from_classes,
     predicted_quotient_array,
     quotient_graph,
 )
+from crcodes.search import enumerate_linear_codes
 
 
 def _rep6():
@@ -98,18 +107,28 @@ def test_singleton_plus_rest_is_not_cr_partition():
     assert not cert.is_cr_partition
 
 
-def test_translation_shortcut_agrees_with_full_check():
-    for code in (hamming_code(2, 2), hamming_code(3, 2), _rep6()):
-        part = coset_partition(code)
-        full = certify_cr_partition(part)
-        fast = certify_cr_partition(part, use_translation_shortcut=True)
-        assert full.is_cr_partition == fast.is_cr_partition
-        assert full.numbers == fast.numbers
-    with pytest.raises(ValueError):
-        certify_cr_partition(_h24_partition().__class__(
-            space=ambient(2, 2), class_of=(0, 0, 1, 1), class_count=2,
-            representatives=(0, 2), class_sizes=(2, 2)),
-            use_translation_shortcut=True)
+@functools.lru_cache(maxsize=None)
+def _census_cr_codes():
+    """(code, analysis) for every CR code of the census at q=2 n<=6,
+    q=3 n<=5 and q=4 n<=4."""
+    out = []
+    for q, top in ((2, 6), (3, 5), (4, 4)):
+        for n in range(1, top + 1):
+            for code in enumerate_linear_codes(n, q):
+                analysis = analyze_code(code)
+                if analysis.cr:
+                    out.append((code, analysis))
+    return tuple(out)
+
+
+def test_coset_partition_of_a_cr_code_is_a_cr_partition():
+    # the full definition, class by class, agrees with the code's certificate
+    codes = _census_cr_codes()
+    assert len(codes) > 50
+    for code, analysis in codes:
+        cert = certify_cr_partition(coset_partition(code))
+        assert cert.is_cr_partition
+        assert cert.numbers == analysis.numbers
 
 
 def test_quotient_graph_h24_is_four_cycle():
@@ -136,13 +155,12 @@ def test_quotient_graph_rep6_is_folded_6_cube():
 def test_syndrome_graph_hamming74():
     ham = hamming_code(3, 2)
     syn = coset_graph_by_syndrome(ham)
-    assert syn.graph.n == 8 and _is_complete(syn.graph)
+    assert syn.n == 8 and _is_complete(syn)
 
 
 def test_syndrome_graph_extended_hamming_is_k88():
     ext = extended_hamming_code(3)
-    syn = coset_graph_by_syndrome(ext)
-    g = syn.graph
+    g = coset_graph_by_syndrome(ext)
     assert g.n == 16
     assert all(g.degree(v) == 8 for v in range(16))
     # bipartition by last syndrome bit: no edge joins same-parity syndromes
@@ -156,23 +174,24 @@ def test_syndrome_graph_replicated_check_is_k8_again():
     hh = replicate_columns(hamming_parity_check(3, 2), 2)
     code = code_from_parity_check(ambient(14, 2), hh)
     syn = coset_graph_by_syndrome(code)
-    assert syn.graph.n == 8 and _is_complete(syn.graph)
+    assert syn.n == 8 and _is_complete(syn)
 
 
 def test_syndrome_map_is_graph_isomorphism():
     from crcodes.constructions import repetition_code
 
-    for code in (hamming_code(2, 2), hamming_code(3, 2), repetition_code(6, 2),
-                 extended_hamming_code(3), hamming_code(2, 3), hamming_code(2, 4),
-                 repetition_code(4, 3), repetition_code(3, 5)):
+    named = (hamming_code(2, 2), hamming_code(3, 2), repetition_code(6, 2),
+             extended_hamming_code(3), hamming_code(2, 3), hamming_code(2, 4),
+             repetition_code(4, 3), repetition_code(3, 5))
+    for code in named + tuple(code for code, _ in _census_cr_codes()):
         part = coset_partition(code)
         quotient = quotient_graph(part)
-        syn = coset_graph_by_syndrome(code, part)
-        phi = syn.coset_to_syndrome
+        syn = coset_graph_by_syndrome(code)
+        phi = coset_to_syndrome(code, part)
         assert sorted(phi) == list(range(quotient.n))
-        assert quotient.edge_count() == syn.graph.edge_count()
+        assert quotient.edge_count() == syn.edge_count()
         for u, v in quotient.edges():
-            assert syn.graph.has_edge(phi[u], phi[v])
+            assert syn.has_edge(phi[u], phi[v])
 
 
 def test_syndrome_graph_requires_linear():

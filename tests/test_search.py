@@ -292,8 +292,8 @@ def test_census_fail_aborts_and_persists_witness(tmp_path, monkeypatch):
 
     real = search_mod.build_record
 
-    def sabotaged(code, analysis=None):
-        record = real(code, analysis)
+    def sabotaged(code):
+        record = real(code)
         if record["cr"] and record.get("checks"):
             record["checks"]["smallest_eigenvalue_bound"] = "FAIL"
         return record
@@ -308,17 +308,35 @@ def test_census_fail_aborts_and_persists_witness(tmp_path, monkeypatch):
     assert result["digest"] == witness["record"]["digest"]
 
 
-def test_build_record_rejects_a_coset_partition_that_is_not_cr(monkeypatch):
+def test_a_moved_coset_graph_edge_fails_the_census(tmp_path, monkeypatch):
+    # move one edge of each coset graph that has a non-edge; the DRG
+    # certificate is held to the true graph (an irregular graph would stop it
+    # first), so only the edge comparison with H(n, q) can catch the move
     import crcodes.search as search_mod
-    from crcodes.constructions import hamming_code
-    from crcodes.partitions_quotients import CrPartitionCertificate
+    from crcodes.partitions_quotients import CayleyGraph, graph_from_edges
 
-    monkeypatch.setattr(
-        search_mod, "certify_cr_partition",
-        lambda partition, **_: CrPartitionCertificate(False, failure="sabotaged"))
-    with pytest.raises(TheoremViolationError) as caught:
-        build_record(hamming_code(3, 2))
-    assert caught.value.witness["failure"] == "sabotaged"
+    real_graph = search_mod.coset_graph_by_syndrome
+    real_drg = search_mod.certify_distance_regular
+    true_graph = {}
+
+    def moved(code):
+        graph = true_graph["last"] = real_graph(code)
+        edges = graph.edges()
+        u, v = edges[0]
+        spare = [w for w in range(graph.n) if w != u and not graph.has_edge(u, w)]
+        if not spare:
+            return graph
+        rewired = graph_from_edges(graph.n, [(u, spare[0])] + edges[1:], graph.labels)
+        return CayleyGraph(rewired.adjacency, rewired.labels)
+
+    monkeypatch.setattr(search_mod, "coset_graph_by_syndrome", moved)
+    monkeypatch.setattr(search_mod, "certify_distance_regular",
+                        lambda graph: real_drg(true_graph["last"]))
+    with pytest.raises(TheoremViolationError):
+        search_mod.run_census(CensusParams(q=2, max_n=4), tmp_path)
+    witness = json.loads((tmp_path / "witness.json").read_text())
+    assert "syndrome_graph_isomorphic" in witness["failed_checks"]
+    assert witness["record"]["checks"]["syndrome_graph_isomorphic"] == "FAIL"
 
 
 def test_census_under_python_O_reaches_the_same_summary(tmp_path):

@@ -108,7 +108,7 @@ def test_linear_is_reduced_agrees_with_free_coordinates():
 
 def test_one_root_drg_certificate_equals_all_roots():
     for code in CODES:
-        graph = coset_graph_by_syndrome(code).graph
+        graph = coset_graph_by_syndrome(code)
         assert isinstance(graph, CayleyGraph)
         plain = Graph(graph.adjacency, graph.labels)
         assert certify_distance_regular(graph) == certify_distance_regular(plain)
@@ -128,7 +128,7 @@ def _count_bfs(monkeypatch):
 
 def test_cayley_graphs_take_one_bfs_and_others_take_one_per_vertex(monkeypatch):
     roots = _count_bfs(monkeypatch)
-    graph = coset_graph_by_syndrome(hamming_code(3, 2)).graph
+    graph = coset_graph_by_syndrome(hamming_code(3, 2))
     assert certify_distance_regular(graph).is_drg
     assert roots == [0]
     roots.clear()
