@@ -1110,16 +1110,16 @@ _COROLLARY_CASES = {"hamming_replication", "extended_hamming_replication",
                     "radius_one_power"}
 
 
-def classify_hamming_quotient_code(code: Code) -> HammingQuotientReport:
+def classify_hamming_quotient_code(code: Code, analysis: CodeAnalysis,
+                                   family: QuotientFamily) -> HammingQuotientReport:
     """For a linear CR code whose coset graph is H(m, q'): derive the
     arithmetic step from the quotient spectrum mapping (t = gamma_1 q' / q),
-    then classify the reduced code against the replication forms."""
+    then classify the reduced code against the replication forms.  The
+    code's analysis and its coset graph's family come from the caller."""
     from .cr_analysis import reduce_code
 
-    analysis = analyze_code(code)
     if not analysis.cr:
         raise ValueError("pipeline needs a completely regular code")
-    family = classify_quotient(coset_graph_by_syndrome(code))
     if family.tag != "hamming":
         raise ValueError(f"coset graph is not a Hamming graph (got {family.tag})")
     m, qprime = family.params["m"], family.params["q"]
@@ -1135,7 +1135,7 @@ def classify_hamming_quotient_code(code: Code) -> HammingQuotientReport:
             "spectrum is not the arithmetic progression the quotient forces",
             witness={"spectrum": analysis.spectrum, "derived_t": derived_t})
     reduced, stripped = reduce_code(code)
-    forms = classify_arithmetic_forms(reduced)
+    forms = classify_arithmetic_forms(reduced, None if stripped else analysis)
     cases = tuple(c for c in forms.cases if c["case"] in _COROLLARY_CASES)
     restricted = ArithmeticFormsReport(cases, violation=not cases,
                                        column_report=forms.column_report)

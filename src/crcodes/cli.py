@@ -275,7 +275,8 @@ def _cmd_decompose(args) -> int:
         report["forms"] = forms.to_json()
         violation |= forms.violation
         if family.tag == "hamming":
-            report["hamming_quotient"] = classify_hamming_quotient_code(code).to_json()
+            report["hamming_quotient"] = classify_hamming_quotient_code(
+                code, analysis, family).to_json()
     if (code.is_linear and analysis.delta is not None and analysis.delta >= 3
             and analysis.arithmetic.arithmetic and analysis.rho in (1, 2)):
         small = classify_small_covering_radius(code, analysis)

@@ -160,24 +160,18 @@ class SyndromePartition:
 
 
 def _word_syndromes(h, columns: Translations):
-    """Syndromes of the words 0, 1, 2, ... in encoding order, one translation
-    per word; `columns` translates by the column offsets lambda*h_j.
+    """Syndromes of the words 0, 1, 2, ... in encoding order; `columns`
+    translates by the column offsets lambda*h_j (offset j*(q-1) + lambda-1).
 
     Stepping x to x+1 wraps the digits below some coordinate t from q-1 to 0
-    and moves digit t from label d to d+1, which adds
-    delta[t][d] = sum_{i<t} -(q-1)*h_i + ((d+1) - d)*h_t to the syndrome.
+    and moves digit t from label d to d+1.  Moving digit i from label a to
+    label b adds (b-a)*h_i, one column translation.
     """
     alpha = h.alphabet
     q, n = alpha.q, h.ncols
-    wrap_index = alpha.neg(q - 1) - 1
-    wrap = 0
-    deltas = []
-    for j in range(n):
-        base = j * (q - 1)
-        for d in range(q - 1):
-            deltas.append(columns.one(wrap, base + alpha.sub(d + 1, d) - 1))
-        wrap = columns.one(wrap, base + wrap_index)
-    step = Translations(alpha, deltas)
+    up = [alpha.sub(d + 1, d) - 1 for d in range(q - 1)]
+    wrap = alpha.sub(0, q - 1) - 1
+    one = columns.one
     digits = [0] * n
     s = 0
     yield s
@@ -185,10 +179,11 @@ def _word_syndromes(h, columns: Translations):
         t = 0
         while digits[t] == q - 1:
             digits[t] = 0
+            s = one(s, t * (q - 1) + wrap)
             t += 1
         d = digits[t]
         digits[t] = d + 1
-        s = step.one(s, t * (q - 1) + d)
+        s = one(s, t * (q - 1) + up[d])
         yield s
 
 
@@ -233,7 +228,7 @@ def _certify_by_syndrome(code: Code) -> CrCertificate:
     h = code.linear.parity_check
     alpha = h.alphabet
     size = alpha.q**h.nrows
-    step = Translations(alpha, column_offsets(h))
+    step = Translations(alpha, column_offsets(h), size)
     dist = bytearray([255]) * size
     counts: list[tuple[int, int, int] | None] = [None] * size
     dist[0] = 0
@@ -258,10 +253,8 @@ def _certify_by_syndrome(code: Code) -> CrCertificate:
             "columns of a full-rank parity check do not reach every syndrome",
             witness={"syndrome": dist.index(255), "reached": len(order)})
     rho = dist[order[-1]]
-    sizes = [0] * (rho + 1)
-    for s in order:
-        sizes[dist[s]] += code.size
-    part = SyndromePartition(code, bytes(dist), rho, tuple(sizes))
+    sizes = tuple(dist.count(i) * code.size for i in range(rho + 1))
+    part = SyndromePartition(code, bytes(dist), rho, sizes)
     cert = _scan(part, ((s, dist[s], counts[s]) for s in order))
     if cert.completely_regular:
         return cert

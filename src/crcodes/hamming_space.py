@@ -27,6 +27,7 @@ from .errors import (
 DEFAULT_VERTEX_CAP = 1 << 26
 _TABLE_CAP = 1 << 17
 _TABLE_CACHE_SIZE = 4
+ADDITIVE_CHECK_WORDS = 1 << 10
 
 _SYMBOLS = "0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ+/"
 
@@ -142,16 +143,6 @@ def word_sub(u: int, v: int, space: AmbientSpace) -> int:
     return word_add(u, word_neg(v, space), space)
 
 
-def word_scale(u: int, c: int, space: AmbientSpace) -> int:
-    alpha = space.alphabet
-    q, out, mult = space.q, 0, 1
-    for _ in range(space.n):
-        u, du = divmod(u, q)
-        out += alpha.mul(du, c) * mult
-        mult *= q
-    return out
-
-
 def neighbors(u: int, space: AmbientSpace) -> list[int]:
     """The n(q-1) words at distance 1, coordinate-major then symbol-ascending."""
     q, n = space.q, space.n
@@ -193,60 +184,70 @@ def neighbor_table(space: AmbientSpace):
     return _tabulate(space.n, space.q)
 
 
+def translate(words: Sequence[int], offset: int, alpha: Alphabet) -> list[int]:
+    """Each word plus `offset`, digit by digit over the alphabet: one pass per
+    nonzero digit of the offset, through a q-entry table of digit shifts."""
+    if alpha.is_field and alpha.p == 2:
+        return [w ^ offset for w in words]  # digit-wise GF(2^e) addition
+    q, add = alpha.q, alpha._add
+    out, mult = list(words), 1
+    while offset:
+        offset, d = divmod(offset, q)
+        if d:
+            shift = [(add[x][d] - x) * mult for x in range(q)]
+            out = [w + shift[w // mult % q] for w in out]
+        mult *= q
+    return out
+
+
 class Translations:
-    """Translation by each of a fixed list of offsets, on base-q words.
+    """Translation by each of a fixed list of offsets, on the base-q words
+    below `size` = q^r.
 
     Symbols add without carries, so in characteristic 2 a translation is one
-    XOR; otherwise each nonzero digit of the offset goes through the q x q
-    addition table of the alphabet.  Nothing of size q^length is built.
+    XOR.  Otherwise each word splits into its low m = ceil(r/2) digits and the
+    rest, and each offset keeps the translates of all q^m low parts and all
+    q^(r-m) high parts: v plus an offset is two lookups and an addition, and
+    no table has more than q^m entries.
     """
 
-    def __init__(self, alpha: Alphabet, offsets: Sequence[int]):
+    def __init__(self, alpha: Alphabet, offsets: Sequence[int], size: int):
         self.offsets = tuple(offsets)
         self.xor = alpha.is_field and alpha.p == 2
-        q = self.q = alpha.q
-        self.add = alpha._add
-        self.digits = []
-        for s in () if self.xor else self.offsets:
-            pairs, mult = [], 1
-            while s:
-                s, d = divmod(s, q)
-                if d:
-                    pairs.append((mult, d))
-                mult *= q
-            self.digits.append(tuple(pairs))
+        if self.xor:
+            return
+        q, r = alpha.q, 0
+        while q**r < size:
+            r += 1
+        low = self.low = q ** ((r + 1) // 2)
+        parts = [divmod(s, low) for s in self.offsets]
+        # offsets with the same low (high) part share its table
+        lows = {lo: translate(range(low), lo, alpha) for lo in {lo for _, lo in parts}}
+        highs = {hi: [w * low for w in translate(range(q**r // low), hi, alpha)]
+                 for hi in {hi for hi, _ in parts}}
+        self.halves = [(lows[lo], highs[hi]) for hi, lo in parts]
 
     def one(self, v: int, k: int) -> int:
         """v plus offset number k."""
         if self.xor:
             return v ^ self.offsets[k]
-        q, add = self.q, self.add
-        for mult, d in self.digits[k]:
-            old = v // mult % q
-            v += (add[old][d] - old) * mult
-        return v
+        hi, lo = divmod(v, self.low)
+        a, b = self.halves[k]
+        return a[lo] + b[hi]
 
     def all(self, v: int) -> list[int]:
         """v plus each offset, in offset order (repeats and zeros kept)."""
         if self.xor:
             return [v ^ s for s in self.offsets]
-        q, add = self.q, self.add
-        out = []
-        for pairs in self.digits:
-            w = v
-            for mult, d in pairs:
-                old = w // mult % q
-                w += (add[old][d] - old) * mult
-            out.append(w)
-        return out
+        hi, lo = divmod(v, self.low)
+        return [a[lo] + b[hi] for a, b in self.halves]
 
 
 def column_offsets(h: GFMatrix) -> list[int]:
     """lambda*h_j for every column j and nonzero lambda, as syndrome words;
     zero columns give 0 (loops) and repeated columns repeat."""
-    alpha = h.alphabet
-    q = alpha.q
-    return [encode(tuple(alpha.mul(lam, x) for x in col), q)
+    q, mul = h.alphabet.q, h.alphabet._mul
+    return [encode([mul[lam][x] for x in col], q)
             for col in h.columns() for lam in range(1, q)]
 
 
@@ -331,24 +332,31 @@ def code_from_words(space: AmbientSpace, words: Iterable, *, additive: bool | No
 
 
 def is_additive(code: Code) -> bool:
-    """Closure under subtraction (hence a subgroup of Q^n)."""
+    """Closure under subtraction (hence a subgroup of Q^n).  A word-listed
+    code is checked on all |C|^2 differences, so it may have at most
+    ADDITIVE_CHECK_WORDS words."""
     if code.is_linear:
         return True
     if 0 not in code:
         return False
     members = code.members
+    if len(members) > ADDITIVE_CHECK_WORDS:
+        raise CapacityError(
+            f"additivity check of {len(members)} listed words would compare "
+            f"{len(members)}^2 differences (cap {ADDITIVE_CHECK_WORDS} words)")
     space = code.ambient
-    return all(word_sub(u, v, space) in code for u in members for v in members)
+    return all(w in code for v in members
+               for w in translate(members, word_neg(v, space), space.alphabet))
 
 
 def _span(space: AmbientSpace, basis: GFMatrix) -> list[int]:
     """All GF(q)-linear combinations of the basis rows, as encodings."""
-    q = space.q
-    basis_words = [encode(row, q) for row in basis.rows]
+    alpha = space.alphabet
+    q, mul = alpha.q, alpha._mul
     span = [0]
-    for b in basis_words:
-        multiples = [word_scale(b, c, space) for c in range(q)]
-        span = [word_add(w, m, space) for w in span for m in multiples]
+    for row in basis.rows:
+        span = [w for c in range(q)
+                for w in translate(span, encode([mul[c][x] for x in row], q), alpha)]
     if len(set(span)) != len(span):
         raise ValueError("basis rows are linearly dependent")
     return sorted(span)

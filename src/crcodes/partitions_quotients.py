@@ -253,7 +253,7 @@ def coset_graph_by_syndrome(code: Code) -> CayleyGraph:
     q = code.ambient.q
     r = h.nrows
     count = q**r
-    step = Translations(h.alphabet, sorted(set(column_offsets(h)) - {0}))
+    step = Translations(h.alphabet, sorted(set(column_offsets(h)) - {0}), count)
     adjacency = tuple(tuple(sorted(step.all(s))) for s in range(count))
     labels = tuple(str(decode(s, r, q)) if r else "()" for s in range(count))
     return CayleyGraph(adjacency, labels)

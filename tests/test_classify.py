@@ -35,6 +35,7 @@ from crcodes.constructions import (
     replicate_columns,
 )
 from crcodes.algebra import alphabet, gf_identity, gf_matrix, hstack
+from crcodes.cr_analysis import analyze_code
 from crcodes.hamming_space import Code, ambient, code_from_parity_check, minimum_distance
 from crcodes.partitions_quotients import (
     certify_distance_regular,
@@ -444,29 +445,34 @@ def test_replicated_normal_form_direct():
 # -- Hamming-quotient pipeline -----------------------------------------------------------
 
 
+def _pipeline(code):
+    family = classify_quotient(coset_graph_by_syndrome(code))
+    return classify_hamming_quotient_code(code, analyze_code(code), family)
+
+
 def test_pipeline_hamming74():
-    report = classify_hamming_quotient_code(hamming_code(3, 2))
+    report = _pipeline(hamming_code(3, 2))
     assert report.m == 1 and report.qprime == 8
     assert report.derived_t == 4
     assert {"hamming_replication"} <= {c["case"] for c in report.forms.cases}
 
 
 def test_pipeline_doubled_hamming():
-    report = classify_hamming_quotient_code(_doubled_hamming())
+    report = _pipeline(_doubled_hamming())
     assert report.derived_t == 8  # gamma_1 q' / q = 2*8/2
     assert "hamming_replication" in {c["case"] for c in report.forms.cases}
 
 
 def test_pipeline_hamming_squared():
     ham = hamming_code(3, 2)
-    report = classify_hamming_quotient_code(cartesian_product(ham, ham))
+    report = _pipeline(cartesian_product(ham, ham))
     assert report.m == 2 and report.qprime == 8 and report.derived_t == 4
     assert "radius_one_power" in {c["case"] for c in report.forms.cases}
 
 
 def test_pipeline_rejects_non_hamming_quotient():
     with pytest.raises(ValueError):
-        classify_hamming_quotient_code(repetition_code(6, 2))
+        _pipeline(repetition_code(6, 2))
 
 
 # -- nonbinary paths -------------------------------------------------------------
@@ -550,7 +556,6 @@ def test_clique_checks_take_the_known_min_distance(monkeypatch):
     # the analysis' delta gives the same check list as the class-by-class
     # oracle, and clique_bound_checks runs no minimum-distance scan of its own
     import crcodes.classify as classify_mod
-    from crcodes.cr_analysis import analyze_code
     from crcodes.search import enumerate_linear_codes
 
     cases = []
@@ -584,7 +589,6 @@ def test_decompose_product_takes_the_known_min_distance(monkeypatch):
     # on every Hamming-quotient census code the analysis' delta gives the
     # report of the weight-scan oracle, and decompose_product scans nothing
     import crcodes.classify as classify_mod
-    from crcodes.cr_analysis import analyze_code
     from crcodes.search import enumerate_linear_codes
 
     cases = []

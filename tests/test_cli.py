@@ -117,6 +117,40 @@ def test_decompose_subcommand(tmp_path, capsys):
     assert any(c["case"] == "radius_one_power" for c in report["forms"]["cases"])
 
 
+def test_decompose_analyzes_and_classifies_the_input_code_once(
+        tmp_path, capsys, monkeypatch):
+    import crcodes.classify as classify_mod
+    import crcodes.cli as cli_mod
+    from crcodes.constructions import cartesian_product, hamming_code
+
+    ham = hamming_code(3, 2)
+    hamham = cartesian_product(ham, ham)
+    spec = _write_spec(tmp_path, "hamham.json", {
+        "type": "construct", "name": "product",
+        "factors": [{"type": "construct", "name": "hamming", "q": 2, "r": 3}] * 2})
+    analyzed, classified = [], []
+
+    def wrap(module, name, log):
+        original = getattr(module, name)
+
+        def counting(arg, *rest):
+            log.append(arg)
+            return original(arg, *rest)
+
+        monkeypatch.setattr(module, name, counting)
+
+    for module in (cli_mod, classify_mod):
+        wrap(module, "analyze_code", analyzed)
+        wrap(module, "classify_quotient", classified)
+    code, out, _ = _run(capsys, "decompose", spec)
+    assert code == 0
+    assert out == (GOLDEN_DIR / "decompose-hamham.json").read_text()
+    same = [c for c in analyzed
+            if (c.ambient, c.members) == (hamham.ambient, hamham.members)]
+    assert len(same) == 1
+    assert len(classified) == 1 and classified[0].n == 64  # H(2, 8)
+
+
 def test_construct_roundtrip(tmp_path, capsys):
     spec = _hamming74_spec(tmp_path)
     out_path = tmp_path / "expanded.json"
@@ -179,6 +213,19 @@ def test_bad_input_exits_two(tmp_path, capsys):
 def test_capacity_exits_three(tmp_path, capsys):
     spec = _write_spec(tmp_path, "huge.json", {
         "type": "construct", "name": "repetition", "q": 2, "n": 30})
+    code, _, err = _run(capsys, "check", spec)
+    assert code == 3
+    assert json.loads(err)["error"] == "capacity"
+
+
+def test_additivity_check_above_its_bound_exits_three(tmp_path, capsys):
+    from crcodes.hamming_space import ADDITIVE_CHECK_WORDS
+
+    words = [[int(b) for b in format(w, "012b")] for w in range(1 << 12)
+             if bin(w).count("1") % 2 == 0]
+    assert len(words) > ADDITIVE_CHECK_WORDS
+    spec = _write_spec(tmp_path, "listed.json", {
+        "type": "words", "q": 2, "n": 12, "words": words, "additive": True})
     code, _, err = _run(capsys, "check", spec)
     assert code == 3
     assert json.loads(err)["error"] == "capacity"

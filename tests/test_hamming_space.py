@@ -5,6 +5,7 @@ import pytest
 from crcodes.algebra import alphabet, gf_matrix
 from crcodes.errors import CapacityError, NotAdditiveError, UndefinedMinimumDistanceError
 from crcodes.hamming_space import (
+    ADDITIVE_CHECK_WORDS,
     ambient,
     code_from_generators,
     code_from_parity_check,
@@ -133,6 +134,33 @@ def test_code_from_words_h24_class():
     code = code_from_words(sp, [[0, 0], [0, 1], [1, 0], [1, 1]], additive=True)
     assert code.size == 4
     assert is_additive(code)
+
+
+def _zero_sum_words(n, q):
+    """The words whose symbols sum to 0 mod q: an additive code of q^(n-1)."""
+    space = ambient(n, q)
+    return space, [w for w in range(space.size) if sum(decode(w, n, q)) % q == 0]
+
+
+def test_additivity_check_up_to_its_bound():
+    for n, q in ((11, 2), (7, 3)):
+        space, words = _zero_sum_words(n, q)
+        assert len(words) <= ADDITIVE_CHECK_WORDS
+        assert is_additive(code_from_words(space, words))
+        # swap the largest member for a word outside the code
+        outside = next(w for w in range(space.size - 1, 0, -1) if w not in set(words))
+        assert not is_additive(code_from_words(space, words[:-1] + [outside]))
+    assert len(_zero_sum_words(11, 2)[1]) == ADDITIVE_CHECK_WORDS
+
+
+def test_additivity_check_refuses_more_words_than_its_bound():
+    space, words = _zero_sum_words(12, 2)
+    assert len(words) > ADDITIVE_CHECK_WORDS
+    code = code_from_words(space, words)
+    with pytest.raises(CapacityError):
+        is_additive(code)
+    with pytest.raises(CapacityError):
+        code_from_words(space, words, additive=True)
 
 
 def test_code_from_generators_repetition():

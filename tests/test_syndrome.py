@@ -1,10 +1,15 @@
 """The syndrome certificate of linear codes and the one-root DRG certificate
-of syndrome coset graphs, each against its full-space oracle."""
+of syndrome coset graphs, each against its full-space oracle, and the
+translation kernel under both against digit-by-digit addition."""
+
+import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from crcodes import partitions_quotients
-from crcodes.algebra import gf_matrix, mat_vec
+from crcodes.algebra import alphabet, gf_matrix, mat_vec, rank
 from crcodes.constructions import hamming_code, pad_code, replicate_columns
 from crcodes.cr_analysis import (
     DistancePartition,
@@ -22,6 +27,7 @@ from crcodes.hamming_space import (
     column_offsets,
     decode,
     encode,
+    translate,
 )
 from crcodes.partitions_quotients import (
     CayleyGraph,
@@ -30,7 +36,7 @@ from crcodes.partitions_quotients import (
     coset_graph_by_syndrome,
     graph_from_edges,
 )
-from crcodes.search import enumerate_linear_codes
+from crcodes.search import _is_syndrome_quotient, enumerate_linear_codes
 
 # (q, largest n): every census code up to these lengths.
 CENSUSES = ((2, 6), (3, 5), (4, 4), (5, 4))
@@ -61,7 +67,8 @@ def test_syndrome_certificate_equals_the_full_space_scan():
         assert isinstance(slow.partition, DistancePartition)
         assert _summary(fast) == _summary(slow), code.linear.parity_check
         h = code.linear.parity_check
-        syndromes = _word_syndromes(h, Translations(h.alphabet, column_offsets(h)))
+        columns = Translations(h.alphabet, column_offsets(h), h.alphabet.q**h.nrows)
+        syndromes = _word_syndromes(h, columns)
         leader_weight = fast.partition.class_of_syndrome
         assert bytes(leader_weight[s] for s in syndromes) == part.class_of
         refuted += not fast.completely_regular
@@ -69,10 +76,10 @@ def test_syndrome_certificate_equals_the_full_space_scan():
 
 
 def test_word_syndromes_follow_the_encoding_order():
-    for q, n in ((2, 5), (3, 4), (4, 3), (5, 3), (8, 2), (9, 2)):
+    for q, n in ((2, 5), (3, 4), (4, 3), (5, 3), (7, 3), (8, 2), (9, 2)):
         for code in enumerate_linear_codes(n, q):
             h = code.linear.parity_check
-            columns = Translations(h.alphabet, column_offsets(h))
+            columns = Translations(h.alphabet, column_offsets(h), q**h.nrows)
             want = [encode(mat_vec(h, decode(x, n, q)), q) for x in range(q**n)]
             assert list(_word_syndromes(h, columns)) == want
 
@@ -154,14 +161,64 @@ def test_unmarked_graph_that_looks_regular_from_vertex_0_is_refuted(monkeypatch)
     assert certify_distance_regular(CayleyGraph(graph.adjacency)).is_drg
 
 
-@pytest.mark.parametrize("q", [3, 5, 9])
+def _add_digits(v, s, r, alpha):
+    """v + s, one symbol at a time through the alphabet's addition."""
+    q = alpha.q
+    return encode([alpha.add(a, b) for a, b in zip(decode(v, r, q), decode(s, r, q))], q)
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9, 27])
 def test_translations_add_digit_by_digit(q):
-    space = ambient(3, q)
-    offsets = [0, 1, q + 2, q**3 - 1]
-    step = Translations(space.alphabet, offsets)
-    alpha = space.alphabet
-    for v in range(space.size):
-        want = [encode([alpha.add(a, b) for a, b in
-                        zip(decode(v, 3, q), decode(s, 3, q))], q) for s in offsets]
-        assert step.all(v) == want
-        assert [step.one(v, k) for k in range(len(offsets))] == want
+    alpha = alphabet(q)
+    rnd = random.Random(q)
+    for r in (0, 1, 2, 3, 5):  # odd and even splits
+        size = q**r
+        drawn = [rnd.randrange(size) for _ in range(3)]
+        offsets = [0, size - 1, *drawn, drawn[0], 0, size - 1]  # zeros and repeats
+        step = Translations(alpha, offsets, size)
+        words = range(size) if size <= 729 else [rnd.randrange(size) for _ in range(729)]
+        for v in words:
+            want = [_add_digits(v, s, r, alpha) for s in offsets]
+            assert step.all(v) == want
+            assert [step.one(v, k) for k in range(len(offsets))] == want
+        for s in offsets:
+            assert translate(words, s, alpha) == [_add_digits(v, s, r, alpha) for v in words]
+
+
+def test_translation_tables_stay_at_the_square_root_of_the_space():
+    alpha = alphabet(3)
+    size = 3**12
+    h = gf_matrix(alpha, [[1 if i == j else 0 for j in range(12)] + [1] for i in range(12)])
+    step = Translations(alpha, column_offsets(h), size)
+    assert len(step.halves) == 26
+    assert all(len(a) <= 3**6 and len(b) <= 3**6 for a, b in step.halves)
+    rnd = random.Random(12)
+    for v in (rnd.randrange(size) for _ in range(200)):
+        assert step.all(v) == [_add_digits(v, s, 12, alpha) for s in step.offsets]
+
+
+# q^n <= 3^7 keeps the full-space oracle fast
+_HYPOTHESIS_MAX_N = {2: 7, 3: 7, 4: 5, 5: 4, 7: 4}
+
+
+@st.composite
+def full_rank_parity_checks(draw):
+    q = draw(st.sampled_from(sorted(_HYPOTHESIS_MAX_N)))
+    n = draw(st.integers(1, _HYPOTHESIS_MAX_N[q]))
+    r = draw(st.integers(1, n))
+    alpha = alphabet(q)
+    rows = draw(st.lists(st.lists(st.integers(0, q - 1), min_size=n, max_size=n),
+                         min_size=r, max_size=r))
+    h = gf_matrix(alpha, rows)
+    assume(rank(h) == r)
+    return code_from_parity_check(ambient(n, q), h)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(full_rank_parity_checks())
+def test_random_parity_checks_certify_as_the_full_space_scan(code):
+    fast = certify_completely_regular(code)
+    slow = certify_completely_regular(code, distance_partition(code))
+    assert isinstance(fast.partition, SyndromePartition)
+    assert _summary(fast) == _summary(slow)
+    assert _is_syndrome_quotient(code, coset_graph_by_syndrome(code))
