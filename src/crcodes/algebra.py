@@ -264,7 +264,7 @@ class GFMatrix:
         return tuple(r[j] for r in self.rows)
 
     def columns(self) -> list[tuple[int, ...]]:
-        return [self.column(j) for j in range(self.ncols)]
+        return list(zip(*self.rows))
 
     def to_lists(self) -> list[list[int]]:
         return [list(r) for r in self.rows]

@@ -1016,8 +1016,12 @@ class ArithmeticFormsReport:
         return {"cases": [jsonable(c) for c in self.cases], "violation": self.violation}
 
 
-def classify_arithmetic_forms(code: Code,
-                              analysis: CodeAnalysis | None = None) -> ArithmeticFormsReport:
+def classify_arithmetic_forms(code: Code, analysis: CodeAnalysis | None = None,
+                              columns: ColumnClassReport | None = None,
+                              graph: Graph | None = None) -> ArithmeticFormsReport:
+    """The four forms of a reduced linear arithmetic CR code.  A caller that
+    already holds the code's analysis, column classes or syndrome coset graph
+    passes them in, and they are not recomputed."""
     analysis = analysis or analyze_code(code)
     if not code.is_linear:
         raise ValueError("form classification applies to linear codes")
@@ -1031,7 +1035,7 @@ def classify_arithmetic_forms(code: Code,
         raise ValueError("form classification needs an arithmetic spectrum")
     q = code.ambient.q
     rho = analysis.rho
-    report = column_classes(code, analysis)
+    report = columns or column_classes(code, analysis)
     form = replicated_normal_form(code, report)
     d_code = report.restricted_code
     m = d_code.ambient.n
@@ -1040,7 +1044,7 @@ def classify_arithmetic_forms(code: Code,
             and d_code.members == (0, 2**m - 1) and m >= 2):
         iso = None
         if 2 ** (m - 1) <= ISO_VERTEX_CAP:
-            iso = graph_isomorphic(coset_graph_by_syndrome(code),
+            iso = graph_isomorphic(graph or coset_graph_by_syndrome(code),
                                    construct_fixture("folded_cube", m=m))
         if iso is not None:
             cases.append({
@@ -1111,11 +1115,14 @@ _COROLLARY_CASES = {"hamming_replication", "extended_hamming_replication",
 
 
 def classify_hamming_quotient_code(code: Code, analysis: CodeAnalysis,
-                                   family: QuotientFamily) -> HammingQuotientReport:
+                                   family: QuotientFamily,
+                                   forms: ArithmeticFormsReport | None = None
+                                   ) -> HammingQuotientReport:
     """For a linear CR code whose coset graph is H(m, q'): derive the
     arithmetic step from the quotient spectrum mapping (t = gamma_1 q' / q),
     then classify the reduced code against the replication forms.  The
-    code's analysis and its coset graph's family come from the caller."""
+    code's analysis and its coset graph's family come from the caller, and
+    so may the forms report of the code itself, used when it is reduced."""
     from .cr_analysis import reduce_code
 
     if not analysis.cr:
@@ -1135,7 +1142,8 @@ def classify_hamming_quotient_code(code: Code, analysis: CodeAnalysis,
             "spectrum is not the arithmetic progression the quotient forces",
             witness={"spectrum": analysis.spectrum, "derived_t": derived_t})
     reduced, stripped = reduce_code(code)
-    forms = classify_arithmetic_forms(reduced, None if stripped else analysis)
+    if forms is None or stripped:
+        forms = classify_arithmetic_forms(reduced, None if stripped else analysis)
     cases = tuple(c for c in forms.cases if c["case"] in _COROLLARY_CASES)
     restricted = ArithmeticFormsReport(cases, violation=not cases,
                                        column_report=forms.column_report)

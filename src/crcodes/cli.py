@@ -270,13 +270,14 @@ def _cmd_decompose(args) -> int:
         report["decomposition"] = decomposition.to_json()
         violation |= not decomposition.verified
     if code.is_linear and analysis.reduced and analysis.arithmetic.arithmetic:
-        report["column_classes"] = column_classes(code, analysis).to_json()
-        forms = classify_arithmetic_forms(code, analysis)
+        columns = column_classes(code, analysis)
+        report["column_classes"] = columns.to_json()
+        forms = classify_arithmetic_forms(code, analysis, columns, graph)
         report["forms"] = forms.to_json()
         violation |= forms.violation
         if family.tag == "hamming":
             report["hamming_quotient"] = classify_hamming_quotient_code(
-                code, analysis, family).to_json()
+                code, analysis, family, forms).to_json()
     if (code.is_linear and analysis.delta is not None and analysis.delta >= 3
             and analysis.arithmetic.arithmetic and analysis.rho in (1, 2)):
         small = classify_small_covering_radius(code, analysis)

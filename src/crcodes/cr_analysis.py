@@ -13,13 +13,15 @@ the quotient matrix of an equitable partition only has graph eigenvalues.
 
 from __future__ import annotations
 
-from collections import deque
+import sys
+from collections import Counter, deque
 from dataclasses import dataclass
+from functools import lru_cache
 
+from .algebra import alphabet
 from .errors import SpectrumError, TheoremViolationError
 from .hamming_space import (
     Code,
-    Translations,
     code_from_words,
     column_offsets,
     neighbor_table,
@@ -50,7 +52,7 @@ def distance_partition(code: Code) -> DistancePartition:
     space = code.ambient
     space.require_materializable("distance partition")
     size = space.size
-    dist = bytearray([255]) * size
+    dist = bytearray([255]) * size  # unvisited; rho <= n <= 26 under the default cap
     frontier = deque(code.members)
     for w in code.members:
         dist[w] = 0
@@ -144,9 +146,12 @@ class SyndromePartition:
     Translation by a codeword is an automorphism of H(n,q) fixing the code,
     so d(x, C) depends only on the syndrome s = Hx: it is the coset-leader
     weight, the BFS distance of s from 0 in the Cayley graph on GF(q)^r with
-    connection multiset {lambda*h_j}.  class_of_syndrome[s] holds it, and
-    class i has (syndromes at distance i) * |C| words.  The word-indexed
-    map is `distance_partition(code)`.
+    connection multiset {lambda*h_j}.  class_of_syndrome[s] holds it, one
+    byte per syndrome read off the BFS's lane vector, and class i has
+    (syndromes at distance i) * |C| words.  Every syndrome is a sum of at
+    most r independent columns, so rho <= r, and q^r <= q^n <= 2^26 under
+    the default vertex cap keeps rho <= 26: a class byte never saturates.
+    The word-indexed map is `distance_partition(code)`.
     """
 
     code: Code
@@ -159,32 +164,56 @@ class SyndromePartition:
         return self.code.ambient
 
 
-def _word_syndromes(h, columns: Translations):
-    """Syndromes of the words 0, 1, 2, ... in encoding order; `columns`
-    translates by the column offsets lambda*h_j (offset j*(q-1) + lambda-1).
+def _word_syndromes(h):
+    """Syndromes of the words 0, 1, 2, ... in encoding order.
 
     Stepping x to x+1 wraps the digits below some coordinate t from q-1 to 0
-    and moves digit t from label d to d+1.  Moving digit i from label a to
-    label b adds (b-a)*h_i, one column translation.
+    and moves digit t from label d to d+1.  Moving digit t from label a to
+    label b adds (b-a)*h_t, which is added to a list of the r syndrome digits
+    one digit at a time, so no translation table is built.
     """
     alpha = h.alphabet
-    q, n = alpha.q, h.ncols
-    up = [alpha.sub(d + 1, d) - 1 for d in range(q - 1)]
-    wrap = alpha.sub(0, q - 1) - 1
-    one = columns.one
+    q, n, r = alpha.q, h.ncols, h.nrows
+    add, mul = alpha._add, alpha._mul
+    up = [alpha.sub(d + 1, d) for d in range(q - 1)]
+    wrap = alpha.sub(0, q - 1)
+    columns = h.columns()
+    powers = [q**i for i in range(r)]
+    syndrome = [0] * r
     digits = [0] * n
     s = 0
+
+    def move(t, lam):
+        nonlocal s
+        scaled = mul[lam]
+        for i, x in enumerate(columns[t]):
+            if x:
+                a = syndrome[i]
+                b = syndrome[i] = add[a][scaled[x]]
+                s += (b - a) * powers[i]
+
     yield s
     for _ in range(q**n - 1):
         t = 0
         while digits[t] == q - 1:
             digits[t] = 0
-            s = one(s, t * (q - 1) + wrap)
+            move(t, wrap)
             t += 1
         d = digits[t]
         digits[t] = d + 1
-        s = one(s, t * (q - 1) + up[d])
+        move(t, up[d])
         yield s
+
+
+def _intersection_numbers(counts) -> IntersectionNumbers:
+    """The validated numbers of (previous, same, next) counts listed by class."""
+    numbers = IntersectionNumbers(
+        gamma=tuple(c[0] for c in counts),
+        alpha=tuple(c[1] for c in counts),
+        beta=tuple(c[2] for c in counts),
+    )
+    numbers.validate()
+    return numbers
 
 
 def _scan(part, rows) -> CrCertificate:
@@ -209,57 +238,154 @@ def _scan(part, rows) -> CrCertificate:
                 count_b=counts[which],
             )
             return CrCertificate(False, part, witness=witness)
-    numbers = IntersectionNumbers(
-        gamma=tuple(reference[i][0] for i in range(rho + 1)),
-        alpha=tuple(reference[i][1] for i in range(rho + 1)),
-        beta=tuple(reference[i][2] for i in range(rho + 1)),
-    )
-    numbers.validate()
-    return CrCertificate(True, part, numbers=numbers)
+    return CrCertificate(True, part, numbers=_intersection_numbers(reference))
+
+
+# -- lane vectors ----------------------------------------------------------------
+#
+# A lane vector is one Python int holding one `width`-byte lane per syndrome:
+# lane s is bits [8*width*s, 8*width*(s+1)).  A field label is the base-p
+# digit string of a polynomial and labels add digit-wise mod p (see
+# `algebra._add_table`), so the q^r syndromes are the base-p strings of
+# length r*e and translating every lane by an offset moves each p-ary digit
+# independently.  For a nonzero digit d at place i, lanes whose digit is
+# below p-d move up d*p^i lanes and the rest move down (p-d)*p^i lanes: one
+# mask, two shifts.  In characteristic 2 that is a swap of lane-index bit i.
+
+_LANE_CACHE_SIZE = 4
+_LANE_FORMATS = {2: "H", 4: "I", 8: "Q"}
+
+
+class _Lanes:
+    """Lane-vector arithmetic on the q^r syndromes, `width` bytes a lane.
+
+    Masks are built on first use, one per (digit place, digit), and shared by
+    every offset's plan: r*e*(p-1) masks of q^r lanes at most, which is at
+    most r*q*q^r bytes for byte lanes.
+    """
+
+    def __init__(self, q: int, r: int, width: int):
+        alpha = alphabet(q)
+        self.p, self.places = alpha.p, r * alpha.e
+        self.size, self.width = q**r, width
+        self.bits = 8 * width
+        self.full = (1 << self.bits) - 1
+        self.ones = int.from_bytes(b"\x01".ljust(width, b"\0") * self.size, "little")
+        # shifts by bits/2, bits/4, ..., 1 OR every bit of a lane onto its lowest
+        self.folds = tuple(1 << k for k in reversed(range(self.bits.bit_length() - 1)))
+        self._masks: dict[tuple[int, int], int] = {}
+        self._plans: dict[int, tuple] = {}
+
+    def _mask(self, place: int, digit: int) -> int:
+        """All ones on the lanes whose p-ary digit at `place` is below p-digit."""
+        key = (place, digit)
+        mask = self._masks.get(key)
+        if mask is None:
+            block = self.p**place * self.width
+            period = b"\xff" * (block * (self.p - digit)) + bytes(block * digit)
+            mask = int.from_bytes(period * (self.size * self.width // (block * self.p)),
+                                  "little")
+            self._masks[key] = mask
+        return mask
+
+    def plan(self, offset: int) -> tuple[tuple[int, int, int], ...]:
+        """(mask, up, down) bit shifts translating every lane by `offset`."""
+        steps = self._plans.get(offset)
+        if steps is None:
+            p, out, stride, rest = self.p, [], self.bits, offset
+            for place in range(self.places):
+                rest, d = divmod(rest, p)
+                if d:
+                    out.append((self._mask(place, d), d * stride, (p - d) * stride))
+                stride *= p
+            steps = self._plans[offset] = tuple(out)
+        return steps
+
+    @staticmethod
+    def translate(vector: int, steps) -> int:
+        for mask, up, down in steps:
+            low = vector & mask
+            vector = (low << up) | ((vector ^ low) >> down)
+        return vector
+
+    def nonzero(self, vector: int) -> int:
+        """1 in each lane of `vector` that is nonzero, 0 elsewhere."""
+        for k in self.folds:
+            vector |= vector >> k
+        return vector & self.ones
+
+    def read(self, vector: int):
+        """The lanes as bytes for byte lanes, as a list of ints otherwise."""
+        raw = vector.to_bytes(self.size * self.width, sys.byteorder)
+        if self.width == 1:
+            return raw
+        return memoryview(raw).cast(_LANE_FORMATS[self.width]).tolist()
+
+
+@lru_cache(maxsize=_LANE_CACHE_SIZE)
+def _lanes(q: int, r: int, width: int) -> _Lanes:
+    return _Lanes(q, r, width)
+
+
+def _lane_width(degree: int) -> int:
+    """Bytes per lane holding counts up to the valency."""
+    width = 1
+    while degree >> (8 * width):
+        width *= 2
+    return width
 
 
 def _certify_by_syndrome(code: Code) -> CrCertificate:
-    """BFS from syndrome 0 and the neighbour counts of every syndrome.
+    """BFS from syndrome 0 in the coset graph, one layer at a time.
 
-    Equal counts within each class prove complete regularity.  Otherwise the
-    words are walked in encoding order, each looked up by its syndrome, so
-    the witness is the first conflict of the full-space scan.
+    L_c marks the syndromes at distance c.  N_c = sum of L_c translated by
+    every column offset lambda*h_j counts, in lane s, the neighbours of s in
+    layer c.  Its nonzero unseen lanes are layer c+1; on layer c+1 it is the
+    previous count and on layer c-1 the next count.  The code is completely
+    regular exactly when (class, previous, next) takes one value per class.
+    Otherwise the words are walked in encoding order, each looked up by its
+    syndrome, so the witness is the first conflict of the full-space scan.
     """
     h = code.linear.parity_check
     alpha = h.alphabet
-    size = alpha.q**h.nrows
-    step = Translations(alpha, column_offsets(h), size)
-    dist = bytearray([255]) * size
-    counts: list[tuple[int, int, int] | None] = [None] * size
-    dist[0] = 0
-    order = [0]
-    for v in order:  # grows while it is walked: a BFS queue
-        c = dist[v]
-        prev = same = nxt = 0
-        for w in step.all(v):
-            dw = dist[w]
-            if dw == 255:
-                dist[w] = dw = c + 1
-                order.append(w)
-            if dw == c:
-                same += 1
-            elif dw < c:
-                prev += 1
-            else:
-                nxt += 1
-        counts[v] = (prev, same, nxt)
-    if len(order) != size:
+    offsets = column_offsets(h)
+    degree = len(offsets)
+    lanes = _lanes(alpha.q, h.nrows, _lane_width(degree))
+    steps = [(lanes.plan(t), k) for t, k in Counter(offsets).items()]
+    full, translate = lanes.full, lanes.translate
+    unseen = lanes.ones ^ 1
+    layer, below = 1, 0  # L_c and the full lanes of L_(c-1)
+    dist = prev = nxt = 0
+    sizes = []
+    while layer:
+        c = len(sizes)
+        sizes.append(layer.bit_count() * code.size)
+        dist += c * layer
+        around = 0
+        for plan, k in steps:
+            moved = translate(layer, plan)
+            around += moved * k if k > 1 else moved
+        nxt += around & below
+        reached = lanes.nonzero(around) & unseen
+        unseen ^= reached
+        prev += around & reached * full
+        layer, below = reached, layer * full
+    if unseen:
         raise TheoremViolationError(
             "columns of a full-rank parity check do not reach every syndrome",
-            witness={"syndrome": dist.index(255), "reached": len(order)})
-    rho = dist[order[-1]]
-    sizes = tuple(dist.count(i) * code.size for i in range(rho + 1))
-    part = SyndromePartition(code, bytes(dist), rho, sizes)
-    cert = _scan(part, ((s, dist[s], counts[s]) for s in order))
-    if cert.completely_regular:
-        return cert
-    words = enumerate(_word_syndromes(h, step))
-    return _scan(part, ((x, dist[s], counts[s]) for x, s in words))
+            witness={"syndrome": ((unseen & -unseen).bit_length() - 1) // lanes.bits,
+                     "reached": lanes.size - unseen.bit_count()})
+    rho = len(sizes) - 1
+    class_of = bytes(lanes.read(dist))
+    prev, nxt = lanes.read(prev), lanes.read(nxt)
+    part = SyndromePartition(code, class_of, rho, tuple(sizes))
+    profiles = set(zip(class_of, prev, nxt))
+    if len(profiles) == rho + 1:
+        return CrCertificate(True, part, numbers=_intersection_numbers(
+            [(g, degree - g - b, b) for _, g, b in sorted(profiles)]))
+    words = enumerate(_word_syndromes(h))
+    return _scan(part, ((x, class_of[s], (prev[s], degree - prev[s] - nxt[s], nxt[s]))
+                        for x, s in words))
 
 
 def _certifies_by_syndrome(code: Code) -> bool:

@@ -202,7 +202,7 @@ def translate(words: Sequence[int], offset: int, alpha: Alphabet) -> list[int]:
 
 class Translations:
     """Translation by each of a fixed list of offsets, on the base-q words
-    below `size` = q^r.
+    below `size` = q^r: the adjacency of a syndrome coset graph.
 
     Symbols add without carries, so in characteristic 2 a translation is one
     XOR.  Otherwise each word splits into its low m = ceil(r/2) digits and the
@@ -226,14 +226,6 @@ class Translations:
         highs = {hi: [w * low for w in translate(range(q**r // low), hi, alpha)]
                  for hi in {hi for hi, _ in parts}}
         self.halves = [(lows[lo], highs[hi]) for hi, lo in parts]
-
-    def one(self, v: int, k: int) -> int:
-        """v plus offset number k."""
-        if self.xor:
-            return v ^ self.offsets[k]
-        hi, lo = divmod(v, self.low)
-        a, b = self.halves[k]
-        return a[lo] + b[hi]
 
     def all(self, v: int) -> list[int]:
         """v plus each offset, in offset order (repeats and zeros kept)."""

@@ -161,7 +161,7 @@ def build_record(code: Code) -> dict:
         checks[result.name] = result.status
 
     if analysis.reduced and analysis.arithmetic.arithmetic:
-        forms = classify_arithmetic_forms(code, analysis)
+        forms = classify_arithmetic_forms(code, analysis, graph=graph)
         checks["coset_case_forms"] = "FAIL" if forms.violation else "PASS"
         record["form_cases"] = sorted(forms.case_names())
     else:

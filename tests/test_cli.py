@@ -151,6 +151,56 @@ def test_decompose_analyzes_and_classifies_the_input_code_once(
     assert len(classified) == 1 and classified[0].n == 64  # H(2, 8)
 
 
+def test_decompose_runs_the_forms_and_column_classes_once(tmp_path, capsys, monkeypatch):
+    import crcodes.classify as classify_mod
+    import crcodes.cli as cli_mod
+
+    spec = _write_spec(tmp_path, "hamham.json", {
+        "type": "construct", "name": "product",
+        "factors": [{"type": "construct", "name": "hamming", "q": 2, "r": 3}] * 2})
+    calls = {"classify_arithmetic_forms": 0, "column_classes": 0}
+    for name in calls:
+        def counting(*args, _name=name, _original=getattr(classify_mod, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module in (cli_mod, classify_mod):
+            monkeypatch.setattr(module, name, counting)
+    code, out, _ = _run(capsys, "decompose", spec)
+    assert code == 0
+    assert out == (GOLDEN_DIR / "decompose-hamham.json").read_text()
+    assert calls == {"classify_arithmetic_forms": 1, "column_classes": 1}
+
+
+def test_folded_cube_forms_take_the_coset_graph_from_the_caller(
+        tmp_path, capsys, monkeypatch):
+    import crcodes.classify as classify_mod
+    import crcodes.partitions_quotients as pq_mod
+    import crcodes.search as search_mod
+    from crcodes.constructions import repetition_code
+
+    spec = _write_spec(tmp_path, "rep6.json",
+                       {"type": "construct", "name": "repetition", "q": 2, "n": 6})
+    plain = _run(capsys, "decompose", spec)
+    built = []
+    original = pq_mod.coset_graph_by_syndrome
+
+    def counting(code):
+        built.append(code)
+        return original(code)
+
+    for module in (classify_mod, pq_mod, search_mod):
+        monkeypatch.setattr(module, "coset_graph_by_syndrome", counting)
+    record = search_mod.build_record(repetition_code(6, 2))
+    assert record["form_cases"] == ["folded_cube_replication"]
+    assert len(built) == 1
+    built.clear()
+    assert _run(capsys, "decompose", spec) == plain
+    cases = [c["case"] for c in json.loads(plain[1])["forms"]["cases"]]
+    assert cases == ["folded_cube_replication"]
+    assert len(built) == 1
+
+
 def test_construct_roundtrip(tmp_path, capsys):
     spec = _hamming74_spec(tmp_path)
     out_path = tmp_path / "expanded.json"

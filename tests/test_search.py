@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -247,6 +248,27 @@ def test_census_bytes_do_not_depend_on_progress(tmp_path):
     assert [records for _, records, _ in calls] == list(
         range(1, without["recorded"] + 1))
     assert calls[-1] == (4, without["recorded"], without["completely_regular"])
+
+
+# SHA-256 of census.jsonl and summary.csv for one length, past the word-by-word
+# cross-check of spaces up to 2^7 words: only the syndrome certificate runs.
+_ONE_LENGTH_DIGESTS = {
+    (3, 5): ("d6ab29fb165af8dd79e53dcf7ce05edf81dd57467e1c1052101a8f542512f006",
+             "d25778426fac07d8c963fec96a4f0b17b0db230f42410b9ff1ccc7dd91e83d7b"),
+    (4, 4): ("3e0358936352352979d2a513dc419314cca7186ca0b49d241fc7f756b0968ff2",
+             "12215fb5c910fce1e5f42191350fd2d2add0cbe9caf3d95ed3e2b28c28ea06d3"),
+    (5, 4): ("376d8fc643345a4ff4bb53f57c64f2fda9fef0895ebb31f6dd980f25b9e426c6",
+             "2f8b661a35f67e5cc5f4a1b602ebc74c6af61e3a38410d8bb155302dab8ea08b"),
+}
+
+
+@pytest.mark.parametrize("q, n", sorted(_ONE_LENGTH_DIGESTS))
+def test_one_length_census_bytes_are_pinned(tmp_path, q, n):
+    assert q**n > 1 << 7
+    run_census(CensusParams(q=q, min_n=n, max_n=n), tmp_path)
+    digests = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                    for name in ("census.jsonl", "summary.csv"))
+    assert digests == _ONE_LENGTH_DIGESTS[q, n]
 
 
 def test_census_ternary_small(tmp_path):

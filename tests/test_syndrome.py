@@ -1,6 +1,7 @@
 """The syndrome certificate of linear codes and the one-root DRG certificate
-of syndrome coset graphs, each against its full-space oracle, and the
-translation kernel under both against digit-by-digit addition."""
+of syndrome coset graphs, each against its full-space oracle; the lane-vector
+certificate against the per-syndrome BFS; and the translation kernels under
+both against digit-by-digit addition."""
 
 import random
 
@@ -14,6 +15,9 @@ from crcodes.constructions import hamming_code, pad_code, replicate_columns
 from crcodes.cr_analysis import (
     DistancePartition,
     SyndromePartition,
+    _lane_width,
+    _lanes,
+    _scan,
     _word_syndromes,
     certify_completely_regular,
     distance_partition,
@@ -21,9 +25,11 @@ from crcodes.cr_analysis import (
     is_reduced,
 )
 from crcodes.hamming_space import (
+    DEFAULT_VERTEX_CAP,
     Translations,
     ambient,
     code_from_parity_check,
+    code_from_words,
     column_offsets,
     decode,
     encode,
@@ -57,6 +63,67 @@ def _summary(cert):
             cert.partition.class_sizes, witness)
 
 
+def _per_syndrome_certificate(code):
+    """The oracle of the lane-vector certificate: BFS from syndrome 0 with one
+    step per edge, the (previous, same, next) counts of every syndrome, and,
+    for a code that is not completely regular, the words in encoding order
+    looked up by their syndromes H x."""
+    h = code.linear.parity_check
+    alpha = h.alphabet
+    q, n, r = alpha.q, h.ncols, h.nrows
+    size = q**r
+    step = Translations(alpha, column_offsets(h), size)
+    dist = bytearray([255]) * size
+    counts = [None] * size
+    dist[0] = 0
+    order = [0]
+    for v in order:  # grows while it is walked: a BFS queue
+        c = dist[v]
+        prev = same = nxt = 0
+        for w in step.all(v):
+            dw = dist[w]
+            if dw == 255:
+                dist[w] = dw = c + 1
+                order.append(w)
+            if dw == c:
+                same += 1
+            elif dw < c:
+                prev += 1
+            else:
+                nxt += 1
+        counts[v] = (prev, same, nxt)
+    assert len(order) == size
+    rho = dist[order[-1]]
+    sizes = tuple(dist.count(i) * code.size for i in range(rho + 1))
+    part = SyndromePartition(code, bytes(dist), rho, sizes)
+    cert = _scan(part, ((s, dist[s], counts[s]) for s in order))
+    if cert.completely_regular:
+        return cert
+    syndromes = (encode(mat_vec(h, decode(x, n, q)), q) for x in range(q**n))
+    return _scan(part, ((x, dist[s], counts[s]) for x, s in enumerate(syndromes)))
+
+
+def _lane_summary(cert):
+    return _summary(cert) + (cert.partition.class_of_syndrome,)
+
+
+# (q, largest n) of the lane-vector differential check: every census code.
+ORACLE_CENSUSES = ((2, 8), (3, 6), (4, 5), (5, 4), (7, 3), (8, 3), (9, 3))
+
+
+def test_lane_certificate_equals_the_per_syndrome_bfs():
+    checked = refuted = 0
+    for q, top in ORACLE_CENSUSES:
+        for n in range(1, top + 1):
+            for code in enumerate_linear_codes(n, q):
+                want = _lane_summary(_per_syndrome_certificate(code))
+                assert _lane_summary(certify_completely_regular(code)) == want, (
+                    code.linear.parity_check)
+                checked += 1
+                refuted += not want[0]
+    assert checked == 17617 and refuted > checked // 2
+
+
 def test_syndrome_certificate_equals_the_full_space_scan():
     refuted = 0
     for code in CODES:
@@ -66,9 +133,7 @@ def test_syndrome_certificate_equals_the_full_space_scan():
         assert isinstance(fast.partition, SyndromePartition)
         assert isinstance(slow.partition, DistancePartition)
         assert _summary(fast) == _summary(slow), code.linear.parity_check
-        h = code.linear.parity_check
-        columns = Translations(h.alphabet, column_offsets(h), h.alphabet.q**h.nrows)
-        syndromes = _word_syndromes(h, columns)
+        syndromes = _word_syndromes(code.linear.parity_check)
         leader_weight = fast.partition.class_of_syndrome
         assert bytes(leader_weight[s] for s in syndromes) == part.class_of
         refuted += not fast.completely_regular
@@ -79,9 +144,8 @@ def test_word_syndromes_follow_the_encoding_order():
     for q, n in ((2, 5), (3, 4), (4, 3), (5, 3), (7, 3), (8, 2), (9, 2)):
         for code in enumerate_linear_codes(n, q):
             h = code.linear.parity_check
-            columns = Translations(h.alphabet, column_offsets(h), q**h.nrows)
             want = [encode(mat_vec(h, decode(x, n, q)), q) for x in range(q**n)]
-            assert list(_word_syndromes(h, columns)) == want
+            assert list(_word_syndromes(h)) == want
 
 
 def test_zero_and_repeated_columns_count_with_multiplicity():
@@ -167,7 +231,7 @@ def _add_digits(v, s, r, alpha):
     return encode([alpha.add(a, b) for a, b in zip(decode(v, r, q), decode(s, r, q))], q)
 
 
-@pytest.mark.parametrize("q", [3, 5, 7, 9, 27])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 27])
 def test_translations_add_digit_by_digit(q):
     alpha = alphabet(q)
     rnd = random.Random(q)
@@ -178,11 +242,19 @@ def test_translations_add_digit_by_digit(q):
         step = Translations(alpha, offsets, size)
         words = range(size) if size <= 729 else [rnd.randrange(size) for _ in range(729)]
         for v in words:
-            want = [_add_digits(v, s, r, alpha) for s in offsets]
-            assert step.all(v) == want
-            assert [step.one(v, k) for k in range(len(offsets))] == want
+            assert step.all(v) == [_add_digits(v, s, r, alpha) for s in offsets]
         for s in offsets:
             assert translate(words, s, alpha) == [_add_digits(v, s, r, alpha) for v in words]
+        if size > 729:
+            continue
+        # lane v holds v+1; translating the lane vector by s moves it to lane v+s
+        lanes = _lanes(q, r, 2)
+        vector = sum((v + 1) << (16 * v) for v in words)
+        for s in offsets:
+            want = [0] * size
+            for v in words:
+                want[_add_digits(v, s, r, alpha)] = v + 1
+            assert lanes.read(lanes.translate(vector, lanes.plan(s))) == want
 
 
 def test_translation_tables_stay_at_the_square_root_of_the_space():
@@ -203,13 +275,18 @@ _HYPOTHESIS_MAX_N = {2: 7, 3: 7, 4: 5, 5: 4, 7: 4}
 
 @st.composite
 def full_rank_parity_checks(draw):
+    """Column j is drawn afresh, zero, or a copy of an earlier column."""
     q = draw(st.sampled_from(sorted(_HYPOTHESIS_MAX_N)))
     n = draw(st.integers(1, _HYPOTHESIS_MAX_N[q]))
     r = draw(st.integers(1, n))
-    alpha = alphabet(q)
-    rows = draw(st.lists(st.lists(st.integers(0, q - 1), min_size=n, max_size=n),
-                         min_size=r, max_size=r))
-    h = gf_matrix(alpha, rows)
+    columns = []
+    for j in range(n):
+        source = draw(st.integers(-2, j - 1))
+        if source == -2:
+            columns.append(draw(st.lists(st.integers(0, q - 1), min_size=r, max_size=r)))
+        else:
+            columns.append([0] * r if source == -1 else columns[source])
+    h = gf_matrix(alphabet(q), zip(*columns))
     assume(rank(h) == r)
     return code_from_parity_check(ambient(n, q), h)
 
@@ -221,4 +298,31 @@ def test_random_parity_checks_certify_as_the_full_space_scan(code):
     slow = certify_completely_regular(code, distance_partition(code))
     assert isinstance(fast.partition, SyndromePartition)
     assert _summary(fast) == _summary(slow)
+    assert _lane_summary(fast) == _lane_summary(_per_syndrome_certificate(code))
     assert _is_syndrome_quotient(code, coset_graph_by_syndrome(code))
+
+
+def test_lanes_widen_past_a_valency_of_255():
+    assert [_lane_width(k) for k in (0, 255, 256, 65535, 65536)] == [1, 1, 2, 2, 4]
+    # the [3,2] code over GF(128) with H = [1 2 3]: valency 3*127 = 381
+    code = code_from_parity_check(ambient(3, 128), gf_matrix(alphabet(128), [[1, 2, 3]]))
+    cert = certify_completely_regular(code)
+    assert cert.numbers.gamma == (0, 3)
+    assert cert.numbers.alpha == (0, 378)
+    assert cert.numbers.beta == (381, 0)
+    assert _lane_summary(cert) == _lane_summary(_per_syndrome_certificate(code))
+
+
+def test_class_bytes_never_saturate_under_the_vertex_cap():
+    # every syndrome is a sum of at most r independent columns, so rho <= r,
+    # and 2^r <= q^r <= q^n <= 2^26 words under the default cap gives r <= 26,
+    # far below the 255 a class byte holds
+    assert DEFAULT_VERTEX_CAP.bit_length() - 1 == 26 < 255
+    for code in CODES:
+        assert certify_completely_regular(code).partition.rho <= code.linear.rank
+    # the zero code of H(12, 2) reaches rho = r = 12
+    zero = code_from_words(ambient(12, 2), [0])
+    h = gf_matrix(alphabet(2), [[int(i == j) for j in range(12)] for i in range(12)])
+    cert = certify_completely_regular(code_from_parity_check(ambient(12, 2), h))
+    assert cert.partition.rho == 12 == max(cert.partition.class_of_syndrome)
+    assert distance_partition(zero).rho == 12
