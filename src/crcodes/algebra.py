@@ -335,11 +335,24 @@ def nullspace_basis(m: GFMatrix) -> GFMatrix:
     """Canonical basis of the right nullspace {x : m x^T = 0}.
 
     One row per free column of the RREF, in increasing free-column order;
-    each row carries a 1 in its own free position.
+    each row carries a 1 in its own free position.  An m = [I_r | A] is its
+    own RREF, so its basis [-A^T | I] is read off without row reduction.
     """
     alpha = m.alphabet
-    reduced, rk, pivots = rref(m)
-    n = m.ncols
+    n, r = m.ncols, m.nrows
+    if r <= n and all(row[i] == 1 and not any(row[:i]) and not any(row[i + 1:r])
+                      for i, row in enumerate(m.rows)):
+        neg = alpha._neg
+        return GFMatrix(alpha, tuple(
+            tuple(neg[row[f]] for row in m.rows) + tuple(int(j == f) for j in range(r, n))
+            for f in range(r, n)))
+    return _nullspace_by_rref(m)
+
+
+def _nullspace_by_rref(m: GFMatrix) -> GFMatrix:
+    """The basis read off the RREF of m, for any m not of the form [I_r | A]."""
+    alpha, n = m.alphabet, m.ncols
+    reduced, _, pivots = rref(m)
     free = [j for j in range(n) if j not in pivots]
     rows = []
     for f in free:

@@ -152,12 +152,23 @@ class SyndromePartition:
     most r independent columns, so rho <= r, and q^r <= q^n <= 2^26 under
     the default vertex cap keeps rho <= 26: a class byte never saturates.
     The word-indexed map is `distance_partition(code)`.
+
+    delta is the minimum distance (None for the zero code), read off the same
+    BFS.  Let t be the largest radius with |L_j| = C(n,j)(q-1)^j for every
+    j <= t, where L_j holds the syndromes at distance j.  Then the words of
+    weight <= t have distinct syndromes, so delta >= 2t+1.  The E edges from
+    L_t into L_(t+1), counted with column multiplicity, are (t+1) per
+    weight-(t+1) word whose syndrome lies in L_(t+1).  If E falls short of
+    (t+1)C(n,t+1)(q-1)^(t+1), some weight-(t+1) word shares its syndrome
+    with a lighter one and delta = 2t+1; otherwise two weight-(t+1) words
+    share one, since |L_(t+1)| is short, and delta = 2t+2.
     """
 
     code: Code
     class_of_syndrome: bytes
     rho: int
     class_sizes: tuple[int, ...]
+    delta: int | None
 
     @property
     def ambient(self):
@@ -345,18 +356,22 @@ def _certify_by_syndrome(code: Code) -> CrCertificate:
     regular exactly when (class, previous, next) takes one value per class.
     Otherwise the words are walked in encoding order, each looked up by its
     syndrome, so the witness is the first conflict of the full-space scan.
+    The first layer c+1 with fewer syndromes than words of weight c+1 fixes
+    delta from the lane sum of N_c on it (see `SyndromePartition`).
     """
     h = code.linear.parity_check
-    alpha = h.alphabet
+    q, n = h.alphabet.q, h.ncols
     offsets = column_offsets(h)
     degree = len(offsets)
-    lanes = _lanes(alpha.q, h.nrows, _lane_width(degree))
+    lanes = _lanes(q, h.nrows, _lane_width(degree))
     steps = [(lanes.plan(t), k) for t, k in Counter(offsets).items()]
     full, translate = lanes.full, lanes.translate
     unseen = lanes.ones ^ 1
     layer, below = 1, 0  # L_c and the full lanes of L_(c-1)
     dist = prev = nxt = 0
     sizes = []
+    delta = None
+    shell = 1  # C(n, c+1) (q-1)^(c+1): the words of weight c+1
     while layer:
         c = len(sizes)
         sizes.append(layer.bit_count() * code.size)
@@ -368,7 +383,11 @@ def _certify_by_syndrome(code: Code) -> CrCertificate:
         nxt += around & below
         reached = lanes.nonzero(around) & unseen
         unseen ^= reached
-        prev += around & reached * full
+        back = around & reached * full
+        prev += back
+        shell = shell * (n - c) * (q - 1) // (c + 1)
+        if delta is None and reached.bit_count() != shell:
+            delta = 2 * c + 1 if sum(lanes.read(back)) < (c + 1) * shell else 2 * c + 2
         layer, below = reached, layer * full
     if unseen:
         raise TheoremViolationError(
@@ -378,7 +397,7 @@ def _certify_by_syndrome(code: Code) -> CrCertificate:
     rho = len(sizes) - 1
     class_of = bytes(lanes.read(dist))
     prev, nxt = lanes.read(prev), lanes.read(nxt)
-    part = SyndromePartition(code, class_of, rho, tuple(sizes))
+    part = SyndromePartition(code, class_of, rho, tuple(sizes), delta)
     profiles = set(zip(class_of, prev, nxt))
     if len(profiles) == rho + 1:
         return CrCertificate(True, part, numbers=_intersection_numbers(
@@ -396,7 +415,8 @@ def _certifies_by_syndrome(code: Code) -> bool:
 
 # Spaces of at most this many words (binary length 7) are also certified word
 # by word, and the two certificates must agree: a runtime differential check
-# of the syndrome path, under a millisecond per code.
+# of the syndrome path, under a millisecond per code.  The oracle lists the
+# code as the words x with Hx = 0, so the member span stays unread.
 _CROSS_CHECK_WORDS = 1 << 7
 
 
@@ -412,7 +432,9 @@ def certify_completely_regular(code: Code, partition: DistancePartition | None =
         code.ambient.require_materializable("distance partition")
         cert = _certify_by_syndrome(code)
         if code.ambient.size <= _CROSS_CHECK_WORDS:
-            _cross_check(cert, _certify_words(code, distance_partition(code)))
+            syndromes = _word_syndromes(code.linear.parity_check)
+            listed = Code(code.ambient, tuple(x for x, s in enumerate(syndromes) if not s))
+            _cross_check(cert, _certify_words(listed, distance_partition(listed)))
         return cert
     return _certify_words(
         code, partition if partition is not None else distance_partition(code))
@@ -782,7 +804,10 @@ def analyze_code(code: Code) -> CodeAnalysis:
     from .hamming_space import minimum_distance
 
     cert = certify_completely_regular(code)
-    delta = minimum_distance(code) if code.size >= 2 else None
+    if isinstance(cert.partition, SyndromePartition):
+        delta = cert.partition.delta
+    else:
+        delta = minimum_distance(code) if code.size >= 2 else None
     reduced = is_reduced(code)
     if not cert.completely_regular:
         return CodeAnalysis(code, cert, delta, reduced, None, None, None, None)

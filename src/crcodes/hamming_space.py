@@ -8,6 +8,12 @@ this encoding so output is reproducible.
 Operations that materialize the full vertex set (one entry per vertex) check
 the space against a configurable cap, 2^26 vertices by default, to keep
 desk-scale memory within ~64 MB.
+
+A linear code built from a parity check H holds H, a generator basis and the
+rank; its q^k members are spanned from the basis on first read and cached.
+Its size, the syndrome certificate and the minimum distance that certificate
+reports read only H, so certifying such a code lists no member.  The cap on
+q^k is still checked when the code is built.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ from .errors import (
     FieldRequiredError,
     NotAdditiveError,
     UndefinedMinimumDistanceError,
+    jsonable,
 )
 
 DEFAULT_VERTEX_CAP = 1 << 26
@@ -259,43 +266,91 @@ class LinearStructure:
     rank: int
 
 
-@dataclass(frozen=True)
 class Code:
-    """A nonempty set of words of H(n, q), optionally with linear structure."""
+    """A nonempty set of words of H(n, q), optionally with linear structure.
 
-    ambient: AmbientSpace
-    members: tuple[int, ...]
-    linear: LinearStructure | None = None
+    `members` is the sorted tuple of encodings.  A code given only its linear
+    structure (``members=None``) spans the generator rows the first time the
+    members or the member set are read and keeps them; its size is
+    q^(n - rank) and never needs them.  Codes are immutable values: equality
+    compares space, linear structure and members, and the hash of a linear
+    code is taken from its space and structure alone.
+    """
 
-    def __post_init__(self):
-        if not self.members:
-            raise ValueError("codes are nonempty")
-        size = self.ambient.size
-        prev = -1
-        for w in self.members:
-            if w <= prev:
-                raise ValueError("members must be strictly sorted")
-            prev = w
-        if prev >= size:
-            raise ValueError("member encoding out of range")
-        object.__setattr__(self, "_member_set", frozenset(self.members))
+    __slots__ = ("ambient", "linear", "_members", "_member_set")
+
+    def __init__(self, ambient: AmbientSpace, members: tuple[int, ...] | None = None,
+                 linear: LinearStructure | None = None):
+        if members is None:
+            if linear is None:
+                raise ValueError("a code without listed members needs linear structure")
+        else:
+            if not members:
+                raise ValueError("codes are nonempty")
+            prev = -1
+            for w in members:
+                if w <= prev:
+                    raise ValueError("members must be strictly sorted")
+                prev = w
+            if prev >= ambient.size:
+                raise ValueError("member encoding out of range")
+        for name, value in (("ambient", ambient), ("linear", linear),
+                            ("_members", members), ("_member_set", None)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Code is immutable; cannot set {name!r}")
+
+    def __reduce__(self):  # copy and pickle through the constructor
+        return Code, (self.ambient, self._members, self.linear)
+
+    @property
+    def members(self) -> tuple[int, ...]:
+        if self._members is None:
+            object.__setattr__(self, "_members",
+                               tuple(_span(self.ambient, self.linear.generators)))
+        return self._members
 
     @property
     def size(self) -> int:
-        return len(self.members)
+        if self.linear is not None:
+            return self.ambient.q ** (self.ambient.n - self.linear.rank)
+        return len(self._members)
 
     @property
     def is_linear(self) -> bool:
         return self.linear is not None
 
     def __contains__(self, word: int) -> bool:
-        return word in self._member_set
+        return word in self.member_set()
 
     def member_set(self) -> frozenset:
+        if self._member_set is None:
+            object.__setattr__(self, "_member_set", frozenset(self.members))
         return self._member_set
 
     def word_strings(self) -> list[str]:
         return [word_string(w, self.ambient) for w in self.members]
+
+    def __eq__(self, other):
+        if not isinstance(other, Code):
+            return NotImplemented
+        return (self.ambient == other.ambient and self.linear == other.linear
+                and self.members == other.members)
+
+    def __hash__(self):
+        if self.linear is not None:
+            return hash((self.ambient, self.linear))
+        return hash((self.ambient, self._members))
+
+    def __repr__(self):
+        listed = f"members={self._members!r}" if self.linear is None else f"size={self.size}"
+        return f"Code(ambient={self.ambient!r}, {listed}, linear={self.linear!r})"
+
+    def to_json(self) -> dict:
+        """The space, the members and the linear structure, as in a witness."""
+        return {"ambient": jsonable(self.ambient), "members": list(self.members),
+                "linear": jsonable(self.linear)}
 
 
 def _normalize_words(space: AmbientSpace, words: Iterable) -> list[int]:
@@ -355,17 +410,16 @@ def _span(space: AmbientSpace, basis: GFMatrix) -> list[int]:
 
 
 def code_from_parity_check(space: AmbientSpace, h: GFMatrix) -> Code:
-    """The code {x : H x^T = 0}.  The given H is kept verbatim."""
+    """The code {x : H x^T = 0}.  The given H is kept verbatim; the members
+    are spanned from the nullspace basis only when something reads them."""
     if not space.alphabet.is_field:
         raise FieldRequiredError("parity-check codes need a field alphabet")
     if h.alphabet != space.alphabet or h.ncols != space.n:
         raise ValueError("parity check does not match the ambient space")
     gens = nullspace_basis(h)
-    rk = space.n - gens.nrows
     if space.q ** gens.nrows > space.max_vertices:
         raise CapacityError("code is too large to materialize")
-    members = _span(space, gens)
-    return Code(space, tuple(members), LinearStructure(h, gens, rk))
+    return Code(space, None, LinearStructure(h, gens, space.n - gens.nrows))
 
 
 def code_from_generators(space: AmbientSpace, g: GFMatrix) -> Code:

@@ -2,7 +2,9 @@ import random
 
 import pytest
 
+from crcodes import algebra
 from crcodes.algebra import (
+    _nullspace_by_rref,
     alphabet,
     field_alphabet,
     gf_identity,
@@ -13,6 +15,7 @@ from crcodes.algebra import (
     rref,
 )
 from crcodes.errors import FieldRequiredError
+from crcodes.search import systematic_parity_checks
 
 
 FIELD_SIZES = [2, 3, 4, 5, 7, 8, 9, 16, 27, 64]
@@ -170,3 +173,45 @@ def test_hstack():
     f2 = alphabet(2)
     m = gf_matrix(f2, [[1, 0], [0, 1]])
     assert hstack([m, m]).rows == ((1, 0, 1, 0), (0, 1, 0, 1))
+
+
+def _count_rref(monkeypatch):
+    calls = []
+
+    def counting(m):
+        calls.append(m)
+        return rref(m)
+
+    monkeypatch.setattr(algebra, "rref", counting)
+    return calls
+
+
+# (q, largest n): every census parity check up to these lengths
+_CENSUS_CHECKS = ((2, 8), (3, 6), (4, 5), (5, 4), (7, 3), (8, 3), (9, 3))
+
+
+def test_systematic_nullspace_equals_the_rref_route_on_every_census_check(monkeypatch):
+    checks = [h for q, top in _CENSUS_CHECKS for n in range(1, top + 1)
+              for h in systematic_parity_checks(n, q)]
+    assert len(checks) == 17617
+    calls = _count_rref(monkeypatch)
+    fast = [nullspace_basis(h) for h in checks]
+    assert calls == []  # [I_r | A] is its own RREF
+    assert fast == [_nullspace_by_rref(h) for h in checks]
+    assert len(calls) == len(checks)
+
+
+@pytest.mark.parametrize("q, rows", [
+    (2, [[1, 1, 1, 0, 0], [0, 1, 0, 1, 0], [1, 1, 0, 0, 1]]),  # [A | I_r]
+    (3, [[2, 0, 1, 1], [0, 1, 2, 0]]),  # a pivot scaled by 2
+    (3, [[0, 1, 0, 2], [0, 0, 1, 1]]),  # a leading zero column
+    (2, [[1, 0, 1], [0, 1, 1], [1, 1, 0]]),  # identity prefix in the first r-1 rows only
+], ids=["a-then-identity", "scaled-pivot", "leading-zero-column", "dependent-rows"])
+def test_non_systematic_checks_take_the_rref_route(monkeypatch, q, rows):
+    h = gf_matrix(alphabet(q), rows)
+    calls = _count_rref(monkeypatch)
+    basis = nullspace_basis(h)
+    assert calls == [h]
+    assert basis == _nullspace_by_rref(h)
+    assert basis.nrows == h.ncols - rref(h)[1]
+    assert all(not any(mat_vec(h, row)) for row in basis.rows)

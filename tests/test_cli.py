@@ -268,6 +268,22 @@ def test_capacity_exits_three(tmp_path, capsys):
     assert json.loads(err)["error"] == "capacity"
 
 
+def test_check_of_a_padded_hamming_code_lists_no_member(tmp_path, capsys, monkeypatch):
+    import crcodes.hamming_space as hamming_mod
+
+    def forbidden(*args):
+        raise AssertionError("members spanned")
+
+    monkeypatch.setattr(hamming_mod, "_span", forbidden)
+    spec = _write_spec(tmp_path, "hamming-15-11-pad3.json", {
+        "type": "construct", "name": "pad", "count": 3,
+        "base": {"type": "construct", "name": "hamming", "q": 2, "r": 4}})
+    code, out, _ = _run(capsys, "check", spec, "--format", "json")
+    report = json.loads(out)
+    assert code == 0 and report["cr"] and report["delta"] == 1
+    assert report["size"] == 2**14
+
+
 def test_additivity_check_above_its_bound_exits_three(tmp_path, capsys):
     from crcodes.hamming_space import ADDITIVE_CHECK_WORDS
 

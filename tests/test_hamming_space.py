@@ -1,11 +1,15 @@
+import copy
+import pickle
 import random
 
 import pytest
 
-from crcodes.algebra import alphabet, gf_matrix
+from crcodes import hamming_space
+from crcodes.algebra import alphabet, gf_matrix, mat_vec
 from crcodes.errors import CapacityError, NotAdditiveError, UndefinedMinimumDistanceError
 from crcodes.hamming_space import (
     ADDITIVE_CHECK_WORDS,
+    Code,
     ambient,
     code_from_generators,
     code_from_parity_check,
@@ -127,6 +131,38 @@ def test_code_from_parity_check_triple():
     # oracle: all words with zero syndrome
     kernel = sorted(v for v in range(8) if bin(v).count("1") % 2 == 0)
     assert list(code.members) == kernel
+
+
+@pytest.mark.parametrize("q, rows", [
+    (2, [[1, 1, 1]]),
+    (3, [[1, 0, 2, 1], [0, 1, 1, 1]]),
+    (4, [[1, 2, 0, 3], [0, 0, 1, 1]]),
+    (2, [[1, 1, 0, 0], [0, 0, 1, 1], [1, 1, 1, 1]]),  # rank 2 of 3 rows
+])
+def test_parity_check_codes_span_members_only_when_read(monkeypatch, q, rows):
+    space = ambient(len(rows[0]), q)
+    h = gf_matrix(alphabet(q), rows)
+    kernel = [x for x in range(space.size) if not any(mat_vec(h, decode(x, space.n, q)))]
+    spans = []
+    real_span = hamming_space._span
+    monkeypatch.setattr(hamming_space, "_span",
+                        lambda *args: spans.append(args) or real_span(*args))
+    lazy = code_from_parity_check(space, h)
+    eager = Code(space, code_from_words(space, kernel).members, lazy.linear)
+    assert lazy.size == eager.size == len(kernel)
+    assert repr(lazy) == repr(eager)
+    assert hash(lazy) == hash(eager)
+    assert spans == []
+    assert lazy == eager and eager == lazy
+    assert len(spans) == 1
+    assert [x for x in range(space.size) if x in lazy] == kernel
+    assert 0 in lazy and lazy.word_strings() == eager.word_strings()
+    assert lazy.members == eager.members and len(spans) == 1  # cached
+    other = code_from_parity_check(space, gf_matrix(alphabet(q), [[1] + [0] * (space.n - 1)]))
+    assert lazy != other and lazy != code_from_words(space, kernel)
+    assert copy.copy(lazy) == pickle.loads(pickle.dumps(lazy)) == lazy
+    with pytest.raises(AttributeError):
+        lazy.linear = None
 
 
 def test_code_from_words_h24_class():

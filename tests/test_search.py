@@ -271,6 +271,51 @@ def test_one_length_census_bytes_are_pinned(tmp_path, q, n):
     assert digests == _ONE_LENGTH_DIGESTS[q, n]
 
 
+def test_census_spans_members_only_for_the_forms_and_the_decomposition(
+        tmp_path, monkeypatch):
+    # the certificate, delta and every other check read H alone; a code's
+    # members are spanned only inside the two steps that walk them
+    import crcodes.hamming_space as hamming_mod
+    import crcodes.search as search_mod
+
+    inside, spans = [], []
+    real_span = hamming_mod._span
+    monkeypatch.setattr(hamming_mod, "_span",
+                        lambda *args: spans.append(bool(inside)) or real_span(*args))
+    for name in ("classify_arithmetic_forms", "decompose_product"):
+        def walking(*args, _step=getattr(search_mod, name), **kwargs):
+            inside.append(True)
+            try:
+                return _step(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(search_mod, name, walking)
+    summary = run_census(CensusParams(q=3, max_n=5), tmp_path)
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in ("census.jsonl", "summary.csv")}
+    assert digests == {
+        "census.jsonl": "3040bdae1979ba402cf74a484a4cb195ac5a484bffafb5e03e144eb1a2743ffa",
+        "summary.csv": "a0e68f0ca4b0d6d89bad4dd48fd05bf840355f633dd50bf3657f36b5e858ebf1",
+    }
+    assert summary["recorded"] == 229 and summary["completely_regular"] == 30
+    assert spans and all(spans)
+
+
+def test_analysis_of_a_non_cr_census_code_spans_no_member(monkeypatch):
+    import crcodes.hamming_space as hamming_mod
+    from crcodes.cr_analysis import analyze_code
+
+    def forbidden(*args):
+        raise AssertionError("members spanned")
+
+    monkeypatch.setattr(hamming_mod, "_span", forbidden)
+    for n in (4, 5):  # with and without the word-by-word cross-check
+        code = next(c for c in enumerate_linear_codes(n, 3)
+                    if not analyze_code(c).cr)
+        assert analyze_code(code).delta >= 1
+
+
 def test_census_ternary_small(tmp_path):
     summary = run_census(CensusParams(q=3, max_n=4), tmp_path)
     assert summary["failures"] == 0 and summary["reconciled"]

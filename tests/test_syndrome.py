@@ -9,9 +9,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from crcodes import partitions_quotients
+from crcodes import hamming_space, partitions_quotients
 from crcodes.algebra import alphabet, gf_matrix, mat_vec, rank
-from crcodes.constructions import hamming_code, pad_code, replicate_columns
+from crcodes.constructions import (
+    extended_hamming_code,
+    hamming_code,
+    pad_code,
+    repetition_code,
+    replicate_columns,
+)
 from crcodes.cr_analysis import (
     DistancePartition,
     SyndromePartition,
@@ -19,6 +25,7 @@ from crcodes.cr_analysis import (
     _lanes,
     _scan,
     _word_syndromes,
+    analyze_code,
     certify_completely_regular,
     distance_partition,
     free_coordinates,
@@ -33,6 +40,7 @@ from crcodes.hamming_space import (
     column_offsets,
     decode,
     encode,
+    minimum_distance,
     translate,
 )
 from crcodes.partitions_quotients import (
@@ -67,7 +75,8 @@ def _per_syndrome_certificate(code):
     """The oracle of the lane-vector certificate: BFS from syndrome 0 with one
     step per edge, the (previous, same, next) counts of every syndrome, and,
     for a code that is not completely regular, the words in encoding order
-    looked up by their syndromes H x."""
+    looked up by their syndromes H x.  Its delta is the weight scan over the
+    spanned members."""
     h = code.linear.parity_check
     alpha = h.alphabet
     q, n, r = alpha.q, h.ncols, h.nrows
@@ -95,7 +104,8 @@ def _per_syndrome_certificate(code):
     assert len(order) == size
     rho = dist[order[-1]]
     sizes = tuple(dist.count(i) * code.size for i in range(rho + 1))
-    part = SyndromePartition(code, bytes(dist), rho, sizes)
+    delta = minimum_distance(code) if code.size >= 2 else None
+    part = SyndromePartition(code, bytes(dist), rho, sizes, delta)
     cert = _scan(part, ((s, dist[s], counts[s]) for s in order))
     if cert.completely_regular:
         return cert
@@ -104,7 +114,8 @@ def _per_syndrome_certificate(code):
 
 
 def _lane_summary(cert):
-    return _summary(cert) + (cert.partition.class_of_syndrome,)
+    part = cert.partition
+    return _summary(cert) + (part.class_of_syndrome, part.delta)
 
 
 # (q, largest n) of the lane-vector differential check: every census code.
@@ -117,8 +128,10 @@ def test_lane_certificate_equals_the_per_syndrome_bfs():
         for n in range(1, top + 1):
             for code in enumerate_linear_codes(n, q):
                 want = _lane_summary(_per_syndrome_certificate(code))
-                assert _lane_summary(certify_completely_regular(code)) == want, (
+                analysis = analyze_code(code)
+                assert _lane_summary(analysis.certificate) == want, (
                     code.linear.parity_check)
+                assert analysis.delta == minimum_distance(code)
                 checked += 1
                 refuted += not want[0]
     assert checked == 17617 and refuted > checked // 2
@@ -298,7 +311,9 @@ def test_random_parity_checks_certify_as_the_full_space_scan(code):
     slow = certify_completely_regular(code, distance_partition(code))
     assert isinstance(fast.partition, SyndromePartition)
     assert _summary(fast) == _summary(slow)
+    # the lane summary holds delta, against the weight scan of the oracle
     assert _lane_summary(fast) == _lane_summary(_per_syndrome_certificate(code))
+    assert analyze_code(code).delta == fast.partition.delta
     assert _is_syndrome_quotient(code, coset_graph_by_syndrome(code))
 
 
@@ -310,6 +325,7 @@ def test_lanes_widen_past_a_valency_of_255():
     assert cert.numbers.gamma == (0, 3)
     assert cert.numbers.alpha == (0, 378)
     assert cert.numbers.beta == (381, 0)
+    assert cert.partition.delta == 2
     assert _lane_summary(cert) == _lane_summary(_per_syndrome_certificate(code))
 
 
@@ -326,3 +342,25 @@ def test_class_bytes_never_saturate_under_the_vertex_cap():
     cert = certify_completely_regular(code_from_parity_check(ambient(12, 2), h))
     assert cert.partition.rho == 12 == max(cert.partition.class_of_syndrome)
     assert distance_partition(zero).rho == 12
+
+
+def _forbid_span(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("members spanned")
+
+    monkeypatch.setattr(hamming_space, "_span", forbidden)
+
+
+@pytest.mark.parametrize("code, delta", [
+    (hamming_code(3, 2), 3),
+    (hamming_code(4, 2), 3),
+    (extended_hamming_code(4), 4),
+    (repetition_code(21, 2), 21),
+    (repetition_code(12, 3), 12),
+    (code_from_parity_check(ambient(3, 128), gf_matrix(alphabet(128), [[1, 2, 3]])), 2),
+], ids=["hamming-7-4", "hamming-15-11", "extended-hamming-16-11", "repetition-2-21",
+        "repetition-3-12", "gf128-3-2"])
+def test_minimum_distance_of_closed_forms_comes_from_the_syndrome_bfs(
+        monkeypatch, code, delta):
+    _forbid_span(monkeypatch)
+    assert analyze_code(code).delta == delta
