@@ -4,12 +4,17 @@ classification of linear completely regular codes with arithmetic spectra.
 Recognition is parametric-plus-verification: intersection arrays are matched
 against the closed families, and whenever parameters alone cannot decide
 (H(m,4) vs Doob graphs; the array {6,5,4;1,2,6}) the tie is broken by local
-structure or an explicit fixture isomorphism, never by assumption.
+structure or an explicit isomorphism onto a folded cube, never by assumption.
+A syndrome coset graph gets that isomorphism as a linear map read off its
+connection set and checked edge by edge; any other graph gets it from a
+backtracking search against the fixture.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import xor
 
 from .algebra import GFMatrix, gf_matrix
 from .constructions import replicate_columns
@@ -32,11 +37,13 @@ from .hamming_space import (
     neighbors,
 )
 from .partitions_quotients import (
+    CayleyGraph,
     Graph,
     IntersectionArray,
     certify_distance_regular,
     coset_graph_by_syndrome,
     graph_from_edges,
+    local_roots,
     partition_from_classes,
     quotient_graph,
 )
@@ -274,6 +281,48 @@ def graph_isomorphic(g1: Graph, g2: Graph) -> list[int] | None:
     return None
 
 
+def linear_folded_cube_map(graph: Graph, m: int) -> list[int] | None:
+    """The isomorphism of a Cayley graph on an XOR group onto the folded
+    m-cube fixture, read off its connection set S, or None.
+
+    The fixture is Cay(GF(2)^d, {e_1, ..., e_d, 1}) with d = m - 1, vertex u
+    adjacent to u ^ e_i and to u ^ ones.  When S has d + 1 elements that span
+    and XOR to 0, its only dependency is the sum of all of S, so the linear
+    map sending the first d elements of S to e_1..e_d sends the last one to
+    ones.  The map is returned only after every vertex's neighbours are
+    checked to land on the fixture's, so S is never trusted.
+    """
+    d = m - 1
+    if not isinstance(graph, CayleyGraph) or not graph.xor_group or graph.n != 1 << d:
+        return None
+    conn = graph.connection
+    if len(conn) != m or not all(0 < s < graph.n for s in conn) or reduce(xor, conn):
+        return None
+    preimage = [0]  # preimage[u]: the graph vertex sent to fixture vertex u
+    for s in conn[:d]:
+        preimage += [x ^ s for x in preimage]
+    mapping = [-1] * graph.n
+    for u, v in enumerate(preimage):
+        mapping[v] = u
+    if -1 in mapping:  # the first d elements do not span
+        return None
+    steps = {1 << i for i in range(d)} | {(1 << d) - 1}
+    adjacency = graph.adjacency
+    for u, v in enumerate(preimage):
+        if {mapping[w] ^ u for w in adjacency[v]} != steps:
+            return None
+    return mapping
+
+
+def folded_cube_isomorphism(graph: Graph, m: int) -> list[int] | None:
+    """An isomorphism of the graph onto the folded m-cube fixture, or None:
+    the linear map of a syndrome coset graph, else the backtracking search."""
+    mapping = linear_folded_cube_map(graph, m)
+    if mapping is None:
+        mapping = graph_isomorphic(graph, construct_fixture("folded_cube", m=m))
+    return mapping
+
+
 def max_clique(graph: Graph) -> int:
     """Exact clique number by branch-and-bound with a greedy coloring bound."""
     n = graph.n
@@ -379,7 +428,7 @@ IA_654 = IntersectionArray((6, 5, 4), (1, 2, 6))
 def _local_shape_census(graph: Graph):
     """Count triangle / hexagon components vertex by vertex; None on surprise."""
     shape = None
-    for v in range(graph.n):
+    for v in local_roots(graph):
         profile = local_component_profile(graph, v)
         tri = sum(1 for size, e in profile if (size, e) == (3, 3))
         hexa = sum(1 for size, e in profile if (size, e) == (6, 6))
@@ -428,7 +477,7 @@ def classify_quotient(graph: Graph, drg=None) -> QuotientFamily:
         # local graph of H(m, q') is m disjoint cliques K_{q'-1}
         clique_edges = (qprime - 1) * (qprime - 2) // 2
         want = tuple(sorted([(qprime - 1, clique_edges)] * m))
-        for v in range(graph.n):
+        for v in local_roots(graph):
             if local_component_profile(graph, v) != want:
                 return QuotientFamily("other", {}, {**evidence, "local": "not_hamming_local"})
         return QuotientFamily("hamming", {"m": m, "q": qprime}, evidence)
@@ -441,8 +490,7 @@ def classify_quotient(graph: Graph, drg=None) -> QuotientFamily:
     folded_m = _folded_array_m(array)
     if folded_m is not None and folded_m >= 5:
         if 2 ** (folded_m - 1) <= ISO_VERTEX_CAP:
-            fixture = construct_fixture("folded_cube", m=folded_m)
-            iso = graph_isomorphic(graph, fixture)
+            iso = folded_cube_isomorphism(graph, folded_m)
             if iso is not None:
                 return QuotientFamily("folded_cube", {"m": folded_m},
                                       {**evidence, "isomorphism": iso})
@@ -1044,8 +1092,7 @@ def classify_arithmetic_forms(code: Code, analysis: CodeAnalysis | None = None,
             and d_code.members == (0, 2**m - 1) and m >= 2):
         iso = None
         if 2 ** (m - 1) <= ISO_VERTEX_CAP:
-            iso = graph_isomorphic(graph or coset_graph_by_syndrome(code),
-                                   construct_fixture("folded_cube", m=m))
+            iso = folded_cube_isomorphism(graph or coset_graph_by_syndrome(code), m)
         if iso is not None:
             cases.append({
                 "case": "folded_cube_replication",

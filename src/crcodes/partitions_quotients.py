@@ -87,7 +87,21 @@ class Graph:
 @dataclass(frozen=True)
 class CayleyGraph(Graph):
     """A Cayley graph Cay(G, S): translation by a group element is an
-    automorphism, so every vertex sees the same distance layering."""
+    automorphism, so every vertex sees the same distance layering.
+
+    ``connection`` is S as sorted vertex numbers, and ``xor_group`` says that
+    G adds vertex numbers by XOR; a graph built without them (S empty)
+    records no group.  Neither is compared: equality is the adjacency's.
+    """
+
+    connection: tuple[int, ...] = field(default=(), compare=False)
+    xor_group: bool = field(default=False, compare=False)
+
+
+def local_roots(graph: Graph) -> range:
+    """The vertices whose local view stands for every vertex: vertex 0 of a
+    vertex-transitive Cayley graph, every vertex of any other graph."""
+    return range(1 if isinstance(graph, CayleyGraph) else graph.n)
 
 
 def graph_from_edges(n: int, edges, labels=None) -> Graph:
@@ -256,7 +270,7 @@ def coset_graph_by_syndrome(code: Code) -> CayleyGraph:
     step = Translations(h.alphabet, sorted(set(column_offsets(h)) - {0}), count)
     adjacency = tuple(tuple(sorted(step.all(s))) for s in range(count))
     labels = tuple(str(decode(s, r, q)) if r else "()" for s in range(count))
-    return CayleyGraph(adjacency, labels)
+    return CayleyGraph(adjacency, labels, step.offsets, step.xor)
 
 
 def coset_to_syndrome(code: Code, partition: VertexPartition) -> tuple[int, ...]:
@@ -363,8 +377,7 @@ def certify_distance_regular(graph: Graph) -> DrgCertificate:
     c_ref: dict[int, int] = {}
     b_where: dict[int, tuple[int, int]] = {}
     c_where: dict[int, tuple[int, int]] = {}
-    roots = (0,) if isinstance(graph, CayleyGraph) else range(graph.n)
-    for x in roots:
+    for x in local_roots(graph):
         dist = bfs_distances(graph, x)
         if min(dist) < 0:
             raise DisconnectedGraphError("graph is not connected")

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crcodes.classify import (
     IA_654,
@@ -17,10 +19,12 @@ from crcodes.classify import (
     decompose_product,
     finest_product_blocks,
     folded_cube,
+    folded_cube_isomorphism,
     graph_isomorphic,
     hamming_graph,
     is_extended_hamming_equivalent,
     is_hamming_equivalent,
+    linear_folded_cube_map,
     local_component_profile,
     max_clique,
     replicated_normal_form,
@@ -38,6 +42,8 @@ from crcodes.algebra import alphabet, gf_identity, gf_matrix, hstack
 from crcodes.cr_analysis import analyze_code
 from crcodes.hamming_space import Code, ambient, code_from_parity_check, minimum_distance
 from crcodes.partitions_quotients import (
+    CayleyGraph,
+    Graph,
     certify_distance_regular,
     coset_graph_by_syndrome,
     coset_partition,
@@ -500,12 +506,39 @@ def test_decompose_ternary_hamming_squared():
     assert all(f.members == th.members for f in report.factors)
 
 
-def test_classify_larger_fixtures():
+def _scanned_vertices(monkeypatch):
+    import crcodes.classify as classify_mod
+
+    scanned = []
+    real = classify_mod.local_component_profile
+    monkeypatch.setattr(classify_mod, "local_component_profile",
+                        lambda graph, v: scanned.append(v) or real(graph, v))
+    return scanned
+
+
+def test_classify_larger_fixtures(monkeypatch):
+    # plain graphs: the local checks scan every vertex
+    scanned = _scanned_vertices(monkeypatch)
     fam = classify_quotient(construct_fixture("doob", s=2, c=0))
     assert fam.tag == "doob"
     assert fam.params == {"shrikhande_factors": 2, "clique_factors": 0}
+    assert scanned == list(range(256))
+    scanned.clear()
     fam = classify_quotient(construct_fixture("hamming", m=4, q=4))
     assert fam.tag == "hamming" and fam.params == {"m": 4, "q": 4}
+    assert scanned == list(range(256))
+
+
+def test_cayley_coset_graphs_take_their_local_checks_at_vertex_0(monkeypatch):
+    scanned = _scanned_vertices(monkeypatch)
+    gf4_square = cartesian_product(repetition_code(2, 4), repetition_code(2, 4))
+    th = hamming_code(2, 3)
+    for code, params in ((gf4_square, {"m": 2, "q": 4}),  # triangle/hexagon census
+                         (cartesian_product(th, th), {"m": 2, "q": 9})):
+        scanned.clear()
+        fam = classify_quotient(coset_graph_by_syndrome(code))
+        assert fam.tag == "hamming" and fam.params == params
+        assert scanned == [0]
 
 
 def test_isomorphism_needs_backtracking_to_refute():
@@ -613,3 +646,173 @@ def test_decompose_product_takes_the_known_min_distance(monkeypatch):
     monkeypatch.setattr(classify_mod, "minimum_distance", no_scan)
     for code, family, delta, report in cases:
         assert decompose_product(code, family, delta) == report
+
+
+# -- folded cubes from the connection set -------------------------------------------
+
+# SHA-256 of census.jsonl and summary.csv of each whole census
+_CENSUS_DIGESTS = {
+    (2, 8): ("f777a018319daa678deecf13c5c5ea5b61d5380ce35e984f0ca63f00714f538b",
+             "2ec75a85a60d944356c2780cae220a4e3a46fad5979643d42d208b40d72d20c0"),
+    (3, 6): ("3e675bb67bb31b584cd9028f4983f27364d9ad1278859e5b8617552edcadddbc",
+             "0dade0d6957a7bc7a48d6a26cf4c52ec1b7ff612b36ed11236b2a3a5ac484601"),
+    (4, 5): ("cfa2f384a0078313830c3e3fd590ae1efb7d49aa41a193d75090469f4a568e01",
+             "f0f8c2f6552e4ba9c74f0c3fc53ca5ba6ee48ea0d5d029c6ec26522579bcdc64"),
+}
+
+
+@pytest.fixture(scope="module")
+def census_runs(tmp_path_factory):
+    """Each census of _CENSUS_DIGESTS, run once: the digests of its files,
+    the (coset graph, DRG certificate) of every CR record, and the number of
+    backtracking isomorphism searches it made."""
+    import hashlib
+
+    import crcodes.classify as classify_mod
+    import crcodes.search as search_mod
+    from crcodes.search import CensusParams, run_census
+
+    runs = {}
+    with pytest.MonkeyPatch.context() as mp:
+        graphs, searches = [], []
+        real_classify = search_mod.classify_quotient
+        real_search = classify_mod.graph_isomorphic
+        mp.setattr(search_mod, "classify_quotient",
+                   lambda graph, drg: graphs.append((graph, drg)) or real_classify(graph, drg))
+        mp.setattr(classify_mod, "graph_isomorphic",
+                   lambda g1, g2: searches.append(g1.n) or real_search(g1, g2))
+        for q, top in _CENSUS_DIGESTS:
+            out = tmp_path_factory.mktemp(f"census-q{q}")
+            run_census(CensusParams(q=q, max_n=top), out)
+            digests = tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
+                            for name in ("census.jsonl", "summary.csv"))
+            runs[q, top] = (digests, list(graphs), len(searches))
+            graphs.clear()
+            searches.clear()
+    return runs
+
+
+def test_census_makes_no_isomorphism_search_and_keeps_its_bytes(census_runs):
+    for key, (digests, graphs, searches) in census_runs.items():
+        assert digests == _CENSUS_DIGESTS[key]
+        assert graphs and searches == 0
+
+
+def _folded_m(drg):
+    from crcodes.classify import _folded_array_m
+
+    m = _folded_array_m(drg.array)
+    return m if m is not None and m >= 5 else None
+
+
+def test_linear_folded_cube_map_is_the_backtrackers_map(census_runs):
+    cases = [(graph, drg) for graph, drg in census_runs[2, 8][1] if _folded_m(drg)]
+    assert sorted(_folded_m(drg) for _, drg in cases) == [5] * 4 + [6] * 3 + [7] * 2 + [8]
+    for n in (10, 11):
+        graph = coset_graph_by_syndrome(repetition_code(n, 2))
+        cases.append((graph, certify_distance_regular(graph)))
+    for graph, drg in cases:
+        m = _folded_m(drg)
+        oracle = graph_isomorphic(graph, construct_fixture("folded_cube", m=m))
+        assert oracle is not None
+        assert linear_folded_cube_map(graph, m) == oracle
+        fast = classify_quotient(graph, drg)
+        slow = classify_quotient(Graph(graph.adjacency, graph.labels), drg)
+        assert fast == slow and fast.params == {"m": m}
+        assert fast.evidence["isomorphism"] == slow.evidence["isomorphism"] == oracle
+
+
+@st.composite
+def folded_cube_parity_checks(draw, m):
+    """H = M [I_r | 1] P over GF(2) with r = m - 1: M = R L U with R a row
+    permutation and L, U unit triangular (every invertible M has this form),
+    P a column permutation."""
+    r = m - 1
+    bits = st.integers(0, 1)
+    lower = [[1 if i == j else (draw(bits) if j < i else 0) for j in range(r)]
+             for i in range(r)]
+    upper = [[1 if i == j else (draw(bits) if j > i else 0) for j in range(r)]
+             for i in range(r)]
+    rows = draw(st.permutations(range(r)))
+    cols = draw(st.permutations(range(m)))
+
+    def product(a, b):
+        return [[sum(a[i][k] & b[k][j] for k in range(len(b))) % 2
+                 for j in range(len(b[0]))] for i in range(len(a))]
+
+    mixed = product([lower[i] for i in rows], upper)
+    base = [[1 if i == j else 0 for j in range(r)] + [1] for i in range(r)]
+    h = product(mixed, base)
+    return gf_matrix(alphabet(2), [[row[j] for j in cols] for row in h])
+
+
+@pytest.mark.parametrize("m", range(5, 10))
+@settings(derandomize=True, max_examples=12, deadline=None)
+@given(data=st.data())
+def test_linear_map_of_a_random_folded_cube_check_is_an_isomorphism(m, data):
+    h = data.draw(folded_cube_parity_checks(m))
+    graph = coset_graph_by_syndrome(code_from_parity_check(ambient(m, 2), h))
+    fixture = construct_fixture("folded_cube", m=m)
+    mapping = linear_folded_cube_map(graph, m)
+    assert sorted(mapping) == list(range(fixture.n))
+    assert graph.edge_count() == fixture.edge_count()
+    assert all(fixture.has_edge(mapping[u], mapping[v]) for u, v in graph.edges())
+
+
+def _counted_searches(monkeypatch):
+    import crcodes.classify as classify_mod
+
+    searches = []
+    real = classify_mod.graph_isomorphic
+    monkeypatch.setattr(classify_mod, "graph_isomorphic",
+                        lambda g1, g2: searches.append(g1.n) or real(g1, g2))
+    return searches
+
+
+def test_connection_sets_that_are_no_folded_cube_get_no_linear_map(monkeypatch):
+    alpha = alphabet(2)
+    searches = _counted_searches(monkeypatch)
+    # the dependency {e_1, e_2, e_1 + e_2} is a proper subset of S
+    subset = coset_graph_by_syndrome(code_from_parity_check(
+        ambient(5, 2), hstack([gf_identity(alpha, 4), gf_matrix(alpha, [[1], [1], [0], [0]])])))
+    assert len(subset.connection) == 5 and not certify_distance_regular(subset).is_drg
+    assert linear_folded_cube_map(subset, 5) is None
+    assert folded_cube_isomorphism(subset, 5) is None and searches == [16]
+    # S XORs to 0 but spans 4 of 5 dimensions
+    rank_four = CayleyGraph(graph_from_edges(
+        32, [(v, v ^ s) for v in range(32) for s in (1, 2, 3, 4, 8, 12)]).adjacency,
+        connection=(1, 2, 3, 4, 8, 12), xor_group=True)
+    assert linear_folded_cube_map(rank_four, 6) is None
+
+
+def test_a_graph_the_linear_map_refuses_gets_the_backtrackers_verdict(monkeypatch):
+    true = coset_graph_by_syndrome(repetition_code(6, 2))
+    fixture = construct_fixture("folded_cube", m=6)
+    oracle = graph_isomorphic(true, fixture)
+    searches = _counted_searches(monkeypatch)
+    assert classify_quotient(true).evidence["isomorphism"] == oracle
+    assert searches == []
+    # a connection set that spans and XORs to 0 but is not the adjacency's
+    wrong = CayleyGraph(true.adjacency, true.labels, (1, 2, 4, 8, 17, 30), True)
+    explicit = quotient_graph(coset_partition(repetition_code(6, 2)))
+    bare = CayleyGraph(true.adjacency, true.labels)
+    for graph in (wrong, explicit, bare):
+        assert certify_distance_regular(graph).is_drg
+        assert linear_folded_cube_map(graph, 6) is None
+        searches.clear()
+        fam = classify_quotient(graph)
+        assert fam.tag == "folded_cube" and fam.params == {"m": 6}
+        assert fam.evidence["isomorphism"] == graph_isomorphic(graph, fixture)
+        assert searches == [32]
+
+
+def test_one_vertex_local_checks_match_the_all_vertex_scan(census_runs):
+    compared = 0
+    for _, graphs, _ in census_runs.values():
+        for graph, drg in graphs:
+            fast = classify_quotient(graph, drg)
+            slow = classify_quotient(Graph(graph.adjacency, graph.labels), drg)
+            assert fast == slow
+            assert fast.evidence.get("local") == slow.evidence.get("local")
+            compared += 1
+    assert compared == 126 + 48 + 47

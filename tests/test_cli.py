@@ -201,6 +201,32 @@ def test_folded_cube_forms_take_the_coset_graph_from_the_caller(
     assert len(built) == 1
 
 
+# SHA-256 of the report of binary repetition n=11, whose coset graph is the
+# folded 11-cube: both reports carry the folded-cube isomorphism
+_REP11_REPORTS = {
+    "classify": "aa0f8a304c3ba92eb0d3dd1e60f8708a51cb3104c90b8123982a5b22429acf11",
+    "decompose": "895cd67a65057cee5370e3a2ef0260cfcd00bd57548996f0342db05a367f9b7e",
+}
+
+
+@pytest.mark.parametrize("command", sorted(_REP11_REPORTS))
+def test_folded_cube_reports_make_no_isomorphism_search(tmp_path, capsys, monkeypatch,
+                                                        command):
+    import hashlib
+
+    import crcodes.classify as classify_mod
+
+    searches = []
+    real = classify_mod.graph_isomorphic
+    monkeypatch.setattr(classify_mod, "graph_isomorphic",
+                        lambda g1, g2: searches.append(g1.n) or real(g1, g2))
+    spec = _write_spec(tmp_path, "rep11.json",
+                       {"type": "construct", "name": "repetition", "q": 2, "n": 11})
+    code, out, err = _run(capsys, command, spec)
+    assert code == 0 and err == "" and searches == []
+    assert hashlib.sha256(out.encode()).hexdigest() == _REP11_REPORTS[command]
+
+
 def test_construct_roundtrip(tmp_path, capsys):
     spec = _hamming74_spec(tmp_path)
     out_path = tmp_path / "expanded.json"

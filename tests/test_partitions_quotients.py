@@ -17,6 +17,8 @@ from crcodes.cr_analysis import (
 from crcodes.errors import NotAdditiveError
 from crcodes.hamming_space import ambient, code_from_parity_check, code_from_words
 from crcodes.partitions_quotients import (
+    CayleyGraph,
+    Graph,
     IntersectionArray,
     bfs_distances,
     certify_cr_partition,
@@ -192,6 +194,23 @@ def test_syndrome_map_is_graph_isomorphism():
         assert quotient.edge_count() == syn.edge_count()
         for u, v in quotient.edges():
             assert syn.has_edge(phi[u], phi[v])
+
+
+def test_cayley_graph_compares_hashes_and_serializes_by_its_adjacency():
+    from crcodes.constructions import repetition_code
+
+    graph = coset_graph_by_syndrome(repetition_code(6, 2))
+    assert graph.connection == (1, 2, 4, 8, 16, 31) and graph.xor_group
+    bare = CayleyGraph(graph.adjacency, graph.labels)
+    assert bare.connection == () and not bare.xor_group
+    assert bare == graph and hash(bare) == hash(graph)
+    plain = Graph(graph.adjacency, graph.labels).to_json()
+    assert graph.to_json() == bare.to_json() == plain
+    assert set(plain) == {"n", "edges", "labels"}
+    # syndromes add by XOR in characteristic 2 only
+    assert coset_graph_by_syndrome(hamming_code(2, 4)).xor_group
+    ternary = coset_graph_by_syndrome(hamming_code(2, 3))
+    assert not ternary.xor_group and len(ternary.connection) == 8
 
 
 def test_syndrome_graph_requires_linear():
