@@ -838,14 +838,6 @@ def decompose_product(code: Code, family: QuotientFamily,
 # -- code equivalence tests -----------------------------------------------------------
 
 
-def _canonical_full_rank_check(code: Code) -> GFMatrix:
-    from .algebra import rref
-
-    h = code.linear.parity_check
-    reduced, rk, _ = rref(h)
-    return GFMatrix(h.alphabet, reduced.rows[:rk])
-
-
 def is_hamming_equivalent(code: Code) -> bool:
     """Monomial equivalence to the canonical Hamming code of its parameters.
 
@@ -857,7 +849,7 @@ def is_hamming_equivalent(code: Code) -> bool:
         return False
     alpha = code.ambient.alphabet
     q, n = code.ambient.q, code.ambient.n
-    h = _canonical_full_rank_check(code)
+    h = code.linear.row_basis()
     r = h.nrows
     if r < 2 or (q**r - 1) // (q - 1) != n:
         return False

@@ -27,6 +27,7 @@ from .hamming_space import (
     neighbor_table,
     neighbors,
     ambient,
+    translate,
 )
 
 
@@ -175,45 +176,34 @@ class SyndromePartition:
         return self.code.ambient
 
 
-def _word_syndromes(h):
-    """Syndromes of the words 0, 1, 2, ... in encoding order.
+def _least_words(offsets, alpha):
+    """(least word, syndrome) for every syndrome, in encoding order of the words.
 
-    Stepping x to x+1 wraps the digits below some coordinate t from q-1 to 0
-    and moves digit t from label d to d+1.  Moving digit t from label a to
-    label b adds (b-a)*h_t, which is added to a list of the r syndrome digits
-    one digit at a time, so no translation table is built.
+    `offsets` lists lambda*h_j for lambda = 1..q-1, column by column, as
+    `column_offsets` does.  The least word with syndrome s is supported on
+    the greedy basis P: h_j is kept when it is not a combination of the kept
+    lower columns.  Every other column is a combination of lower kept ones,
+    so clearing the highest digit of a word outside P lowers its encoding.
+    The words on P are listed one kept coordinate j at a time: for lambda =
+    1..q-1 the list so far is repeated with lambda*q^j added to its words and
+    translated by lambda*h_j, which keeps encoding order.  So each syndrome
+    comes once, at most q^rank are listed, and a consumer that stops early
+    stops the listing at the block it is reading.
     """
-    alpha = h.alphabet
-    q, n, r = alpha.q, h.ncols, h.nrows
-    add, mul = alpha._add, alpha._mul
-    up = [alpha.sub(d + 1, d) for d in range(q - 1)]
-    wrap = alpha.sub(0, q - 1)
-    columns = h.columns()
-    powers = [q**i for i in range(r)]
-    syndrome = [0] * r
-    digits = [0] * n
-    s = 0
-
-    def move(t, lam):
-        nonlocal s
-        scaled = mul[lam]
-        for i, x in enumerate(columns[t]):
-            if x:
-                a = syndrome[i]
-                b = syndrome[i] = add[a][scaled[x]]
-                s += (b - a) * powers[i]
-
-    yield s
-    for _ in range(q**n - 1):
-        t = 0
-        while digits[t] == q - 1:
-            digits[t] = 0
-            move(t, wrap)
-            t += 1
-        d = digits[t]
-        digits[t] = d + 1
-        move(t, up[d])
-        yield s
+    q = alpha.q
+    words, syndromes, spanned = [0], [0], {0}
+    yield 0, 0
+    for j in range(len(offsets) // (q - 1)):
+        column = offsets[j * (q - 1):(j + 1) * (q - 1)]
+        if column[0] in spanned:
+            continue
+        size = len(words)
+        for lam, s in enumerate(column, 1):
+            shift = lam * q**j
+            words += [w + shift for w in words[:size]]
+            syndromes += translate(syndromes[:size], s, alpha)
+            yield from zip(words[-size:], syndromes[-size:])
+        spanned.update(syndromes[size:])
 
 
 def _intersection_numbers(counts) -> IntersectionNumbers:
@@ -349,23 +339,27 @@ def _lane_width(degree: int) -> int:
 def _certify_by_syndrome(code: Code) -> CrCertificate:
     """BFS from syndrome 0 in the coset graph, one layer at a time.
 
-    L_c marks the syndromes at distance c.  N_c = sum of L_c translated by
-    every column offset lambda*h_j counts, in lane s, the neighbours of s in
-    layer c.  Its nonzero unseen lanes are layer c+1; on layer c+1 it is the
-    previous count and on layer c-1 the next count.  The code is completely
-    regular exactly when (class, previous, next) takes one value per class.
-    Otherwise the words are walked in encoding order, each looked up by its
-    syndrome, so the witness is the first conflict of the full-space scan.
+    Syndromes are taken with the row basis of H, so they are the q^rank
+    words of GF(q)^rank.  L_c marks the syndromes at distance c.  N_c = sum
+    of L_c translated by every column offset lambda*h_j counts, in lane s,
+    the neighbours of s in layer c.  Its nonzero unseen lanes are layer c+1;
+    on layer c+1 it is the previous count and on layer c-1 the next count.
+    The code is completely regular exactly when (class, previous, next)
+    takes one value per class.  Otherwise the syndromes are walked in order
+    of their least words (`_least_words`): a class's first vertex is its
+    least word, and the first conflict is the least word among the
+    conflicting syndromes, so the witness is that of the full-space scan.
     The first layer c+1 with fewer syndromes than words of weight c+1 fixes
     delta from the lane sum of N_c on it (see `SyndromePartition`).
     """
-    h = code.linear.parity_check
-    q, n = h.alphabet.q, h.ncols
+    h = code.linear.row_basis()
+    alpha = h.alphabet
+    q, n = alpha.q, code.ambient.n
+    degree = code.ambient.valency
     offsets = column_offsets(h)
-    degree = len(offsets)
     lanes = _lanes(q, h.nrows, _lane_width(degree))
     steps = [(lanes.plan(t), k) for t, k in Counter(offsets).items()]
-    full, translate = lanes.full, lanes.translate
+    full, move = lanes.full, lanes.translate
     unseen = lanes.ones ^ 1
     layer, below = 1, 0  # L_c and the full lanes of L_(c-1)
     dist = prev = nxt = 0
@@ -378,7 +372,7 @@ def _certify_by_syndrome(code: Code) -> CrCertificate:
         dist += c * layer
         around = 0
         for plan, k in steps:
-            moved = translate(layer, plan)
+            moved = move(layer, plan)
             around += moved * k if k > 1 else moved
         nxt += around & below
         reached = lanes.nonzero(around) & unseen
@@ -402,15 +396,8 @@ def _certify_by_syndrome(code: Code) -> CrCertificate:
     if len(profiles) == rho + 1:
         return CrCertificate(True, part, numbers=_intersection_numbers(
             [(g, degree - g - b, b) for _, g, b in sorted(profiles)]))
-    words = enumerate(_word_syndromes(h))
     return _scan(part, ((x, class_of[s], (prev[s], degree - prev[s] - nxt[s], nxt[s]))
-                        for x, s in words))
-
-
-def _certifies_by_syndrome(code: Code) -> bool:
-    """A linear code whose parity check has full row rank, so its syndromes
-    are exactly GF(q)^r and there are no more of them than words."""
-    return code.is_linear and code.linear.rank == code.linear.parity_check.nrows
+                        for x, s in _least_words(offsets, alpha)))
 
 
 # Spaces of at most this many words (binary length 7) are also certified word
@@ -420,20 +407,35 @@ def _certifies_by_syndrome(code: Code) -> bool:
 _CROSS_CHECK_WORDS = 1 << 7
 
 
+def _zero_syndrome_words(code: Code) -> Code:
+    """The words x with Hx = 0, as a word-listed code.  The syndromes of all
+    q^n words are built in encoding order a coordinate j at a time: the list
+    so far, translated by lambda*h_j for lambda = 0..q-1."""
+    space = code.ambient
+    alpha, q = space.alphabet, space.q
+    # a row basis of rank 0 has no rows, and so no columns: all are zero
+    offsets = column_offsets(code.linear.row_basis()) or [0] * space.valency
+    syndromes = [0]
+    for j in range(0, len(offsets), q - 1):
+        syndromes = [t for s in (0, *offsets[j:j + q - 1])
+                     for t in translate(syndromes, s, alpha)]
+    return Code(space, tuple(x for x, s in enumerate(syndromes) if not s))
+
+
 def certify_completely_regular(code: Code, partition: DistancePartition | None = None) -> CrCertificate:
     """Check the distance partition is equitable; witness the first conflict.
 
-    A linear code with a full-rank parity check is certified on its q^r
-    syndromes; the verdict, numbers, class sizes and witness are those of the
-    full-space scan, which runs for word-listed codes and whenever a
-    word-indexed `partition` is passed in.
+    A linear code is certified on the q^rank syndromes of the row basis of
+    its parity check, whether or not the rows of H are independent; the
+    verdict, numbers, class sizes and witness are those of the full-space
+    scan, which runs for word-listed codes and whenever a word-indexed
+    `partition` is passed in.
     """
-    if partition is None and _certifies_by_syndrome(code):
+    if partition is None and code.is_linear:
         code.ambient.require_materializable("distance partition")
         cert = _certify_by_syndrome(code)
         if code.ambient.size <= _CROSS_CHECK_WORDS:
-            syndromes = _word_syndromes(code.linear.parity_check)
-            listed = Code(code.ambient, tuple(x for x, s in enumerate(syndromes) if not s))
+            listed = _zero_syndrome_words(code)
             _cross_check(cert, _certify_words(listed, distance_partition(listed)))
         return cert
     return _certify_words(
@@ -801,6 +803,10 @@ class CodeAnalysis:
 
 
 def analyze_code(code: Code) -> CodeAnalysis:
+    """Certificate, minimum distance, reducedness and, for a completely
+    regular code, its quotient matrix, spectrum and bounds.  A linear code
+    takes delta from its syndrome certificate, whatever the rows of its
+    parity check; only a word-listed code runs the weight scan."""
     from .hamming_space import minimum_distance
 
     cert = certify_completely_regular(code)

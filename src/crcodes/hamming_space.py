@@ -207,41 +207,6 @@ def translate(words: Sequence[int], offset: int, alpha: Alphabet) -> list[int]:
     return out
 
 
-class Translations:
-    """Translation by each of a fixed list of offsets, on the base-q words
-    below `size` = q^r: the adjacency of a syndrome coset graph.
-
-    Symbols add without carries, so in characteristic 2 a translation is one
-    XOR.  Otherwise each word splits into its low m = ceil(r/2) digits and the
-    rest, and each offset keeps the translates of all q^m low parts and all
-    q^(r-m) high parts: v plus an offset is two lookups and an addition, and
-    no table has more than q^m entries.
-    """
-
-    def __init__(self, alpha: Alphabet, offsets: Sequence[int], size: int):
-        self.offsets = tuple(offsets)
-        self.xor = alpha.is_field and alpha.p == 2
-        if self.xor:
-            return
-        q, r = alpha.q, 0
-        while q**r < size:
-            r += 1
-        low = self.low = q ** ((r + 1) // 2)
-        parts = [divmod(s, low) for s in self.offsets]
-        # offsets with the same low (high) part share its table
-        lows = {lo: translate(range(low), lo, alpha) for lo in {lo for _, lo in parts}}
-        highs = {hi: [w * low for w in translate(range(q**r // low), hi, alpha)]
-                 for hi in {hi for hi, _ in parts}}
-        self.halves = [(lows[lo], highs[hi]) for hi, lo in parts]
-
-    def all(self, v: int) -> list[int]:
-        """v plus each offset, in offset order (repeats and zeros kept)."""
-        if self.xor:
-            return [v ^ s for s in self.offsets]
-        hi, lo = divmod(v, self.low)
-        return [a[lo] + b[hi] for a, b in self.halves]
-
-
 def column_offsets(h: GFMatrix) -> list[int]:
     """lambda*h_j for every column j and nonzero lambda, as syndrome words;
     zero columns give 0 (loops) and repeated columns repeat."""
@@ -264,6 +229,15 @@ class LinearStructure:
     parity_check: GFMatrix
     generators: GFMatrix
     rank: int
+
+    def row_basis(self) -> GFMatrix:
+        """A basis of the row space of H: H itself when its rows are
+        independent, the nonzero rows of RREF(H) otherwise.  Syndromes taken
+        with it are exactly the q^rank words of GF(q)^rank."""
+        h = self.parity_check
+        if h.nrows == self.rank:
+            return h
+        return GFMatrix(h.alphabet, rref(h)[0].rows[:self.rank])
 
 
 class Code:

@@ -1,9 +1,10 @@
 """Vertex partitions, coset partitions, quotient and coset graphs, and
 distance-regularity certification with intersection arrays.
 
-The coset graph of a linear code is built on syndrome vertices only (a
-Cayley graph on GF(q)^r whose connection set is the scaled parity-check
-columns); the explicit coset partition and quotient graph are for additive
+The coset graph of a linear code is built on syndrome vertices only: a
+Cayley graph on GF(q)^r, r the rank of H, whose connection set is the scaled
+columns of the row basis of H, so dependent parity-check rows change
+nothing.  The explicit coset partition and quotient graph are for additive
 codes without a parity check and for showing the quotient itself, where the
 class-to-syndrome bijection lets the two constructions be compared.
 """
@@ -29,12 +30,12 @@ from .errors import (
 )
 from .hamming_space import (
     Code,
-    Translations,
     column_offsets,
     decode,
     encode,
     is_additive,
     neighbor_table,
+    translate,
     word_add,
 )
 
@@ -257,26 +258,31 @@ def quotient_graph(partition: VertexPartition) -> Graph:
 def coset_graph_by_syndrome(code: Code) -> CayleyGraph:
     """Coset graph on syndrome words: s ~ s + lambda*h_i for nonzero lambda.
 
-    Isomorphic to the quotient graph of the coset partition (the coset of x
-    goes to the syndrome Hx, see ``coset_to_syndrome``) without touching the
-    q^n words.
+    Syndromes are taken with the row basis of H, so the vertices are the
+    q^rank words of GF(q)^rank.  Isomorphic to the quotient graph of the
+    coset partition (the coset of x goes to the syndrome Hx, see
+    ``coset_to_syndrome``) without touching the q^n words.  Each element of
+    the connection set translates every syndrome at once.
     """
     if not code.is_linear:
         raise NotAdditiveError("syndrome construction needs a linear code")
-    h = code.linear.parity_check
-    q = code.ambient.q
-    r = h.nrows
+    h = code.linear.row_basis()
+    alpha = h.alphabet
+    q, r = alpha.q, h.nrows
     count = q**r
-    step = Translations(h.alphabet, sorted(set(column_offsets(h)) - {0}), count)
-    adjacency = tuple(tuple(sorted(step.all(s))) for s in range(count))
+    connection = tuple(sorted(set(column_offsets(h)) - {0}))
+    translates = [translate(range(count), s, alpha) for s in connection]
+    # no connection only for rank 0: one vertex, no edges
+    adjacency = tuple(tuple(sorted(nbrs)) for nbrs in zip(*translates)) or ((),)
     labels = tuple(str(decode(s, r, q)) if r else "()" for s in range(count))
-    return CayleyGraph(adjacency, labels, step.offsets, step.xor)
+    return CayleyGraph(adjacency, labels, connection, alpha.is_field and alpha.p == 2)
 
 
 def coset_to_syndrome(code: Code, partition: VertexPartition) -> tuple[int, ...]:
-    """The syndrome of each class of the coset partition of a linear code,
-    checked to be a bijection onto the q^r syndromes."""
-    h = code.linear.parity_check
+    """The syndrome, under the row basis of H, of each class of the coset
+    partition of a linear code, checked to be a bijection onto the q^rank
+    syndromes."""
+    h = code.linear.row_basis()
     space = code.ambient
     q = space.q
     r = h.nrows

@@ -89,8 +89,9 @@ def _is_syndrome_quotient(code: Code, graph: Graph) -> bool:
     """Whether graph has exactly the edges of the quotient of H(n, q) by the
     cosets of C, named by syndrome: s ~ s + H(lambda e_j) for every syndrome
     s, coordinate j and nonzero lambda.  Each step is H times a word, summed
-    digit by digit in the alphabet, independently of how graph was built."""
-    h = code.linear.parity_check
+    digit by digit in the alphabet, independently of how graph was built.
+    Syndromes are taken with the row basis of H."""
+    h = code.linear.row_basis()
     alpha = h.alphabet
     n, q, r = code.ambient.n, code.ambient.q, h.nrows
     steps = set()

@@ -253,6 +253,37 @@ def test_search_and_replay(tmp_path, capsys):
     assert code == 0 and json.loads(out)["match"]
 
 
+def test_appended_dependent_row_replays_like_its_record(tmp_path, capsys):
+    from crcodes.search import _rebuild, code_digest
+
+    out_dir = tmp_path / "census"
+    _run(capsys, "search", "--q", "3", "--max-n", "4", "--out-dir", str(out_dir))
+    replayed = cr = 0
+    for line in (out_dir / "census.jsonl").read_text().splitlines():
+        record = json.loads(line)
+        if len(record["parity_check"]) < 2:
+            continue
+        rows = record["parity_check"]
+        record["parity_check"] = rows + [[(a + 2 * b) % 3 for a, b in zip(*rows[:2])]]
+        record["digest"] = code_digest(_rebuild(record))
+        record_path = tmp_path / "record.json"
+        record_path.write_text(json.dumps(record))
+        code, out, err = _run(capsys, "replay", str(record_path))
+        assert (code, json.loads(out)["differences"], err) == (0, [], "")
+        replayed += 1
+        cr += record["cr"]
+    assert (replayed, cr) == (34, 9)
+
+
+@pytest.mark.parametrize("command", ["check", "classify", "decompose", "quotient"])
+def test_dependent_parity_check_rows_change_no_report(tmp_path, capsys, command):
+    twin = {"type": "linear", "q": 2, "n": 4, "parity_check": [[1, 1, 0, 0], [0, 0, 1, 1]]}
+    dependent = dict(twin, parity_check=twin["parity_check"] + [[1, 1, 1, 1]])
+    want = _run(capsys, command, _write_spec(tmp_path, "twin.json", twin))
+    assert want[0] == 0
+    assert _run(capsys, command, _write_spec(tmp_path, "dependent.json", dependent)) == want
+
+
 def test_search_progress_goes_to_stderr_only(tmp_path, capsys, monkeypatch):
     import crcodes.cli as cli_mod
     from crcodes.search import CensusParams, run_census

@@ -1,7 +1,8 @@
 """The syndrome certificate of linear codes and the one-root DRG certificate
 of syndrome coset graphs, each against its full-space oracle; the lane-vector
-certificate against the per-syndrome BFS; and the translation kernels under
-both against digit-by-digit addition."""
+certificate against the per-syndrome BFS; the least-word witness walk against
+a brute force; parity checks with dependent rows against their full-rank
+twins; and the translation kernels against digit-by-digit addition."""
 
 import random
 
@@ -9,8 +10,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from crcodes import hamming_space, partitions_quotients
-from crcodes.algebra import alphabet, gf_matrix, mat_vec, rank
+from crcodes import cr_analysis, hamming_space, partitions_quotients
+from crcodes.algebra import alphabet, gf_matrix, mat_vec, nullspace_basis, rank, rref
 from crcodes.constructions import (
     extended_hamming_code,
     hamming_code,
@@ -23,8 +24,8 @@ from crcodes.cr_analysis import (
     SyndromePartition,
     _lane_width,
     _lanes,
+    _least_words,
     _scan,
-    _word_syndromes,
     analyze_code,
     certify_completely_regular,
     distance_partition,
@@ -33,8 +34,8 @@ from crcodes.cr_analysis import (
 )
 from crcodes.hamming_space import (
     DEFAULT_VERTEX_CAP,
-    Translations,
     ambient,
+    code_from_generators,
     code_from_parity_check,
     code_from_words,
     column_offsets,
@@ -77,11 +78,11 @@ def _per_syndrome_certificate(code):
     for a code that is not completely regular, the words in encoding order
     looked up by their syndromes H x.  Its delta is the weight scan over the
     spanned members."""
-    h = code.linear.parity_check
+    h = code.linear.row_basis()
     alpha = h.alphabet
     q, n, r = alpha.q, h.ncols, h.nrows
     size = q**r
-    step = Translations(alpha, column_offsets(h), size)
+    translates = [translate(range(size), s, alpha) for s in column_offsets(h)]
     dist = bytearray([255]) * size
     counts = [None] * size
     dist[0] = 0
@@ -89,7 +90,7 @@ def _per_syndrome_certificate(code):
     for v in order:  # grows while it is walked: a BFS queue
         c = dist[v]
         prev = same = nxt = 0
-        for w in step.all(v):
+        for w in (t[v] for t in translates):
             dw = dist[w]
             if dw == 255:
                 dist[w] = dw = c + 1
@@ -137,6 +138,12 @@ def test_lane_certificate_equals_the_per_syndrome_bfs():
     assert checked == 17617 and refuted > checked // 2
 
 
+def _word_syndromes(h, n):
+    """The syndromes H x of the words x = 0, 1, ..., q^n - 1."""
+    q = h.alphabet.q
+    return [encode(mat_vec(h, decode(x, n, q)), q) for x in range(q**n)]
+
+
 def test_syndrome_certificate_equals_the_full_space_scan():
     refuted = 0
     for code in CODES:
@@ -146,19 +153,72 @@ def test_syndrome_certificate_equals_the_full_space_scan():
         assert isinstance(fast.partition, SyndromePartition)
         assert isinstance(slow.partition, DistancePartition)
         assert _summary(fast) == _summary(slow), code.linear.parity_check
-        syndromes = _word_syndromes(code.linear.parity_check)
+        syndromes = _word_syndromes(code.linear.parity_check, code.ambient.n)
         leader_weight = fast.partition.class_of_syndrome
         assert bytes(leader_weight[s] for s in syndromes) == part.class_of
         refuted += not fast.completely_regular
     assert refuted > len(CODES) // 2  # the witness walk is exercised
 
 
-def test_word_syndromes_follow_the_encoding_order():
-    for q, n in ((2, 5), (3, 4), (4, 3), (5, 3), (7, 3), (8, 2), (9, 2)):
-        for code in enumerate_linear_codes(n, q):
-            h = code.linear.parity_check
-            want = [encode(mat_vec(h, decode(x, n, q)), q) for x in range(q**n)]
-            assert list(_word_syndromes(h)) == want
+# (q, largest n) of the least-word walk's brute-force check
+LEAST_WORD_CENSUSES = ((2, 6), (3, 5), (4, 4), (7, 3), (8, 3), (9, 3))
+
+
+def test_least_words_list_each_syndrome_once_with_its_least_word():
+    walked = 0
+    for q, top in LEAST_WORD_CENSUSES:
+        for n in range(1, top + 1):
+            for code in enumerate_linear_codes(n, q):
+                h = code.linear.parity_check
+                least = {}
+                for x, s in enumerate(_word_syndromes(h, n)):
+                    least.setdefault(s, x)
+                want = sorted((x, s) for s, x in least.items())
+                got = list(_least_words(column_offsets(h), h.alphabet))
+                assert got == want, h  # strictly increasing words, one per syndrome
+                assert len(got) == q**code.linear.rank
+                walked += 1
+    assert walked == 769
+
+
+def test_late_conflict_walk_stops_at_the_full_space_witness():
+    # Hamming [15,11] x {0}: the first conflict needs the top coordinate
+    ham = hamming_code(4, 2)
+    rows = [r + (0,) for r in ham.linear.parity_check.rows] + [(0,) * 15 + (1,)]
+    code = code_from_parity_check(ambient(16, 2), gf_matrix(alphabet(2), rows))
+    fast = certify_completely_regular(code)
+    slow = certify_completely_regular(code, distance_partition(code))
+    assert not fast.completely_regular
+    assert _summary(fast) == _summary(slow)
+    assert fast.witness.vertex_b >= 1 << 15
+
+
+def _golay_times_zero():
+    """The binary Golay code [23,12] x {0} in H(24, 2)."""
+    alpha = alphabet(2)
+    g = [1, 0, 1, 0, 1, 1, 1, 0, 0, 0, 1, 1]  # 1 + x^2 + x^4 + x^5 + x^6 + x^10 + x^11
+    h = nullspace_basis(gf_matrix(alpha, [[0] * i + g + [0] * (11 - i) for i in range(12)]))
+    rows = [r + (0,) for r in h.rows] + [(0,) * 23 + (1,)]
+    return code_from_parity_check(ambient(24, 2), gf_matrix(alpha, rows))
+
+
+def test_late_conflict_walk_lists_at_most_the_syndromes(monkeypatch):
+    listed = []
+
+    def counting(words, offset, alpha):
+        out = translate(words, offset, alpha)
+        listed.append(len(out))
+        return out
+
+    monkeypatch.setattr(cr_analysis, "translate", counting)
+    code = _golay_times_zero()
+    cert = certify_completely_regular(code)
+    assert not cert.completely_regular and cert.partition.delta == 7
+    # the full-space scan reads 2^23 + 4 words to reach this conflict
+    assert cert.witness.to_json() == {
+        "class": 3, "direction": "same", "vertex_a": 7, "count_a": 20,
+        "vertex_b": (1 << 23) + 3, "count_b": 0}
+    assert 0 < sum(listed) <= 1 << 12
 
 
 def test_zero_and_repeated_columns_count_with_multiplicity():
@@ -176,13 +236,31 @@ def test_zero_and_repeated_columns_count_with_multiplicity():
         assert _summary(certify_completely_regular(code)) == _summary(slow)
 
 
-def test_rank_deficient_parity_check_scans_every_word():
+def test_rank_deficient_parity_check_certifies_on_its_row_basis():
     space = ambient(4, 2)
     h = gf_matrix(space.alphabet, [[1, 1, 0, 0], [0, 0, 1, 1], [1, 1, 1, 1]])
     code = code_from_parity_check(space, h)
     cert = certify_completely_regular(code)
-    assert isinstance(cert.partition, DistancePartition)
+    assert isinstance(cert.partition, SyndromePartition)
+    assert len(cert.partition.class_of_syndrome) == 4
     assert cert.completely_regular and cert.partition.class_sizes == (4, 8, 4)
+    assert _summary(cert) == _summary(certify_completely_regular(code, distance_partition(code)))
+
+
+def test_rank_zero_code_certifies_with_the_full_valency():
+    # the whole space: a row basis with no rows, whether H is zero or empty
+    for space in (ambient(3, 2), ambient(2, 3), ambient(9, 2)):
+        alpha = space.alphabet
+        identity = gf_matrix(alpha, [[int(i == j) for j in range(space.n)]
+                                     for i in range(space.n)])
+        for code in (code_from_generators(space, identity),
+                     code_from_parity_check(space, gf_matrix(alpha, [[0] * space.n] * 2))):
+            cert = certify_completely_regular(code)
+            assert isinstance(cert.partition, SyndromePartition)
+            assert cert.numbers.alpha == (space.valency,)
+            assert cert.partition.class_sizes == (space.size,)
+            assert cert.partition.delta == 1
+            assert coset_graph_by_syndrome(code).adjacency == ((),)
 
 
 def test_linear_is_reduced_agrees_with_free_coordinates():
@@ -248,14 +326,11 @@ def _add_digits(v, s, r, alpha):
 def test_translations_add_digit_by_digit(q):
     alpha = alphabet(q)
     rnd = random.Random(q)
-    for r in (0, 1, 2, 3, 5):  # odd and even splits
+    for r in (0, 1, 2, 3, 5):
         size = q**r
         drawn = [rnd.randrange(size) for _ in range(3)]
         offsets = [0, size - 1, *drawn, drawn[0], 0, size - 1]  # zeros and repeats
-        step = Translations(alpha, offsets, size)
         words = range(size) if size <= 729 else [rnd.randrange(size) for _ in range(729)]
-        for v in words:
-            assert step.all(v) == [_add_digits(v, s, r, alpha) for s in offsets]
         for s in offsets:
             assert translate(words, s, alpha) == [_add_digits(v, s, r, alpha) for v in words]
         if size > 729:
@@ -268,18 +343,6 @@ def test_translations_add_digit_by_digit(q):
             for v in words:
                 want[_add_digits(v, s, r, alpha)] = v + 1
             assert lanes.read(lanes.translate(vector, lanes.plan(s))) == want
-
-
-def test_translation_tables_stay_at_the_square_root_of_the_space():
-    alpha = alphabet(3)
-    size = 3**12
-    h = gf_matrix(alpha, [[1 if i == j else 0 for j in range(12)] + [1] for i in range(12)])
-    step = Translations(alpha, column_offsets(h), size)
-    assert len(step.halves) == 26
-    assert all(len(a) <= 3**6 and len(b) <= 3**6 for a, b in step.halves)
-    rnd = random.Random(12)
-    for v in (rnd.randrange(size) for _ in range(200)):
-        assert step.all(v) == [_add_digits(v, s, 12, alpha) for s in step.offsets]
 
 
 # q^n <= 3^7 keeps the full-space oracle fast
@@ -315,6 +378,47 @@ def test_random_parity_checks_certify_as_the_full_space_scan(code):
     assert _lane_summary(fast) == _lane_summary(_per_syndrome_certificate(code))
     assert analyze_code(code).delta == fast.partition.delta
     assert _is_syndrome_quotient(code, coset_graph_by_syndrome(code))
+
+
+@st.composite
+def dependent_row_parity_checks(draw):
+    """A full-rank example and its code with a random combination of the
+    rows of H appended."""
+    code = draw(full_rank_parity_checks())
+    h = code.linear.parity_check
+    alpha = h.alphabet
+    coefficients = draw(st.lists(st.integers(0, alpha.q - 1),
+                                 min_size=h.nrows, max_size=h.nrows))
+    extra = [0] * h.ncols
+    for c, row in zip(coefficients, h.rows):
+        extra = [alpha.add(e, alpha.mul(c, x)) for e, x in zip(extra, row)]
+    return code, code_from_parity_check(code.ambient, gf_matrix(alpha, [*h.rows, extra]))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(dependent_row_parity_checks())
+def test_dependent_rows_certify_as_the_full_rank_code(pair):
+    code, dependent = pair
+    assert dependent.linear.rank == code.linear.rank
+    cert, dep = certify_completely_regular(code), certify_completely_regular(dependent)
+    assert isinstance(dep.partition, SyndromePartition)
+    assert _summary(dep) == _summary(cert)
+    assert analyze_code(dependent).delta == dep.partition.delta == cert.partition.delta
+    # the two name a coset by its syndrome under H and under RREF(H)
+    h, basis = code.linear.parity_check, dependent.linear.row_basis()
+    assert basis.rows == rref(h)[0].rows
+    space = code.ambient
+    relabel = {}
+    for x, s in enumerate(_word_syndromes(h, space.n)):
+        relabel.setdefault(s, encode(mat_vec(basis, decode(x, space.n, space.q)), space.q))
+    assert sorted(relabel.values()) == list(range(space.q**code.linear.rank))
+    assert all(dep.partition.class_of_syndrome[relabel[s]] == c
+               for s, c in enumerate(cert.partition.class_of_syndrome))
+    graph, dep_graph = coset_graph_by_syndrome(code), coset_graph_by_syndrome(dependent)
+    assert dep_graph.n == graph.n and dep_graph.edge_count() == graph.edge_count()
+    assert all(dep_graph.has_edge(relabel[u], relabel[v]) for u, v in graph.edges())
+    drg, dep_drg = certify_distance_regular(graph), certify_distance_regular(dep_graph)
+    assert (dep_drg.is_drg, dep_drg.array) == (drg.is_drg, drg.array)
 
 
 def test_lanes_widen_past_a_valency_of_255():
