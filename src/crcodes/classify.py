@@ -14,12 +14,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import reduce
+from math import prod
 from operator import xor
 
 from .algebra import GFMatrix, gf_matrix
 from .constructions import replicate_columns
 from .cr_analysis import (
     CodeAnalysis,
+    CrCertificate,
     analyze_code,
     certify_completely_regular,
     is_reduced,
@@ -33,8 +35,11 @@ from .hamming_space import (
     decode,
     encode,
     is_additive,
+    linearize,
     minimum_distance,
     neighbors,
+    sphere_size,
+    word_sub,
 )
 from .partitions_quotients import (
     CayleyGraph,
@@ -577,6 +582,25 @@ def coset_graph_checks(code: Code, analysis: CodeAnalysis, family: QuotientFamil
 # -- coordinate and column equivalence ----------------------------------------------
 
 
+def _classes(n: int, joined) -> tuple[tuple[int, ...], ...]:
+    """Classes of the equivalence on range(n) generated by the joined pairs,
+    each sorted, listed by least member."""
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for i, j in joined:
+        parent[find(i)] = find(j)
+    groups: dict[int, list[int]] = {}
+    for i in range(n):
+        groups.setdefault(find(i), []).append(i)
+    return tuple(tuple(g) for g in sorted(groups.values()))
+
+
 def coordinate_classes(code: Code) -> tuple[tuple[int, ...], ...]:
     """Classes of i ~ j iff some scalar multiple of e_j equals e_i mod C.
 
@@ -588,27 +612,9 @@ def coordinate_classes(code: Code) -> tuple[tuple[int, ...], ...]:
     space = code.ambient
     q, n = space.q, space.n
     alpha = space.alphabet
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            for lam in range(1, q):
-                word = q**i + alpha.neg(lam) * q**j
-                if word in code:
-                    ri, rj = find(i), find(j)
-                    if ri != rj:
-                        parent[ri] = rj
-                    break
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    return tuple(tuple(sorted(g)) for g in sorted(groups.values()))
+    return _classes(n, ((i, j) for i in range(n) for j in range(i + 1, n)
+                        if any(q**i + alpha.neg(lam) * q**j in code
+                               for lam in range(1, q))))
 
 
 def _columns_dependent(a: tuple[int, ...], b: tuple[int, ...], alpha) -> bool:
@@ -666,22 +672,8 @@ def column_classes(code: Code, analysis: CodeAnalysis | None = None) -> ColumnCl
     if any(not any(c) for c in cols):
         raise ValueError("zero parity-check column on a reduced code")
     n = len(cols)
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if find(i) != find(j) and _columns_dependent(cols[i], cols[j], alpha):
-                parent[find(i)] = find(j)
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    classes = tuple(tuple(sorted(g)) for g in sorted(groups.values()))
+    classes = _classes(n, ((i, j) for i in range(n) for j in range(i + 1, n)
+                           if _columns_dependent(cols[i], cols[j], alpha)))
     sizes = {len(c) for c in classes}
     uniform = len(sizes) == 1
     gamma1 = analysis.numbers.gamma[1] if analysis.numbers.rho >= 1 else 0
@@ -725,35 +717,16 @@ def finest_product_blocks(code: Code) -> tuple[tuple[int, ...], ...]:
     if not is_additive(code):
         raise ValueError("product decomposition needs an additive code")
     space = code.ambient
-    from .hamming_space import word_sub
-
     supports = {w: _support_mask(w, space) for w in code.members if w}
-    parent = list(range(space.n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    joined = []
     for c, m in supports.items():
-        decomposable = False
         for c1, m1 in supports.items():
-            if c1 != c and m1 & m == m1:
-                rest = word_sub(c, c1, space)
-                if supports.get(rest) == m & ~m1:
-                    decomposable = True
-                    break
-        if not decomposable:
+            if c1 != c and m1 & m == m1 and supports.get(word_sub(c, c1, space)) == m & ~m1:
+                break  # c is decomposable
+        else:
             bits = [i for i in range(space.n) if m >> i & 1]
-            for b in bits[1:]:
-                ra, rb = find(bits[0]), find(b)
-                if ra != rb:
-                    parent[ra] = rb
-    groups: dict[int, list[int]] = {}
-    for i in range(space.n):
-        groups.setdefault(find(i), []).append(i)
-    return tuple(tuple(sorted(g)) for g in sorted(groups.values()))
+            joined += [(bits[0], b) for b in bits[1:]]
+    return _classes(space.n, joined)
 
 
 def restrict_to_coordinates(code: Code, coords: tuple[int, ...]) -> Code:
@@ -770,12 +743,31 @@ def restrict_to_coordinates(code: Code, coords: tuple[int, ...]) -> Code:
     return code_from_words(ambient(len(coords), q), sorted(set(members)))
 
 
-def _embed(word: int, coords: tuple[int, ...], space, big_space) -> int:
-    digits = decode(word, len(coords), space.q)
-    out = 0
-    for d, i in zip(digits, coords):
-        out += d * big_space.q**i
-    return out
+def product_factors(code: Code, blocks: tuple[tuple[int, ...], ...]
+                    ) -> tuple[tuple[Code, ...], tuple[CrCertificate, ...]]:
+    """The factor of C on each block (``restrict_to_coordinates``) and each
+    factor's completely-regular certificate."""
+    factors = tuple(restrict_to_coordinates(code, b) for b in blocks)
+    return factors, tuple(certify_completely_regular(f) for f in factors)
+
+
+def radius_one_factors_equivalent(factors: tuple[Code, ...],
+                                  certs: tuple[CrCertificate, ...]) -> bool:
+    """Whether the factors of a reduced linear code are all completely
+    regular with covering radius 1 and pairwise monomially equivalent.
+
+    Let a linear code with no zero parity-check column be CR with rho = 1.
+    Every nonzero syndrome s is then at distance 1, reached by exactly
+    gamma_1 pairs (lambda, j) with lambda h_j = s.  Counting these pairs over
+    the q - 1 nonzero vectors of one projective point gives (q - 1) gamma_1,
+    and also q - 1 for each column of H on that point; so every projective
+    point of GF(q)^r holds exactly gamma_1 columns of H.  Hence (n, q, |C|)
+    fix H up to column permutation and scaling, and the code up to a
+    monomial map.  A factor of a reduced code has no zero column: e_i in a
+    factor is e_i in C.
+    """
+    return (all(c.completely_regular and c.partition.rho == 1 for c in certs)
+            and len({(f.ambient.n, f.size) for f in factors}) == 1)
 
 
 @dataclass(frozen=True)
@@ -800,8 +792,11 @@ def decompose_product(code: Code, family: QuotientFamily,
                       min_distance: int) -> DecompositionReport:
     """Under an H(m, q') quotient, split an additive code with min distance
     (given, as computed by ``analyze_code``) >= 2 into m blockwise factors of
-    covering radius 1 and verify the product reproduces the code
-    member-for-member."""
+    covering radius 1 and verify that their product is the code.
+
+    The factors are the words of C supported inside disjoint blocks, so their
+    direct sum is a subgroup of C of size prod |C_B|; C is that product
+    exactly when prod |C_B| = |C|."""
     if family.tag != "hamming":
         raise ValueError("decomposition applies to Hamming-quotient codes")
     if not is_additive(code):
@@ -809,29 +804,21 @@ def decompose_product(code: Code, family: QuotientFamily,
     if min_distance < 2:
         raise ValueError("decomposition needs minimum distance >= 2")
     m = family.params["m"]
-    space = code.ambient
     blocks = finest_product_blocks(code)
     if len(blocks) != m or len({len(b) for b in blocks}) != 1:
         return DecompositionReport(
             blocks, (), (), False,
             f"expected {m} equal blocks, found sizes {[len(b) for b in blocks]}")
-    factors = tuple(restrict_to_coordinates(code, b) for b in blocks)
-    radii = []
-    for f in factors:
-        cert = certify_completely_regular(f)
-        if not cert.completely_regular:
-            return DecompositionReport(blocks, factors, (), False,
-                                       "factor is not completely regular")
-        radii.append(cert.partition.rho)
+    factors, certs = product_factors(code, blocks)
+    if not all(c.completely_regular for c in certs):
+        return DecompositionReport(blocks, factors, (), False,
+                                   "factor is not completely regular")
+    radii = tuple(c.partition.rho for c in certs)
     if any(r != 1 for r in radii):
-        return DecompositionReport(blocks, factors, tuple(radii), False,
+        return DecompositionReport(blocks, factors, radii, False,
                                    "factor covering radius differs from 1")
-    rebuilt = [0]
-    for f, b in zip(factors, blocks):
-        embedded = [_embed(w, b, f.ambient, space) for w in f.members]
-        rebuilt = [r + e for r in rebuilt for e in embedded]
-    verified = sorted(rebuilt) == list(code.members)
-    return DecompositionReport(blocks, factors, tuple(radii), verified,
+    verified = prod(f.size for f in factors) == code.size
+    return DecompositionReport(blocks, factors, radii, verified,
                                "" if verified else "product does not rebuild the code")
 
 
@@ -864,8 +851,6 @@ def is_hamming_equivalent(code: Code) -> bool:
 
 
 def _puncture_last(code: Code) -> Code:
-    from .hamming_space import linearize
-
     space = code.ambient
     keep = space.size // space.q
     members = sorted({w % keep for w in code.members})
@@ -909,35 +894,13 @@ def is_extended_hamming_equivalent(code: Code) -> bool:
     return rank3 == sp.n - punctured.linear.rank
 
 
-def _codes_permutation_equivalent(c1: Code, c2: Code) -> bool | None:
-    """Exact decision for n <= 8 by permutation search; None when undecided."""
-    from itertools import permutations
-
-    if c1.ambient.n != c2.ambient.n or c1.ambient.q != c2.ambient.q:
-        return False
-    if c1.size != c2.size:
-        return False
-    if c1.members == c2.members:
-        return True
-    sp = c1.ambient
-    if sp.n > 8:
-        return None
-    target = set(c2.members)
-    words = [decode(w, sp.n, sp.q) for w in c1.members]
-    for perm in permutations(range(sp.n)):
-        image = {encode([d[perm[i]] for i in range(sp.n)], sp.q) for d in words}
-        if image == target:
-            return True
-    return False
-
-
 # -- covering radius <= 2 classification ----------------------------------------------
 
 
 @dataclass(frozen=True)
 class SmallRadiusReport:
     case: str | None  # hamming | hamming_product | extended_hamming |
-    #                   undecided_equivalence | None (violation)
+    #                   None (violation)
     detail: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
@@ -959,11 +922,6 @@ def classify_small_covering_radius(code: Code,
     rho = analysis.rho
     if rho not in (1, 2):
         raise ValueError("classification covers covering radius 1 and 2 only")
-    if code.ambient.n > 64:
-        return SmallRadiusReport("undecided_equivalence",
-                                 {"reason": "length above equivalence cap"})
-    from .hamming_space import sphere_size
-
     if rho == 1:
         perfect = code.size * sphere_size(code.ambient, 1) == code.ambient.size
         if perfect and is_hamming_equivalent(code):
@@ -971,20 +929,15 @@ def classify_small_covering_radius(code: Code,
         return SmallRadiusReport(None, {"perfect": perfect})
     blocks = finest_product_blocks(code)
     if len(blocks) == 2 and len(blocks[0]) == len(blocks[1]):
-        factors = tuple(restrict_to_coordinates(code, b) for b in blocks)
-        from .hamming_space import linearize
-
-        factors = tuple(linearize(f) for f in factors)
-        if all(is_hamming_equivalent(f) for f in factors):
-            same = _codes_permutation_equivalent(factors[0], factors[1])
-            if same is None:
-                return SmallRadiusReport("undecided_equivalence",
-                                         {"reason": "factor comparison above cap"})
-            if same:
-                return SmallRadiusReport(
-                    "hamming_product",
-                    {"factor_length": factors[0].ambient.n,
-                     "factor_size": factors[0].size})
+        # Hamming-equivalent factors are perfect, so CR with rho = 1, and of
+        # one length: the rho = 1 theorem makes them equivalent
+        factors, certs = product_factors(code, blocks)
+        if (all(is_hamming_equivalent(linearize(f)) for f in factors)
+                and radius_one_factors_equivalent(factors, certs)):
+            return SmallRadiusReport(
+                "hamming_product",
+                {"factor_length": factors[0].ambient.n,
+                 "factor_size": factors[0].size})
     if code.ambient.q == 2 and is_extended_hamming_equivalent(code):
         return SmallRadiusReport("extended_hamming", {})
     return SmallRadiusReport(None, {"blocks": [list(b) for b in blocks]})
@@ -1110,21 +1063,13 @@ def classify_arithmetic_forms(code: Code, analysis: CodeAnalysis | None = None,
     if rho >= 2:
         blocks = finest_product_blocks(code)
         if len(blocks) == rho:
-            factors = [restrict_to_coordinates(code, b) for b in blocks]
-            certs = [certify_completely_regular(f) for f in factors]
-            if all(c.completely_regular and c.partition.rho == 1 for c in certs):
-                equal = True
-                for f in factors[1:]:
-                    same = _codes_permutation_equivalent(factors[0], f)
-                    if same is not True:
-                        equal = False
-                        break
-                if equal:
-                    cases.append({
-                        "case": "radius_one_power",
-                        "exponent": rho,
-                        "factor_length": factors[0].ambient.n,
-                    })
+            factors, certs = product_factors(code, blocks)
+            if radius_one_factors_equivalent(factors, certs):
+                cases.append({
+                    "case": "radius_one_power",
+                    "exponent": rho,
+                    "factor_length": factors[0].ambient.n,
+                })
     return ArithmeticFormsReport(tuple(cases), violation=not cases, column_report=report)
 
 

@@ -767,9 +767,11 @@ def _relinearize(space, members, h):
 
 def is_reduced(code: Code) -> bool:
     """No free coordinate.  For a linear code, e_i is in C iff H e_i = 0, so
-    coordinate i is free exactly when column i of H is zero."""
+    coordinate i is free exactly when column i of H is zero.  An H with no
+    rows (the whole space) has n zero columns."""
     if code.is_linear:
-        return all(any(col) for col in code.linear.parity_check.columns())
+        h = code.linear.parity_check
+        return h.nrows > 0 and all(any(col) for col in h.columns())
     return not free_coordinates(code)
 
 

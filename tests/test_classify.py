@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from crcodes.classify import (
     IA_654,
+    QuotientFamily,
     classify_arithmetic_forms,
     classify_hamming_quotient_code,
     classify_quotient,
@@ -27,6 +28,8 @@ from crcodes.classify import (
     linear_folded_cube_map,
     local_component_profile,
     max_clique,
+    product_factors,
+    radius_one_factors_equivalent,
     replicated_normal_form,
     shrikhande_graph,
 )
@@ -40,7 +43,14 @@ from crcodes.constructions import (
 )
 from crcodes.algebra import alphabet, gf_identity, gf_matrix, hstack
 from crcodes.cr_analysis import analyze_code
-from crcodes.hamming_space import Code, ambient, code_from_parity_check, minimum_distance
+from crcodes.hamming_space import (
+    Code,
+    ambient,
+    code_from_parity_check,
+    decode,
+    encode,
+    minimum_distance,
+)
 from crcodes.partitions_quotients import (
     CayleyGraph,
     Graph,
@@ -661,11 +671,20 @@ _CENSUS_DIGESTS = {
 }
 
 
+# the same for the quinary census, whose records pass the product paths
+_CENSUS_Q5_DIGESTS = {
+    (5, 4): ("ed29668653658c4946caf2f223c36550e0095135045ff05cc61fa8df5d4e972e",
+             "5b2762f9de2eeca0c1f35fc8809d9221f7cfabdc5b9e40fe7c04586799871a1c"),
+}
+
+
 @pytest.fixture(scope="module")
-def census_runs(tmp_path_factory):
-    """Each census of _CENSUS_DIGESTS, run once: the digests of its files,
-    the (coset graph, DRG certificate) of every CR record, and the number of
-    backtracking isomorphism searches it made."""
+def census_recordings(tmp_path_factory):
+    """Each census of _CENSUS_DIGESTS and _CENSUS_Q5_DIGESTS, run once: the
+    digests of its files, the (coset graph, DRG certificate) of every CR
+    record, the number of backtracking isomorphism searches it made, the
+    (factors, certificates) of every factor comparison and the (code,
+    report) of every product decomposition."""
     import hashlib
 
     import crcodes.classify as classify_mod
@@ -674,22 +693,43 @@ def census_runs(tmp_path_factory):
 
     runs = {}
     with pytest.MonkeyPatch.context() as mp:
-        graphs, searches = [], []
+        graphs, searches, comparisons, decompositions = [], [], [], []
         real_classify = search_mod.classify_quotient
         real_search = classify_mod.graph_isomorphic
+        real_compare = classify_mod.radius_one_factors_equivalent
+        real_decompose = search_mod.decompose_product
         mp.setattr(search_mod, "classify_quotient",
                    lambda graph, drg: graphs.append((graph, drg)) or real_classify(graph, drg))
         mp.setattr(classify_mod, "graph_isomorphic",
                    lambda g1, g2: searches.append(g1.n) or real_search(g1, g2))
-        for q, top in _CENSUS_DIGESTS:
+        mp.setattr(classify_mod, "radius_one_factors_equivalent",
+                   lambda factors, certs: comparisons.append((factors, certs))
+                   or real_compare(factors, certs))
+
+        def decompose(code, family, delta):
+            report = real_decompose(code, family, delta)
+            decompositions.append((code, report))
+            return report
+
+        mp.setattr(search_mod, "decompose_product", decompose)
+        for q, top in (*_CENSUS_DIGESTS, *_CENSUS_Q5_DIGESTS):
             out = tmp_path_factory.mktemp(f"census-q{q}")
             run_census(CensusParams(q=q, max_n=top), out)
             digests = tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
                             for name in ("census.jsonl", "summary.csv"))
-            runs[q, top] = (digests, list(graphs), len(searches))
-            graphs.clear()
-            searches.clear()
+            runs[q, top] = (digests, list(graphs), len(searches), list(comparisons),
+                            list(decompositions))
+            for log in (graphs, searches, comparisons, decompositions):
+                log.clear()
     return runs
+
+
+@pytest.fixture(scope="module")
+def census_runs(census_recordings):
+    """Each census of _CENSUS_DIGESTS: the digests of its files, the (coset
+    graph, DRG certificate) of every CR record, and the number of
+    backtracking isomorphism searches it made."""
+    return {key: census_recordings[key][:3] for key in _CENSUS_DIGESTS}
 
 
 def test_census_makes_no_isomorphism_search_and_keeps_its_bytes(census_runs):
@@ -816,3 +856,120 @@ def test_one_vertex_local_checks_match_the_all_vertex_scan(census_runs):
             assert fast.evidence.get("local") == slow.evidence.get("local")
             compared += 1
     assert compared == 126 + 48 + 47
+
+
+# -- the product paths against their old member-based forms ---------------------------
+
+
+def _codes_permutation_equivalent(c1: Code, c2: Code) -> bool | None:
+    """Exact decision for n <= 8 by permutation search; None when undecided."""
+    from itertools import permutations
+
+    if c1.ambient.n != c2.ambient.n or c1.ambient.q != c2.ambient.q:
+        return False
+    if c1.size != c2.size:
+        return False
+    if c1.members == c2.members:
+        return True
+    sp = c1.ambient
+    if sp.n > 8:
+        return None
+    target = set(c2.members)
+    words = [decode(w, sp.n, sp.q) for w in c1.members]
+    for perm in permutations(range(sp.n)):
+        image = {encode([d[perm[i]] for i in range(sp.n)], sp.q) for d in words}
+        if image == target:
+            return True
+    return False
+
+
+def _rebuilds(code: Code, blocks, factors) -> bool:
+    """The member-for-member rebuild: every sum of one word per factor, each
+    placed on its block, listed against the members of the code."""
+    q = code.ambient.q
+    rebuilt = [0]
+    for f, b in zip(factors, blocks):
+        embedded = [sum(d * q**i for d, i in zip(decode(w, len(b), q), b))
+                    for w in f.members]
+        rebuilt = [r + e for r in rebuilt for e in embedded]
+    return sorted(rebuilt) == list(code.members)
+
+
+def _rule_and_search(factors, certs):
+    """(the rho = 1 rule, the permutation search, q) on each pair of the
+    first factor with another, the pairs the permutation search compared."""
+    return [(radius_one_factors_equivalent((factors[0], f), (certs[0], c)),
+             _codes_permutation_equivalent(factors[0], f), f.ambient.q)
+            for f, c in zip(factors[1:], certs[1:])]
+
+
+def test_census_factor_pairs_equivalent_by_search_are_equivalent_by_rule(
+        census_recordings):
+    pairs = []
+    for key in _CENSUS_Q5_DIGESTS:
+        assert census_recordings[key][0] == _CENSUS_Q5_DIGESTS[key]
+    for _, _, _, comparisons, _ in census_recordings.values():
+        for factors, certs in comparisons:
+            if all(c.completely_regular and c.partition.rho == 1 for c in certs):
+                pairs += _rule_and_search(factors, certs)
+    assert len(pairs) == 17
+    for rule, search, q in pairs:
+        if search:
+            assert rule
+        if q == 2:  # permutation and monomial equivalence are one relation
+            assert rule == search
+
+
+def test_permuted_hamming_squares_are_radius_one_powers_by_rule_and_search():
+    ham = hamming_code(3, 2)
+    h = cartesian_product(ham, ham).linear.parity_check
+    rng = random.Random(7)
+    for _ in range(4):
+        perm = list(range(14))
+        rng.shuffle(perm)
+        code = code_from_parity_check(
+            ambient(14, 2), gf_matrix(h.alphabet, [[row[j] for j in perm] for row in h.rows]))
+        forms = classify_arithmetic_forms(code)
+        assert "radius_one_power" in forms.case_names()
+        blocks = finest_product_blocks(code)
+        assert len(blocks) == 2 and blocks != ((*range(7),), (*range(7, 14),))
+        factors, certs = product_factors(code, blocks)
+        assert _rule_and_search(factors, certs) == [(True, True, 2)]
+        family = classify_quotient(coset_graph_by_syndrome(code))
+        report = decompose_product(code, family, minimum_distance(code))
+        assert report.verified and _rebuilds(code, report.blocks, report.factors)
+
+
+def test_census_product_checks_agree_with_the_member_rebuild(census_recordings):
+    compared = 0
+    for _, _, _, _, decompositions in census_recordings.values():
+        for code, report in decompositions:
+            rebuilt = (bool(report.factor_radii)
+                       and all(r == 1 for r in report.factor_radii)
+                       and _rebuilds(code, report.blocks, report.factors))
+            assert report.verified == rebuilt
+            compared += 1
+    assert compared > 20
+
+
+def test_wrong_blocks_fail_the_size_identity_and_the_rebuild(monkeypatch):
+    import crcodes.classify as classify_mod
+
+    ham = hamming_code(3, 2)
+    hamham = cartesian_product(ham, ham)
+    family = classify_quotient(coset_graph_by_syndrome(hamham))
+    interleaved = ((0, 2, 4, 6, 8, 10, 12), (1, 3, 5, 7, 9, 11, 13))
+    monkeypatch.setattr(classify_mod, "finest_product_blocks", lambda code: interleaved)
+    report = decompose_product(hamham, family, 3)
+    assert report.blocks == interleaved and not report.verified
+    assert not _rebuilds(hamham, report.blocks, report.factors)
+    # blocks whose factors are both CR with rho = 1, so that only the size
+    # identity can refuse them: the [4, 3] even-weight code is no product of
+    # two repetition codes
+    even = code_from_parity_check(ambient(4, 2), gf_matrix(alphabet(2), [[1, 1, 1, 1]]))
+    halves = ((0, 1), (2, 3))
+    monkeypatch.setattr(classify_mod, "finest_product_blocks", lambda code: halves)
+    report = decompose_product(even, QuotientFamily("hamming", {"m": 2, "q": 2}), 2)
+    assert report.factor_radii == (1, 1)
+    assert not report.verified and report.detail == "product does not rebuild the code"
+    assert not _rebuilds(even, report.blocks, report.factors)

@@ -455,3 +455,82 @@ def test_census_classify_and_decompose_never_build_the_coset_partition(
     assert all(code == 0 for code, _, _ in guarded)
     assert guarded[0][1] == (GOLDEN_DIR / "classify-rep6.json").read_text()
     assert guarded[3][1] == (GOLDEN_DIR / "decompose-hamham.json").read_text()
+
+
+# Hamming [5,3] over GF(4) twice, the second copy with one column of its
+# parity check scaled by 2: the factors are monomially but not
+# permutation-equivalent
+_GF4_HAMMING_CHECK = [[0, 1, 1, 1, 1], [1, 0, 1, 2, 3]]
+_GF4_SCALED_CHECK = [[0, 1, 1, 1, 2], [1, 0, 1, 2, 1]]
+
+
+def _gf4_product_spec(tmp_path, name, second):
+    rows = [r + [0] * 5 for r in _GF4_HAMMING_CHECK] + [[0] * 5 + r for r in second]
+    return _write_spec(tmp_path, name,
+                       {"type": "linear", "q": 4, "n": 10, "parity_check": rows})
+
+
+def test_decompose_compares_gf4_factors_up_to_scaling(tmp_path):
+    runs = []
+    for name, second in (("scaled.json", _GF4_SCALED_CHECK),
+                         ("twin.json", _GF4_HAMMING_CHECK)):
+        out = tmp_path / f"report-{name}"
+        code = main(["decompose", _gf4_product_spec(tmp_path, name, second),
+                     "--out", str(out)])
+        runs.append((code, out.read_bytes() if out.exists() else None))
+    assert runs[0][0] == 0
+    assert runs[0] == runs[1]
+    report = json.loads(runs[0][1])
+    assert "radius_one_power" in {c["case"] for c in report["forms"]["cases"]}
+    assert report["small_radius"]["case"] == "hamming_product"
+
+
+def _ladder_specs():
+    import importlib.util
+    import sys
+
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules.setdefault(spec.name, module)  # its dataclasses look it up
+    spec.loader.exec_module(module)
+    return module.SPECS
+
+
+# Exit code and SHA-256 of the `crcodes decompose --out` report of each spec
+# of the benchmark's certify ladder
+_LADDER_DECOMPOSE = {
+    "hamming-7-4": (0, "1d2b499e31d9a7be85949025f54366d15f2a2ceb3c75f1f8e0c6ddcddd729deb"),
+    "ext-hamming-16-11": (
+        0, "7a9e0f77df11522fe5d12feb576f2d86774bf3a73dc0fe3b7307c7ec6090f9f1"),
+    "hamming-15-11-pad3": (
+        0, "fe8ba15c4d5566ba059c289bc7bbf0a8ab69cb20ef33983611954d8165f2831b"),
+    "hamming-gf4-5-3": (
+        0, "96062a5174ec589e1cc4edaa319dae330e0eb89c083f2c394e819534f893baad"),
+    "hamming-gf5-6-4": (
+        0, "b2129c8e559a5fed881bd7e55809bb8e4f9d275cc03e8238b63c52699ddd2115"),
+    "hamming-7-4-squared": (
+        0, "c5eeac7d0d21a7a31bb8cafd732ba0d9794e8456879240ad250ac6dd8a997161"),
+    "hamming-7-4-twice": (
+        0, "872c6e3305180e43c0c4ca65894d56dc2d31bf1ab63472f98497d5cee49ea5b0"),
+    "repetition-2-10": (
+        0, "3534d4fd65b567483f16b924a23df78eeac14737bd2d550ea4d8670755878d65"),
+    "repetition-2-11": (
+        0, "895cd67a65057cee5370e3a2ef0260cfcd00bd57548996f0342db05a367f9b7e"),
+    "repetition-3-7": (
+        1, "2f9bb3b81cf297f2595655e500a06ca66dd871c0aab243bb5a9591981b253077"),
+}
+
+
+def test_decompose_reports_of_the_certify_ladder_keep_their_bytes(tmp_path):
+    import hashlib
+
+    specs = _ladder_specs()
+    assert set(specs) == set(_LADDER_DECOMPOSE)
+    got = {}
+    for name, doc in specs.items():
+        out = tmp_path / f"{name}-report.json"
+        code = main(["decompose", _write_spec(tmp_path, f"{name}.json", doc),
+                     "--out", str(out)])
+        got[name] = (code, hashlib.sha256(out.read_bytes()).hexdigest())
+    assert got == _LADDER_DECOMPOSE

@@ -11,7 +11,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from crcodes import cr_analysis, hamming_space, partitions_quotients
-from crcodes.algebra import alphabet, gf_matrix, mat_vec, nullspace_basis, rank, rref
+from crcodes.algebra import (
+    alphabet,
+    gf_identity,
+    gf_matrix,
+    mat_vec,
+    nullspace_basis,
+    rank,
+    rref,
+)
 from crcodes.constructions import (
     extended_hamming_code,
     hamming_code,
@@ -263,9 +271,22 @@ def test_rank_zero_code_certifies_with_the_full_valency():
             assert coset_graph_by_syndrome(code).adjacency == ((),)
 
 
+def _whole_spaces():
+    """Rank-0 codes: the whole space, spanned by the identity, whose parity
+    check has no rows."""
+    for q, n in ((2, 1), (2, 3), (3, 2), (4, 2), (5, 1)):
+        yield code_from_generators(ambient(n, q), gf_identity(alphabet(q), n))
+
+
 def test_linear_is_reduced_agrees_with_free_coordinates():
-    for code in CODES:
+    for code in (*CODES, *_whole_spaces()):
         assert is_reduced(code) == (not free_coordinates(code))
+
+
+def test_a_whole_space_code_is_not_reduced():
+    code = code_from_generators(ambient(3, 2), gf_identity(alphabet(2), 3))
+    assert code.linear.parity_check.nrows == 0
+    assert not is_reduced(code) and free_coordinates(code) == [0, 1, 2]
 
 
 def test_one_root_drg_certificate_equals_all_roots():
