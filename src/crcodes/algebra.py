@@ -266,6 +266,10 @@ class GFMatrix:
     def columns(self) -> list[tuple[int, ...]]:
         return list(zip(*self.rows))
 
+    def take_columns(self, cols: Sequence[int]) -> GFMatrix:
+        """The columns at the given indices, in that order."""
+        return GFMatrix(self.alphabet, tuple(tuple(r[j] for j in cols) for r in self.rows))
+
     def to_lists(self) -> list[list[int]]:
         return [list(r) for r in self.rows]
 

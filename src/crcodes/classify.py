@@ -6,8 +6,15 @@ against the closed families, and whenever parameters alone cannot decide
 (H(m,4) vs Doob graphs; the array {6,5,4;1,2,6}) the tie is broken by local
 structure or an explicit isomorphism onto a folded cube, never by assumption.
 A syndrome coset graph gets that isomorphism as a linear map read off its
-connection set and checked edge by edge; any other graph gets it from a
-backtracking search against the fixture.
+connection set and checked edge by edge, at any size; any other graph gets
+it from a backtracking search against the fixture, up to ISO_VERTEX_CAP
+vertices.
+
+The structural classification reads a linear code's parity check H and
+lists none of its members: membership is Hx = 0, the coordinate classes are
+the classes of parallel columns of H, the factor on a block is the code of
+H's columns there, and the extended-Hamming and replicated-normal-form
+tests are identities on H.  Only ``finest_product_blocks`` scans members.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ from functools import reduce
 from math import prod
 from operator import xor
 
-from .algebra import GFMatrix, gf_matrix
+from .algebra import GFMatrix, rank
 from .constructions import replicate_columns
 from .cr_analysis import (
     CodeAnalysis,
@@ -35,7 +42,6 @@ from .hamming_space import (
     decode,
     encode,
     is_additive,
-    linearize,
     minimum_distance,
     neighbors,
     sphere_size,
@@ -321,9 +327,10 @@ def linear_folded_cube_map(graph: Graph, m: int) -> list[int] | None:
 
 def folded_cube_isomorphism(graph: Graph, m: int) -> list[int] | None:
     """An isomorphism of the graph onto the folded m-cube fixture, or None:
-    the linear map of a syndrome coset graph, else the backtracking search."""
+    the linear map of a syndrome coset graph, else the backtracking search,
+    which is not tried on more than ISO_VERTEX_CAP vertices."""
     mapping = linear_folded_cube_map(graph, m)
-    if mapping is None:
+    if mapping is None and 2 ** (m - 1) <= ISO_VERTEX_CAP:
         mapping = graph_isomorphic(graph, construct_fixture("folded_cube", m=m))
     return mapping
 
@@ -494,16 +501,15 @@ def classify_quotient(graph: Graph, drg=None) -> QuotientFamily:
 
     folded_m = _folded_array_m(array)
     if folded_m is not None and folded_m >= 5:
-        if 2 ** (folded_m - 1) <= ISO_VERTEX_CAP:
-            iso = folded_cube_isomorphism(graph, folded_m)
-            if iso is not None:
-                return QuotientFamily("folded_cube", {"m": folded_m},
-                                      {**evidence, "isomorphism": iso})
-            if array == IA_654:
-                return QuotientFamily("ia654_non_folded", {}, evidence)
-            return QuotientFamily("other", {}, {**evidence, "folded_iso": "failed"})
-        return QuotientFamily("folded_cube", {"m": folded_m},
-                              {**evidence, "isomorphism": "by_array_parameters"})
+        iso = folded_cube_isomorphism(graph, folded_m)
+        if iso is None and 2 ** (folded_m - 1) > ISO_VERTEX_CAP:
+            iso = "by_array_parameters"
+        if iso is not None:
+            return QuotientFamily("folded_cube", {"m": folded_m},
+                                  {**evidence, "isomorphism": iso})
+        if array == IA_654:
+            return QuotientFamily("ia654_non_folded", {}, evidence)
+        return QuotientFamily("other", {}, {**evidence, "folded_iso": "failed"})
 
     return QuotientFamily("other", {}, evidence)
 
@@ -605,7 +611,9 @@ def coordinate_classes(code: Code) -> tuple[tuple[int, ...], ...]:
     """Classes of i ~ j iff some scalar multiple of e_j equals e_i mod C.
 
     Concretely: e_i - lambda * e_j is a codeword for some nonzero lambda.
-    Additivity makes this an equivalence relation.
+    Additivity makes this an equivalence relation.  For a linear code that
+    is h_i = lambda h_j, tested as a syndrome: columns parallel over GF(q),
+    with the zero columns as one more class.
     """
     if not is_additive(code):
         raise ValueError("coordinate classes need an additive code")
@@ -615,15 +623,6 @@ def coordinate_classes(code: Code) -> tuple[tuple[int, ...], ...]:
     return _classes(n, ((i, j) for i in range(n) for j in range(i + 1, n)
                         if any(q**i + alpha.neg(lam) * q**j in code
                                for lam in range(1, q))))
-
-
-def _columns_dependent(a: tuple[int, ...], b: tuple[int, ...], alpha) -> bool:
-    ia = next((i for i, x in enumerate(a) if x), None)
-    ib = next((i for i, x in enumerate(b) if x), None)
-    if ia is None or ib is None or ia != ib:
-        return False
-    lam = alpha.div(a[ia], b[ia])
-    return all(x == alpha.mul(lam, y) for x, y in zip(a, b))
 
 
 @dataclass(frozen=True)
@@ -651,9 +650,11 @@ class ColumnClassReport:
 def column_classes(code: Code, analysis: CodeAnalysis | None = None) -> ColumnClassReport:
     """Parallel-column classes of the parity check of a reduced linear CR code.
 
-    Class size must be uniformly gamma_1; the deduplicated column selection P
-    (smallest index per class) defines D = nullspace(H|_P), which is checked
-    to have minimum distance >= 3 whenever it is nontrivial.
+    They are its coordinate classes: with no zero column, e_i - lambda e_j
+    is in C exactly when h_i = lambda h_j.  Class size must be uniformly
+    gamma_1; the deduplicated column selection P (smallest index per class)
+    defines D = nullspace(H|_P), the factor of C on P, which is checked to
+    have minimum distance >= 3 whenever it is nontrivial.
     """
     if not code.is_linear:
         raise ValueError("column classes need a linear code")
@@ -666,14 +667,7 @@ def column_classes(code: Code, analysis: CodeAnalysis | None = None) -> ColumnCl
         raise TheoremViolationError(
             "reduced nontrivial linear CR code with minimum distance < 2",
             witness=code)
-    h = code.linear.parity_check
-    alpha = h.alphabet
-    cols = h.columns()
-    if any(not any(c) for c in cols):
-        raise ValueError("zero parity-check column on a reduced code")
-    n = len(cols)
-    classes = _classes(n, ((i, j) for i in range(n) for j in range(i + 1, n)
-                           if _columns_dependent(cols[i], cols[j], alpha)))
+    classes = coordinate_classes(code)
     sizes = {len(c) for c in classes}
     uniform = len(sizes) == 1
     gamma1 = analysis.numbers.gamma[1] if analysis.numbers.rho >= 1 else 0
@@ -683,8 +677,7 @@ def column_classes(code: Code, analysis: CodeAnalysis | None = None) -> ColumnCl
             "column classes of a certified CR code are not uniformly gamma_1",
             witness={"classes": classes, "gamma1": gamma1})
     reps = tuple(c[0] for c in classes)
-    h_p = GFMatrix(alpha, tuple(tuple(row[p] for p in reps) for row in h.rows))
-    restricted = code_from_parity_check(ambient(len(reps), code.ambient.q), h_p)
+    restricted = restrict_to_coordinates(code, reps)
     delta_d = minimum_distance(restricted) if restricted.size >= 2 else None
     if delta_d is not None and delta_d < 3:
         raise TheoremViolationError(
@@ -730,9 +723,16 @@ def finest_product_blocks(code: Code) -> tuple[tuple[int, ...], ...]:
 
 
 def restrict_to_coordinates(code: Code, coords: tuple[int, ...]) -> Code:
-    """Words of C supported inside coords, read off on those coordinates."""
+    """Words of C supported inside coords, read off on those coordinates.
+
+    For a linear code that is the code of H_B, the columns of H on the
+    block B: a word x supported inside B has Hx = H_B x_B, so it is in C
+    exactly when H_B x_B = 0.  Other codes are filtered member by member."""
     space = code.ambient
     q = space.q
+    h = code.linear.parity_check if code.is_linear else None
+    if h is not None and h.nrows:
+        return code_from_parity_check(ambient(len(coords), q), h.take_columns(coords))
     coord_set = set(coords)
     members = []
     for w in code.members:
@@ -850,48 +850,31 @@ def is_hamming_equivalent(code: Code) -> bool:
     return len(seen) == n
 
 
-def _puncture_last(code: Code) -> Code:
-    space = code.ambient
-    keep = space.size // space.q
-    members = sorted({w % keep for w in code.members})
-    if len(members) != code.size:
-        raise ValueError("puncturing is not injective here")
-    return linearize(code_from_words(ambient(space.n - 1, space.q), members))
-
-
 def is_extended_hamming_equivalent(code: Code) -> bool:
-    """Permutation equivalence to the canonical binary extended Hamming code.
+    """Permutation equivalence to the canonical binary extended Hamming code
+    of length n = 2^r, r >= 2.
 
-    Decided by puncture-and-extend: puncturing the last coordinate must give
-    a perfect Hamming-equivalent code whose weight-3 words span it; a minimum
-    distance 4, even-weight extension of such a code is unique, so matching
-    these invariants pins the code up to coordinate permutation.
+    Its dual is the first-order Reed-Muller code RM(1, r) (MacWilliams &
+    Sloane, ch. 13), spanned by the all-ones word and the r coordinate
+    functions: its columns are (1, v) for the 2^r vectors v of GF(2)^r.  So
+    a binary linear code is equivalent exactly when the row basis of its H
+    has rank r + 1, has the all-ones word in its row space, and has pairwise
+    distinct columns.  Sound: take a basis of the row space led by the
+    all-ones word; its other r rows give n = 2^r distinct columns, so every
+    vector of GF(2)^r once, which is RM(1, r) up to a coordinate permutation.
+    Complete: RM(1, r) has all three properties.  A change of basis keeps
+    columns distinct, so the row basis itself can be tested.
     """
-    from .algebra import rref
-    from .hamming_space import weight
-
     space = code.ambient
     if space.q != 2 or not code.is_linear:
         return False
     n = space.n
     r = n.bit_length() - 1
-    if n != 2**r or r < 2:
+    if n != 2**r or r < 2 or code.linear.rank != r + 1:
         return False
-    if code.size != 2 ** (n - 1 - r):
-        return False
-    if minimum_distance(code) != 4:
-        return False
-    if any(weight(w, space) % 2 for w in code.members):
-        return False
-    punctured = _puncture_last(code)
-    if minimum_distance(punctured) != 3 or not is_hamming_equivalent(punctured):
-        return False
-    sp = punctured.ambient
-    wt3 = [decode(w, sp.n, 2) for w in punctured.members if weight(w, sp) == 3]
-    if not wt3:
-        return False
-    _, rank3, _ = rref(gf_matrix(sp.alphabet, wt3))
-    return rank3 == sp.n - punctured.linear.rank
+    basis = code.linear.row_basis()
+    return (len(set(basis.columns())) == n
+            and rank(GFMatrix(basis.alphabet, (*basis.rows, (1,) * n))) == r + 1)
 
 
 # -- covering radius <= 2 classification ----------------------------------------------
@@ -932,7 +915,7 @@ def classify_small_covering_radius(code: Code,
         # Hamming-equivalent factors are perfect, so CR with rho = 1, and of
         # one length: the rho = 1 theorem makes them equivalent
         factors, certs = product_factors(code, blocks)
-        if (all(is_hamming_equivalent(linearize(f)) for f in factors)
+        if (all(is_hamming_equivalent(f) for f in factors)
                 and radius_one_factors_equivalent(factors, certs)):
             return SmallRadiusReport(
                 "hamming_product",
@@ -955,39 +938,30 @@ class NormalFormResult:
 
 
 def replicated_normal_form(code: Code, report: ColumnClassReport) -> NormalFormResult:
-    """Verify C equals (up to the class-induced monomial map) the nullspace of
-    gamma_1 side-by-side copies of its deduplicated parity-check columns."""
-    space = code.ambient
-    alpha = space.alphabet
-    h = code.linear.parity_check
-    classes = report.classes
-    m = len(classes)
-    s = report.class_size
-    reps = report.representatives
-    h_p = GFMatrix(alpha, tuple(tuple(row[p] for p in reps) for row in h.rows))
-    normal = replicate_columns(h_p, s)
-    # coordinate i (the b-th member of class j) -> position b*m + j, scaled so
-    # the class sums seen by the two parity checks agree
-    position = {}
-    scale = {}
-    cols = h.columns()
-    for j, cls in enumerate(classes):
-        rep_col = cols[reps[j]]
-        lead = next(i for i, x in enumerate(rep_col) if x)
-        for b, i in enumerate(cls):
-            position[i] = b * m + j
-            scale[i] = alpha.div(cols[i][lead], rep_col[lead])
-    q = space.q
-    mapped = []
-    for w in code.members:
-        digits = decode(w, space.n, q)
-        out = 0
-        for i, d in enumerate(digits):
-            out += alpha.mul(scale[i], d) * q ** position[i]
-        mapped.append(out)
-    expected = code_from_parity_check(ambient(space.n, q, space.max_vertices), normal)
-    matches = sorted(mapped) == list(expected.members)
-    return NormalFormResult(matches, normal if matches else None, s, m)
+    """Verify C equals, up to the class-induced monomial map M, the nullspace
+    of gamma_1 side-by-side copies of its deduplicated parity-check columns.
+
+    M sends coordinate i, the b-th member of class j, to position b*m + j,
+    scaled by the c_i with h_i = c_i h_p, p the class representative.  When
+    every column is so scaled, normal M(x) = sum_i c_i x_i h_p = Hx, so M(C)
+    lies in ker(normal); and the columns of H span what those of H_P span,
+    so rank(normal) = rank(H_P) = rank(H).  M is a bijection, so M(C) and
+    ker(normal) then have one size and are equal.  H_P is the parity check
+    of the report's restricted code.
+    """
+    alpha = code.ambient.alphabet
+    cols = code.linear.parity_check.columns()
+
+    def scaled(i: int, rep: tuple[int, ...]) -> bool:
+        lead = next(k for k, x in enumerate(rep) if x)
+        c = alpha.div(cols[i][lead], rep[lead])
+        return cols[i] == tuple(alpha.mul(c, x) for x in rep)
+
+    matches = all(scaled(i, cols[p])
+                  for p, cls in zip(report.representatives, report.classes) for i in cls)
+    normal = replicate_columns(report.restricted_code.linear.parity_check, report.class_size)
+    return NormalFormResult(matches, normal if matches else None, report.class_size,
+                            len(report.classes))
 
 
 # -- the four coset normal forms -------------------------------------------------------
@@ -1033,12 +1007,9 @@ def classify_arithmetic_forms(code: Code, analysis: CodeAnalysis | None = None,
     d_code = report.restricted_code
     m = d_code.ambient.n
     cases = []
-    if (q == 2 and form.matches and d_code.size == 2
-            and d_code.members == (0, 2**m - 1) and m >= 2):
-        iso = None
-        if 2 ** (m - 1) <= ISO_VERTEX_CAP:
-            iso = folded_cube_isomorphism(graph or coset_graph_by_syndrome(code), m)
-        if iso is not None:
+    if (q == 2 and form.matches and d_code.size == 2 and 2**m - 1 in d_code
+            and m >= 2):
+        if folded_cube_isomorphism(graph or coset_graph_by_syndrome(code), m) is not None:
             cases.append({
                 "case": "folded_cube_replication",
                 "copies": form.copies,

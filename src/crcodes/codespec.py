@@ -48,10 +48,28 @@ def _require(doc: dict, key: str):
     return doc[key]
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _int(doc: dict, key: str) -> int:
     value = _require(doc, key)
-    if not isinstance(value, int) or isinstance(value, bool):
+    if not _is_int(value):
         raise CodeSpecError(f"{key!r} must be an integer, got {value!r}")
+    return value
+
+
+def _integers(doc: dict, key: str):
+    """doc[key], after checking that it and its sublists hold only integers:
+    no float, string or boolean passes for one."""
+    value = _require(doc, key)
+    pending = [value]
+    while pending:
+        x = pending.pop()
+        if isinstance(x, list):
+            pending += x
+        elif not _is_int(x):
+            raise CodeSpecError(f"{key!r} entries must be integers, got {x!r}")
     return value
 
 
@@ -64,7 +82,7 @@ def parse_codespec(doc, max_vertices: int = DEFAULT_VERTEX_CAP) -> Code:
     try:
         if kind == "linear":
             q, n = _int(doc, "q"), _int(doc, "n")
-            rows = _require(doc, "parity_check")
+            rows = _integers(doc, "parity_check")
             space = ambient(n, q, max_vertices)
             h = gf_matrix(space.alphabet, rows)
             if h.ncols != n:
@@ -72,7 +90,7 @@ def parse_codespec(doc, max_vertices: int = DEFAULT_VERTEX_CAP) -> Code:
             return code_from_parity_check(space, h)
         if kind == "words":
             q, n = _int(doc, "q"), _int(doc, "n")
-            words = _require(doc, "words")
+            words = _integers(doc, "words")
             space = ambient(n, q, max_vertices)
             return code_from_words(space, words, additive=doc.get("additive"))
         if kind == "construct":
@@ -114,7 +132,7 @@ def _construct(doc: dict, max_vertices: int) -> Code:
     if name == "pad":
         base = parse_codespec(_require(doc, "base"), max_vertices)
         count = doc.get("count", 1)
-        if not isinstance(count, int) or count < 1:
+        if not _is_int(count) or count < 1:
             raise CodeSpecError("pad count must be a positive integer")
         return pad_code(base, count)
     raise CodeSpecError(f"unknown construct name {name!r}")

@@ -79,26 +79,25 @@ def replicate_columns(h: GFMatrix, s: int) -> GFMatrix:
 
 
 def cartesian_product(c1: Code, c2: Code) -> Code:
-    """Concatenation code {(u, v) : u in C1, v in C2} in H(n1+n2, q)."""
+    """Concatenation code {(u, v) : u in C1, v in C2} in H(n1+n2, q).  Two
+    linear factors give the code of the block-diagonal parity check, with
+    the block-diagonal generators, and list no member."""
     s1, s2 = c1.ambient, c2.ambient
     if s1.q != s2.q or s1.alphabet != s2.alphabet:
         raise ValueError("product factors must share one alphabet")
     space = ambient(s1.n + s2.n, s1.q, max(s1.max_vertices, s2.max_vertices))
-    shift = s1.size
-    members = sorted(u + shift * v for v in c2.members for u in c1.members)
-    linear = None
     if c1.is_linear and c2.is_linear:
-        h1, h2 = c1.linear.parity_check, c2.linear.parity_check
-        zeros1 = (0,) * s2.n
-        zeros2 = (0,) * s1.n
-        rows = [tuple(r) + zeros1 for r in h1.rows]
-        rows += [zeros2 + tuple(r) for r in h2.rows]
-        h = GFMatrix(h1.alphabet, tuple(rows))
-        g_rows = [tuple(r) + zeros1 for r in c1.linear.generators.rows]
-        g_rows += [zeros2 + tuple(r) for r in c2.linear.generators.rows]
-        g = GFMatrix(h1.alphabet, tuple(g_rows))
-        linear = LinearStructure(h, g, c1.linear.rank + c2.linear.rank)
-    return Code(space, tuple(members), linear)
+        l1, l2 = c1.linear, c2.linear
+
+        def diagonal(m1: GFMatrix, m2: GFMatrix) -> GFMatrix:
+            return GFMatrix(m1.alphabet, tuple(r + (0,) * s2.n for r in m1.rows)
+                            + tuple((0,) * s1.n + r for r in m2.rows))
+
+        return Code(space, None, LinearStructure(
+            diagonal(l1.parity_check, l2.parity_check),
+            diagonal(l1.generators, l2.generators), l1.rank + l2.rank))
+    shift = s1.size
+    return Code(space, tuple(sorted(u + shift * v for v in c2.members for u in c1.members)))
 
 
 def full_code(n: int, q: int) -> Code:

@@ -22,8 +22,10 @@ from .algebra import alphabet
 from .errors import SpectrumError, TheoremViolationError
 from .hamming_space import (
     Code,
+    code_from_parity_check,
     code_from_words,
     column_offsets,
+    decode,
     neighbor_table,
     neighbors,
     ambient,
@@ -713,56 +715,30 @@ def free_coordinates(code: Code) -> list[int]:
     return out
 
 
-def _drop_coordinate(word: int, i: int, q: int) -> int:
-    mult = q**i
-    low = word % mult
-    high = word // (mult * q)
-    return low + high * mult
-
-
 def reduce_code(code: Code) -> tuple[Code, tuple[int, ...]]:
-    """Strip free coordinates (lowest first) until none remain or n = 1.
+    """Strip free coordinates until none remain or n = 1 (the last one is
+    kept then).
 
     Returns the reduced code and the stripped coordinates as indices into the
-    original word; is_reduced(C) iff the list is empty.
+    original word; is_reduced(C) iff the list is empty.  C is Q^F x C' for
+    its free coordinates F, and the coordinates free in C' are the others of
+    F, so all go in one step.  A linear code whose parity check has a row
+    reads F as the zero columns of H (see `is_reduced`), and C' is the code
+    of H without them; any other code is scanned and cut member by member.
     """
-    from .algebra import GFMatrix
-
-    current = code
-    stripped: list[int] = []
-    index_map = list(range(code.ambient.n))
-    while current.ambient.n >= 2:
-        free = free_coordinates(current)
-        if not free:
-            break
-        i = free[0]
-        stripped.append(index_map.pop(i))
-        space = current.ambient
-        new_space = ambient(space.n - 1, space.q, space.max_vertices)
-        members = sorted({_drop_coordinate(w, i, space.q) for w in current.members})
-        if current.is_linear:
-            h = current.linear.parity_check
-            if any(h.column(i)):  # free coordinate has a zero column
-                raise TheoremViolationError("free coordinate has a nonzero column",
-                                            witness={"coordinate": i, "h": h.to_lists()})
-            rows = tuple(r[:i] + r[i + 1:] for r in h.rows)
-            if rows and rows[0]:
-                reduced_h = GFMatrix(h.alphabet, rows)
-                return_code = _relinearize(new_space, members, reduced_h)
-                current = return_code
-                continue
-        current = code_from_words(new_space, members)
-    return current, tuple(stripped)
-
-
-def _relinearize(space, members, h):
-    from .hamming_space import code_from_parity_check
-
-    rebuilt = code_from_parity_check(space, h)
-    if list(rebuilt.members) != list(members):
-        raise TheoremViolationError("shortened parity check misses the code", witness={
-            "h": h.to_lists(), "sizes": [len(members), rebuilt.size]})
-    return rebuilt
+    space = code.ambient
+    h = code.linear.parity_check if code.is_linear else None
+    by_h = h is not None and h.nrows > 0
+    free = ([i for i, col in enumerate(h.columns()) if not any(col)] if by_h
+            else free_coordinates(code))[:space.n - 1]
+    if not free:
+        return code, ()
+    keep = [i for i in range(space.n) if i not in free]
+    new_space = ambient(len(keep), space.q, space.max_vertices)
+    if by_h:
+        return code_from_parity_check(new_space, h.take_columns(keep)), tuple(free)
+    words = {tuple(decode(w, space.n, space.q)[i] for i in keep) for w in code.members}
+    return code_from_words(new_space, words), tuple(free)
 
 
 def is_reduced(code: Code) -> bool:

@@ -11,9 +11,11 @@ desk-scale memory within ~64 MB.
 
 A linear code built from a parity check H holds H, a generator basis and the
 rank; its q^k members are spanned from the basis on first read and cached.
-Its size, the syndrome certificate and the minimum distance that certificate
-reports read only H, so certifying such a code lists no member.  The cap on
-q^k is still checked when the code is built.
+Its size, membership (Hx = 0), the syndrome certificate and the minimum
+distance that certificate reports read only H, so certifying such a code
+lists no member.  The cap on q^k is still checked when the code is built.
+Codes derived from a linear code (factors on a block, the reduced code,
+cartesian products) are cut from its H and list nothing either.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .algebra import Alphabet, GFMatrix, alphabet, gf_identity, nullspace_basis, rref
+from .algebra import Alphabet, GFMatrix, alphabet, mat_vec, nullspace_basis, rref
 from .errors import (
     CapacityError,
     FieldRequiredError,
@@ -245,10 +247,10 @@ class Code:
 
     `members` is the sorted tuple of encodings.  A code given only its linear
     structure (``members=None``) spans the generator rows the first time the
-    members or the member set are read and keeps them; its size is
-    q^(n - rank) and never needs them.  Codes are immutable values: equality
-    compares space, linear structure and members, and the hash of a linear
-    code is taken from its space and structure alone.
+    members are read and keeps them; its size (q^(n - rank)) and membership
+    never need them.  Codes are immutable values: equality compares space,
+    linear structure and members, and the hash of a linear code is taken
+    from its space and structure alone.
     """
 
     __slots__ = ("ambient", "linear", "_members", "_member_set")
@@ -296,12 +298,15 @@ class Code:
         return self.linear is not None
 
     def __contains__(self, word: int) -> bool:
-        return word in self.member_set()
-
-    def member_set(self) -> frozenset:
-        if self._member_set is None:
-            object.__setattr__(self, "_member_set", frozenset(self.members))
-        return self._member_set
+        """Hx = 0 for a linear code, a lookup in the member set (built on
+        first use) otherwise.  Words outside [0, q^n) are not members."""
+        if self.linear is None:
+            if self._member_set is None:
+                object.__setattr__(self, "_member_set", frozenset(self._members))
+            return word in self._member_set
+        space = self.ambient
+        return 0 <= word < space.size and not any(
+            mat_vec(self.linear.parity_check, decode(word, space.n, space.q)))
 
     def word_strings(self) -> list[str]:
         return [word_string(w, self.ambient) for w in self.members]
@@ -408,29 +413,6 @@ def code_from_generators(space: AmbientSpace, g: GFMatrix) -> Code:
         raise CapacityError("code is too large to materialize")
     members = _span(space, basis)
     return Code(space, tuple(members), LinearStructure(h, basis, space.n - k))
-
-
-def linearize(code: Code) -> Code:
-    """Attach linear structure to a word-listed code that is in fact linear.
-
-    Computes a generator basis by row-reducing the member words; fails if the
-    span does not reproduce the members exactly.
-    """
-    if code.is_linear:
-        return code
-    space = code.ambient
-    if not space.alphabet.is_field:
-        raise FieldRequiredError("linearization needs a field alphabet")
-    rows = [decode(w, space.n, space.q) for w in code.members]
-    reduced, k, _ = rref(GFMatrix(space.alphabet, tuple(rows)))
-    basis = GFMatrix(space.alphabet, reduced.rows[:k])
-    rebuilt = code_from_generators(space, basis) if k else code_from_words(space, [0])
-    if rebuilt.members != code.members:
-        raise ValueError("code is not linear")
-    if k == 0:
-        h = gf_identity(space.alphabet, space.n)
-        return Code(space, code.members, LinearStructure(h, basis, space.n))
-    return rebuilt
 
 
 def minimum_distance(code: Code) -> int:

@@ -31,6 +31,7 @@ from crcodes.classify import (
     product_factors,
     radius_one_factors_equivalent,
     replicated_normal_form,
+    restrict_to_coordinates,
     shrikhande_graph,
 )
 from crcodes.constructions import (
@@ -381,6 +382,60 @@ def test_extended_hamming_equivalence_matches_brute_force():
     assert brute == is_extended_hamming_equivalent(code) == True  # noqa: E712
 
 
+def _punctured_and_extended(code: Code) -> bool:
+    """The member form of is_extended_hamming_equivalent: the code is an
+    even-weight extension, of minimum distance 4, of a perfect
+    Hamming-equivalent code whose weight-3 words span it, which pins it up
+    to a coordinate permutation."""
+    from crcodes.algebra import rref
+    from crcodes.hamming_space import code_from_generators, weight
+
+    space = code.ambient
+    n = space.n
+    r = n.bit_length() - 1
+    if space.q != 2 or n != 2**r or r < 2 or code.size != 2 ** (n - 1 - r):
+        return False
+    if minimum_distance(code) != 4 or any(weight(w, space) % 2 for w in code.members):
+        return False
+    punctured_space = ambient(n - 1, 2)
+    words = sorted({w % punctured_space.size for w in code.members})
+    assert len(words) == code.size  # distance 4: puncturing is injective
+    reduced, k, _ = rref(gf_matrix(space.alphabet, [decode(w, n - 1, 2) for w in words]))
+    punctured = code_from_generators(punctured_space, gf_matrix(space.alphabet, reduced.rows[:k]))
+    assert list(punctured.members) == words
+    if minimum_distance(punctured) != 3 or not is_hamming_equivalent(punctured):
+        return False
+    weight3 = [decode(w, n - 1, 2) for w in words if weight(w, punctured_space) == 3]
+    return bool(weight3) and rref(gf_matrix(space.alphabet, weight3))[1] == k
+
+
+def _scrambled(h, rng):
+    """A binary H with its columns permuted and its rows mixed by an
+    invertible matrix: one row added to another, over and over."""
+    perm = list(range(h.ncols))
+    rng.shuffle(perm)
+    rows = [[row[j] for j in perm] for row in h.rows]
+    for _ in range(3 * len(rows) if len(rows) > 1 else 0):
+        i, j = rng.sample(range(len(rows)), 2)
+        rows[i] = [a ^ b for a, b in zip(rows[i], rows[j])]
+    return gf_matrix(h.alphabet, rows)
+
+
+def test_extended_hamming_identity_agrees_with_puncture_and_extend():
+    from crcodes.search import systematic_parity_checks
+
+    rng = random.Random(13)
+    verdicts = []
+    for n in (4, 8):
+        for h in systematic_parity_checks(n, 2):
+            for check in (h, _scrambled(h, rng)):
+                code = code_from_parity_check(ambient(n, 2), check)
+                verdict = is_extended_hamming_equivalent(code)
+                assert verdict == _punctured_and_extended(code), check
+                verdicts.append(verdict)
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
 # -- small covering radius classification ---------------------------------------------
 
 
@@ -683,8 +738,9 @@ def census_recordings(tmp_path_factory):
     """Each census of _CENSUS_DIGESTS and _CENSUS_Q5_DIGESTS, run once: the
     digests of its files, the (coset graph, DRG certificate) of every CR
     record, the number of backtracking isomorphism searches it made, the
-    (factors, certificates) of every factor comparison and the (code,
-    report) of every product decomposition."""
+    (factors, certificates) of every factor comparison, the (code, report)
+    of every product decomposition and the (code, column report, result) of
+    every replicated normal form."""
     import hashlib
 
     import crcodes.classify as classify_mod
@@ -693,11 +749,12 @@ def census_recordings(tmp_path_factory):
 
     runs = {}
     with pytest.MonkeyPatch.context() as mp:
-        graphs, searches, comparisons, decompositions = [], [], [], []
+        graphs, searches, comparisons, decompositions, forms = [], [], [], [], []
         real_classify = search_mod.classify_quotient
         real_search = classify_mod.graph_isomorphic
         real_compare = classify_mod.radius_one_factors_equivalent
         real_decompose = search_mod.decompose_product
+        real_form = classify_mod.replicated_normal_form
         mp.setattr(search_mod, "classify_quotient",
                    lambda graph, drg: graphs.append((graph, drg)) or real_classify(graph, drg))
         mp.setattr(classify_mod, "graph_isomorphic",
@@ -711,15 +768,21 @@ def census_recordings(tmp_path_factory):
             decompositions.append((code, report))
             return report
 
+        def normal_form(code, report):
+            result = real_form(code, report)
+            forms.append((code, report, result))
+            return result
+
         mp.setattr(search_mod, "decompose_product", decompose)
+        mp.setattr(classify_mod, "replicated_normal_form", normal_form)
         for q, top in (*_CENSUS_DIGESTS, *_CENSUS_Q5_DIGESTS):
             out = tmp_path_factory.mktemp(f"census-q{q}")
             run_census(CensusParams(q=q, max_n=top), out)
             digests = tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
                             for name in ("census.jsonl", "summary.csv"))
             runs[q, top] = (digests, list(graphs), len(searches), list(comparisons),
-                            list(decompositions))
-            for log in (graphs, searches, comparisons, decompositions):
+                            list(decompositions), list(forms))
+            for log in (graphs, searches, comparisons, decompositions, forms):
                 log.clear()
     return runs
 
@@ -846,6 +909,27 @@ def test_a_graph_the_linear_map_refuses_gets_the_backtrackers_verdict(monkeypatc
         assert searches == [32]
 
 
+def test_above_the_search_cap_only_a_graph_with_no_linear_map_is_named_by_its_array(
+        monkeypatch):
+    # the folded 14-cube has 8,192 vertices, more than ISO_VERTEX_CAP; the
+    # plain graph reuses the Cayley graph's certificate (its own BFS from
+    # every vertex would take minutes)
+    syn = coset_graph_by_syndrome(repetition_code(14, 2))
+    drg = certify_distance_regular(syn)
+    searches = _counted_searches(monkeypatch)
+    family = classify_quotient(syn, drg)
+    mapping = family.evidence["isomorphism"]
+    assert family.params == {"m": 14} and sorted(mapping) == list(range(2**13))
+    steps = {1 << i for i in range(13)} | {2**13 - 1}
+    assert all(mapping[u] ^ mapping[v] in steps for u, v in syn.edges())
+    bare = Graph(syn.adjacency, syn.labels)
+    assert folded_cube_isomorphism(bare, 14) is None
+    family = classify_quotient(bare, drg)
+    assert family.params == {"m": 14}
+    assert family.evidence["isomorphism"] == "by_array_parameters"
+    assert searches == []
+
+
 def test_one_vertex_local_checks_match_the_all_vertex_scan(census_runs):
     compared = 0
     for _, graphs, _ in census_runs.values():
@@ -908,7 +992,7 @@ def test_census_factor_pairs_equivalent_by_search_are_equivalent_by_rule(
     pairs = []
     for key in _CENSUS_Q5_DIGESTS:
         assert census_recordings[key][0] == _CENSUS_Q5_DIGESTS[key]
-    for _, _, _, comparisons, _ in census_recordings.values():
+    for _, _, _, comparisons, *_ in census_recordings.values():
         for factors, certs in comparisons:
             if all(c.completely_regular and c.partition.rho == 1 for c in certs):
                 pairs += _rule_and_search(factors, certs)
@@ -942,7 +1026,7 @@ def test_permuted_hamming_squares_are_radius_one_powers_by_rule_and_search():
 
 def test_census_product_checks_agree_with_the_member_rebuild(census_recordings):
     compared = 0
-    for _, _, _, _, decompositions in census_recordings.values():
+    for _, _, _, _, decompositions, _ in census_recordings.values():
         for code, report in decompositions:
             rebuilt = (bool(report.factor_radii)
                        and all(r == 1 for r in report.factor_radii)
@@ -973,3 +1057,82 @@ def test_wrong_blocks_fail_the_size_identity_and_the_rebuild(monkeypatch):
     assert report.factor_radii == (1, 1)
     assert not report.verified and report.detail == "product does not rebuild the code"
     assert not _rebuilds(even, report.blocks, report.factors)
+
+
+def _member_mapped_normal_form(code: Code, report) -> bool:
+    """The member form of replicated_normal_form: map every member by the
+    class-induced monomial map and list the image against the nullspace of
+    the replicated check."""
+    space = code.ambient
+    alpha, q = space.alphabet, space.q
+    cols = code.linear.parity_check.columns()
+    m = len(report.classes)
+    position, scale = {}, {}
+    for j, (p, cls) in enumerate(zip(report.representatives, report.classes)):
+        lead = next(k for k, x in enumerate(cols[p]) if x)
+        for b, i in enumerate(cls):
+            position[i] = b * m + j
+            scale[i] = alpha.div(cols[i][lead], cols[p][lead])
+    mapped = [sum(alpha.mul(scale[i], d) * q ** position[i]
+                  for i, d in enumerate(decode(w, space.n, q))) for w in code.members]
+    normal = replicate_columns(
+        code.linear.parity_check.take_columns(report.representatives), report.class_size)
+    return sorted(mapped) == list(code_from_parity_check(ambient(space.n, q), normal).members)
+
+
+def test_census_normal_forms_agree_with_the_member_map(census_recordings):
+    compared = 0
+    for *_, forms in census_recordings.values():
+        for code, report, result in forms:
+            assert result.matches == _member_mapped_normal_form(code, report)
+            compared += 1
+    assert compared == 44
+    # classes that pair columns which are not parallel: both forms refuse
+    from dataclasses import replace
+
+    doubled = _doubled_hamming()
+    report = column_classes(doubled)
+    wrong = replace(report, classes=tuple((i, 7 + (i + 1) % 7) for i in range(7)))
+    assert replicated_normal_form(doubled, report).matches
+    assert not replicated_normal_form(doubled, wrong).matches
+    assert not _member_mapped_normal_form(doubled, wrong)
+
+
+def test_restriction_to_a_block_agrees_with_the_member_filter():
+    from crcodes.search import systematic_parity_checks
+
+    rng = random.Random(17)
+    for n, q in ((6, 2), (4, 3), (4, 4)):
+        for h in systematic_parity_checks(n, q):
+            code = code_from_parity_check(ambient(n, q), h)
+            block = tuple(rng.sample(range(n), rng.randint(1, n)))
+            members = set()
+            for w in code.members:
+                digits = decode(w, n, q)
+                if not any(d for i, d in enumerate(digits) if i not in block):
+                    members.add(encode([digits[i] for i in block], q))
+            factor = restrict_to_coordinates(code, block)
+            assert factor.is_linear and factor.ambient.n == len(block)
+            assert factor.members == tuple(sorted(members))
+
+
+def test_codes_cut_from_a_parity_check_list_no_member_of_their_source(monkeypatch):
+    import crcodes.hamming_space as hamming_mod
+    from crcodes.constructions import pad_code
+    from crcodes.cr_analysis import reduce_code
+
+    spanned = []
+    real_span = hamming_mod._span
+    monkeypatch.setattr(hamming_mod, "_span",
+                        lambda space, basis: spanned.append(space.n) or real_span(space, basis))
+    padded = pad_code(hamming_code(4, 2), 3)
+    reduced, stripped = reduce_code(padded)
+    assert stripped == (0, 1, 2) and reduced.size == 2**11
+    assert is_extended_hamming_equivalent(extended_hamming_code(4))
+    ham = hamming_code(3, 2)
+    assert cartesian_product(ham, ham).size == 2**8
+    assert spanned == []
+    doubled = _doubled_hamming()
+    assert coordinate_classes(doubled) == tuple((i, i + 7) for i in range(7))
+    assert "hamming_replication" in classify_arithmetic_forms(doubled).case_names()
+    assert spanned and set(spanned) == {7}  # only the deduplicated code D

@@ -317,6 +317,14 @@ def test_bad_input_exits_two(tmp_path, capsys):
     assert code == 2
 
 
+def test_a_parity_check_entry_that_is_not_an_integer_exits_two(tmp_path, capsys):
+    spec = _write_spec(tmp_path, "float.json", {
+        "type": "linear", "q": 2, "n": 3, "parity_check": [[1, 1.7, 1]]})
+    code, _, err = _run(capsys, "check", spec)
+    assert code == 2
+    assert json.loads(err)["error"] == "input"
+
+
 def test_capacity_exits_three(tmp_path, capsys):
     spec = _write_spec(tmp_path, "huge.json", {
         "type": "construct", "name": "repetition", "q": 2, "n": 30})
@@ -520,6 +528,19 @@ _LADDER_DECOMPOSE = {
     "repetition-3-7": (
         1, "2f9bb3b81cf297f2595655e500a06ca66dd871c0aab243bb5a9591981b253077"),
 }
+
+
+def test_decompose_finds_the_folded_cube_of_a_long_repetition_code(tmp_path, capsys):
+    # the folded 14-cube has 8,192 vertices, past the cap of the backtracking
+    # search; the linear map of the syndrome coset graph needs no fixture
+    spec = _write_spec(tmp_path, "rep14.json", {
+        "type": "construct", "name": "repetition", "q": 2, "n": 14})
+    code, out, _ = _run(capsys, "decompose", spec)
+    assert code == 0
+    report = json.loads(out)
+    assert [c["case"] for c in report["forms"]["cases"]] == ["folded_cube_replication"]
+    assert report["family"]["params"] == {"m": 14}
+    assert sorted(report["family"]["evidence"]["isomorphism"]) == list(range(2**13))
 
 
 def test_decompose_reports_of_the_certify_ladder_keep_their_bytes(tmp_path):

@@ -75,6 +75,27 @@ def test_parse_errors():
         parse_codespec({"type": "linear", "q": 2, "n": "x", "parity_check": [[1]]})
 
 
+_HAMMING74 = {"type": "construct", "name": "hamming", "q": 2, "r": 3}
+
+
+@pytest.mark.parametrize("doc", [
+    {"type": "linear", "q": 2, "n": 3, "parity_check": [[1, 1.7, 1]]},
+    {"type": "linear", "q": 2, "n": 3, "parity_check": [[1, "1", 1]]},
+    {"type": "linear", "q": 2, "n": 3, "parity_check": [[True, 1, 1]]},
+    {"type": "linear", "q": 2, "n": 3, "parity_check": ["111"]},
+    {"type": "words", "q": 2, "n": 2, "words": [[0, 0], [1.0, 1.0]]},
+    {"type": "words", "q": 2, "n": 2, "words": [[0, 0], [True, True]]},
+    {"type": "words", "q": 2, "n": 2, "words": [0, True]},
+    {"type": "construct", "name": "pad", "count": True, "base": _HAMMING74},
+], ids=["float-entry", "string-entry", "boolean-entry", "string-row", "float-digits",
+        "boolean-digits", "boolean-word", "boolean-count"])
+def test_parse_refuses_entries_that_are_not_integers(doc):
+    # each of these was once read as integers: 1.7, "1" and the row "111" as
+    # ones, a boolean as 0 or 1, and the digits 1.0 as the float encoding 3.0
+    with pytest.raises(CodeSpecError):
+        parse_codespec(doc)
+
+
 def test_emit_round_trip(tmp_path):
     ham = hamming_code(3, 2)
     doc = emit_codespec(ham)

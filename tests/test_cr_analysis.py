@@ -28,7 +28,7 @@ from crcodes.cr_analysis import (
     _poly_from_roots,
 )
 from crcodes.errors import SpectrumError, TheoremViolationError
-from crcodes.hamming_space import ambient, code_from_words, distance, neighbors
+from crcodes.hamming_space import ambient, code_from_words, decode, distance, neighbors
 
 
 def _rep6():
@@ -294,21 +294,42 @@ def test_arithmetic_certificate_rejects_a_gap_not_divisible_by_q():
     assert caught.value.witness == {"spectrum": [7, 4, 1], "q": 2}
 
 
-def test_reduce_code_rejects_a_free_coordinate_with_a_nonzero_column(monkeypatch):
-    import crcodes.cr_analysis as cr_mod
+def _member_strip(code):
+    """The member form of reduce_code: strip the lowest free coordinate,
+    found by scanning the members, until none is left or n = 1."""
+    current, stripped, index_map = code, [], list(range(code.ambient.n))
+    while current.ambient.n >= 2 and free_coordinates(current):
+        i = free_coordinates(current)[0]
+        stripped.append(index_map.pop(i))
+        sp = current.ambient
+        keep = [j for j in range(sp.n) if j != i]
+        words = {tuple(decode(w, sp.n, sp.q)[j] for j in keep) for w in current.members}
+        current = code_from_words(ambient(sp.n - 1, sp.q), words)
+    return current, tuple(stripped)
 
-    monkeypatch.setattr(cr_mod, "free_coordinates", lambda code: [0])
-    with pytest.raises(TheoremViolationError) as caught:
-        reduce_code(hamming_code(3, 2))
-    assert caught.value.witness["coordinate"] == 0
 
+def test_reduce_code_agrees_with_the_member_strip():
+    from crcodes.algebra import alphabet, gf_matrix
+    from crcodes.hamming_space import code_from_parity_check
+    from crcodes.search import systematic_parity_checks
 
-def test_relinearize_rejects_a_parity_check_for_other_members():
-    from crcodes.algebra import gf_matrix
-    from crcodes.cr_analysis import _relinearize
-
-    space = ambient(3, 2)
-    h = gf_matrix(space.alphabet, [[1, 1, 1]])  # even-weight code, 4 words
-    with pytest.raises(TheoremViolationError) as caught:
-        _relinearize(space, [0, 7], h)
-    assert caught.value.witness["sizes"] == [2, 4]
+    checks = [h for n, q in ((5, 2), (4, 3), (3, 4)) for h in systematic_parity_checks(n, q)]
+    checks += [gf_matrix(alphabet(2), [[0, 0, 0]]),  # every column zero
+               gf_matrix(alphabet(3), [[0, 1, 0, 2], [0, 2, 0, 1]]),  # dependent rows
+               pad_code(hamming_code(3, 2), 2).linear.parity_check]
+    rng = random.Random(3)
+    stripped_some = 0
+    for h in checks:
+        perm = list(range(h.ncols))
+        rng.shuffle(perm)
+        for cols in (range(h.ncols), perm):
+            code = code_from_parity_check(ambient(h.ncols, h.alphabet.q), h.take_columns(cols))
+            oracle, oracle_stripped = _member_strip(code)
+            listed = code_from_words(code.ambient, code.members)
+            for reduced, stripped in (reduce_code(code), reduce_code(listed)):
+                assert stripped == oracle_stripped
+                assert reduced.ambient.n == oracle.ambient.n
+                assert reduced.members == oracle.members
+            assert reduce_code(code)[0].is_linear
+            stripped_some += bool(oracle_stripped)
+    assert stripped_some > 50

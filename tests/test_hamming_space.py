@@ -165,6 +165,21 @@ def test_parity_check_codes_span_members_only_when_read(monkeypatch, q, rows):
         lazy.linear = None
 
 
+def test_syndrome_membership_agrees_with_the_member_set():
+    # Hx = 0 against the spanned members on every word, and on the two
+    # encodings just outside the space, which are no members
+    from crcodes.search import systematic_parity_checks
+
+    checks = [h for n, q in ((4, 2), (3, 3), (3, 4), (3, 5))
+              for h in systematic_parity_checks(n, q)]
+    checks.append(gf_matrix(alphabet(2), [[1, 1, 0, 0], [0, 0, 1, 1], [1, 1, 1, 1]]))
+    for h in checks:
+        space = ambient(h.ncols, h.alphabet.q)
+        code = code_from_parity_check(space, h)
+        members = set(code.members)
+        assert all((x in code) == (x in members) for x in range(-1, space.size + 1))
+
+
 def test_code_from_words_h24_class():
     sp = ambient(2, 4)
     code = code_from_words(sp, [[0, 0], [0, 1], [1, 0], [1, 1]], additive=True)
