@@ -725,6 +725,8 @@ def reduce_code(code: Code) -> tuple[Code, tuple[int, ...]]:
     F, so all go in one step.  A linear code whose parity check has a row
     reads F as the zero columns of H (see `is_reduced`), and C' is the code
     of H without them; any other code is scanned and cut member by member.
+    Either way |C| = q^|F| |C'| must hold, or some stripped coordinate was
+    not free.
     """
     space = code.ambient
     h = code.linear.parity_check if code.is_linear else None
@@ -736,9 +738,14 @@ def reduce_code(code: Code) -> tuple[Code, tuple[int, ...]]:
     keep = [i for i in range(space.n) if i not in free]
     new_space = ambient(len(keep), space.q, space.max_vertices)
     if by_h:
-        return code_from_parity_check(new_space, h.take_columns(keep)), tuple(free)
-    words = {tuple(decode(w, space.n, space.q)[i] for i in keep) for w in code.members}
-    return code_from_words(new_space, words), tuple(free)
+        reduced = code_from_parity_check(new_space, h.take_columns(keep))
+    else:
+        words = {tuple(decode(w, space.n, space.q)[i] for i in keep) for w in code.members}
+        reduced = code_from_words(new_space, words)
+    if reduced.size * space.q ** len(free) != code.size:
+        raise TheoremViolationError("a stripped coordinate is not free", witness={
+            "coordinates": free, "sizes": [code.size, reduced.size * space.q ** len(free)]})
+    return reduced, tuple(free)
 
 
 def is_reduced(code: Code) -> bool:

@@ -294,6 +294,34 @@ def test_arithmetic_certificate_rejects_a_gap_not_divisible_by_q():
     assert caught.value.witness == {"spectrum": [7, 4, 1], "q": 2}
 
 
+def test_reduce_code_rejects_a_free_coordinate_with_a_nonzero_column(monkeypatch):
+    import crcodes.cr_analysis as cr_mod
+
+    code = hamming_code(3, 2)
+    monkeypatch.setattr(cr_mod, "free_coordinates", lambda code: [0])
+    # the linear form reads free coordinates as zero columns of H: none here
+    assert reduce_code(code) == (code, ())
+    with pytest.raises(TheoremViolationError) as caught:
+        reduce_code(code_from_words(code.ambient, code.members))
+    assert caught.value.witness == {"coordinates": [0], "sizes": [16, 32]}
+
+
+def test_relinearize_rejects_a_parity_check_for_other_members(monkeypatch):
+    import crcodes.cr_analysis as cr_mod
+    from crcodes.algebra import gf_matrix
+    from crcodes.hamming_space import code_from_parity_check
+
+    space = ambient(3, 2)
+    code = code_from_parity_check(space, gf_matrix(space.alphabet, [[1, 1, 0]]))
+    assert [c.members for c in reduce_code(code)[:1]] == [(0, 3)]
+    # a shortened parity check whose code is {00}, not {00, 11}
+    monkeypatch.setattr(cr_mod, "code_from_parity_check", lambda sp, h: code_from_parity_check(
+        sp, gf_matrix(sp.alphabet, [[1, 0], [0, 1]])))
+    with pytest.raises(TheoremViolationError) as caught:
+        reduce_code(code)
+    assert caught.value.witness == {"coordinates": [2], "sizes": [4, 2]}
+
+
 def _member_strip(code):
     """The member form of reduce_code: strip the lowest free coordinate,
     found by scanning the members, until none is left or n = 1."""
