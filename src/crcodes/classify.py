@@ -11,10 +11,10 @@ it from a backtracking search against the fixture, up to ISO_VERTEX_CAP
 vertices.
 
 The structural classification reads a linear code's parity check H and
-lists none of its members: membership is Hx = 0, the coordinate classes are
-the classes of parallel columns of H, the factor on a block is the code of
-H's columns there, and the extended-Hamming and replicated-normal-form
-tests are identities on H.  Only ``finest_product_blocks`` scans members.
+lists none of its members: membership is Hx = 0, coordinate classes are
+classes of parallel columns, product blocks are components of RREF(H), the
+factor on a block is the code of H's columns there (certified on its
+syndromes), and the extended-Hamming and normal-form tests are identities.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from functools import reduce
 from math import prod
 from operator import xor
 
-from .algebra import GFMatrix, rank
+from .algebra import GFMatrix, rank, rref
 from .constructions import replicate_columns
 from .cr_analysis import (
     CodeAnalysis,
@@ -42,7 +42,6 @@ from .hamming_space import (
     decode,
     encode,
     is_additive,
-    minimum_distance,
     neighbors,
     sphere_size,
     word_sub,
@@ -653,8 +652,8 @@ def column_classes(code: Code, analysis: CodeAnalysis | None = None) -> ColumnCl
     They are its coordinate classes: with no zero column, e_i - lambda e_j
     is in C exactly when h_i = lambda h_j.  Class size must be uniformly
     gamma_1; the deduplicated column selection P (smallest index per class)
-    defines D = nullspace(H|_P), the factor of C on P, which is checked to
-    have minimum distance >= 3 whenever it is nontrivial.
+    defines D = nullspace(H|_P), the factor of C on P, whose syndrome
+    certificate must give minimum distance >= 3 whenever it is nontrivial.
     """
     if not code.is_linear:
         raise ValueError("column classes need a linear code")
@@ -678,7 +677,7 @@ def column_classes(code: Code, analysis: CodeAnalysis | None = None) -> ColumnCl
             witness={"classes": classes, "gamma1": gamma1})
     reps = tuple(c[0] for c in classes)
     restricted = restrict_to_coordinates(code, reps)
-    delta_d = minimum_distance(restricted) if restricted.size >= 2 else None
+    delta_d = certify_completely_regular(restricted).partition.delta
     if delta_d is not None and delta_d < 3:
         raise TheoremViolationError(
             "deduplicated code has minimum distance < 3", witness=restricted)
@@ -703,13 +702,20 @@ def finest_product_blocks(code: Code) -> tuple[tuple[int, ...], ...]:
     """Finest coordinate partition with C equal to the product of its
     restrictions.
 
-    A codeword is decomposable if it splits as a sum of two codewords with
-    disjoint supports; blocks are the connected components of the supports of
-    the indecomposable codewords (uncovered coordinates become singletons).
+    For a linear code: the components of the column matroid of H (Oxley,
+    *Matroid Theory*, 4.2), where each row of RREF(H) joins its pivot to its
+    nonzero columns; zero columns and coloops stay singletons.  Otherwise a
+    codeword is decomposable if it splits as a sum of two codewords with
+    disjoint supports; blocks are the connected components of the supports
+    of the indecomposable codewords (uncovered coordinates are singletons).
     """
     if not is_additive(code):
         raise ValueError("product decomposition needs an additive code")
     space = code.ambient
+    if code.is_linear:
+        reduced, _, pivots = rref(code.linear.parity_check)
+        return _classes(space.n, ((p, j) for p, row in zip(pivots, reduced.rows)
+                                  for j, x in enumerate(row) if x))
     supports = {w: _support_mask(w, space) for w in code.members if w}
     joined = []
     for c, m in supports.items():

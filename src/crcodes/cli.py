@@ -206,6 +206,17 @@ def _cmd_quotient(args) -> int:
     return EXIT_OK
 
 
+def _coset_family(code):
+    """The coset graph of a CR code, its DRG certificate and its family;
+    a coset graph that is not distance-regular is a theorem violation."""
+    graph = coset_graph(code)
+    drg = certify_distance_regular(graph)
+    if not drg.is_drg:
+        raise TheoremViolationError(
+            "coset graph of a CR code is not distance-regular", witness=drg.witness)
+    return graph, drg, classify_quotient(graph, drg)
+
+
 def _cmd_classify(args) -> int:
     code = _load(args.spec, args)
     analysis = analyze_code(code)
@@ -216,12 +227,7 @@ def _cmd_classify(args) -> int:
             "witness": analysis.certificate.witness.to_json(),
         }, args)
         return EXIT_REFUTED
-    graph = coset_graph(code)
-    drg = certify_distance_regular(graph)
-    if not drg.is_drg:
-        raise TheoremViolationError(
-            "coset graph of a CR code is not distance-regular", witness=drg.witness)
-    family = classify_quotient(graph, drg)
+    _, drg, family = _coset_family(code)
     checks = [r.to_json() for r in coset_graph_checks(code, analysis, family, drg.array)]
     report = {
         "schema": "classification-report@1",
@@ -261,9 +267,7 @@ def _cmd_decompose(args) -> int:
     violation = False
     if is_additive(code):
         report["coordinate_classes"] = [list(c) for c in coordinate_classes(code)]
-    graph = coset_graph(code)
-    drg = certify_distance_regular(graph)
-    family = classify_quotient(graph, drg)
+    graph, _, family = _coset_family(code)
     report["family"] = family.to_json()
     if family.tag == "hamming" and analysis.delta is not None and analysis.delta >= 2:
         decomposition = decompose_product(code, family, analysis.delta)
@@ -342,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("json", "text"), default="json")
         p.add_argument("--out", help="write the report to this path")
         p.add_argument("--max-vertices", type=int, default=None,
-                       help="override the full-space materialization cap")
+                       help="override the cap on listed vertices")
         p.add_argument("--acknowledge-capacity", action="store_true",
                        help="confirm a cap above the default (memory!)")
 

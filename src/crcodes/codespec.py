@@ -38,7 +38,6 @@ from .hamming_space import (
     ambient,
     code_from_parity_check,
     code_from_words,
-    decode,
 )
 
 
@@ -139,17 +138,5 @@ def _construct(doc: dict, max_vertices: int) -> Code:
 
 
 def emit_codespec(code: Code) -> dict:
-    space = code.ambient
-    if code.is_linear:
-        return {
-            "type": "linear",
-            "q": space.q,
-            "n": space.n,
-            "parity_check": code.linear.parity_check.to_lists(),
-        }
-    return {
-        "type": "words",
-        "q": space.q,
-        "n": space.n,
-        "words": [list(decode(w, space.n, space.q)) for w in code.members],
-    }
+    """The code-spec document that parses back to the code."""
+    return code.to_json()

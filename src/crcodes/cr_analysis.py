@@ -152,8 +152,8 @@ class SyndromePartition:
     connection multiset {lambda*h_j}.  class_of_syndrome[s] holds it, one
     byte per syndrome read off the BFS's lane vector, and class i has
     (syndromes at distance i) * |C| words.  Every syndrome is a sum of at
-    most r independent columns, so rho <= r, and q^r <= q^n <= 2^26 under
-    the default vertex cap keeps rho <= 26: a class byte never saturates.
+    most r independent columns, so rho <= r, and q^r <= 2^26 under the
+    default vertex cap keeps rho <= 26: a class byte never saturates.
     The word-indexed map is `distance_partition(code)`.
 
     delta is the minimum distance (None for the zero code), read off the same
@@ -352,11 +352,13 @@ def _certify_by_syndrome(code: Code) -> CrCertificate:
     least word, and the first conflict is the least word among the
     conflicting syndromes, so the witness is that of the full-space scan.
     The first layer c+1 with fewer syndromes than words of weight c+1 fixes
-    delta from the lane sum of N_c on it (see `SyndromePartition`).
+    delta from the lane sum of N_c on it (see `SyndromePartition`).  The
+    q^rank syndromes are held to the vertex cap.
     """
     h = code.linear.row_basis()
     alpha = h.alphabet
     q, n = alpha.q, code.ambient.n
+    code.ambient.require_materializable("syndrome certificate", q**h.nrows)
     degree = code.ambient.valency
     offsets = column_offsets(h)
     lanes = _lanes(q, h.nrows, _lane_width(degree))
@@ -434,7 +436,6 @@ def certify_completely_regular(code: Code, partition: DistancePartition | None =
     `partition` is passed in.
     """
     if partition is None and code.is_linear:
-        code.ambient.require_materializable("distance partition")
         cert = _certify_by_syndrome(code)
         if code.ambient.size <= _CROSS_CHECK_WORDS:
             listed = _zero_syndrome_words(code)

@@ -9,7 +9,7 @@ class CrcodesError(Exception):
 
 
 class CapacityError(CrcodesError):
-    """A full-space operation would exceed the configured vertex cap."""
+    """A step would list more words, syndromes or members than the vertex cap."""
 
 
 class FieldRequiredError(CrcodesError):

@@ -9,13 +9,13 @@ Operations that materialize the full vertex set (one entry per vertex) check
 the space against a configurable cap, 2^26 vertices by default, to keep
 desk-scale memory within ~64 MB.
 
-A linear code built from a parity check H holds H, a generator basis and the
-rank; its q^k members are spanned from the basis on first read and cached.
-Its size, membership (Hx = 0), the syndrome certificate and the minimum
-distance that certificate reports read only H, so certifying such a code
-lists no member.  The cap on q^k is still checked when the code is built.
-Codes derived from a linear code (factors on a block, the reduced code,
-cartesian products) are cut from its H and list nothing either.
+A linear code holds H, a generator basis and the rank; its q^k members are
+spanned from the basis on first read and cached, and that read is refused
+above the vertex cap.  Its size, membership (Hx = 0), the syndrome
+certificate and the minimum distance that certificate reports read only H,
+so certifying such a code lists no member.  Codes derived from a linear
+code (factors on a block, the reduced code, cartesian products) are cut
+from its H and list nothing either.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from .errors import (
     FieldRequiredError,
     NotAdditiveError,
     UndefinedMinimumDistanceError,
-    jsonable,
 )
 
 DEFAULT_VERTEX_CAP = 1 << 26
@@ -65,10 +64,12 @@ class AmbientSpace:
     def valency(self) -> int:
         return self.n * (self.q - 1)
 
-    def require_materializable(self, what: str = "operation") -> None:
-        if self.size > self.max_vertices:
+    def require_materializable(self, what: str = "operation", count: int | None = None) -> None:
+        """Refuse to list `count` vertices (all q^n by default) above the cap."""
+        count = self.size if count is None else count
+        if count > self.max_vertices:
             raise CapacityError(
-                f"{what} would materialize {self.size} vertices "
+                f"{what} would materialize {count} vertices "
                 f"(cap {self.max_vertices}); raise max_vertices explicitly to proceed"
             )
 
@@ -283,6 +284,7 @@ class Code:
     @property
     def members(self) -> tuple[int, ...]:
         if self._members is None:
+            self.ambient.require_materializable("spanning the members", self.size)
             object.__setattr__(self, "_members",
                                tuple(_span(self.ambient, self.linear.generators)))
         return self._members
@@ -327,9 +329,14 @@ class Code:
         return f"Code(ambient={self.ambient!r}, {listed}, linear={self.linear!r})"
 
     def to_json(self) -> dict:
-        """The space, the members and the linear structure, as in a witness."""
-        return {"ambient": jsonable(self.ambient), "members": list(self.members),
-                "linear": jsonable(self.linear)}
+        """The code-spec form: the parity check of a linear code, which lists
+        no member, the words of any other."""
+        space = self.ambient
+        if self.linear is not None:
+            return {"type": "linear", "q": space.q, "n": space.n,
+                    "parity_check": self.linear.parity_check.to_lists()}
+        return {"type": "words", "q": space.q, "n": space.n,
+                "words": [list(decode(w, space.n, space.q)) for w in self._members]}
 
 
 def _normalize_words(space: AmbientSpace, words: Iterable) -> list[int]:
@@ -396,8 +403,6 @@ def code_from_parity_check(space: AmbientSpace, h: GFMatrix) -> Code:
     if h.alphabet != space.alphabet or h.ncols != space.n:
         raise ValueError("parity check does not match the ambient space")
     gens = nullspace_basis(h)
-    if space.q ** gens.nrows > space.max_vertices:
-        raise CapacityError("code is too large to materialize")
     return Code(space, None, LinearStructure(h, gens, space.n - gens.nrows))
 
 
@@ -409,10 +414,7 @@ def code_from_generators(space: AmbientSpace, g: GFMatrix) -> Code:
     basis, k, _ = rref(g)
     basis = GFMatrix(g.alphabet, basis.rows[:k])
     h = nullspace_basis(basis) if k else nullspace_basis(g)
-    if space.q**k > space.max_vertices:
-        raise CapacityError("code is too large to materialize")
-    members = _span(space, basis)
-    return Code(space, tuple(members), LinearStructure(h, basis, space.n - k))
+    return Code(space, None, LinearStructure(h, basis, space.n - k))
 
 
 def minimum_distance(code: Code) -> int:

@@ -279,3 +279,57 @@ def test_acceptance_10_census_binary_n7(tmp_path):
         assert (tmp_path / "run1" / "summary.csv").read_bytes() == (
             tmp_path / "run2" / "summary.csv").read_bytes()
         assert second["question_scan"] == scan
+
+
+def _product_coset_graph_matches(c1, c2, predicted) -> bool:
+    """The coset graph of C1 x C2 is the cartesian product of the factors'
+    (connection set S1 x {0} u {0} x S2: the syndrome of (u, v) is that of u
+    plus q^r1 times that of v) and has the array of the predicted numbers."""
+    from crcodes.cr_analysis import IntersectionNumbers
+
+    q = c1.ambient.q
+    k = (c1.ambient.n + c2.ambient.n) * (q - 1)
+    numbers = IntersectionNumbers(predicted.gamma, tuple(
+        k - g - b for g, b in zip(predicted.gamma, predicted.beta)), predicted.beta)
+    graph = coset_graph_by_syndrome(cartesian_product(c1, c2))
+    shift = q ** c1.linear.rank
+    connection = set(coset_graph_by_syndrome(c1).connection) | {
+        shift * s for s in coset_graph_by_syndrome(c2).connection}
+    return (set(graph.connection) == connection
+            and certify_distance_regular(graph).array == predicted_quotient_array(numbers))
+
+
+def test_acceptance_11_product_criterion_census_sweep():
+    # the paper's product theorem on every pair of CR census codes with
+    # rho >= 1 (itself included) under a length bound: the criterion, read
+    # off the factors, against the certificate of the block-diagonal product
+    # and, for a compatible pair, against the product's coset graph
+    from crcodes.search import enumerate_linear_codes
+
+    with budget("ACCEPTANCE 11 (product criterion, census sweep)", 30.0):
+        pairs = compatible = 0
+        disagreements = []
+        for q, top, bound in ((2, 7, 12), (3, 5, 8), (4, 4, 7)):
+            codes = []
+            for n in range(1, top + 1):
+                for code in enumerate_linear_codes(n, q):
+                    cert = certify_completely_regular(code)
+                    if cert.completely_regular and cert.partition.rho >= 1:
+                        codes.append((code, cert))
+            for i, (c1, cert1) in enumerate(codes):
+                for c2, cert2 in codes[i:]:
+                    if c1.ambient.n + c2.ambient.n > bound:
+                        continue
+                    pairs += 1
+                    compat = product_cr_criterion(c1, c2, cert1, cert2)
+                    compatible += compat.compatible
+                    verified = verify_product_cr(c1, c2, compat)
+                    agree = verified["matches_prediction"]
+                    if agree and compat.compatible:
+                        agree = _product_coset_graph_matches(c1, c2, compat.predicted)
+                    if not agree:
+                        disagreements.append((c1.linear.parity_check.to_lists(),
+                                              c2.linear.parity_check.to_lists(),
+                                              compat.to_json(), verified))
+        assert not disagreements, f"criterion and product disagree: {disagreements}"
+        assert (pairs, compatible) == (2784, 395)

@@ -301,6 +301,33 @@ def test_finest_blocks():
     assert finest_product_blocks(extended_hamming_code(3)) == (tuple(range(8)),)
 
 
+def test_finest_blocks_of_a_parity_check_match_the_member_scan(monkeypatch):
+    # the components of RREF(H) against the pairwise member scan of the same
+    # code listed word by word, on every census code of the small lengths;
+    # zero columns and coloops (zero rows of A in [I_r | A]) are among them
+    import crcodes.hamming_space as hamming_mod
+    from crcodes.hamming_space import code_from_generators, code_from_words
+    from crcodes.search import enumerate_linear_codes
+
+    codes = [code for q, top in ((2, 7), (3, 5), (4, 4), (5, 4))
+             for n in range(1, top + 1) for code in enumerate_linear_codes(n, q)]
+    listed = [code_from_words(code.ambient, code.members) for code in codes]
+    whole = code_from_generators(ambient(3, 2), gf_identity(alphabet(2), 3))
+    dependent = code_from_parity_check(ambient(4, 3), gf_matrix(
+        alphabet(3), [[1, 2, 0, 0], [0, 0, 1, 1], [1, 2, 1, 1]]))
+    listed += [code_from_words(c.ambient, c.members) for c in (whole, dependent)]
+    scans = [finest_product_blocks(c) for c in listed]
+    assert len(codes) == 2601
+
+    def forbidden(*args):
+        raise AssertionError("members spanned")
+
+    monkeypatch.setattr(hamming_mod, "_span", forbidden)
+    fresh = [code_from_parity_check(c.ambient, c.linear.parity_check) for c in codes]
+    assert [finest_product_blocks(c) for c in (*fresh, whole, dependent)] == scans
+    assert scans[-2:] == [((0,), (1,), (2,)), ((0, 1), (2, 3))]
+
+
 def test_decompose_hamming_squared():
     ham = hamming_code(3, 2)
     hamham = cartesian_product(ham, ham)
@@ -653,7 +680,7 @@ def test_isomorphism_search_deeper_than_the_recursion_limit():
 def test_clique_checks_take_the_known_min_distance(monkeypatch):
     # the analysis' delta gives the same check list as the class-by-class
     # oracle, and clique_bound_checks runs no minimum-distance scan of its own
-    import crcodes.classify as classify_mod
+    import crcodes.hamming_space as hamming_mod
     from crcodes.search import enumerate_linear_codes
 
     cases = []
@@ -678,7 +705,7 @@ def test_clique_checks_take_the_known_min_distance(monkeypatch):
     def no_scan(code):
         raise AssertionError("minimum distance recomputed")
 
-    monkeypatch.setattr(classify_mod, "minimum_distance", no_scan)
+    monkeypatch.setattr(hamming_mod, "minimum_distance", no_scan)
     for q, family, array, delta, results in cases:
         assert clique_bound_checks(q, family, array, delta) == results
 
@@ -686,7 +713,7 @@ def test_clique_checks_take_the_known_min_distance(monkeypatch):
 def test_decompose_product_takes_the_known_min_distance(monkeypatch):
     # on every Hamming-quotient census code the analysis' delta gives the
     # report of the weight-scan oracle, and decompose_product scans nothing
-    import crcodes.classify as classify_mod
+    import crcodes.hamming_space as hamming_mod
     from crcodes.search import enumerate_linear_codes
 
     cases = []
@@ -708,7 +735,7 @@ def test_decompose_product_takes_the_known_min_distance(monkeypatch):
     def no_scan(code):
         raise AssertionError("minimum distance recomputed")
 
-    monkeypatch.setattr(classify_mod, "minimum_distance", no_scan)
+    monkeypatch.setattr(hamming_mod, "minimum_distance", no_scan)
     for code, family, delta, report in cases:
         assert decompose_product(code, family, delta) == report
 
@@ -1135,4 +1162,4 @@ def test_codes_cut_from_a_parity_check_list_no_member_of_their_source(monkeypatc
     doubled = _doubled_hamming()
     assert coordinate_classes(doubled) == tuple((i, i + 7) for i in range(7))
     assert "hamming_replication" in classify_arithmetic_forms(doubled).case_names()
-    assert spanned and set(spanned) == {7}  # only the deduplicated code D
+    assert spanned == []  # the deduplicated code D is certified from H_P

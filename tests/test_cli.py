@@ -555,3 +555,94 @@ def test_decompose_reports_of_the_certify_ladder_keep_their_bytes(tmp_path):
                      "--out", str(out)])
         got[name] = (code, hashlib.sha256(out.read_bytes()).hexdigest())
     assert got == _LADDER_DECOMPOSE
+
+
+# -- large linear codes: every step is capped by what it lists ---------------------
+
+
+def _ladder_closed_forms() -> dict:
+    """The closed forms of the benchmark's ladder (bench/workloads.py), loaded
+    by path and only read."""
+    import runpy
+
+    return runpy.run_path(str(Path(__file__).parent.parent / "bench" / "workloads.py"))
+
+
+def _hamming(q, r):
+    return {"type": "construct", "name": "hamming", "q": q, "r": r}
+
+
+@pytest.fixture
+def no_span(monkeypatch):
+    import crcodes.hamming_space as hamming_mod
+
+    def forbidden(*args):
+        raise AssertionError("members spanned")
+
+    monkeypatch.setattr(hamming_mod, "_span", forbidden)
+
+
+def test_large_linear_codes_are_analysed_from_their_parity_check(tmp_path, capsys, no_span):
+    # q^n and q^k are far above the cap; q^rank is not, and nothing is listed
+    forms = _ladder_closed_forms()
+    cases = {
+        "hamming-31-26": (_hamming(2, 5), forms["perfect_hamming"](2, 5)),
+        "hamming-63-57": (_hamming(2, 6), forms["perfect_hamming"](2, 6)),
+        "hamming-3-40-36": (_hamming(3, 4), forms["perfect_hamming"](3, 4)),
+        "hamming-4-21-18": (_hamming(4, 3), forms["perfect_hamming"](4, 3)),
+        "hamming-31-26-squared": (
+            {"type": "construct", "name": "product",
+             "factors": [_hamming(2, 5), _hamming(2, 5)]}, forms["hamming_square"](2, 5)),
+    }
+    for name, (doc, want) in cases.items():
+        spec = _write_spec(tmp_path, f"{name}.json", doc)
+        reports = {}
+        for command in ("check", "classify", "decompose"):
+            code, out, err = _run(capsys, command, spec)
+            assert code == 0, (name, command, err)
+            reports[command] = json.loads(out)
+        keys = ("cr", "rho", "gamma", "alpha", "beta", "spectrum")
+        assert [reports["check"][k] for k in keys] == [want[k] for k in keys], name
+        for command in ("classify", "decompose"):
+            family = reports[command]["family"]
+            assert {"tag": family["tag"], "params": family["params"]} == want["family"]
+        assert reports["decompose"]["decomposition"]["verified"], name
+    assert reports["decompose"]["decomposition"]["blocks"] == [
+        list(range(31)), list(range(31, 62))]
+
+
+def test_product_verify_of_two_long_hamming_codes(tmp_path, capsys, no_span):
+    spec = _write_spec(tmp_path, "hamming-31-26.json", _hamming(2, 5))
+    code, out, err = _run(capsys, "product", "--verify", spec, spec)
+    assert code == 0, err
+    report = json.loads(out)
+    assert report["compatible"] and report["verified"]["matches_prediction"]
+    assert report["verified"]["gamma"] == [0, 1, 2]
+
+
+def test_a_linear_witness_is_rendered_as_its_parity_check(capsys, no_span):
+    from crcodes.cli import _error
+    from crcodes.constructions import hamming_code
+    from crcodes.errors import TheoremViolationError
+
+    code = hamming_code(5, 2)
+    _error("theorem_violation", TheoremViolationError("a witness", witness=code))
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["witness"] == {
+        "type": "linear", "q": 2, "n": 31,
+        "parity_check": code.linear.parity_check.to_lists()}
+
+
+@pytest.mark.parametrize("command", ["classify", "decompose"])
+def test_a_coset_graph_that_is_not_distance_regular_is_a_violation(
+        tmp_path, capsys, monkeypatch, command):
+    import crcodes.cli as cli_mod
+    from crcodes.partitions_quotients import DrgCertificate
+
+    monkeypatch.setattr(cli_mod, "certify_distance_regular",
+                        lambda graph: DrgCertificate(False, witness={"vertex": 0}))
+    code, _, err = _run(capsys, command, _hamming74_spec(tmp_path))
+    assert code == 4
+    payload = json.loads(err)
+    assert payload["error"] == "theorem_violation"
+    assert payload["witness"] == {"vertex": 0}

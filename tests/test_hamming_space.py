@@ -6,6 +6,7 @@ import pytest
 
 from crcodes import hamming_space
 from crcodes.algebra import alphabet, gf_matrix, mat_vec
+from crcodes.constructions import cartesian_product
 from crcodes.errors import CapacityError, NotAdditiveError, UndefinedMinimumDistanceError
 from crcodes.hamming_space import (
     ADDITIVE_CHECK_WORDS,
@@ -237,9 +238,19 @@ def test_capacity_guard():
     sp = ambient(8, 2, max_vertices=100)
     with pytest.raises(CapacityError):
         sp.require_materializable()
-    h = gf_matrix(alphabet(2), [[1] * 8])
+    # q^k = 128 members: the code is built, but spanning them is refused
+    code = code_from_parity_check(sp, gf_matrix(alphabet(2), [[1] * 8]))
+    assert code.size == 128
     with pytest.raises(CapacityError):
-        code_from_parity_check(sp, h)
+        code.members
+    # 16 members a factor, 256 in their product, which bypasses construction
+    factor = code_from_parity_check(ambient(5, 2, max_vertices=100),
+                                    gf_matrix(alphabet(2), [[1] * 5]))
+    assert len(factor.members) == 16
+    product = cartesian_product(factor, factor)
+    assert product.size == 256
+    with pytest.raises(CapacityError):
+        product.members
 
 
 def _binary_hamming_check(r):

@@ -271,26 +271,15 @@ def test_one_length_census_bytes_are_pinned(tmp_path, q, n):
     assert digests == _ONE_LENGTH_DIGESTS[q, n]
 
 
-def test_census_spans_members_only_for_the_forms_and_the_decomposition(
-        tmp_path, monkeypatch):
-    # the certificate, delta and every other check read H alone; a code's
-    # members are spanned only inside the two steps that walk them
+def test_census_spans_no_member(tmp_path, monkeypatch):
+    # the certificate, delta, the product blocks, the minimum distance of the
+    # deduplicated code and every other check read H alone
     import crcodes.hamming_space as hamming_mod
-    import crcodes.search as search_mod
 
-    inside, spans = [], []
+    spans = []
     real_span = hamming_mod._span
     monkeypatch.setattr(hamming_mod, "_span",
-                        lambda *args: spans.append(bool(inside)) or real_span(*args))
-    for name in ("classify_arithmetic_forms", "decompose_product"):
-        def walking(*args, _step=getattr(search_mod, name), **kwargs):
-            inside.append(True)
-            try:
-                return _step(*args, **kwargs)
-            finally:
-                inside.pop()
-
-        monkeypatch.setattr(search_mod, name, walking)
+                        lambda *args: spans.append(args) or real_span(*args))
     summary = run_census(CensusParams(q=3, max_n=5), tmp_path)
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                for name in ("census.jsonl", "summary.csv")}
@@ -299,7 +288,7 @@ def test_census_spans_members_only_for_the_forms_and_the_decomposition(
         "summary.csv": "a0e68f0ca4b0d6d89bad4dd48fd05bf840355f633dd50bf3657f36b5e858ebf1",
     }
     assert summary["recorded"] == 229 and summary["completely_regular"] == 30
-    assert spans and all(spans)
+    assert spans == []
 
 
 def test_analysis_of_a_non_cr_census_code_spans_no_member(monkeypatch):
