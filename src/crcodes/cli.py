@@ -11,11 +11,12 @@ regular), 2 input error, 3 capacity error, 4 internal theorem violation.
 
 from __future__ import annotations
 
-import argparse
+import getopt
 import json
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 from .classify import (
     classify_arithmetic_forms,
@@ -334,58 +335,123 @@ def _cmd_replay(args) -> int:
     return EXIT_OK if result["match"] else EXIT_REFUTED
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="crcodes",
-        description="Exact-arithmetic analysis of completely regular codes "
-                    "in Hamming graphs",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+# An option is (flag, default, kind, help).  `kind` is int, str, a tuple of
+# the accepted values, or None for a flag that takes no value and sets True.
+# A default of _REQUIRED makes the option mandatory.
+_REQUIRED = object()
 
-    def common(p):
-        p.add_argument("--format", choices=("json", "text"), default="json")
-        p.add_argument("--out", help="write the report to this path")
-        p.add_argument("--max-vertices", type=int, default=None,
-                       help="override the cap on listed vertices")
-        p.add_argument("--acknowledge-capacity", action="store_true",
-                       help="confirm a cap above the default (memory!)")
+_COMMON_OPTIONS = (
+    ("--format", "json", ("json", "text"), "report format"),
+    ("--out", None, str, "write the report to this path"),
+    ("--max-vertices", None, int, "override the cap on listed vertices"),
+    ("--acknowledge-capacity", False, None,
+     "confirm a cap above the default (memory!)"),
+)
 
-    for name, handler, doc in (
-        ("check", _cmd_check, "certify complete regularity and report"),
-        ("spectrum", _cmd_spectrum, "eigenvalues and arithmetic certificate"),
-        ("quotient", _cmd_quotient, "coset partition, quotient graph, arrays"),
-        ("classify", _cmd_classify, "quotient family and theorem checks"),
-        ("decompose", _cmd_decompose, "product decomposition and case report"),
-        ("construct", _cmd_construct, "expand a construct spec to a code spec"),
-    ):
-        p = sub.add_parser(name, help=doc)
-        p.add_argument("spec", help="code-spec JSON path")
-        common(p)
-        p.set_defaults(handler=handler)
+# Each subcommand: (handler, one-line help, positional names, its own options);
+# every subcommand also takes _COMMON_OPTIONS.
+COMMANDS = {
+    "check": (_cmd_check, "certify complete regularity and report", ("spec",), ()),
+    "spectrum": (_cmd_spectrum, "eigenvalues and arithmetic certificate", ("spec",), ()),
+    "quotient": (_cmd_quotient, "coset partition, quotient graph, arrays", ("spec",), ()),
+    "classify": (_cmd_classify, "quotient family and theorem checks", ("spec",), ()),
+    "decompose": (_cmd_decompose, "product decomposition and case report", ("spec",), ()),
+    "construct": (_cmd_construct, "expand a construct spec to a code spec", ("spec",), ()),
+    "product": (_cmd_product, "product compatibility criterion", ("spec1", "spec2"), (
+        ("--verify", False, None, "brute-force the product and compare"),
+    )),
+    "search": (_cmd_search, "run the code census", (), (
+        ("--q", 2, int, "alphabet size"),
+        ("--max-n", _REQUIRED, int, "longest code length"),
+        ("--min-n", 1, int, "shortest code length"),
+        ("--max-redundancy", None, int, "largest redundancy n - k"),
+        ("--out-dir", _REQUIRED, str, "directory for census.jsonl and summary.csv"),
+    )),
+    "replay": (_cmd_replay, "re-verify a census record or witness", ("record",), ()),
+}
 
-    p = sub.add_parser("product", help="product compatibility criterion")
-    p.add_argument("spec1")
-    p.add_argument("spec2")
-    p.add_argument("--verify", action="store_true",
-                   help="brute-force the product and compare")
-    common(p)
-    p.set_defaults(handler=_cmd_product)
 
-    p = sub.add_parser("search", help="run the code census")
-    p.add_argument("--q", type=int, default=2)
-    p.add_argument("--max-n", type=int, required=True)
-    p.add_argument("--min-n", type=int, default=1)
-    p.add_argument("--max-redundancy", type=int, default=None)
-    p.add_argument("--out-dir", required=True)
-    common(p)
-    p.set_defaults(handler=_cmd_search)
+def _help_text(command: str | None) -> str:
+    if command is None:
+        lines = ["usage: crcodes <command> [options]", "",
+                 "Exact-arithmetic analysis of completely regular codes in Hamming graphs",
+                 "", "commands:"]
+        lines += [f"  {name:<10} {row[1]}" for name, row in COMMANDS.items()]
+        lines += ["", "run 'crcodes <command> --help' for the options of one command"]
+        return "\n".join(lines) + "\n"
+    _, summary, positionals, options = COMMANDS[command]
+    lines = [" ".join(["usage: crcodes", command, *positionals, "[options]"]), "",
+             summary, "", "options:"]
+    for flag, default, kind, text in options + _COMMON_OPTIONS:
+        if kind is None:
+            metavar = ""
+        elif isinstance(kind, tuple):
+            metavar = " {" + ",".join(kind) + "}"
+        else:
+            metavar = " N" if kind is int else " PATH"
+        if default is _REQUIRED:
+            text += " (required)"
+        elif default is not None and kind is not None:
+            text += f" (default {default})"
+        lines.append(f"  {flag + metavar:<26} {text}")
+    lines.append(f"  {'-h, --help':<26} show this help and exit")
+    return "\n".join(lines) + "\n"
 
-    p = sub.add_parser("replay", help="re-verify a census record or witness")
-    p.add_argument("record", help="record JSON path")
-    common(p)
-    p.set_defaults(handler=_cmd_replay)
 
-    return parser
+def _cmd_help(args) -> int:
+    sys.stdout.write(_help_text(args.command))
+    return EXIT_OK
+
+
+def parse_args(argv: list[str]) -> SimpleNamespace:
+    """Read argv against COMMANDS.  Options may come before or after the
+    positionals, as ``--opt value`` or ``--opt=value``, and a long option may
+    be abbreviated to a unique prefix.  The namespace carries `command`,
+    `handler` and one attribute per positional and option; ``-h``/``--help``
+    gives a namespace whose handler prints the help.  Raises
+    getopt.GetoptError on a usage error."""
+    opts, rest = getopt.getopt(argv, "h", ["help"])
+    if opts:
+        return SimpleNamespace(command=None, handler=_cmd_help)
+    if not rest:
+        raise getopt.GetoptError("a command is required: " + ", ".join(COMMANDS))
+    command = rest[0]
+    if command not in COMMANDS:
+        raise getopt.GetoptError(f"unknown command {command!r}; choose from "
+                                 + ", ".join(COMMANDS))
+    handler, _, positionals, options = COMMANDS[command]
+    options += _COMMON_OPTIONS
+    longopts = ["help"] + [flag[2:] + ("" if kind is None else "=")
+                           for flag, _, kind, _ in options]
+    opts, values = getopt.gnu_getopt(rest[1:], "h", longopts)
+    given = dict(opts)
+    if "-h" in given or "--help" in given:
+        return SimpleNamespace(command=command, handler=_cmd_help)
+    if len(values) != len(positionals):
+        raise getopt.GetoptError(f"{command} takes {len(positionals)} positional "
+                                 f"argument(s) ({' '.join(positionals) or 'none'}), "
+                                 f"got {len(values)}")
+    args = SimpleNamespace(command=command, handler=handler, **dict(zip(positionals, values)))
+    for flag, default, kind, _ in options:
+        if flag not in given:
+            if default is _REQUIRED:
+                raise getopt.GetoptError(f"option {flag} is required")
+            value = default
+        elif kind is None:
+            value = True
+        elif kind is int:
+            try:
+                value = int(given[flag])
+            except ValueError:
+                raise getopt.GetoptError(
+                    f"option {flag}: invalid int value {given[flag]!r}") from None
+        else:
+            value = given[flag]
+            if isinstance(kind, tuple) and value not in kind:
+                raise getopt.GetoptError(f"option {flag}: invalid choice {value!r}; "
+                                         f"choose from {', '.join(kind)}")
+        setattr(args, flag[2:].replace("-", "_"), value)
+    return args
 
 
 def _error(kind: str, exc: Exception) -> None:
@@ -397,10 +463,12 @@ def _error(kind: str, exc: Exception) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parse_args(sys.argv[1:] if argv is None else argv)
         return args.handler(args)
+    except getopt.GetoptError as exc:
+        _error("usage", exc)
+        return EXIT_INPUT
     except NotCompletelyRegularError as exc:
         _error("not_completely_regular", exc)
         return EXIT_REFUTED

@@ -110,7 +110,7 @@ def _construct(doc: dict, max_vertices: int) -> Code:
             raise CodeSpecError("extended_hamming is binary only")
         return extended_hamming_code(_int(doc, "r"), max_vertices)
     if name == "repetition":
-        return repetition_code(_int(doc, "n"), _int(doc, "q"))
+        return repetition_code(_int(doc, "n"), _int(doc, "q"), max_vertices)
     if name == "replicate":
         base = parse_codespec(_require(doc, "base"), max_vertices)
         if not base.is_linear:

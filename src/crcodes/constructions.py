@@ -59,7 +59,7 @@ def extended_hamming_code(r: int, max_vertices=None) -> Code:
     return code_from_parity_check(space, e)
 
 
-def repetition_code(n: int, q: int) -> Code:
+def repetition_code(n: int, q: int, max_vertices=None) -> Code:
     """The q constant words of H(n, q), as nullspace of [I | -1]."""
     if n < 2:
         raise ValueError("repetition needs length >= 2")
@@ -69,7 +69,8 @@ def repetition_code(n: int, q: int) -> Code:
         [1 if j == i else (minus_one if j == n - 1 else 0) for j in range(n)]
         for i in range(n - 1)
     ]
-    return code_from_parity_check(ambient(n, q), gf_matrix(alpha, rows))
+    kwargs = {"max_vertices": max_vertices} if max_vertices else {}
+    return code_from_parity_check(ambient(n, q, **kwargs), gf_matrix(alpha, rows))
 
 
 def replicate_columns(h: GFMatrix, s: int) -> GFMatrix:

@@ -250,8 +250,9 @@ class Code:
     structure (``members=None``) spans the generator rows the first time the
     members are read and keeps them; its size (q^(n - rank)) and membership
     never need them.  Codes are immutable values: equality compares space,
-    linear structure and members, and the hash of a linear code is taken
-    from its space and structure alone.
+    linear structure and the members (of a linear code only when both codes
+    list them), and the hash of a linear code is taken from its space and
+    structure alone.
     """
 
     __slots__ = ("ambient", "linear", "_members", "_member_set")
@@ -316,8 +317,11 @@ class Code:
     def __eq__(self, other):
         if not isinstance(other, Code):
             return NotImplemented
-        return (self.ambient == other.ambient and self.linear == other.linear
-                and self.members == other.members)
+        if self.ambient != other.ambient or self.linear != other.linear:
+            return False
+        if self._members is None or other._members is None:
+            return True  # equal linear structure fixes the members: no span
+        return self.members == other.members
 
     def __hash__(self):
         if self.linear is not None:

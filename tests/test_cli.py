@@ -333,6 +333,19 @@ def test_capacity_exits_three(tmp_path, capsys):
     assert json.loads(err)["error"] == "capacity"
 
 
+def test_a_coset_graph_above_the_cap_exits_three(tmp_path, capsys):
+    # repetition n=10: the certificate lists 512 syndromes, within the cap,
+    # but the coset graph would hold 512 * 10 adjacency entries
+    spec = _write_spec(tmp_path, "rep10.json", {
+        "type": "construct", "name": "repetition", "q": 2, "n": 10})
+    code, _, _ = _run(capsys, "check", spec, "--max-vertices", "4096")
+    assert code == 0
+    code, out, err = _run(capsys, "classify", spec, "--max-vertices", "4096")
+    assert (code, out) == (3, "")
+    payload = json.loads(err)
+    assert payload["error"] == "capacity" and "coset graph adjacency" in payload["message"]
+
+
 def test_check_of_a_padded_hamming_code_lists_no_member(tmp_path, capsys, monkeypatch):
     import crcodes.hamming_space as hamming_mod
 
@@ -646,3 +659,137 @@ def test_a_coset_graph_that_is_not_distance_regular_is_a_violation(
     payload = json.loads(err)
     assert payload["error"] == "theorem_violation"
     assert payload["witness"] == {"vertex": 0}
+
+
+# -- the command table, against the argparse parser it replaced --------------------
+
+
+def _argparse_reference():
+    """The argparse parser that `cli.COMMANDS` replaced, kept as the oracle."""
+    import argparse
+
+    import crcodes.cli as cli
+
+    parser = argparse.ArgumentParser(
+        prog="crcodes",
+        description="Exact-arithmetic analysis of completely regular codes "
+                    "in Hamming graphs",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def common(p):
+        p.add_argument("--format", choices=("json", "text"), default="json")
+        p.add_argument("--out", help="write the report to this path")
+        p.add_argument("--max-vertices", type=int, default=None,
+                       help="override the cap on listed vertices")
+        p.add_argument("--acknowledge-capacity", action="store_true",
+                       help="confirm a cap above the default (memory!)")
+
+    for name, handler, doc in (
+        ("check", cli._cmd_check, "certify complete regularity and report"),
+        ("spectrum", cli._cmd_spectrum, "eigenvalues and arithmetic certificate"),
+        ("quotient", cli._cmd_quotient, "coset partition, quotient graph, arrays"),
+        ("classify", cli._cmd_classify, "quotient family and theorem checks"),
+        ("decompose", cli._cmd_decompose, "product decomposition and case report"),
+        ("construct", cli._cmd_construct, "expand a construct spec to a code spec"),
+    ):
+        p = sub.add_parser(name, help=doc)
+        p.add_argument("spec", help="code-spec JSON path")
+        common(p)
+        p.set_defaults(handler=handler)
+
+    p = sub.add_parser("product", help="product compatibility criterion")
+    p.add_argument("spec1")
+    p.add_argument("spec2")
+    p.add_argument("--verify", action="store_true",
+                   help="brute-force the product and compare")
+    common(p)
+    p.set_defaults(handler=cli._cmd_product)
+
+    p = sub.add_parser("search", help="run the code census")
+    p.add_argument("--q", type=int, default=2)
+    p.add_argument("--max-n", type=int, required=True)
+    p.add_argument("--min-n", type=int, default=1)
+    p.add_argument("--max-redundancy", type=int, default=None)
+    p.add_argument("--out-dir", required=True)
+    common(p)
+    p.set_defaults(handler=cli._cmd_search)
+
+    p = sub.add_parser("replay", help="re-verify a census record or witness")
+    p.add_argument("record", help="record JSON path")
+    common(p)
+    p.set_defaults(handler=cli._cmd_replay)
+
+    return parser
+
+
+_ACCEPTED_ARGV = [
+    *([command, "a.json"] for command in
+      ("check", "spectrum", "quotient", "classify", "decompose", "construct", "replay")),
+    ["check", "--format", "text", "a.json"],
+    ["check", "a.json", "--format=text"],
+    ["check", "a.json", "--format", "json", "--format", "text"],
+    ["classify", "a.json", "--max-v", "5"],
+    ["decompose", "--max-vertices=99", "--acknowledge-capacity", "a.json", "--out", "r.json"],
+    ["construct", "a.json", "--ack", "--out=r.json"],
+    ["replay", "--format", "text", "record.json"],
+    ["product", "--verify", "a", "b"],
+    ["product", "a", "--verify", "b"],
+    ["product", "a", "b", "--format", "text"],
+    ["search", "--max-n", "4", "--out-dir", "d"],
+    ["search", "--q", "3", "--max-n", "5", "--min-n", "2", "--max-redundancy", "3",
+     "--out-dir", "d", "--format", "text", "--out", "s.json", "--max-vertices", "64",
+     "--acknowledge-capacity"],
+    ["search", "--out-dir=d", "--max-n=4", "--max-r", "2", "--mi", "3"],
+]
+
+_REFUSED_ARGV = [
+    [],
+    ["frob", "a.json"],
+    ["check"],
+    ["check", "a.json", "b.json"],
+    ["product", "a"],
+    ["search", "--max-n", "x", "--out-dir", "d"],
+    ["check", "a.json", "--format", "xml"],
+    ["search", "--max-n", "4"],
+    ["check", "a.json", "--bogus"],
+    ["check", "a.json", "--max-vertices"],
+    ["search", "--max", "4", "--out-dir", "d"],
+    ["product", "--verify=yes", "a", "b"],
+    ["--format", "text", "check", "a.json"],
+]
+
+
+@pytest.mark.parametrize("argv", _ACCEPTED_ARGV, ids=" ".join)
+def test_the_command_table_reads_argv_like_the_argparse_parser(argv):
+    from crcodes.cli import parse_args
+
+    assert vars(parse_args(argv)) == vars(_argparse_reference().parse_args(argv))
+
+
+@pytest.mark.parametrize("argv", _REFUSED_ARGV, ids=lambda argv: " ".join(argv) or "empty")
+def test_a_usage_error_exits_two_from_both_parsers(argv, capsys):
+    with pytest.raises(SystemExit) as refused:
+        _argparse_reference().parse_args(argv)
+    assert refused.value.code == 2
+    capsys.readouterr()
+    code, out, err = _run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and json.loads(err)["error"] == "usage"
+
+
+def test_help_lists_every_command_and_option_of_the_table(capsys):
+    from crcodes.cli import _COMMON_OPTIONS, COMMANDS
+
+    code, out, err = _run(capsys, "--help")
+    assert (code, err) == (0, "")
+    for name, (_, summary, _, _) in COMMANDS.items():
+        assert f"  {name}" in out and summary in out
+    for name, (_, summary, positionals, options) in COMMANDS.items():
+        for flag in ("--help", "-h"):
+            code, out, err = _run(capsys, name, flag)
+            assert (code, err) == (0, "")
+            assert out.startswith(" ".join(["usage: crcodes", name, *positionals]))
+            assert summary in out
+            for option, *_ in options + _COMMON_OPTIONS:
+                assert f"  {option} " in out

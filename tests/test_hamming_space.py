@@ -6,7 +6,7 @@ import pytest
 
 from crcodes import hamming_space
 from crcodes.algebra import alphabet, gf_matrix, mat_vec
-from crcodes.constructions import cartesian_product
+from crcodes.constructions import cartesian_product, hamming_code
 from crcodes.errors import CapacityError, NotAdditiveError, UndefinedMinimumDistanceError
 from crcodes.hamming_space import (
     ADDITIVE_CHECK_WORDS,
@@ -155,7 +155,7 @@ def test_parity_check_codes_span_members_only_when_read(monkeypatch, q, rows):
     assert hash(lazy) == hash(eager)
     assert spans == []
     assert lazy == eager and eager == lazy
-    assert len(spans) == 1
+    assert spans == []  # equal linear structure decides without a span
     assert [x for x in range(space.size) if x in lazy] == kernel
     assert 0 in lazy and lazy.word_strings() == eager.word_strings()
     assert lazy.members == eager.members and len(spans) == 1  # cached
@@ -164,6 +164,12 @@ def test_parity_check_codes_span_members_only_when_read(monkeypatch, q, rows):
     assert copy.copy(lazy) == pickle.loads(pickle.dumps(lazy)) == lazy
     with pytest.raises(AttributeError):
         lazy.linear = None
+
+
+def test_equal_long_linear_codes_compare_without_spanning():
+    # Hamming [63,57] has 2^57 members, far above the cap
+    assert hamming_code(6, 2) == hamming_code(6, 2)
+    assert hamming_code(6, 2) != hamming_code(5, 2)
 
 
 def test_syndrome_membership_agrees_with_the_member_set():

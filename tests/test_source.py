@@ -1,6 +1,10 @@
 """Checks on the package source itself."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SOURCE = Path(__file__).parent.parent / "src" / "crcodes"
@@ -14,3 +18,19 @@ def test_no_assert_statement_in_the_package():
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_a_cli_call_imports_neither_argparse_nor_locale(tmp_path):
+    # building an argparse parser on every call cost more than the analysis
+    # of a small code; locale comes with argparse's gettext lookups
+    spec = tmp_path / "hamming74.json"
+    spec.write_text(json.dumps({"type": "construct", "name": "hamming", "q": 2, "r": 3}))
+    script = (
+        "import json, sys\n"
+        "from crcodes.cli import main\n"
+        f"code = main(['check', {str(spec)!r}])\n"
+        "print(json.dumps([code, sorted({'argparse', 'locale'} & set(sys.modules))]))\n")
+    env = {**os.environ, "PYTHONPATH": str(SOURCE.parent)}
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, timeout=60, check=True)
+    assert json.loads(run.stdout.splitlines()[-1]) == [0, []]
