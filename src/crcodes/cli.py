@@ -423,7 +423,19 @@ def parse_args(argv: list[str]) -> SimpleNamespace:
     options += _COMMON_OPTIONS
     longopts = ["help"] + [flag[2:] + ("" if kind is None else "=")
                            for flag, _, kind, _ in options]
-    opts, values = getopt.gnu_getopt(rest[1:], "h", longopts)
+    rest, tail = rest[1:], []
+    if "--" in rest:  # everything after "--" is positional
+        cut = rest.index("--")
+        rest, tail = rest[:cut], rest[cut + 1:]
+    # getopt.getopt stops at the first positional: take it and read on, so
+    # options may also follow the positionals, whatever the environment says
+    opts, values = [], []
+    while rest:
+        found, rest = getopt.getopt(rest, "h", longopts)
+        opts += found
+        if rest:
+            values.append(rest.pop(0))
+    values += tail
     given = dict(opts)
     if "-h" in given or "--help" in given:
         return SimpleNamespace(command=command, handler=_cmd_help)

@@ -64,12 +64,14 @@ class AmbientSpace:
     def valency(self) -> int:
         return self.n * (self.q - 1)
 
-    def require_materializable(self, what: str = "operation", count: int | None = None) -> None:
-        """Refuse to list `count` vertices (all q^n by default) above the cap."""
+    def require_materializable(self, what: str = "operation", count: int | None = None,
+                               unit: str = "vertices") -> None:
+        """Refuse to list `count` vertices (all q^n by default), or `count`
+        of some other `unit`, above the cap."""
         count = self.size if count is None else count
         if count > self.max_vertices:
             raise CapacityError(
-                f"{what} would materialize {count} vertices "
+                f"{what} would materialize {count} {unit} "
                 f"(cap {self.max_vertices}); raise max_vertices explicitly to proceed"
             )
 

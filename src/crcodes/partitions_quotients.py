@@ -271,7 +271,8 @@ def coset_graph_by_syndrome(code: Code) -> CayleyGraph:
     q, r = alpha.q, h.nrows
     count = q**r
     connection = tuple(sorted(set(column_offsets(h)) - {0}))
-    code.ambient.require_materializable("coset graph adjacency", count * len(connection))
+    code.ambient.require_materializable("coset graph adjacency", count * len(connection),
+                                        unit="entries")
     translates = [translate(range(count), s, alpha) for s in connection]
     # no connection only for rank 0: one vertex, no edges
     adjacency = tuple(tuple(sorted(nbrs)) for nbrs in zip(*translates)) or ((),)

@@ -343,7 +343,8 @@ def test_a_coset_graph_above_the_cap_exits_three(tmp_path, capsys):
     code, out, err = _run(capsys, "classify", spec, "--max-vertices", "4096")
     assert (code, out) == (3, "")
     payload = json.loads(err)
-    assert payload["error"] == "capacity" and "coset graph adjacency" in payload["message"]
+    assert payload["error"] == "capacity"
+    assert "coset graph adjacency would materialize 5120 entries" in payload["message"]
 
 
 def test_check_of_a_padded_hamming_code_lists_no_member(tmp_path, capsys, monkeypatch):
@@ -741,6 +742,8 @@ _ACCEPTED_ARGV = [
      "--out-dir", "d", "--format", "text", "--out", "s.json", "--max-vertices", "64",
      "--acknowledge-capacity"],
     ["search", "--out-dir=d", "--max-n=4", "--max-r", "2", "--mi", "3"],
+    ["check", "--format", "text", "--", "a.json"],
+    ["product", "a", "--verify", "--", "-b"],
 ]
 
 _REFUSED_ARGV = [
@@ -757,6 +760,7 @@ _REFUSED_ARGV = [
     ["search", "--max", "4", "--out-dir", "d"],
     ["product", "--verify=yes", "a", "b"],
     ["--format", "text", "check", "a.json"],
+    ["check", "--out", "--", "a.json"],
 ]
 
 
@@ -765,6 +769,15 @@ def test_the_command_table_reads_argv_like_the_argparse_parser(argv):
     from crcodes.cli import parse_args
 
     assert vars(parse_args(argv)) == vars(_argparse_reference().parse_args(argv))
+
+
+def test_posixly_correct_changes_no_reading(monkeypatch):
+    # getopt.gnu_getopt would stop at the first positional with this set
+    from crcodes.cli import parse_args
+
+    monkeypatch.setenv("POSIXLY_CORRECT", "1")
+    for argv in _ACCEPTED_ARGV:
+        assert vars(parse_args(argv)) == vars(_argparse_reference().parse_args(argv))
 
 
 @pytest.mark.parametrize("argv", _REFUSED_ARGV, ids=lambda argv: " ".join(argv) or "empty")
