@@ -19,6 +19,7 @@ syndromes), and the extended-Hamming and normal-form tests are identities.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import reduce
 from math import prod
@@ -51,6 +52,7 @@ from .partitions_quotients import (
     Graph,
     IntersectionArray,
     certify_distance_regular,
+    coset_graph,
     coset_graph_by_syndrome,
     graph_from_edges,
     local_roots,
@@ -167,30 +169,12 @@ def local_component_profile(graph: Graph, v: int) -> tuple[tuple[int, int], ...]
     """(size, edge count) of each component of the neighborhood-induced graph."""
     nbrs = graph.adjacency[v]
     index = {w: i for i, w in enumerate(nbrs)}
-    parent = list(range(len(nbrs)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    edge_count = [0] * len(nbrs)
-    for i, w in enumerate(nbrs):
-        for u in graph.adjacency[w]:
-            j = index.get(u)
-            if j is not None and i < j:
-                edge_count[i] += 1
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
-    sizes: dict[int, int] = {}
-    edges: dict[int, int] = {}
-    for i in range(len(nbrs)):
-        r = find(i)
-        sizes[r] = sizes.get(r, 0) + 1
-        edges[r] = edges.get(r, 0) + edge_count[i]
-    return tuple(sorted((sizes[r], edges[r]) for r in sizes))
+    edges = [(i, j) for i, w in enumerate(nbrs) for u in graph.adjacency[w]
+             if (j := index.get(u, -1)) > i]
+    components = _classes(len(nbrs), edges)
+    where = {i: k for k, members in enumerate(components) for i in members}
+    edge_count = Counter(where[i] for i, _ in edges)
+    return tuple(sorted((len(members), edge_count[k]) for k, members in enumerate(components)))
 
 
 def _initial_invariants(graph: Graph) -> list:
@@ -511,6 +495,17 @@ def classify_quotient(graph: Graph, drg=None) -> QuotientFamily:
         return QuotientFamily("other", {}, {**evidence, "folded_iso": "failed"})
 
     return QuotientFamily("other", {}, evidence)
+
+
+def coset_family(code: Code):
+    """The coset graph of a CR code, its DRG certificate and its family;
+    a coset graph that is not distance-regular is a theorem violation."""
+    graph = coset_graph(code)
+    drg = certify_distance_regular(graph)
+    if not drg.is_drg:
+        raise TheoremViolationError(
+            "coset graph of a CR code is not distance-regular", witness=drg.witness)
+    return graph, drg, classify_quotient(graph, drg)
 
 
 # -- clique bounds on quotients ----------------------------------------------------
@@ -889,7 +884,7 @@ def is_extended_hamming_equivalent(code: Code) -> bool:
 @dataclass(frozen=True)
 class SmallRadiusReport:
     case: str | None  # hamming | hamming_product | extended_hamming |
-    #                   None (violation)
+    #                   binary_repetition | None (violation)
     detail: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
@@ -899,8 +894,9 @@ class SmallRadiusReport:
 def classify_small_covering_radius(code: Code,
                                    analysis: CodeAnalysis | None = None) -> SmallRadiusReport:
     """Covering radius 1 forces a perfect Hamming-equivalent code; radius 2
-    forces a two-block product of one Hamming code or (binary) an extended
-    Hamming code."""
+    forces a two-block product of one Hamming code or, binary, an extended
+    Hamming code or the repetition code {00000, 11111}, whose coset graph is
+    the folded 5-cube."""
     analysis = analysis or analyze_code(code)
     if not code.is_linear:
         raise ValueError("classification applies to linear codes")
@@ -929,6 +925,8 @@ def classify_small_covering_radius(code: Code,
                  "factor_size": factors[0].size})
     if code.ambient.q == 2 and is_extended_hamming_equivalent(code):
         return SmallRadiusReport("extended_hamming", {})
+    if code.ambient.q == 2 and code.ambient.n == 5 and code.size == 2 and 2**5 - 1 in code:
+        return SmallRadiusReport("binary_repetition", {})
     return SmallRadiusReport(None, {"blocks": [list(b) for b in blocks]})
 
 
@@ -990,11 +988,10 @@ class ArithmeticFormsReport:
 
 
 def classify_arithmetic_forms(code: Code, analysis: CodeAnalysis | None = None,
-                              columns: ColumnClassReport | None = None,
                               graph: Graph | None = None) -> ArithmeticFormsReport:
-    """The four forms of a reduced linear arithmetic CR code.  A caller that
-    already holds the code's analysis, column classes or syndrome coset graph
-    passes them in, and they are not recomputed."""
+    """The four forms of a reduced linear arithmetic CR code, with its
+    column classes.  A caller that already holds the code's analysis or
+    syndrome coset graph passes them in, and they are not recomputed."""
     analysis = analysis or analyze_code(code)
     if not code.is_linear:
         raise ValueError("form classification applies to linear codes")
@@ -1008,7 +1005,7 @@ def classify_arithmetic_forms(code: Code, analysis: CodeAnalysis | None = None,
         raise ValueError("form classification needs an arithmetic spectrum")
     q = code.ambient.q
     rho = analysis.rho
-    report = columns or column_classes(code, analysis)
+    report = column_classes(code, analysis)
     form = replicated_normal_form(code, report)
     d_code = report.restricted_code
     m = d_code.ambient.n

@@ -21,10 +21,9 @@ from types import SimpleNamespace
 from .classify import (
     classify_arithmetic_forms,
     classify_hamming_quotient_code,
-    classify_quotient,
     classify_small_covering_radius,
-    column_classes,
     coordinate_classes,
+    coset_family,
     coset_graph_checks,
     decompose_product,
 )
@@ -47,7 +46,6 @@ from .hamming_space import DEFAULT_VERTEX_CAP, is_additive
 from .partitions_quotients import (
     certify_cr_partition,
     certify_distance_regular,
-    coset_graph,
     coset_graph_by_syndrome,
     coset_partition,
     coset_to_syndrome,
@@ -207,17 +205,6 @@ def _cmd_quotient(args) -> int:
     return EXIT_OK
 
 
-def _coset_family(code):
-    """The coset graph of a CR code, its DRG certificate and its family;
-    a coset graph that is not distance-regular is a theorem violation."""
-    graph = coset_graph(code)
-    drg = certify_distance_regular(graph)
-    if not drg.is_drg:
-        raise TheoremViolationError(
-            "coset graph of a CR code is not distance-regular", witness=drg.witness)
-    return graph, drg, classify_quotient(graph, drg)
-
-
 def _cmd_classify(args) -> int:
     code = _load(args.spec, args)
     analysis = analyze_code(code)
@@ -228,7 +215,7 @@ def _cmd_classify(args) -> int:
             "witness": analysis.certificate.witness.to_json(),
         }, args)
         return EXIT_REFUTED
-    _, drg, family = _coset_family(code)
+    _, drg, family = coset_family(code)
     checks = [r.to_json() for r in coset_graph_checks(code, analysis, family, drg.array)]
     report = {
         "schema": "classification-report@1",
@@ -268,16 +255,15 @@ def _cmd_decompose(args) -> int:
     violation = False
     if is_additive(code):
         report["coordinate_classes"] = [list(c) for c in coordinate_classes(code)]
-    graph, _, family = _coset_family(code)
+    graph, _, family = coset_family(code)
     report["family"] = family.to_json()
     if family.tag == "hamming" and analysis.delta is not None and analysis.delta >= 2:
         decomposition = decompose_product(code, family, analysis.delta)
         report["decomposition"] = decomposition.to_json()
         violation |= not decomposition.verified
     if code.is_linear and analysis.reduced and analysis.arithmetic.arithmetic:
-        columns = column_classes(code, analysis)
-        report["column_classes"] = columns.to_json()
-        forms = classify_arithmetic_forms(code, analysis, columns, graph)
+        forms = classify_arithmetic_forms(code, analysis, graph)
+        report["column_classes"] = forms.column_report.to_json()
         report["forms"] = forms.to_json()
         violation |= forms.violation
         if family.tag == "hamming":
@@ -343,6 +329,11 @@ _REQUIRED = object()
 _COMMON_OPTIONS = (
     ("--format", "json", ("json", "text"), "report format"),
     ("--out", None, str, "write the report to this path"),
+)
+
+# The cap options of the commands that read a code spec; search and replay
+# build their codes under the default cap and refuse them.
+_CAP_OPTIONS = (
     ("--max-vertices", None, int, "override the cap on listed vertices"),
     ("--acknowledge-capacity", False, None,
      "confirm a cap above the default (memory!)"),
@@ -351,14 +342,19 @@ _COMMON_OPTIONS = (
 # Each subcommand: (handler, one-line help, positional names, its own options);
 # every subcommand also takes _COMMON_OPTIONS.
 COMMANDS = {
-    "check": (_cmd_check, "certify complete regularity and report", ("spec",), ()),
-    "spectrum": (_cmd_spectrum, "eigenvalues and arithmetic certificate", ("spec",), ()),
-    "quotient": (_cmd_quotient, "coset partition, quotient graph, arrays", ("spec",), ()),
-    "classify": (_cmd_classify, "quotient family and theorem checks", ("spec",), ()),
-    "decompose": (_cmd_decompose, "product decomposition and case report", ("spec",), ()),
-    "construct": (_cmd_construct, "expand a construct spec to a code spec", ("spec",), ()),
+    "check": (_cmd_check, "certify complete regularity and report", ("spec",), _CAP_OPTIONS),
+    "spectrum": (_cmd_spectrum, "eigenvalues and arithmetic certificate", ("spec",),
+                 _CAP_OPTIONS),
+    "quotient": (_cmd_quotient, "coset partition, quotient graph, arrays", ("spec",),
+                 _CAP_OPTIONS),
+    "classify": (_cmd_classify, "quotient family and theorem checks", ("spec",),
+                 _CAP_OPTIONS),
+    "decompose": (_cmd_decompose, "product decomposition and case report", ("spec",),
+                  _CAP_OPTIONS),
+    "construct": (_cmd_construct, "expand a construct spec to a code spec", ("spec",),
+                  _CAP_OPTIONS),
     "product": (_cmd_product, "product compatibility criterion", ("spec1", "spec2"), (
-        ("--verify", False, None, "brute-force the product and compare"),
+        ("--verify", False, None, "brute-force the product and compare"), *_CAP_OPTIONS,
     )),
     "search": (_cmd_search, "run the code census", (), (
         ("--q", 2, int, "alphabet size"),

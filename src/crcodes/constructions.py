@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import GFMatrix, field_alphabet, gf_matrix, hstack
-from .cr_analysis import CrCertificate, certify_completely_regular
+from .cr_analysis import certify_completely_regular
 from .errors import CrcodesError
 from .hamming_space import Code, LinearStructure, ambient, code_from_parity_check
 
@@ -82,11 +82,12 @@ def replicate_columns(h: GFMatrix, s: int) -> GFMatrix:
 def cartesian_product(c1: Code, c2: Code) -> Code:
     """Concatenation code {(u, v) : u in C1, v in C2} in H(n1+n2, q).  Two
     linear factors give the code of the block-diagonal parity check, with
-    the block-diagonal generators, and list no member."""
+    the block-diagonal generators, and list no member.  The product space
+    keeps the smaller vertex cap of the two."""
     s1, s2 = c1.ambient, c2.ambient
     if s1.q != s2.q or s1.alphabet != s2.alphabet:
         raise ValueError("product factors must share one alphabet")
-    space = ambient(s1.n + s2.n, s1.q, max(s1.max_vertices, s2.max_vertices))
+    space = ambient(s1.n + s2.n, s1.q, min(s1.max_vertices, s2.max_vertices))
     if c1.is_linear and c2.is_linear:
         l1, l2 = c1.linear, c2.linear
 
@@ -101,8 +102,8 @@ def cartesian_product(c1: Code, c2: Code) -> Code:
     return Code(space, tuple(sorted(u + shift * v for v in c2.members for u in c1.members)))
 
 
-def full_code(n: int, q: int) -> Code:
-    space = ambient(n, q)
+def full_code(n: int, q: int, max_vertices: int) -> Code:
+    space = ambient(n, q, max_vertices)
     space.require_materializable("full code")
     return Code(space, tuple(range(space.size)))
 
@@ -120,7 +121,7 @@ def pad_code(code: Code, copies: int = 1) -> Code:
         return code_from_parity_check(space, padded)
     out = code
     for _ in range(copies):
-        out = cartesian_product(full_code(1, code.ambient.q), out)
+        out = cartesian_product(full_code(1, code.ambient.q, code.ambient.max_vertices), out)
     return out
 
 
@@ -175,12 +176,10 @@ def _linear_growth(values: tuple[int, ...]) -> int | None:
     return None
 
 
-def product_cr_criterion(c1: Code, c2: Code,
-                         cert1: CrCertificate | None = None,
-                         cert2: CrCertificate | None = None) -> ProductCompatibility:
+def product_cr_criterion(c1: Code, c2: Code) -> ProductCompatibility:
     """Decide whether C x C' is completely regular, from the factors alone."""
-    cert1 = cert1 or certify_completely_regular(c1)
-    cert2 = cert2 or certify_completely_regular(c2)
+    cert1 = certify_completely_regular(c1)
+    cert2 = certify_completely_regular(c2)
     for name, cert in (("first", cert1), ("second", cert2)):
         if not cert.completely_regular:
             raise NotCompletelyRegularError(

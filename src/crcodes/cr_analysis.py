@@ -219,29 +219,56 @@ def _intersection_numbers(counts) -> IntersectionNumbers:
     return numbers
 
 
-def _scan(part, rows) -> CrCertificate:
-    """Compare each vertex's (previous, same, next) counts with the first
-    vertex of its class; rows yields (vertex, class, counts) in order."""
-    rho = part.rho
-    reference: list[tuple[int, int, int] | None] = [None] * (rho + 1)
-    ref_vertex = [0] * (rho + 1)
+def first_conflict(rows):
+    """Compare each row's counts with those of the first row of its class.
+
+    rows yields (vertex, class, counts) in scan order.  Returns (references,
+    conflict): references maps each class met to its first vertex's counts,
+    and conflict is None, or (class, first vertex, its counts, vertex, its
+    counts) for the first vertex that differs, where the scan stops.
+    """
+    reference, first = {}, {}
     for v, c, counts in rows:
-        ref = reference[c]
+        ref = reference.get(c)
         if ref is None:
             reference[c] = counts
-            ref_vertex[c] = v
+            first[c] = v
         elif ref != counts:
-            which = next(i for i in range(3) if ref[i] != counts[i])
-            witness = CrWitness(
-                class_index=c,
-                direction=_DIRECTIONS[which],
-                vertex_a=ref_vertex[c],
-                count_a=ref[which],
-                vertex_b=v,
-                count_b=counts[which],
-            )
-            return CrCertificate(False, part, witness=witness)
-    return CrCertificate(True, part, numbers=_intersection_numbers(reference))
+            return reference, (c, first[c], ref, v, counts)
+    return reference, None
+
+
+def layer_counts(dist, adjacency, vertices):
+    """Rows (vertex, layer, (previous, same, next)) for the `first_conflict`
+    scan: a vertex's neighbours one layer down, in its own layer and one
+    layer up.  `dist` must move by at most one along an edge, as a BFS
+    distance or the distance to a code does."""
+    for v in vertices:
+        c = dist[v]
+        prev = same = nxt = 0
+        for w in adjacency[v]:
+            dw = dist[w]
+            if dw == c:
+                same += 1
+            elif dw < c:
+                prev += 1
+            else:
+                nxt += 1
+        yield v, c, (prev, same, nxt)
+
+
+def _scan(part, rows) -> CrCertificate:
+    """The certificate of rows (vertex, class, (previous, same, next)): the
+    first vertex that differs from the first vertex of its class is the
+    witness."""
+    reference, conflict = first_conflict(rows)
+    if conflict is None:
+        return CrCertificate(True, part, numbers=_intersection_numbers(
+            [reference[c] for c in range(part.rho + 1)]))
+    c, a, counts_a, b, counts_b = conflict
+    which = next(i for i in range(3) if counts_a[i] != counts_b[i])
+    return CrCertificate(False, part, witness=CrWitness(
+        c, _DIRECTIONS[which], a, counts_a[which], b, counts_b[which]))
 
 
 # -- lane vectors ----------------------------------------------------------------
@@ -459,24 +486,7 @@ def _cross_check(by_syndrome: CrCertificate, by_words: CrCertificate) -> None:
 def _certify_words(code: Code, part: DistancePartition) -> CrCertificate:
     """The equitability scan over all q^n words."""
     space = code.ambient
-    dist = part.class_of
-    table = neighbor_table(space)
-
-    def rows():
-        for v in range(space.size):
-            c = dist[v]
-            prev = same = nxt = 0
-            for w in table[v]:
-                dw = dist[w]
-                if dw == c:
-                    same += 1
-                elif dw == c - 1:
-                    prev += 1
-                else:
-                    nxt += 1
-            yield v, c, (prev, same, nxt)
-
-    return _scan(part, rows())
+    return _scan(part, layer_counts(part.class_of, neighbor_table(space), range(space.size)))
 
 
 def recount_witness(code: Code, witness: CrWitness) -> tuple[int, int]:
@@ -523,19 +533,21 @@ class QuotientMatrix:
         return [list(r) for r in self.matrix]
 
 
+def _tridiagonal(diag, sub, sup) -> tuple[tuple[int, ...], ...]:
+    """The square matrix with diagonal diag, sub[i-1] left of diag[i] and
+    sup[i] right of it."""
+    rows = [[0] * len(diag) for _ in diag]
+    for i, x in enumerate(diag):
+        rows[i][i] = x
+    for i, (low, high) in enumerate(zip(sub, sup)):
+        rows[i + 1][i], rows[i][i + 1] = low, high
+    return tuple(map(tuple, rows))
+
+
 def quotient_matrix(numbers: IntersectionNumbers) -> QuotientMatrix:
     numbers.validate()
-    rho = numbers.rho
-    rows = []
-    for i in range(rho + 1):
-        row = [0] * (rho + 1)
-        if i > 0:
-            row[i - 1] = numbers.gamma[i]
-        row[i] = numbers.alpha[i]
-        if i < rho:
-            row[i + 1] = numbers.beta[i]
-        rows.append(tuple(row))
-    return QuotientMatrix(tuple(rows), numbers)
+    return QuotientMatrix(_tridiagonal(numbers.alpha, numbers.gamma[1:],
+                                       numbers.beta[:numbers.rho]), numbers)
 
 
 def _charpoly_at(diag, sub, sup, x: int) -> int:
@@ -546,30 +558,29 @@ def _charpoly_at(diag, sub, sup, x: int) -> int:
     return p
 
 
-def tridiagonal_eigenvalues(diag, sub, sup, candidates) -> list[int]:
-    return [x for x in candidates if _charpoly_at(diag, sub, sup, x) == 0]
+def tridiagonal_eigenvalues(diag, sub, sup, candidates) -> tuple[int, ...]:
+    """The candidates that are roots of det(T - x I), largest first.  Raises
+    SpectrumError when they are fewer than the rows of T: some eigenvalue
+    is not a candidate."""
+    roots = sorted((x for x in candidates if _charpoly_at(diag, sub, sup, x) == 0),
+                   reverse=True)
+    if len(roots) < len(diag):
+        raise SpectrumError(f"found {len(roots)} of the {len(diag)} eigenvalues of a "
+                            "tridiagonal matrix among its candidates")
+    return tuple(roots)
 
 
 def code_spectrum(u: QuotientMatrix, space) -> tuple[int, ...]:
-    """Eigenvalues of U by exact scan over the ambient eigenvalues n(q-1)-qj."""
+    """Eigenvalues of U by exact scan over the ambient eigenvalues n(q-1)-qj;
+    a matrix that is not the quotient of a code in this space fails it."""
     n, q = space.n, space.q
     numbers = u.numbers
-    rho = u.rho
-    diag = numbers.alpha
-    sub = numbers.gamma[1:]
-    sup = numbers.beta[:rho]
-    candidates = [n * (q - 1) - q * j for j in range(n + 1)]
-    roots = tridiagonal_eigenvalues(diag, sub, sup, candidates)
-    if len(roots) != rho + 1:
-        raise SpectrumError(
-            f"found {len(roots)} ambient roots for a matrix of order {rho + 1}; "
-            "the input is not the quotient matrix of a code in this space"
-        )
-    roots.sort(reverse=True)
+    roots = tridiagonal_eigenvalues(numbers.alpha, numbers.gamma[1:], numbers.beta[:u.rho],
+                                    [n * (q - 1) - q * j for j in range(n + 1)])
     if roots[0] != space.valency:
         raise TheoremViolationError("largest quotient eigenvalue is not the valency",
-                                    witness={"roots": roots, "valency": space.valency})
-    return tuple(roots)
+                                    witness={"roots": list(roots), "valency": space.valency})
+    return roots
 
 
 def _charpoly_coefficients(diag, sub, sup) -> list[int]:
@@ -607,11 +618,9 @@ def tridiagonal_formula_spectrum(k: int, gamma: int, beta: int, rho: int) -> tup
     """
     if min(k, gamma, beta, rho) < 1:
         raise ValueError("k, gamma, beta, rho must be positive")
-    diag = [k - i * gamma - (rho - i) * beta for i in range(rho + 1)]
+    diag, sub, sup = _formula_bands(k, gamma, beta, rho)
     if min(diag) < 0:
         raise ValueError("parameters give a negative diagonal entry")
-    sub = [i * gamma for i in range(1, rho + 1)]
-    sup = [(rho - i) * beta for i in range(rho)]
     t = gamma + beta
     spectrum = tuple(k - t * i for i in range(rho + 1))
     for x in spectrum:
@@ -625,18 +634,15 @@ def tridiagonal_formula_spectrum(k: int, gamma: int, beta: int, rho: int) -> tup
     return spectrum
 
 
+def _formula_bands(k: int, gamma: int, beta: int, rho: int):
+    """(diagonal, sub-band, super-band) of the model matrix."""
+    return ([k - i * gamma - (rho - i) * beta for i in range(rho + 1)],
+            [i * gamma for i in range(1, rho + 1)], [(rho - i) * beta for i in range(rho)])
+
+
 def formula_matrix(k: int, gamma: int, beta: int, rho: int) -> tuple[tuple[int, ...], ...]:
     """The model matrix itself, for inspection and tests."""
-    rows = []
-    for i in range(rho + 1):
-        row = [0] * (rho + 1)
-        if i > 0:
-            row[i - 1] = i * gamma
-        row[i] = k - i * gamma - (rho - i) * beta
-        if i < rho:
-            row[i + 1] = (rho - i) * beta
-        rows.append(tuple(row))
-    return tuple(rows)
+    return _tridiagonal(*_formula_bands(k, gamma, beta, rho))
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ class-to-syndrome bijection lets the two constructions be compared.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 
 from .algebra import mat_vec
@@ -19,13 +19,14 @@ from .cr_analysis import (
     CrCertificate,
     IntersectionNumbers,
     certify_completely_regular,
+    first_conflict,
+    layer_counts,
     tridiagonal_eigenvalues,
 )
 from .errors import (
     CapacityError,
     DisconnectedGraphError,
     NotAdditiveError,
-    SpectrumError,
     TheoremViolationError,
 )
 from .hamming_space import (
@@ -187,30 +188,21 @@ class CrPartitionCertificate:
 
 
 def _partition_equitable(partition: VertexPartition):
-    """Class-to-class neighbor counts, or a conflicting-vertex witness."""
-    space = partition.space
+    """The first vertex whose class-to-class neighbour counts differ from
+    those of its class's first vertex, as (first vertex, vertex, class), or
+    None."""
     class_of = partition.class_of
-    reference: dict[int, dict[int, int]] = {}
-    ref_vertex: dict[int, int] = {}
-    table = neighbor_table(space)
-    for v in range(space.size):
-        c = class_of[v]
-        counts: dict[int, int] = {}
-        for w in table[v]:
-            cw = class_of[w]
-            counts[cw] = counts.get(cw, 0) + 1
-        if c not in reference:
-            reference[c] = counts
-            ref_vertex[c] = v
-        elif reference[c] != counts:
-            return None, (ref_vertex[c], v, c)
-    return reference, None
+    table = neighbor_table(partition.space)
+    _, conflict = first_conflict(
+        (v, class_of[v], Counter(map(class_of.__getitem__, table[v])))
+        for v in range(partition.space.size))
+    return None if conflict is None else (conflict[1], conflict[3], conflict[0])
 
 
 def certify_cr_partition(partition: VertexPartition) -> CrPartitionCertificate:
     """Certify that every class is completely regular with equal numbers and
     that the partition itself is equitable (the full definition)."""
-    _, equit_witness = _partition_equitable(partition)
+    equit_witness = _partition_equitable(partition)
     if equit_witness is not None:
         return CrPartitionCertificate(
             False, failure="partition_not_equitable", witness=equit_witness)
@@ -366,7 +358,10 @@ def bfs_distances(graph: Graph, root: int) -> list[int]:
 
 
 def certify_distance_regular(graph: Graph) -> DrgCertificate:
-    """BFS from every vertex; all (distance, direction) counts must agree.
+    """A regular graph is distance-regular when every vertex, as a one-vertex
+    code, is completely regular with the same numbers: the `first_conflict`
+    scan of the `layer_counts` of the BFS layers from every root, so b_i
+    and c_i are the next and previous counts of layer i.
 
     A CayleyGraph is vertex-transitive, so the BFS from vertex 0 alone gives
     the same verdict, array and witness (root 0 is scanned first either way).
@@ -380,32 +375,25 @@ def certify_distance_regular(graph: Graph) -> DrgCertificate:
         a = min(range(graph.n), key=graph.degree)
         b = max(range(graph.n), key=graph.degree)
         return DrgCertificate(False, witness=("degree", a, graph.degree(a), b, graph.degree(b)))
-    diameter = 0
-    b_ref: dict[int, int] = {}
-    c_ref: dict[int, int] = {}
-    b_where: dict[int, tuple[int, int]] = {}
-    c_where: dict[int, tuple[int, int]] = {}
-    for x in local_roots(graph):
-        dist = bfs_distances(graph, x)
-        if min(dist) < 0:
-            raise DisconnectedGraphError("graph is not connected")
-        diameter = max(diameter, max(dist))
-        for y in range(graph.n):
-            i = dist[y]
-            down = sum(1 for w in graph.adjacency[y] if dist[w] == i - 1)
-            up = sum(1 for w in graph.adjacency[y] if dist[w] == i + 1)
-            for ref, where, val in ((c_ref, c_where, down), (b_ref, b_where, up)):
-                if i not in ref:
-                    ref[i] = val
-                    where[i] = (x, y)
-                elif ref[i] != val:
-                    return DrgCertificate(
-                        False,
-                        witness=("count", i, where[i], ref[i], (x, y), val),
-                    )
+
+    def rows():
+        for x in local_roots(graph):
+            dist = bfs_distances(graph, x)
+            if min(dist) < 0:
+                raise DisconnectedGraphError("graph is not connected")
+            for y, i, counts in layer_counts(dist, graph.adjacency, range(graph.n)):
+                yield (x, y), i, counts
+
+    reference, conflict = first_conflict(rows())
+    if conflict is not None:
+        # equal degrees: a count differs one layer down or, if not, one up
+        i, where, ref, at, counts = conflict
+        j = 0 if ref[0] != counts[0] else 2
+        return DrgCertificate(False, witness=("count", i, where, ref[j], at, counts[j]))
+    diameter = len(reference) - 1
     array = IntersectionArray(
-        b=tuple(b_ref[i] for i in range(diameter)),
-        c=tuple(c_ref[i] for i in range(1, diameter + 1)),
+        b=tuple(reference[i][2] for i in range(diameter)),
+        c=tuple(reference[i][0] for i in range(1, diameter + 1)),
     )
     array.validate()
     return DrgCertificate(True, array)
@@ -437,14 +425,7 @@ def drg_spectrum(array: IntersectionArray) -> tuple[int, ...]:
     d = array.diameter
     if d == 0:
         return (0,)
-    diag = [array.a_at(i) for i in range(d + 1)]
-    sub = [array.c_at(i) for i in range(1, d + 1)]
-    sup = [array.b_at(i) for i in range(d)]
     k = array.k
-    roots = tridiagonal_eigenvalues(diag, sub, sup, range(-k, k + 1))
-    if len(roots) != d + 1:
-        raise SpectrumError(
-            f"intersection matrix has a non-integral eigenvalue "
-            f"(found {len(roots)} of {d + 1} integer roots)"
-        )
-    return tuple(sorted(roots, reverse=True))
+    return tridiagonal_eigenvalues([array.a_at(i) for i in range(d + 1)],
+                                   [array.c_at(i) for i in range(1, d + 1)],
+                                   [array.b_at(i) for i in range(d)], range(-k, k + 1))

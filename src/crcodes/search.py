@@ -28,20 +28,14 @@ from pathlib import Path
 from .algebra import GFMatrix, alphabet, gf_matrix, mat_vec
 from .classify import (
     classify_arithmetic_forms,
-    classify_quotient,
+    coset_family,
     coset_graph_checks,
     decompose_product,
 )
 from .cr_analysis import analyze_code, recount_witness
 from .errors import DigestMismatchError, TheoremViolationError
 from .hamming_space import Code, ambient, code_from_parity_check, decode, encode
-from .partitions_quotients import (
-    Graph,
-    certify_distance_regular,
-    coset_graph_by_syndrome,
-    drg_spectrum,
-    predicted_quotient_array,
-)
+from .partitions_quotients import Graph, drg_spectrum, predicted_quotient_array
 
 RECORD_SCHEMA = "census-record@2"
 
@@ -137,12 +131,7 @@ def build_record(code: Code) -> dict:
         bounds=analysis.bounds.to_json(),
     )
 
-    graph = coset_graph_by_syndrome(code)
-    drg = certify_distance_regular(graph)
-    if not drg.is_drg:
-        raise TheoremViolationError("coset graph of a CR code is not a DRG",
-                                    witness=record)
-    family = classify_quotient(graph, drg)
+    graph, drg, family = coset_family(code)
     record["family"] = {"tag": family.tag, "params": dict(family.params)}
     record["quotient_array"] = drg.array.to_json()
 

@@ -315,13 +315,13 @@ def test_acceptance_11_product_criterion_census_sweep():
                 for code in enumerate_linear_codes(n, q):
                     cert = certify_completely_regular(code)
                     if cert.completely_regular and cert.partition.rho >= 1:
-                        codes.append((code, cert))
-            for i, (c1, cert1) in enumerate(codes):
-                for c2, cert2 in codes[i:]:
+                        codes.append(code)
+            for i, c1 in enumerate(codes):
+                for c2 in codes[i:]:
                     if c1.ambient.n + c2.ambient.n > bound:
                         continue
                     pairs += 1
-                    compat = product_cr_criterion(c1, c2, cert1, cert2)
+                    compat = product_cr_criterion(c1, c2)
                     compatible += compat.compatible
                     verified = verify_product_cr(c1, c2, compat)
                     agree = verified["matches_prediction"]

@@ -476,6 +476,13 @@ def test_small_radius_extended_hamming():
     assert report.case == "extended_hamming"
 
 
+def test_small_radius_binary_repetition_of_length_five():
+    # {00000, 11111}: rho = 2, delta = 5, spectrum {5, 1, -3}, coset graph
+    # the folded 5-cube; neither a product nor an extended Hamming code
+    report = classify_small_covering_radius(repetition_code(5, 2))
+    assert report.case == "binary_repetition"
+
+
 def test_small_radius_product_branch():
     rep3 = hamming_code(2, 2)
     sq = cartesian_product(rep3, rep3)
@@ -777,12 +784,12 @@ def census_recordings(tmp_path_factory):
     runs = {}
     with pytest.MonkeyPatch.context() as mp:
         graphs, searches, comparisons, decompositions, forms = [], [], [], [], []
-        real_classify = search_mod.classify_quotient
+        real_classify = classify_mod.classify_quotient
         real_search = classify_mod.graph_isomorphic
         real_compare = classify_mod.radius_one_factors_equivalent
         real_decompose = search_mod.decompose_product
         real_form = classify_mod.replicated_normal_form
-        mp.setattr(search_mod, "classify_quotient",
+        mp.setattr(classify_mod, "classify_quotient",
                    lambda graph, drg: graphs.append((graph, drg)) or real_classify(graph, drg))
         mp.setattr(classify_mod, "graph_isomorphic",
                    lambda g1, g2: searches.append(g1.n) or real_search(g1, g2))

@@ -141,7 +141,7 @@ def test_decompose_analyzes_and_classifies_the_input_code_once(
 
     for module in (cli_mod, classify_mod):
         wrap(module, "analyze_code", analyzed)
-        wrap(module, "classify_quotient", classified)
+    wrap(classify_mod, "classify_quotient", classified)
     code, out, _ = _run(capsys, "decompose", spec)
     assert code == 0
     assert out == (GOLDEN_DIR / "decompose-hamham.json").read_text()
@@ -165,7 +165,8 @@ def test_decompose_runs_the_forms_and_column_classes_once(tmp_path, capsys, monk
             return _original(*args, **kwargs)
 
         for module in (cli_mod, classify_mod):
-            monkeypatch.setattr(module, name, counting)
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting)
     code, out, _ = _run(capsys, "decompose", spec)
     assert code == 0
     assert out == (GOLDEN_DIR / "decompose-hamham.json").read_text()
@@ -189,7 +190,7 @@ def test_folded_cube_forms_take_the_coset_graph_from_the_caller(
         built.append(code)
         return original(code)
 
-    for module in (classify_mod, pq_mod, search_mod):
+    for module in (classify_mod, pq_mod):
         monkeypatch.setattr(module, "coset_graph_by_syndrome", counting)
     record = search_mod.build_record(repetition_code(6, 2))
     assert record["form_cases"] == ["folded_cube_replication"]
@@ -345,6 +346,39 @@ def test_a_coset_graph_above_the_cap_exits_three(tmp_path, capsys):
     payload = json.loads(err)
     assert payload["error"] == "capacity"
     assert "coset graph adjacency would materialize 5120 entries" in payload["message"]
+
+
+def test_a_padded_word_list_keeps_the_lowered_cap(tmp_path, capsys):
+    spec = _write_spec(tmp_path, "pad-words.json", {
+        "type": "construct", "name": "pad", "count": 2,
+        "base": {"type": "words", "q": 2, "n": 3, "words": [[0, 0, 0], [1, 1, 0], [1, 0, 1]]}})
+    code, out, err = _run(capsys, "check", spec, "--max-vertices", "8")
+    assert (code, out) == (3, "")
+    assert "32 vertices (cap 8)" in json.loads(err)["message"]
+    code, _, _ = _run(capsys, "check", spec)
+    assert code == 1  # under the default cap: scanned, and not completely regular
+
+
+def test_search_and_replay_refuse_the_cap_options(tmp_path, capsys):
+    out_dir = tmp_path / "census"
+    code, out, err = _run(capsys, "search", "--q", "2", "--max-n", "5", "--max-vertices", "4",
+                          "--out-dir", str(out_dir))
+    assert (code, out) == (2, "") and json.loads(err)["error"] == "usage"
+    assert not out_dir.exists()
+    for command in ("search", "replay"):
+        code, out, _ = _run(capsys, command, "--help")
+        assert code == 0 and "--max-vertices" not in out and "--acknowledge" not in out
+
+
+def test_decompose_of_the_binary_repetition_code_of_length_five(tmp_path, capsys):
+    spec = _write_spec(tmp_path, "rep5.json",
+                       {"type": "construct", "name": "repetition", "q": 2, "n": 5})
+    code, out, _ = _run(capsys, "decompose", spec)
+    assert code == 0
+    report = json.loads(out)
+    assert report["family"]["tag"] == "folded_cube"
+    assert report["small_radius"]["case"] == "binary_repetition"
+    assert [c["case"] for c in report["forms"]["cases"]] == ["folded_cube_replication"]
 
 
 def test_check_of_a_padded_hamming_code_lists_no_member(tmp_path, capsys, monkeypatch):
@@ -650,10 +684,10 @@ def test_a_linear_witness_is_rendered_as_its_parity_check(capsys, no_span):
 @pytest.mark.parametrize("command", ["classify", "decompose"])
 def test_a_coset_graph_that_is_not_distance_regular_is_a_violation(
         tmp_path, capsys, monkeypatch, command):
-    import crcodes.cli as cli_mod
+    import crcodes.classify as classify_mod
     from crcodes.partitions_quotients import DrgCertificate
 
-    monkeypatch.setattr(cli_mod, "certify_distance_regular",
+    monkeypatch.setattr(classify_mod, "certify_distance_regular",
                         lambda graph: DrgCertificate(False, witness={"vertex": 0}))
     code, _, err = _run(capsys, command, _hamming74_spec(tmp_path))
     assert code == 4
@@ -678,13 +712,14 @@ def _argparse_reference():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, caps=True):
         p.add_argument("--format", choices=("json", "text"), default="json")
         p.add_argument("--out", help="write the report to this path")
-        p.add_argument("--max-vertices", type=int, default=None,
-                       help="override the cap on listed vertices")
-        p.add_argument("--acknowledge-capacity", action="store_true",
-                       help="confirm a cap above the default (memory!)")
+        if caps:  # search and replay take no cap options
+            p.add_argument("--max-vertices", type=int, default=None,
+                           help="override the cap on listed vertices")
+            p.add_argument("--acknowledge-capacity", action="store_true",
+                           help="confirm a cap above the default (memory!)")
 
     for name, handler, doc in (
         ("check", cli._cmd_check, "certify complete regularity and report"),
@@ -713,12 +748,12 @@ def _argparse_reference():
     p.add_argument("--min-n", type=int, default=1)
     p.add_argument("--max-redundancy", type=int, default=None)
     p.add_argument("--out-dir", required=True)
-    common(p)
+    common(p, caps=False)
     p.set_defaults(handler=cli._cmd_search)
 
     p = sub.add_parser("replay", help="re-verify a census record or witness")
     p.add_argument("record", help="record JSON path")
-    common(p)
+    common(p, caps=False)
     p.set_defaults(handler=cli._cmd_replay)
 
     return parser
@@ -739,8 +774,7 @@ _ACCEPTED_ARGV = [
     ["product", "a", "b", "--format", "text"],
     ["search", "--max-n", "4", "--out-dir", "d"],
     ["search", "--q", "3", "--max-n", "5", "--min-n", "2", "--max-redundancy", "3",
-     "--out-dir", "d", "--format", "text", "--out", "s.json", "--max-vertices", "64",
-     "--acknowledge-capacity"],
+     "--out-dir", "d", "--format", "text", "--out", "s.json"],
     ["search", "--out-dir=d", "--max-n=4", "--max-r", "2", "--mi", "3"],
     ["check", "--format", "text", "--", "a.json"],
     ["product", "a", "--verify", "--", "-b"],
@@ -761,6 +795,12 @@ _REFUSED_ARGV = [
     ["product", "--verify=yes", "a", "b"],
     ["--format", "text", "check", "a.json"],
     ["check", "--out", "--", "a.json"],
+    ["search", "--q", "3", "--max-n", "5", "--min-n", "2", "--max-redundancy", "3",
+     "--out-dir", "d", "--format", "text", "--out", "s.json", "--max-vertices", "64",
+     "--acknowledge-capacity"],
+    ["search", "--max-n", "4", "--out-dir", "d", "--acknowledge-capacity"],
+    ["replay", "record.json", "--max-vertices", "8"],
+    ["replay", "--ack", "record.json"],
 ]
 
 

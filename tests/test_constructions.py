@@ -119,6 +119,15 @@ def test_cartesian_product_rejects_mixed_alphabets():
         cartesian_product(hamming_code(2, 2), hamming_code(2, 3))
 
 
+def test_derived_spaces_keep_the_lower_vertex_cap():
+    listed = code_from_words(ambient(3, 2, 8), [0, 3, 5])
+    capped = cartesian_product(hamming_code(2, 2), listed)
+    assert capped.ambient.max_vertices == 8
+    assert cartesian_product(listed, hamming_code(2, 2)).ambient.max_vertices == 8
+    assert pad_code(listed, 2).ambient.max_vertices == 8
+    assert pad_code(hamming_code(2, 2, 16)).ambient.max_vertices == 16
+
+
 def test_pad_is_completely_regular_and_non_reduced():
     from crcodes.cr_analysis import is_reduced
 

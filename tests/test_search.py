@@ -368,11 +368,12 @@ def test_a_moved_coset_graph_edge_fails_the_census(tmp_path, monkeypatch):
     # move one edge of each coset graph that has a non-edge; the DRG
     # certificate is held to the true graph (an irregular graph would stop it
     # first), so only the edge comparison with H(n, q) can catch the move
+    import crcodes.classify as classify_mod
     import crcodes.search as search_mod
     from crcodes.partitions_quotients import CayleyGraph, graph_from_edges
 
-    real_graph = search_mod.coset_graph_by_syndrome
-    real_drg = search_mod.certify_distance_regular
+    real_graph = classify_mod.coset_graph
+    real_drg = classify_mod.certify_distance_regular
     true_graph = {}
 
     def moved(code):
@@ -385,8 +386,8 @@ def test_a_moved_coset_graph_edge_fails_the_census(tmp_path, monkeypatch):
         rewired = graph_from_edges(graph.n, [(u, spare[0])] + edges[1:], graph.labels)
         return CayleyGraph(rewired.adjacency, rewired.labels)
 
-    monkeypatch.setattr(search_mod, "coset_graph_by_syndrome", moved)
-    monkeypatch.setattr(search_mod, "certify_distance_regular",
+    monkeypatch.setattr(classify_mod, "coset_graph", moved)
+    monkeypatch.setattr(classify_mod, "certify_distance_regular",
                         lambda graph: real_drg(true_graph["last"]))
     with pytest.raises(TheoremViolationError):
         search_mod.run_census(CensusParams(q=2, max_n=4), tmp_path)
