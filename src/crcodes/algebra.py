@@ -321,8 +321,8 @@ def rref(m: GFMatrix) -> tuple[GFMatrix, int, list[int]]:
             rows[r] = [alpha.mul(inv, x) for x in rows[r]]
         for i in range(nrows):
             if i != r and rows[i][col]:
-                c = rows[i][col]
-                rows[i] = [alpha.sub(x, alpha.mul(c, y)) for x, y in zip(rows[i], rows[r])]
+                times = alpha._mul[alpha._neg[rows[i][col]]]  # y -> -c*y for c = rows[i][col]
+                rows[i] = [alpha._add[x][times[y]] for x, y in zip(rows[i], rows[r])]
         pivots.append(col)
         r += 1
         if r == nrows:
@@ -335,6 +335,13 @@ def rank(m: GFMatrix) -> int:
     return rref(m)[1]
 
 
+def is_systematic(m: GFMatrix) -> bool:
+    """Whether m = [I_r | A]: its own RREF, with pivots 0..r-1."""
+    r = m.nrows
+    return r <= m.ncols and all(row[i] == 1 and row[:r].count(0) == r - 1
+                                for i, row in enumerate(m.rows))
+
+
 def nullspace_basis(m: GFMatrix) -> GFMatrix:
     """Canonical basis of the right nullspace {x : m x^T = 0}.
 
@@ -344,8 +351,7 @@ def nullspace_basis(m: GFMatrix) -> GFMatrix:
     """
     alpha = m.alphabet
     n, r = m.ncols, m.nrows
-    if r <= n and all(row[i] == 1 and not any(row[:i]) and not any(row[i + 1:r])
-                      for i, row in enumerate(m.rows)):
+    if is_systematic(m):
         neg = alpha._neg
         return GFMatrix(alpha, tuple(
             tuple(neg[row[f]] for row in m.rows) + tuple(int(j == f) for j in range(r, n))

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cached_property, reduce
 from math import prod
 from operator import xor
 
@@ -752,6 +752,22 @@ def product_factors(code: Code, blocks: tuple[tuple[int, ...], ...]
     return factors, tuple(certify_completely_regular(f) for f in factors)
 
 
+class ProductSplit:
+    """An additive code's `finest_product_blocks` and its `product_factors`
+    on them, each computed on first use and shared by the product cases."""
+
+    def __init__(self, code: Code):
+        self.code = code
+
+    @cached_property
+    def blocks(self) -> tuple[tuple[int, ...], ...]:
+        return finest_product_blocks(self.code)
+
+    @cached_property
+    def factors(self) -> tuple[tuple[Code, ...], tuple[CrCertificate, ...]]:
+        return product_factors(self.code, self.blocks)
+
+
 def radius_one_factors_equivalent(factors: tuple[Code, ...],
                                   certs: tuple[CrCertificate, ...]) -> bool:
     """Whether the factors of a reduced linear code are all completely
@@ -789,8 +805,8 @@ class DecompositionReport:
         }
 
 
-def decompose_product(code: Code, family: QuotientFamily,
-                      min_distance: int) -> DecompositionReport:
+def decompose_product(code: Code, family: QuotientFamily, min_distance: int,
+                      split: ProductSplit | None = None) -> DecompositionReport:
     """Under an H(m, q') quotient, split an additive code with min distance
     (given, as computed by ``analyze_code``) >= 2 into m blockwise factors of
     covering radius 1 and verify that their product is the code.
@@ -805,12 +821,13 @@ def decompose_product(code: Code, family: QuotientFamily,
     if min_distance < 2:
         raise ValueError("decomposition needs minimum distance >= 2")
     m = family.params["m"]
-    blocks = finest_product_blocks(code)
+    split = split or ProductSplit(code)
+    blocks = split.blocks
     if len(blocks) != m or len({len(b) for b in blocks}) != 1:
         return DecompositionReport(
             blocks, (), (), False,
             f"expected {m} equal blocks, found sizes {[len(b) for b in blocks]}")
-    factors, certs = product_factors(code, blocks)
+    factors, certs = split.factors
     if not all(c.completely_regular for c in certs):
         return DecompositionReport(blocks, factors, (), False,
                                    "factor is not completely regular")
@@ -891,8 +908,8 @@ class SmallRadiusReport:
         return {"case": self.case, "detail": jsonable(self.detail)}
 
 
-def classify_small_covering_radius(code: Code,
-                                   analysis: CodeAnalysis | None = None) -> SmallRadiusReport:
+def classify_small_covering_radius(code: Code, analysis: CodeAnalysis | None = None,
+                                   split: ProductSplit | None = None) -> SmallRadiusReport:
     """Covering radius 1 forces a perfect Hamming-equivalent code; radius 2
     forces a two-block product of one Hamming code or, binary, an extended
     Hamming code or the repetition code {00000, 11111}, whose coset graph is
@@ -912,11 +929,12 @@ def classify_small_covering_radius(code: Code,
         if perfect and is_hamming_equivalent(code):
             return SmallRadiusReport("hamming", {"perfect": True})
         return SmallRadiusReport(None, {"perfect": perfect})
-    blocks = finest_product_blocks(code)
+    split = split or ProductSplit(code)
+    blocks = split.blocks
     if len(blocks) == 2 and len(blocks[0]) == len(blocks[1]):
         # Hamming-equivalent factors are perfect, so CR with rho = 1, and of
         # one length: the rho = 1 theorem makes them equivalent
-        factors, certs = product_factors(code, blocks)
+        factors, certs = split.factors
         if (all(is_hamming_equivalent(f) for f in factors)
                 and radius_one_factors_equivalent(factors, certs)):
             return SmallRadiusReport(
@@ -988,10 +1006,11 @@ class ArithmeticFormsReport:
 
 
 def classify_arithmetic_forms(code: Code, analysis: CodeAnalysis | None = None,
-                              graph: Graph | None = None) -> ArithmeticFormsReport:
+                              graph: Graph | None = None,
+                              split: ProductSplit | None = None) -> ArithmeticFormsReport:
     """The four forms of a reduced linear arithmetic CR code, with its
-    column classes.  A caller that already holds the code's analysis or
-    syndrome coset graph passes them in, and they are not recomputed."""
+    column classes.  A caller holding the code's analysis, syndrome coset
+    graph or `ProductSplit` passes them in, and they are not recomputed."""
     analysis = analysis or analyze_code(code)
     if not code.is_linear:
         raise ValueError("form classification applies to linear codes")
@@ -1035,9 +1054,9 @@ def classify_arithmetic_forms(code: Code, analysis: CodeAnalysis | None = None,
             "base_length": m,
         })
     if rho >= 2:
-        blocks = finest_product_blocks(code)
-        if len(blocks) == rho:
-            factors, certs = product_factors(code, blocks)
+        split = split or ProductSplit(code)
+        if len(split.blocks) == rho:
+            factors, certs = split.factors
             if radius_one_factors_equivalent(factors, certs):
                 cases.append({
                     "case": "radius_one_power",

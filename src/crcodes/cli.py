@@ -19,6 +19,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 from .classify import (
+    ProductSplit,
     classify_arithmetic_forms,
     classify_hamming_quotient_code,
     classify_small_covering_radius,
@@ -257,12 +258,13 @@ def _cmd_decompose(args) -> int:
         report["coordinate_classes"] = [list(c) for c in coordinate_classes(code)]
     graph, _, family = coset_family(code)
     report["family"] = family.to_json()
+    split = ProductSplit(code)
     if family.tag == "hamming" and analysis.delta is not None and analysis.delta >= 2:
-        decomposition = decompose_product(code, family, analysis.delta)
+        decomposition = decompose_product(code, family, analysis.delta, split)
         report["decomposition"] = decomposition.to_json()
         violation |= not decomposition.verified
     if code.is_linear and analysis.reduced and analysis.arithmetic.arithmetic:
-        forms = classify_arithmetic_forms(code, analysis, graph)
+        forms = classify_arithmetic_forms(code, analysis, graph, split)
         report["column_classes"] = forms.column_report.to_json()
         report["forms"] = forms.to_json()
         violation |= forms.violation
@@ -271,7 +273,7 @@ def _cmd_decompose(args) -> int:
                 code, analysis, family, forms).to_json()
     if (code.is_linear and analysis.delta is not None and analysis.delta >= 3
             and analysis.arithmetic.arithmetic and analysis.rho in (1, 2)):
-        small = classify_small_covering_radius(code, analysis)
+        small = classify_small_covering_radius(code, analysis, split)
         report["small_radius"] = small.to_json()
         violation |= small.case is None
     if violation:

@@ -18,7 +18,7 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .algebra import alphabet
+from .algebra import alphabet, is_systematic, rref
 from .errors import SpectrumError, TheoremViolationError
 from .hamming_space import (
     Code,
@@ -147,24 +147,21 @@ class SyndromePartition:
     """Distance classes of a linear code, read off its syndromes.
 
     Translation by a codeword is an automorphism of H(n,q) fixing the code,
-    so d(x, C) depends only on the syndrome s = Hx: it is the coset-leader
-    weight, the BFS distance of s from 0 in the Cayley graph on GF(q)^r with
-    connection multiset {lambda*h_j}.  class_of_syndrome[s] holds it, one
-    byte per syndrome read off the BFS's lane vector, and class i has
-    (syndromes at distance i) * |C| words.  Every syndrome is a sum of at
-    most r independent columns, so rho <= r, and q^r <= 2^26 under the
-    default vertex cap keeps rho <= 26: a class byte never saturates.
-    The word-indexed map is `distance_partition(code)`.
+    so d(x, C) depends only on the syndrome s = Hx, taken with the row basis
+    of H: the BFS distance of s from 0 in the Cayley graph on GF(q)^r with
+    connection multiset {lambda*h_j}.  class_of_syndrome[s] holds it in one
+    byte (rho <= r <= 26 under the default vertex cap, as every syndrome is
+    a sum of at most r independent columns); class i has (syndromes at
+    distance i) * |C| words, and `distance_partition` is the word map.
 
-    delta is the minimum distance (None for the zero code), read off the same
-    BFS.  Let t be the largest radius with |L_j| = C(n,j)(q-1)^j for every
-    j <= t, where L_j holds the syndromes at distance j.  Then the words of
-    weight <= t have distinct syndromes, so delta >= 2t+1.  The E edges from
-    L_t into L_(t+1), counted with column multiplicity, are (t+1) per
-    weight-(t+1) word whose syndrome lies in L_(t+1).  If E falls short of
-    (t+1)C(n,t+1)(q-1)^(t+1), some weight-(t+1) word shares its syndrome
-    with a lighter one and delta = 2t+1; otherwise two weight-(t+1) words
-    share one, since |L_(t+1)| is short, and delta = 2t+2.
+    delta is the minimum distance (None for the zero code).  Let t be the
+    largest radius with |L_j| = C(n,j)(q-1)^j for every j <= t, L_j the
+    syndromes at distance j: the words of weight <= t have distinct
+    syndromes, so delta >= 2t+1.  The E edges from L_t into L_(t+1), with
+    column multiplicity, are t+1 per weight-(t+1) word whose syndrome lies
+    in L_(t+1); past the last layer E = 0.  If E < (t+1)C(n,t+1)(q-1)^(t+1),
+    a weight-(t+1) word shares its syndrome with a lighter one and delta =
+    2t+1; otherwise two weight-(t+1) words share one and delta = 2t+2.
     """
 
     code: Code
@@ -182,15 +179,11 @@ def _least_words(offsets, alpha):
     """(least word, syndrome) for every syndrome, in encoding order of the words.
 
     `offsets` lists lambda*h_j for lambda = 1..q-1, column by column, as
-    `column_offsets` does.  The least word with syndrome s is supported on
-    the greedy basis P: h_j is kept when it is not a combination of the kept
-    lower columns.  Every other column is a combination of lower kept ones,
-    so clearing the highest digit of a word outside P lowers its encoding.
-    The words on P are listed one kept coordinate j at a time: for lambda =
-    1..q-1 the list so far is repeated with lambda*q^j added to its words and
-    translated by lambda*h_j, which keeps encoding order.  So each syndrome
-    comes once, at most q^rank are listed, and a consumer that stops early
-    stops the listing at the block it is reading.
+    `column_offsets` does.  The least words lie on the greedy basis P (h_j
+    kept when it is not a combination of the kept lower columns: RREF(H)'s
+    pivots) and are listed one kept coordinate j at a time, the list so far
+    with lambda*q^j added and translated by lambda*h_j.  So the u-th word
+    listed has RREF syndrome u: the listing relabels a class map to H.
     """
     q = alpha.q
     words, syndromes, spanned = [0], [0], {0}
@@ -206,17 +199,6 @@ def _least_words(offsets, alpha):
             syndromes += translate(syndromes[:size], s, alpha)
             yield from zip(words[-size:], syndromes[-size:])
         spanned.update(syndromes[size:])
-
-
-def _intersection_numbers(counts) -> IntersectionNumbers:
-    """The validated numbers of (previous, same, next) counts listed by class."""
-    numbers = IntersectionNumbers(
-        gamma=tuple(c[0] for c in counts),
-        alpha=tuple(c[1] for c in counts),
-        beta=tuple(c[2] for c in counts),
-    )
-    numbers.validate()
-    return numbers
 
 
 def first_conflict(rows):
@@ -262,9 +244,10 @@ def _scan(part, rows) -> CrCertificate:
     first vertex that differs from the first vertex of its class is the
     witness."""
     reference, conflict = first_conflict(rows)
-    if conflict is None:
-        return CrCertificate(True, part, numbers=_intersection_numbers(
-            [reference[c] for c in range(part.rho + 1)]))
+    if conflict is None:  # (gamma, alpha, beta) of each class, validated
+        numbers = IntersectionNumbers(*zip(*(reference[c] for c in range(part.rho + 1))))
+        numbers.validate()
+        return CrCertificate(True, part, numbers=numbers)
     c, a, counts_a, b, counts_b = conflict
     which = next(i for i in range(3) if counts_a[i] != counts_b[i])
     return CrCertificate(False, part, witness=CrWitness(
@@ -368,67 +351,84 @@ def _lane_width(degree: int) -> int:
 def _certify_by_syndrome(code: Code) -> CrCertificate:
     """BFS from syndrome 0 in the coset graph, one layer at a time.
 
-    Syndromes are taken with the row basis of H, so they are the q^rank
-    words of GF(q)^rank.  L_c marks the syndromes at distance c.  N_c = sum
-    of L_c translated by every column offset lambda*h_j counts, in lane s,
-    the neighbours of s in layer c.  Its nonzero unseen lanes are layer c+1;
-    on layer c+1 it is the previous count and on layer c-1 the next count.
-    The code is completely regular exactly when (class, previous, next)
-    takes one value per class.  Otherwise the syndromes are walked in order
-    of their least words (`_least_words`): a class's first vertex is its
-    least word, and the first conflict is the least word among the
-    conflicting syndromes, so the witness is that of the full-space scan.
-    The first layer c+1 with fewer syndromes than words of weight c+1 fixes
-    delta from the lane sum of N_c on it (see `SyndromePartition`).  The
-    q^rank syndromes are held to the vertex cap.
+    Syndromes are taken with E = RREF(H), so they are the q^rank words of
+    GF(q)^rank, and the least word with syndrome u is u's digits on E's
+    pivot columns (u itself, with no pivots listed, when H = [I_r | A] is
+    its own E): lane order is least-word order.  N_c counts, in lane s, the
+    neighbours of s in layer L_c, loops aside: N_0 is read off the column
+    offsets, N_c sums L_c translated by each.  Its unseen nonzero lanes are
+    L_(c+1); on L_(c+1) it is the previous count, on L_c the same count.
+    The last layer is not translated: its same count is the loop-free
+    degree less its previous count.  Each layer adds its lowest lane's
+    counts times L_c to two reference vectors.  The code is CR exactly when
+    the counts equal them; otherwise the lowest lane that differs and the
+    lowest lane of its class give the full-space scan's witness.  The class
+    map is then renamed to the syndromes of the row basis; delta is as in
+    `SyndromePartition`.  The q^rank syndromes are held to the vertex cap.
     """
-    h = code.linear.row_basis()
-    alpha = h.alphabet
-    q, n = alpha.q, code.ambient.n
-    code.ambient.require_materializable("syndrome certificate", q**h.nrows)
-    degree = code.ambient.valency
-    offsets = column_offsets(h)
-    lanes = _lanes(q, h.nrows, _lane_width(degree))
-    steps = [(lanes.plan(t), k) for t, k in Counter(offsets).items()]
-    full, move = lanes.full, lanes.translate
-    unseen = lanes.ones ^ 1
-    layer, below = 1, 0  # L_c and the full lanes of L_(c-1)
-    dist = prev = nxt = 0
-    sizes = []
-    delta = None
-    shell = 1  # C(n, c+1) (q-1)^(c+1): the words of weight c+1
+    space = code.ambient
+    rows = code.linear.row_basis()
+    q, n, size = rows.alphabet.q, space.n, code.size
+    space.require_materializable("syndrome certificate", q**rows.nrows)
+    h, _, pivots = (rows, 0, None) if is_systematic(rows) else rref(rows)
+    multiplicity = Counter(column_offsets(h))
+    loops = multiplicity.pop(0, 0)
+    moves = space.valency - loops  # the loop-free degree
+    lanes = _lanes(q, h.nrows, _lane_width(space.valency))
+    steps = [(lanes.plan(t), k) for t, k in multiplicity.items()]
+    full, bits, move = lanes.full, lanes.bits, lanes.translate
+    around = sum(k << bits * t for t, k in multiplicity.items())  # N_0
+    layer, unseen = 1, lanes.ones ^ 1
+    dist = prev = same = prev_ref = same_ref = 0
+    sizes, firsts = [], []
+    delta, shell = None, 1  # shell: C(n, c+1) (q-1)^(c+1), the words of weight c+1
     while layer:
         c = len(sizes)
-        sizes.append(layer.bit_count() * code.size)
+        sizes.append(layer.bit_count() * size)
         dist += c * layer
-        around = 0
-        for plan, k in steps:
-            moved = move(layer, plan)
-            around += moved * k if k > 1 else moved
-        nxt += around & below
-        reached = lanes.nonzero(around) & unseen
-        unseen ^= reached
-        back = around & reached * full
+        if unseen:
+            reached = lanes.nonzero(around) & unseen
+            if not reached:
+                raise TheoremViolationError(
+                    "columns of a full-rank parity check do not reach every syndrome",
+                    witness={"syndrome": ((unseen & -unseen).bit_length() - 1) // bits,
+                             "reached": lanes.size - unseen.bit_count()})
+            unseen ^= reached
+            back = around & reached * full
+            around &= layer * full
+        else:  # the last layer: no next count
+            reached = back = 0
+            around = moves * layer - (prev & layer * full)
+        low = (layer & -layer).bit_length() - 1
+        firsts.append(low // bits)
+        prev_ref += (prev >> low & full) * layer
+        same_ref += (around >> low & full) * layer
+        same += around
         prev += back
         shell = shell * (n - c) * (q - 1) // (c + 1)
         if delta is None and reached.bit_count() != shell:
             delta = 2 * c + 1 if sum(lanes.read(back)) < (c + 1) * shell else 2 * c + 2
-        layer, below = reached, layer * full
-    if unseen:
-        raise TheoremViolationError(
-            "columns of a full-rank parity check do not reach every syndrome",
-            witness={"syndrome": ((unseen & -unseen).bit_length() - 1) // lanes.bits,
-                     "reached": lanes.size - unseen.bit_count()})
-    rho = len(sizes) - 1
+        layer = reached
+        if unseen:
+            around = sum(move(layer, plan) * k for plan, k in steps)
     class_of = bytes(lanes.read(dist))
-    prev, nxt = lanes.read(prev), lanes.read(nxt)
-    part = SyndromePartition(code, class_of, rho, tuple(sizes), delta)
-    profiles = set(zip(class_of, prev, nxt))
-    if len(profiles) == rho + 1:
-        return CrCertificate(True, part, numbers=_intersection_numbers(
-            [(g, degree - g - b, b) for _, g, b in sorted(profiles)]))
-    return _scan(part, ((x, class_of[s], (prev[s], degree - prev[s] - nxt[s], nxt[s]))
-                        for x, s in _least_words(offsets, alpha)))
+
+    def row(s):
+        g, m = prev >> s * bits & full, same >> s * bits & full
+        word = s if pivots is None else sum(s // q**i % q * q**j for i, j in enumerate(pivots))
+        return word, dist >> s * bits & full, (g, m + loops, moves - g - m)
+
+    differ = (prev ^ prev_ref) | (same ^ same_ref)
+    if differ:  # the lowest lane that differs, after the lowest lane of its class
+        b = ((differ & -differ).bit_length() - 1) // bits
+        firsts = [firsts[class_of[b]], b]
+    if h.rows != rows.rows:  # name each coset by its syndrome under the row basis
+        relabeled = bytearray(len(class_of))
+        for u, (_, s) in enumerate(_least_words(column_offsets(rows), rows.alphabet)):
+            relabeled[s] = class_of[u]  # the u-th least word has E-syndrome u
+        class_of = bytes(relabeled)
+    part = SyndromePartition(code, class_of, c, tuple(sizes), delta)
+    return _scan(part, map(row, firsts))
 
 
 # Spaces of at most this many words (binary length 7) are also certified word

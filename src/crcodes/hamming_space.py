@@ -215,9 +215,12 @@ def translate(words: Sequence[int], offset: int, alpha: Alphabet) -> list[int]:
 def column_offsets(h: GFMatrix) -> list[int]:
     """lambda*h_j for every column j and nonzero lambda, as syndrome words;
     zero columns give 0 (loops) and repeated columns repeat."""
-    q, mul = h.alphabet.q, h.alphabet._mul
-    return [encode([mul[lam][x] for x in col], q)
-            for col in h.columns() for lam in range(1, q)]
+    return [s for col in h.columns() for s in _scaled_column(h.alphabet.q, col)]
+
+
+@lru_cache(maxsize=4096)  # a census length has a few hundred distinct columns
+def _scaled_column(q: int, col: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(encode([alphabet(q)._mul[lam][x] for x in col], q) for lam in range(1, q))
 
 
 def sphere_size(space: AmbientSpace, radius: int) -> int:

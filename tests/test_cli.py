@@ -173,6 +173,27 @@ def test_decompose_runs_the_forms_and_column_classes_once(tmp_path, capsys, monk
     assert calls == {"classify_arithmetic_forms": 1, "column_classes": 1}
 
 
+def test_decompose_splits_a_product_code_once(tmp_path, capsys, monkeypatch):
+    # the product decomposition, the radius_one_power form and the
+    # hamming_product case share one split of the code into factors
+    import crcodes.classify as classify_mod
+
+    spec = _write_spec(tmp_path, "hamham.json", {
+        "type": "construct", "name": "product",
+        "factors": [{"type": "construct", "name": "hamming", "q": 2, "r": 3}] * 2})
+    calls = {"finest_product_blocks": 0, "product_factors": 0}
+    for name in calls:
+        def counting(*args, _name=name, _original=getattr(classify_mod, name)):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(classify_mod, name, counting)
+    code, out, _ = _run(capsys, "decompose", spec)
+    assert code == 0
+    assert out == (GOLDEN_DIR / "decompose-hamham.json").read_text()
+    assert calls == {"finest_product_blocks": 1, "product_factors": 1}
+
+
 def test_folded_cube_forms_take_the_coset_graph_from_the_caller(
         tmp_path, capsys, monkeypatch):
     import crcodes.classify as classify_mod

@@ -489,3 +489,67 @@ def test_minimum_distance_of_closed_forms_comes_from_the_syndrome_bfs(
         monkeypatch, code, delta):
     _forbid_span(monkeypatch)
     assert analyze_code(code).delta == delta
+
+
+def _count_lane_translations(monkeypatch):
+    calls = []
+    move = cr_analysis._Lanes.translate
+
+    def counting(vector, steps):
+        calls.append(steps)
+        return move(vector, steps)
+
+    monkeypatch.setattr(cr_analysis._Lanes, "translate", staticmethod(counting))
+    return calls
+
+
+@pytest.mark.parametrize("code, translations", [
+    (hamming_code(3, 2), 0),
+    (hamming_code(3, 3), 0),
+    (repetition_code(5, 2), 5),
+], ids=["hamming-7-4", "hamming-13-10", "repetition-2-5"])
+def test_layer_zero_and_the_last_layer_take_no_translation(monkeypatch, code, translations):
+    # layer 0 is read off the columns and the last layer off its previous
+    # count, so only the middle layers are translated, once per distinct
+    # nonzero offset: none for rho = 1, layer 1's for rho = 2
+    calls = _count_lane_translations(monkeypatch)
+    cert = certify_completely_regular(code)
+    assert cert.completely_regular and cert.partition.rho == (2 if translations else 1)
+    h = code.linear.parity_check
+    assert translations in (0, len(set(column_offsets(h)) - {0}))
+    assert len(calls) == translations
+
+
+def test_a_systematic_parity_check_takes_its_witness_off_the_lanes(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("least words listed")
+
+    refuted = [code for n in (5, 6) for code in enumerate_linear_codes(n, 3)
+               if not analyze_code(code).cr]
+    monkeypatch.setattr(cr_analysis, "_least_words", forbidden)
+    for code in refuted[::10]:
+        slow = certify_completely_regular(code, distance_partition(code))
+        assert _summary(certify_completely_regular(code)) == _summary(slow)
+    assert len(refuted[::10]) > 150
+
+
+def test_parity_checks_outside_rref_certify_as_the_full_space_scan():
+    # the census H = [I_r | A] with its columns reversed is mostly not in
+    # RREF: the lanes are RREF(H)'s syndromes, the witness places a lane's
+    # digits on RREF(H)'s pivots, and the class map is relabelled to H's
+    checked = outside = refuted = 0
+    for n in range(1, 6):
+        for census_code in enumerate_linear_codes(n, 3):
+            h = census_code.linear.parity_check
+            h = h.take_columns(range(n - 1, -1, -1))
+            code = code_from_parity_check(census_code.ambient, h)
+            part = distance_partition(code)
+            fast = certify_completely_regular(code)
+            assert _summary(fast) == _summary(certify_completely_regular(code, part)), h
+            leader_weight = fast.partition.class_of_syndrome
+            assert bytes(leader_weight[s] for s in _word_syndromes(h, n)) == part.class_of
+            checked += 1
+            relabelled = h.rows != rref(h)[0].rows
+            outside += relabelled
+            refuted += relabelled and not fast.completely_regular
+    assert (checked, outside) == (229, 204) and refuted > 150
