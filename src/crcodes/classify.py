@@ -5,10 +5,10 @@ Recognition is parametric-plus-verification: intersection arrays are matched
 against the closed families, and whenever parameters alone cannot decide
 (H(m,4) vs Doob graphs; the array {6,5,4;1,2,6}) the tie is broken by local
 structure or an explicit isomorphism onto a folded cube, never by assumption.
-A syndrome coset graph gets that isomorphism as a linear map read off its
-connection set and checked edge by edge, at any size; any other graph gets
-it from a backtracking search against the fixture, up to ISO_VERTEX_CAP
-vertices.
+A syndrome coset graph, held as its connection set S, gets that isomorphism
+as a linear map read off S at any size, and its local checks read vertex 0
+off S (s ~ s' when s - s' is in S); any other graph gets it from a
+backtracking search against the fixture, up to ISO_VERTEX_CAP vertices.
 
 The structural classification reads a linear code's parity check H and
 lists none of its members: membership is Hx = 0, coordinate classes are
@@ -52,10 +52,9 @@ from .partitions_quotients import (
     Graph,
     IntersectionArray,
     certify_distance_regular,
-    coset_graph,
     coset_graph_by_syndrome,
+    coset_partition,
     graph_from_edges,
-    local_roots,
     partition_from_classes,
     quotient_graph,
 )
@@ -165,11 +164,11 @@ def construct_fixture(name: str, **params) -> Graph:
 # -- local structure, isomorphism, cliques ---------------------------------------
 
 
-def local_component_profile(graph: Graph, v: int) -> tuple[tuple[int, int], ...]:
+def local_component_profile(graph: Graph | CayleyGraph, v: int) -> tuple[tuple[int, int], ...]:
     """(size, edge count) of each component of the neighborhood-induced graph."""
-    nbrs = graph.adjacency[v]
+    nbrs = graph.neighbours(v)
     index = {w: i for i, w in enumerate(nbrs)}
-    edges = [(i, j) for i, w in enumerate(nbrs) for u in graph.adjacency[w]
+    edges = [(i, j) for i, w in enumerate(nbrs) for u in graph.neighbours(w)
              if (j := index.get(u, -1)) > i]
     components = _classes(len(nbrs), edges)
     where = {i: k for k, members in enumerate(components) for i in members}
@@ -204,14 +203,16 @@ def _joint_refine(g1: Graph, g2: Graph):
         c1, c2 = n1, n2
 
 
-def graph_isomorphic(g1: Graph, g2: Graph) -> list[int] | None:
+def graph_isomorphic(g1: Graph | CayleyGraph, g2: Graph | CayleyGraph) -> list[int] | None:
     """Explicit isomorphism g1 -> g2 or a definitive None.
 
     Color refinement prunes; exhaustive backtracking decides.  Vertices are
     matched most-constrained-first (rarest color, most mapped neighbors).
+    A Cayley graph is searched as its adjacency list.
     """
     if max(g1.n, g2.n) > ISO_VERTEX_CAP:
         raise ValueError(f"isomorphism capped at {ISO_VERTEX_CAP} vertices")
+    g1, g2 = (g.explicit() if isinstance(g, CayleyGraph) else g for g in (g1, g2))
     if g1.n != g2.n or g1.edge_count() != g2.edge_count():
         return None
     c1, c2 = _joint_refine(g1, g2)
@@ -275,22 +276,22 @@ def graph_isomorphic(g1: Graph, g2: Graph) -> list[int] | None:
     return None
 
 
-def linear_folded_cube_map(graph: Graph, m: int) -> list[int] | None:
+def linear_folded_cube_map(graph: Graph | CayleyGraph, m: int) -> list[int] | None:
     """The isomorphism of a Cayley graph on an XOR group onto the folded
     m-cube fixture, read off its connection set S, or None.
 
     The fixture is Cay(GF(2)^d, {e_1, ..., e_d, 1}) with d = m - 1, vertex u
-    adjacent to u ^ e_i and to u ^ ones.  When S has d + 1 elements that span
-    and XOR to 0, its only dependency is the sum of all of S, so the linear
-    map sending the first d elements of S to e_1..e_d sends the last one to
-    ones.  The map is returned only after every vertex's neighbours are
-    checked to land on the fixture's, so S is never trusted.
+    adjacent to u ^ e_i and to u ^ ones.  When S has d + 1 elements whose
+    first d span and which XOR to 0, the linear map sending the first d
+    elements of S to e_1..e_d sends the last one to ones.  It maps S onto
+    the fixture's connection set, so it is an isomorphism of the two Cayley
+    graphs.
     """
     d = m - 1
-    if not isinstance(graph, CayleyGraph) or not graph.xor_group or graph.n != 1 << d:
+    if not isinstance(graph, CayleyGraph) or graph.alphabet.p != 2 or graph.n != 1 << d:
         return None
     conn = graph.connection
-    if len(conn) != m or not all(0 < s < graph.n for s in conn) or reduce(xor, conn):
+    if len(conn) != m or reduce(xor, conn):
         return None
     preimage = [0]  # preimage[u]: the graph vertex sent to fixture vertex u
     for s in conn[:d]:
@@ -298,17 +299,10 @@ def linear_folded_cube_map(graph: Graph, m: int) -> list[int] | None:
     mapping = [-1] * graph.n
     for u, v in enumerate(preimage):
         mapping[v] = u
-    if -1 in mapping:  # the first d elements do not span
-        return None
-    steps = {1 << i for i in range(d)} | {(1 << d) - 1}
-    adjacency = graph.adjacency
-    for u, v in enumerate(preimage):
-        if {mapping[w] ^ u for w in adjacency[v]} != steps:
-            return None
-    return mapping
+    return None if -1 in mapping else mapping  # -1: the first d do not span
 
 
-def folded_cube_isomorphism(graph: Graph, m: int) -> list[int] | None:
+def folded_cube_isomorphism(graph: Graph | CayleyGraph, m: int) -> list[int] | None:
     """An isomorphism of the graph onto the folded m-cube fixture, or None:
     the linear map of a syndrome coset graph, else the backtracking search,
     which is not tried on more than ISO_VERTEX_CAP vertices."""
@@ -420,23 +414,7 @@ def _folded_array_m(array: IntersectionArray) -> int | None:
 IA_654 = IntersectionArray((6, 5, 4), (1, 2, 6))
 
 
-def _local_shape_census(graph: Graph):
-    """Count triangle / hexagon components vertex by vertex; None on surprise."""
-    shape = None
-    for v in local_roots(graph):
-        profile = local_component_profile(graph, v)
-        tri = sum(1 for size, e in profile if (size, e) == (3, 3))
-        hexa = sum(1 for size, e in profile if (size, e) == (6, 6))
-        if tri + hexa != len(profile):
-            return None
-        if shape is None:
-            shape = (hexa, tri)
-        elif shape != (hexa, tri):
-            return None
-    return shape
-
-
-def classify_quotient(graph: Graph, drg=None) -> QuotientFamily:
+def classify_quotient(graph: Graph | CayleyGraph, drg=None) -> QuotientFamily:
     """Match a certified distance-regular graph against the closed families."""
     if drg is None:
         drg = certify_distance_regular(graph)
@@ -456,11 +434,14 @@ def classify_quotient(graph: Graph, drg=None) -> QuotientFamily:
     ham = _hamming_array_params(array)
     if ham is not None:
         m, qprime = ham
-        if qprime == 4:
-            shape = _local_shape_census(graph)
-            if shape is None:
+        # the local graphs: vertex 0 stands for every vertex of a Cayley graph
+        profiles = {local_component_profile(graph, v)
+                    for v in range(1 if isinstance(graph, CayleyGraph) else graph.n)}
+        if qprime == 4:  # triangles and hexagons, the same at every vertex
+            profile = profiles.pop()
+            hexa, tri = profile.count((6, 6)), profile.count((3, 3))
+            if profiles or hexa + tri != len(profile):
                 return QuotientFamily("other", {}, {**evidence, "local": "unrecognized"})
-            hexa, tri = shape
             if hexa == 0:
                 return QuotientFamily("hamming", {"m": m, "q": 4},
                                       {**evidence, "local": "all_triangles"})
@@ -472,9 +453,8 @@ def classify_quotient(graph: Graph, drg=None) -> QuotientFamily:
         # local graph of H(m, q') is m disjoint cliques K_{q'-1}
         clique_edges = (qprime - 1) * (qprime - 2) // 2
         want = tuple(sorted([(qprime - 1, clique_edges)] * m))
-        for v in local_roots(graph):
-            if local_component_profile(graph, v) != want:
-                return QuotientFamily("other", {}, {**evidence, "local": "not_hamming_local"})
+        if profiles != {want}:
+            return QuotientFamily("other", {}, {**evidence, "local": "not_hamming_local"})
         return QuotientFamily("hamming", {"m": m, "q": qprime}, evidence)
 
     if d == 2 and array.b == (array.k, array.k - 1) and array.c == (1, array.k):
@@ -498,14 +478,15 @@ def classify_quotient(graph: Graph, drg=None) -> QuotientFamily:
 
 
 def coset_family(code: Code):
-    """The coset graph of a CR code, its DRG certificate and its family;
+    """The DRG certificate of a CR code's coset graph and the graph's family;
     a coset graph that is not distance-regular is a theorem violation."""
-    graph = coset_graph(code)
+    graph = (coset_graph_by_syndrome(code) if code.is_linear
+             else quotient_graph(coset_partition(code)))
     drg = certify_distance_regular(graph)
     if not drg.is_drg:
         raise TheoremViolationError(
             "coset graph of a CR code is not distance-regular", witness=drg.witness)
-    return graph, drg, classify_quotient(graph, drg)
+    return drg, classify_quotient(graph, drg)
 
 
 # -- clique bounds on quotients ----------------------------------------------------
@@ -1006,11 +987,10 @@ class ArithmeticFormsReport:
 
 
 def classify_arithmetic_forms(code: Code, analysis: CodeAnalysis | None = None,
-                              graph: Graph | None = None,
                               split: ProductSplit | None = None) -> ArithmeticFormsReport:
     """The four forms of a reduced linear arithmetic CR code, with its
-    column classes.  A caller holding the code's analysis, syndrome coset
-    graph or `ProductSplit` passes them in, and they are not recomputed."""
+    column classes.  A caller holding the code's analysis or `ProductSplit`
+    passes them in, and they are not recomputed."""
     analysis = analysis or analyze_code(code)
     if not code.is_linear:
         raise ValueError("form classification applies to linear codes")
@@ -1031,7 +1011,7 @@ def classify_arithmetic_forms(code: Code, analysis: CodeAnalysis | None = None,
     cases = []
     if (q == 2 and form.matches and d_code.size == 2 and 2**m - 1 in d_code
             and m >= 2):
-        if folded_cube_isomorphism(graph or coset_graph_by_syndrome(code), m) is not None:
+        if folded_cube_isomorphism(coset_graph_by_syndrome(code), m) is not None:
             cases.append({
                 "case": "folded_cube_replication",
                 "copies": form.copies,

@@ -192,7 +192,7 @@ def _cmd_quotient(args) -> int:
             "distance-regularity prediction", witness=report)
     report["quotient_spectrum"] = list(drg_spectrum(drg.array))
     if code.is_linear:
-        syndrome_graph = coset_graph_by_syndrome(code)
+        syndrome_graph = coset_graph_by_syndrome(code).explicit()
         phi = coset_to_syndrome(code, partition)
         same = graph.edge_count() == syndrome_graph.edge_count() and all(
             syndrome_graph.has_edge(phi[u], phi[v]) for u, v in graph.edges())
@@ -216,7 +216,7 @@ def _cmd_classify(args) -> int:
             "witness": analysis.certificate.witness.to_json(),
         }, args)
         return EXIT_REFUTED
-    _, drg, family = coset_family(code)
+    drg, family = coset_family(code)
     checks = [r.to_json() for r in coset_graph_checks(code, analysis, family, drg.array)]
     report = {
         "schema": "classification-report@1",
@@ -256,7 +256,7 @@ def _cmd_decompose(args) -> int:
     violation = False
     if is_additive(code):
         report["coordinate_classes"] = [list(c) for c in coordinate_classes(code)]
-    graph, _, family = coset_family(code)
+    _, family = coset_family(code)
     report["family"] = family.to_json()
     split = ProductSplit(code)
     if family.tag == "hamming" and analysis.delta is not None and analysis.delta >= 2:
@@ -264,7 +264,7 @@ def _cmd_decompose(args) -> int:
         report["decomposition"] = decomposition.to_json()
         violation |= not decomposition.verified
     if code.is_linear and analysis.reduced and analysis.arithmetic.arithmetic:
-        forms = classify_arithmetic_forms(code, analysis, graph, split)
+        forms = classify_arithmetic_forms(code, analysis, split)
         report["column_classes"] = forms.column_report.to_json()
         report["forms"] = forms.to_json()
         violation |= forms.violation

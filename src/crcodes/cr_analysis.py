@@ -42,13 +42,6 @@ class DistancePartition:
     rho: int
     class_sizes: tuple[int, ...]
 
-    @property
-    def ambient(self):
-        return self.code.ambient
-
-    def class_members(self, i: int) -> list[int]:
-        return [v for v, c in enumerate(self.class_of) if c == i]
-
 
 def distance_partition(code: Code) -> DistancePartition:
     """Multi-source BFS from all codewords; class_of[x] = d(x, C)."""
@@ -169,10 +162,6 @@ class SyndromePartition:
     rho: int
     class_sizes: tuple[int, ...]
     delta: int | None
-
-    @property
-    def ambient(self):
-        return self.code.ambient
 
 
 def _least_words(offsets, alpha):
@@ -524,10 +513,6 @@ class QuotientMatrix:
     @property
     def rho(self) -> int:
         return len(self.matrix) - 1
-
-    @property
-    def k(self) -> int:
-        return self.numbers.k
 
     def to_lists(self) -> list[list[int]]:
         return [list(r) for r in self.matrix]

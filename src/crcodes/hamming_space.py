@@ -5,9 +5,10 @@ symbol at coordinate i (coordinate 0 is the lowest-order digit).  Display
 strings list coordinate 0 first.  All reported member lists are sorted on
 this encoding so output is reproducible.
 
-Operations that materialize the full vertex set (one entry per vertex) check
-the space against a configurable cap, 2^26 vertices by default, to keep
-desk-scale memory within ~64 MB.
+Operations that list words or syndromes (the full space, a code's members,
+a certificate's q^rank syndromes) check their count against a configurable
+cap, 2^26 by default.  It counts entries, not bytes: the syndrome
+certificate peaks at 70-74 MB at 2^21 syndromes.
 
 A linear code holds H, a generator basis and the rank; its q^k members are
 spanned from the basis on first read and cached, and that read is refused
@@ -64,14 +65,12 @@ class AmbientSpace:
     def valency(self) -> int:
         return self.n * (self.q - 1)
 
-    def require_materializable(self, what: str = "operation", count: int | None = None,
-                               unit: str = "vertices") -> None:
-        """Refuse to list `count` vertices (all q^n by default), or `count`
-        of some other `unit`, above the cap."""
+    def require_materializable(self, what: str = "operation", count: int | None = None) -> None:
+        """Refuse to list `count` vertices (all q^n by default) above the cap."""
         count = self.size if count is None else count
         if count > self.max_vertices:
             raise CapacityError(
-                f"{what} would materialize {count} {unit} "
+                f"{what} would materialize {count} vertices "
                 f"(cap {self.max_vertices}); raise max_vertices explicitly to proceed"
             )
 
@@ -431,7 +430,7 @@ def minimum_distance(code: Code) -> int:
     if code.size < 2:
         raise UndefinedMinimumDistanceError("need at least two codewords")
     space = code.ambient
-    if code.is_linear or (0 in code and is_additive(code)):
+    if code.is_linear:
         return min(weight(w, space) for w in code.members if w)
     members = code.members
     return min(

@@ -1,12 +1,12 @@
 """Vertex partitions, coset partitions, quotient and coset graphs, and
 distance-regularity certification with intersection arrays.
 
-The coset graph of a linear code is built on syndrome vertices only: a
-Cayley graph on GF(q)^r, r the rank of H, whose connection set is the scaled
-columns of the row basis of H, so dependent parity-check rows change
-nothing.  The explicit coset partition and quotient graph are for additive
-codes without a parity check and for showing the quotient itself, where the
-class-to-syndrome bijection lets the two constructions be compared.
+The coset graph of a linear code is the Cayley graph Cay(GF(q)^r, S), r the
+rank of H, held as S, the nonzero multiples of the columns of the row basis
+of H, and certified on syndromes with no adjacency list.  The explicit
+coset partition and quotient graph are for additive codes without a parity
+check and for showing the quotient itself, where the class-to-syndrome
+bijection lets the two constructions be compared.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import Counter, deque
 from dataclasses import dataclass, field
 
-from .algebra import mat_vec
+from .algebra import Alphabet, GFMatrix, mat_vec, rank
 from .cr_analysis import (
     CrCertificate,
     IntersectionNumbers,
@@ -30,7 +30,10 @@ from .errors import (
     TheoremViolationError,
 )
 from .hamming_space import (
+    DEFAULT_VERTEX_CAP,
     Code,
+    ambient,
+    code_from_parity_check,
     column_offsets,
     decode,
     encode,
@@ -56,6 +59,9 @@ class Graph:
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
+
+    def neighbours(self, v: int) -> tuple[int, ...]:
+        return self.adjacency[v]
 
     def edge_count(self) -> int:
         return sum(len(a) for a in self.adjacency) // 2
@@ -87,23 +93,32 @@ class Graph:
 
 
 @dataclass(frozen=True)
-class CayleyGraph(Graph):
-    """A Cayley graph Cay(G, S): translation by a group element is an
-    automorphism, so every vertex sees the same distance layering.
+class CayleyGraph:
+    """Cay(GF(q)^r, S), v ~ v + s for s in S, held as its alphabet, rank r
+    and S (sorted vertex numbers, words of GF(q)^r) with no adjacency list;
+    `explicit` builds one.  Translation by a vertex is an automorphism, so
+    every vertex sees the layering vertex 0 sees.  ``max_vertices`` is the
+    vertex cap of the code the graph comes from."""
 
-    ``connection`` is S as sorted vertex numbers, and ``xor_group`` says that
-    G adds vertex numbers by XOR; a graph built without them (S empty)
-    records no group.  Neither is compared: equality is the adjacency's.
-    """
+    alphabet: Alphabet
+    rank: int
+    connection: tuple[int, ...]
+    max_vertices: int = field(default=DEFAULT_VERTEX_CAP, compare=False)
 
-    connection: tuple[int, ...] = field(default=(), compare=False)
-    xor_group: bool = field(default=False, compare=False)
+    @property
+    def n(self) -> int:
+        return self.alphabet.q**self.rank
 
+    def neighbours(self, v: int) -> tuple[int, ...]:
+        return tuple(sorted(translate(self.connection, v, self.alphabet)))
 
-def local_roots(graph: Graph) -> range:
-    """The vertices whose local view stands for every vertex: vertex 0 of a
-    vertex-transitive Cayley graph, every vertex of any other graph."""
-    return range(1 if isinstance(graph, CayleyGraph) else graph.n)
+    def explicit(self) -> Graph:
+        """The adjacency list: each element of S translates every vertex."""
+        q, r, count = self.alphabet.q, self.rank, self.n
+        translates = [translate(range(count), s, self.alphabet) for s in self.connection]
+        adjacency = tuple(tuple(sorted(nbrs)) for nbrs in zip(*translates)) or ((),) * count
+        labels = tuple(str(decode(s, r, q)) for s in range(count))
+        return Graph(adjacency, labels)
 
 
 def graph_from_edges(n: int, edges, labels=None) -> Graph:
@@ -251,25 +266,16 @@ def coset_graph_by_syndrome(code: Code) -> CayleyGraph:
     """Coset graph on syndrome words: s ~ s + lambda*h_i for nonzero lambda.
 
     Syndromes are taken with the row basis of H, so the vertices are the
-    q^rank words of GF(q)^rank.  Isomorphic to the quotient graph of the
-    coset partition (the coset of x goes to the syndrome Hx, see
-    ``coset_to_syndrome``) without touching the q^n words.  Each element of
-    the connection set translates every syndrome at once.
+    q^rank words of GF(q)^rank and S is the distinct nonzero lambda*h_i.
+    Isomorphic to the quotient graph of the coset partition (the coset of x
+    goes to the syndrome Hx, see ``coset_to_syndrome``) without touching the
+    q^n words, and held as S alone.
     """
     if not code.is_linear:
         raise NotAdditiveError("syndrome construction needs a linear code")
     h = code.linear.row_basis()
-    alpha = h.alphabet
-    q, r = alpha.q, h.nrows
-    count = q**r
     connection = tuple(sorted(set(column_offsets(h)) - {0}))
-    code.ambient.require_materializable("coset graph adjacency", count * len(connection),
-                                        unit="entries")
-    translates = [translate(range(count), s, alpha) for s in connection]
-    # no connection only for rank 0: one vertex, no edges
-    adjacency = tuple(tuple(sorted(nbrs)) for nbrs in zip(*translates)) or ((),)
-    labels = tuple(str(decode(s, r, q)) if r else "()" for s in range(count))
-    return CayleyGraph(adjacency, labels, connection, alpha.is_field and alpha.p == 2)
+    return CayleyGraph(h.alphabet, h.nrows, connection, code.ambient.max_vertices)
 
 
 def coset_to_syndrome(code: Code, partition: VertexPartition) -> tuple[int, ...]:
@@ -286,14 +292,6 @@ def coset_to_syndrome(code: Code, partition: VertexPartition) -> tuple[int, ...]
         raise TheoremViolationError("coset-to-syndrome map is not a bijection",
                                     witness=mapping)
     return tuple(mapping)
-
-
-def coset_graph(code: Code) -> Graph:
-    """The coset graph of an additive code: the syndrome Cayley graph of a
-    linear code, the explicit quotient of the coset partition otherwise."""
-    if code.is_linear:
-        return coset_graph_by_syndrome(code)
-    return quotient_graph(coset_partition(code))
 
 
 # -- distance-regularity -------------------------------------------------------
@@ -357,19 +355,19 @@ def bfs_distances(graph: Graph, root: int) -> list[int]:
     return dist
 
 
-def certify_distance_regular(graph: Graph) -> DrgCertificate:
+def certify_distance_regular(graph: Graph | CayleyGraph) -> DrgCertificate:
     """A regular graph is distance-regular when every vertex, as a one-vertex
     code, is completely regular with the same numbers: the `first_conflict`
     scan of the `layer_counts` of the BFS layers from every root, so b_i
-    and c_i are the next and previous counts of layer i.
-
-    A CayleyGraph is vertex-transitive, so the BFS from vertex 0 alone gives
-    the same verdict, array and witness (root 0 is scanned first either way).
+    and c_i are the next and previous counts of layer i.  A CayleyGraph is
+    certified with no BFS and no adjacency list, by `_certify_cayley`.
     """
     if graph.n == 0:
         raise DisconnectedGraphError("empty graph")
     if graph.n == 1:
         return DrgCertificate(True, IntersectionArray((), ()))
+    if isinstance(graph, CayleyGraph):
+        return _certify_cayley(graph)
     degrees = {graph.degree(v) for v in range(graph.n)}
     if len(degrees) > 1:
         a = min(range(graph.n), key=graph.degree)
@@ -377,7 +375,7 @@ def certify_distance_regular(graph: Graph) -> DrgCertificate:
         return DrgCertificate(False, witness=("degree", a, graph.degree(a), b, graph.degree(b)))
 
     def rows():
-        for x in local_roots(graph):
+        for x in range(graph.n):
             dist = bfs_distances(graph, x)
             if min(dist) < 0:
                 raise DisconnectedGraphError("graph is not connected")
@@ -397,6 +395,37 @@ def certify_distance_regular(graph: Graph) -> DrgCertificate:
     )
     array.validate()
     return DrgCertificate(True, array)
+
+
+def _certify_cayley(graph: CayleyGraph) -> DrgCertificate:
+    """Cay(GF(q)^r, S) is the coset graph of the projective code H', one
+    column per projective point of S (its multiple whose lowest nonzero
+    digit is 1).  H''s syndrome certificate is the BFS from vertex 0, so the
+    graph is distance-regular exactly when H' is CR, with b_i = beta_i and
+    c_i = gamma_i (Brouwer, Cohen and Neumaier, *Distance-Regular Graphs*,
+    11.1).  A non-CR witness names its words' syndromes, recounted on S one
+    layer down or, where those agree, one layer up."""
+    alpha, r, q = graph.alphabet, graph.rank, graph.alphabet.q
+    columns = [d for d in (decode(s, r, q) for s in graph.connection)
+               if next((x for x in d if x), 0) == 1]
+    h = GFMatrix(alpha, tuple(zip(*columns)))
+    if sorted(column_offsets(h)) != list(graph.connection):
+        raise ValueError("the connection set must be nonzero and closed under nonzero scalars")
+    if rank(h) < r:
+        raise DisconnectedGraphError("the connection set does not span the group")
+    code = code_from_parity_check(ambient(len(columns), q, graph.max_vertices), h)
+    cert = certify_completely_regular(code)
+    numbers, w = cert.numbers, cert.witness
+    if w is None:
+        array = IntersectionArray(numbers.beta[:numbers.rho], numbers.gamma[1:])
+        array.validate()
+        return DrgCertificate(True, array)
+    ys = [encode(mat_vec(h, decode(x, len(columns), q)), q) for x in (w.vertex_a, w.vertex_b)]
+    j = 0 if w.direction == "previous" else 2
+    (*_, a), (*_, b) = layer_counts(cert.partition.class_of_syndrome,
+                                    {y: graph.neighbours(y) for y in ys}, ys)
+    return DrgCertificate(False, witness=("count", w.class_index, (0, ys[0]), a[j],
+                                          (0, ys[1]), b[j]))
 
 
 def predicted_quotient_array(numbers: IntersectionNumbers) -> IntersectionArray:

@@ -27,6 +27,7 @@ from pathlib import Path
 
 from .algebra import GFMatrix, alphabet, gf_matrix, mat_vec
 from .classify import (
+    ProductSplit,
     classify_arithmetic_forms,
     coset_family,
     coset_graph_checks,
@@ -34,8 +35,13 @@ from .classify import (
 )
 from .cr_analysis import analyze_code, recount_witness
 from .errors import DigestMismatchError, TheoremViolationError
-from .hamming_space import Code, ambient, code_from_parity_check, decode, encode
-from .partitions_quotients import Graph, drg_spectrum, predicted_quotient_array
+from .hamming_space import Code, ambient, code_from_parity_check, encode
+from .partitions_quotients import (
+    CayleyGraph,
+    coset_graph_by_syndrome,
+    drg_spectrum,
+    predicted_quotient_array,
+)
 
 RECORD_SCHEMA = "census-record@2"
 
@@ -79,27 +85,17 @@ def code_digest(code: Code) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _is_syndrome_quotient(code: Code, graph: Graph) -> bool:
-    """Whether graph has exactly the edges of the quotient of H(n, q) by the
-    cosets of C, named by syndrome: s ~ s + H(lambda e_j) for every syndrome
-    s, coordinate j and nonzero lambda.  Each step is H times a word, summed
-    digit by digit in the alphabet, independently of how graph was built.
-    Syndromes are taken with the row basis of H."""
+def _is_syndrome_quotient(code: Code, graph: CayleyGraph) -> bool:
+    """Whether graph is the quotient of H(n, q) by the cosets of C, named by
+    syndrome under the row basis of H: a Cayley graph on the q^rank
+    syndromes whose S is the nonzero H(lambda e_j) for every coordinate j and
+    nonzero lambda, each H times a word, independently of how S was found."""
     h = code.linear.row_basis()
-    alpha = h.alphabet
-    n, q, r = code.ambient.n, code.ambient.q, h.nrows
-    steps = set()
-    for j in range(n):
-        for lam in range(1, q):
-            steps.add(mat_vec(h, tuple(lam if i == j else 0 for i in range(n))))
-    edges = set()
-    for s in range(q**r):
-        digits = decode(s, r, q)
-        for step in steps:
-            t = encode(tuple(alpha.add(a, b) for a, b in zip(digits, step)), q)
-            if s < t:
-                edges.add((s, t))
-    return edges == set(graph.edges())
+    n, q = code.ambient.n, code.ambient.q
+    steps = {encode(mat_vec(h, tuple(lam if i == j else 0 for i in range(n))), q)
+             for j in range(n) for lam in range(1, q)} - {0}
+    return (graph.alphabet, graph.rank, graph.connection) == (
+        h.alphabet, h.nrows, tuple(sorted(steps)))
 
 
 def build_record(code: Code) -> dict:
@@ -131,7 +127,7 @@ def build_record(code: Code) -> dict:
         bounds=analysis.bounds.to_json(),
     )
 
-    graph, drg, family = coset_family(code)
+    drg, family = coset_family(code)
     record["family"] = {"tag": family.tag, "params": dict(family.params)}
     record["quotient_array"] = drg.array.to_json()
 
@@ -150,15 +146,16 @@ def build_record(code: Code) -> dict:
     for result in coset_graph_checks(code, analysis, family, drg.array):
         checks[result.name] = result.status
 
+    split = ProductSplit(code)
     if analysis.reduced and analysis.arithmetic.arithmetic:
-        forms = classify_arithmetic_forms(code, analysis, graph=graph)
+        forms = classify_arithmetic_forms(code, analysis, split)
         checks["coset_case_forms"] = "FAIL" if forms.violation else "PASS"
         record["form_cases"] = sorted(forms.case_names())
     else:
         checks["coset_case_forms"] = "INAPPLICABLE"
 
     if family.tag == "hamming" and analysis.delta >= 2:
-        decomposition = decompose_product(code, family, analysis.delta)
+        decomposition = decompose_product(code, family, analysis.delta, split)
         checks["product_decomposition"] = "PASS" if decomposition.verified else "FAIL"
     else:
         checks["product_decomposition"] = "INAPPLICABLE"
@@ -167,7 +164,7 @@ def build_record(code: Code) -> dict:
     checks["predicted_array_matches"] = "PASS" if predicted == drg.array else "FAIL"
 
     checks["syndrome_graph_isomorphic"] = (
-        "PASS" if _is_syndrome_quotient(code, graph) else "FAIL")
+        "PASS" if _is_syndrome_quotient(code, coset_graph_by_syndrome(code)) else "FAIL")
 
     g1 = numbers.gamma[1]
     scaled = tuple((eta - numbers.alpha[0]) // g1 for eta in analysis.spectrum)

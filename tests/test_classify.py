@@ -44,6 +44,7 @@ from crcodes.constructions import (
 )
 from crcodes.algebra import alphabet, gf_identity, gf_matrix, hstack
 from crcodes.cr_analysis import analyze_code
+from crcodes.errors import DisconnectedGraphError
 from crcodes.hamming_space import (
     Code,
     ambient,
@@ -54,7 +55,6 @@ from crcodes.hamming_space import (
 )
 from crcodes.partitions_quotients import (
     CayleyGraph,
-    Graph,
     certify_distance_regular,
     coset_graph_by_syndrome,
     coset_partition,
@@ -680,7 +680,7 @@ def test_isomorphism_search_deeper_than_the_recursion_limit():
     finally:
         sys.setrecursionlimit(limit)
     assert sorted(mapping) == list(range(1024))
-    assert all(fixture.has_edge(mapping[u], mapping[v]) for u, v in syn.edges())
+    assert all(fixture.has_edge(mapping[u], mapping[v]) for u, v in syn.explicit().edges())
     assert classify_quotient(syn).params == {"m": 11}
 
 
@@ -797,8 +797,8 @@ def census_recordings(tmp_path_factory):
                    lambda factors, certs: comparisons.append((factors, certs))
                    or real_compare(factors, certs))
 
-        def decompose(code, family, delta):
-            report = real_decompose(code, family, delta)
+        def decompose(code, family, delta, split=None):
+            report = real_decompose(code, family, delta, split)
             decompositions.append((code, report))
             return report
 
@@ -854,7 +854,7 @@ def test_linear_folded_cube_map_is_the_backtrackers_map(census_runs):
         assert oracle is not None
         assert linear_folded_cube_map(graph, m) == oracle
         fast = classify_quotient(graph, drg)
-        slow = classify_quotient(Graph(graph.adjacency, graph.labels), drg)
+        slow = classify_quotient(graph.explicit(), drg)
         assert fast == slow and fast.params == {"m": m}
         assert fast.evidence["isomorphism"] == slow.evidence["isomorphism"] == oracle
 
@@ -892,8 +892,9 @@ def test_linear_map_of_a_random_folded_cube_check_is_an_isomorphism(m, data):
     fixture = construct_fixture("folded_cube", m=m)
     mapping = linear_folded_cube_map(graph, m)
     assert sorted(mapping) == list(range(fixture.n))
-    assert graph.edge_count() == fixture.edge_count()
-    assert all(fixture.has_edge(mapping[u], mapping[v]) for u, v in graph.edges())
+    explicit = graph.explicit()
+    assert explicit.edge_count() == fixture.edge_count()
+    assert all(fixture.has_edge(mapping[u], mapping[v]) for u, v in explicit.edges())
 
 
 def _counted_searches(monkeypatch):
@@ -915,11 +916,11 @@ def test_connection_sets_that_are_no_folded_cube_get_no_linear_map(monkeypatch):
     assert len(subset.connection) == 5 and not certify_distance_regular(subset).is_drg
     assert linear_folded_cube_map(subset, 5) is None
     assert folded_cube_isomorphism(subset, 5) is None and searches == [16]
-    # S XORs to 0 but spans 4 of 5 dimensions
-    rank_four = CayleyGraph(graph_from_edges(
-        32, [(v, v ^ s) for v in range(32) for s in (1, 2, 3, 4, 8, 12)]).adjacency,
-        connection=(1, 2, 3, 4, 8, 12), xor_group=True)
+    # S XORs to 0 but spans 4 of 5 dimensions: a disconnected graph
+    rank_four = CayleyGraph(alpha, 5, (1, 2, 3, 4, 8, 12))
     assert linear_folded_cube_map(rank_four, 6) is None
+    with pytest.raises(DisconnectedGraphError):
+        certify_distance_regular(rank_four)
 
 
 def test_a_graph_the_linear_map_refuses_gets_the_backtrackers_verdict(monkeypatch):
@@ -929,11 +930,9 @@ def test_a_graph_the_linear_map_refuses_gets_the_backtrackers_verdict(monkeypatc
     searches = _counted_searches(monkeypatch)
     assert classify_quotient(true).evidence["isomorphism"] == oracle
     assert searches == []
-    # a connection set that spans and XORs to 0 but is not the adjacency's
-    wrong = CayleyGraph(true.adjacency, true.labels, (1, 2, 4, 8, 17, 30), True)
+    # plain graphs carry no connection set to read a map off
     explicit = quotient_graph(coset_partition(repetition_code(6, 2)))
-    bare = CayleyGraph(true.adjacency, true.labels)
-    for graph in (wrong, explicit, bare):
+    for graph in (true.explicit(), explicit):
         assert certify_distance_regular(graph).is_drg
         assert linear_folded_cube_map(graph, 6) is None
         searches.clear()
@@ -955,8 +954,8 @@ def test_above_the_search_cap_only_a_graph_with_no_linear_map_is_named_by_its_ar
     mapping = family.evidence["isomorphism"]
     assert family.params == {"m": 14} and sorted(mapping) == list(range(2**13))
     steps = {1 << i for i in range(13)} | {2**13 - 1}
-    assert all(mapping[u] ^ mapping[v] in steps for u, v in syn.edges())
-    bare = Graph(syn.adjacency, syn.labels)
+    bare = syn.explicit()
+    assert all(mapping[u] ^ mapping[v] in steps for u, v in bare.edges())
     assert folded_cube_isomorphism(bare, 14) is None
     family = classify_quotient(bare, drg)
     assert family.params == {"m": 14}
@@ -969,7 +968,7 @@ def test_one_vertex_local_checks_match_the_all_vertex_scan(census_runs):
     for _, graphs, _ in census_runs.values():
         for graph, drg in graphs:
             fast = classify_quotient(graph, drg)
-            slow = classify_quotient(Graph(graph.adjacency, graph.labels), drg)
+            slow = classify_quotient(graph.explicit(), drg)
             assert fast == slow
             assert fast.evidence.get("local") == slow.evidence.get("local")
             compared += 1

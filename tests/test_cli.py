@@ -194,33 +194,30 @@ def test_decompose_splits_a_product_code_once(tmp_path, capsys, monkeypatch):
     assert calls == {"finest_product_blocks": 1, "product_factors": 1}
 
 
-def test_folded_cube_forms_take_the_coset_graph_from_the_caller(
-        tmp_path, capsys, monkeypatch):
-    import crcodes.classify as classify_mod
-    import crcodes.partitions_quotients as pq_mod
+def _refuse_adjacency_lists(monkeypatch):
+    """Make building the adjacency list of a Cayley graph raise."""
+    from crcodes.partitions_quotients import CayleyGraph
+
+    def refuse(graph):
+        raise AssertionError(f"adjacency list of {graph.n} vertices built")
+
+    monkeypatch.setattr(CayleyGraph, "explicit", refuse)
+
+
+def test_folded_cube_forms_build_no_adjacency_list(tmp_path, capsys, monkeypatch):
     import crcodes.search as search_mod
     from crcodes.constructions import repetition_code
 
     spec = _write_spec(tmp_path, "rep6.json",
                        {"type": "construct", "name": "repetition", "q": 2, "n": 6})
     plain = _run(capsys, "decompose", spec)
-    built = []
-    original = pq_mod.coset_graph_by_syndrome
-
-    def counting(code):
-        built.append(code)
-        return original(code)
-
-    for module in (classify_mod, pq_mod):
-        monkeypatch.setattr(module, "coset_graph_by_syndrome", counting)
+    _refuse_adjacency_lists(monkeypatch)
     record = search_mod.build_record(repetition_code(6, 2))
     assert record["form_cases"] == ["folded_cube_replication"]
-    assert len(built) == 1
-    built.clear()
+    assert record["checks"]["syndrome_graph_isomorphic"] == "PASS"
     assert _run(capsys, "decompose", spec) == plain
     cases = [c["case"] for c in json.loads(plain[1])["forms"]["cases"]]
     assert cases == ["folded_cube_replication"]
-    assert len(built) == 1
 
 
 # SHA-256 of the report of binary repetition n=11, whose coset graph is the
@@ -347,6 +344,19 @@ def test_a_parity_check_entry_that_is_not_an_integer_exits_two(tmp_path, capsys)
     assert json.loads(err)["error"] == "input"
 
 
+def test_a_long_word_list_with_the_zero_word_gets_its_distance_by_pairs(tmp_path, capsys):
+    # 1,100 listed words, more than an additivity check takes: the zero word
+    # among them must not send the minimum distance to that check
+    from crcodes.hamming_space import decode
+
+    spec = _write_spec(tmp_path, "words1100.json", {
+        "type": "words", "q": 2, "n": 11,
+        "words": [list(decode(w, 11, 2)) for w in range(1100)]})
+    code, out, err = _run(capsys, "check", spec)
+    assert (code, err) == (1, "")
+    assert json.loads(out)["delta"] == 1
+
+
 def test_capacity_exits_three(tmp_path, capsys):
     spec = _write_spec(tmp_path, "huge.json", {
         "type": "construct", "name": "repetition", "q": 2, "n": 30})
@@ -355,18 +365,24 @@ def test_capacity_exits_three(tmp_path, capsys):
     assert json.loads(err)["error"] == "capacity"
 
 
-def test_a_coset_graph_above_the_cap_exits_three(tmp_path, capsys):
-    # repetition n=10: the certificate lists 512 syndromes, within the cap,
-    # but the coset graph would hold 512 * 10 adjacency entries
-    spec = _write_spec(tmp_path, "rep10.json", {
-        "type": "construct", "name": "repetition", "q": 2, "n": 10})
-    code, _, _ = _run(capsys, "check", spec, "--max-vertices", "4096")
-    assert code == 0
-    code, out, err = _run(capsys, "classify", spec, "--max-vertices", "4096")
-    assert (code, out) == (3, "")
-    payload = json.loads(err)
-    assert payload["error"] == "capacity"
-    assert "coset graph adjacency would materialize 5120 entries" in payload["message"]
+def test_a_long_repetition_code_classifies_with_no_adjacency_list(
+        tmp_path, capsys, monkeypatch):
+    # binary repetition n=16: the coset graph is the folded 16-cube on 2^15
+    # syndromes, certified and mapped from its 16 connections alone
+    _refuse_adjacency_lists(monkeypatch)
+    spec = _write_spec(tmp_path, "rep16.json", {
+        "type": "construct", "name": "repetition", "q": 2, "n": 16})
+    code, _, err = _run(capsys, "check", spec)
+    assert (code, err) == (0, "")
+    for command in ("classify", "decompose"):
+        code, out, err = _run(capsys, command, spec)
+        assert (code, err) == (0, "")
+        family = json.loads(out)["family"]
+        assert (family["tag"], family["params"]) == ("folded_cube", {"m": 16})
+        assert sorted(family["evidence"]["isomorphism"]) == list(range(2**15))
+    code, out, err = _run(capsys, "search", "--q", "2", "--max-n", "6",
+                          "--out-dir", str(tmp_path / "census"))
+    assert (code, err) == (0, "") and json.loads(out)["failures"] == 0
 
 
 def test_a_padded_word_list_keeps_the_lowered_cap(tmp_path, capsys):

@@ -157,17 +157,18 @@ def test_quotient_graph_rep6_is_folded_6_cube():
 def test_syndrome_graph_hamming74():
     ham = hamming_code(3, 2)
     syn = coset_graph_by_syndrome(ham)
-    assert syn.n == 8 and _is_complete(syn)
+    assert syn.n == 8 and _is_complete(syn.explicit())
 
 
 def test_syndrome_graph_extended_hamming_is_k88():
     ext = extended_hamming_code(3)
     g = coset_graph_by_syndrome(ext)
-    assert g.n == 16
-    assert all(g.degree(v) == 8 for v in range(16))
+    explicit = g.explicit()
+    assert g.n == explicit.n == 16
+    assert all(explicit.degree(v) == 8 for v in range(16))
     # bipartition by last syndrome bit: no edge joins same-parity syndromes
     side = [s >> 3 & 1 for s in range(16)]
-    assert all(side[u] != side[v] for u, v in g.edges())
+    assert all(side[u] != side[v] for u, v in explicit.edges())
     cert = certify_distance_regular(g)
     assert cert.array == IntersectionArray((8, 7), (1, 8))
 
@@ -176,7 +177,7 @@ def test_syndrome_graph_replicated_check_is_k8_again():
     hh = replicate_columns(hamming_parity_check(3, 2), 2)
     code = code_from_parity_check(ambient(14, 2), hh)
     syn = coset_graph_by_syndrome(code)
-    assert syn.n == 8 and _is_complete(syn)
+    assert syn.n == 8 and _is_complete(syn.explicit())
 
 
 def test_syndrome_map_is_graph_isomorphism():
@@ -188,7 +189,7 @@ def test_syndrome_map_is_graph_isomorphism():
     for code in named + tuple(code for code, _ in _census_cr_codes()):
         part = coset_partition(code)
         quotient = quotient_graph(part)
-        syn = coset_graph_by_syndrome(code)
+        syn = coset_graph_by_syndrome(code).explicit()
         phi = coset_to_syndrome(code, part)
         assert sorted(phi) == list(range(quotient.n))
         assert quotient.edge_count() == syn.edge_count()
@@ -196,21 +197,40 @@ def test_syndrome_map_is_graph_isomorphism():
             assert syn.has_edge(phi[u], phi[v])
 
 
-def test_cayley_graph_compares_hashes_and_serializes_by_its_adjacency():
+def test_cayley_graph_compares_by_its_connection_set_and_serializes_its_adjacency():
+    from crcodes.algebra import alphabet
     from crcodes.constructions import repetition_code
 
     graph = coset_graph_by_syndrome(repetition_code(6, 2))
-    assert graph.connection == (1, 2, 4, 8, 16, 31) and graph.xor_group
-    bare = CayleyGraph(graph.adjacency, graph.labels)
-    assert bare.connection == () and not bare.xor_group
-    assert bare == graph and hash(bare) == hash(graph)
-    plain = Graph(graph.adjacency, graph.labels).to_json()
-    assert graph.to_json() == bare.to_json() == plain
-    assert set(plain) == {"n", "edges", "labels"}
-    # syndromes add by XOR in characteristic 2 only
-    assert coset_graph_by_syndrome(hamming_code(2, 4)).xor_group
+    assert graph.connection == (1, 2, 4, 8, 16, 31) and graph.rank == 5
+    same = CayleyGraph(alphabet(2), 5, (1, 2, 4, 8, 16, 31), max_vertices=64)
+    assert same == graph and hash(same) == hash(graph)
+    assert CayleyGraph(alphabet(2), 5, (1, 2, 4, 8, 17, 30)) != graph
+    plain = graph.explicit()
+    assert type(plain) is Graph and plain == quotient_graph(coset_partition(_rep6()))
+    assert plain.to_json() == same.explicit().to_json()
+    assert set(plain.to_json()) == {"n", "edges", "labels"}
+    assert all(plain.adjacency[v] == graph.neighbours(v) for v in range(32))
+    # S holds every nonzero multiple of each column
+    quaternary = coset_graph_by_syndrome(hamming_code(2, 4))
+    assert quaternary.n == 16 and len(quaternary.connection) == 15
     ternary = coset_graph_by_syndrome(hamming_code(2, 3))
-    assert not ternary.xor_group and len(ternary.connection) == 8
+    assert ternary.n == 9 and len(ternary.connection) == 8
+
+
+def test_a_cayley_graph_certificate_needs_a_spanning_scalar_closed_connection_set():
+    from crcodes.algebra import alphabet
+    from crcodes.errors import DisconnectedGraphError
+
+    gf3 = alphabet(3)
+    for connection in ((1, 3, 6), (0, 1, 2, 3, 6)):  # no (2, 0), or the zero word
+        with pytest.raises(ValueError, match="closed under nonzero scalars"):
+            certify_distance_regular(CayleyGraph(gf3, 2, connection))
+    for connection in ((), (1, 2)):  # nothing, or only the first coordinate
+        with pytest.raises(DisconnectedGraphError):
+            certify_distance_regular(CayleyGraph(gf3, 2, connection))
+    cert = certify_distance_regular(CayleyGraph(gf3, 2, (1, 2, 3, 6)))
+    assert cert.array == IntersectionArray((4, 2), (1, 2))  # the 3 x 3 rook's graph
 
 
 def test_syndrome_graph_requires_linear():

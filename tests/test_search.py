@@ -364,29 +364,48 @@ def test_census_fail_aborts_and_persists_witness(tmp_path, monkeypatch):
     assert result["digest"] == witness["record"]["digest"]
 
 
-def test_a_moved_coset_graph_edge_fails_the_census(tmp_path, monkeypatch):
-    # move one edge of each coset graph that has a non-edge; the DRG
-    # certificate is held to the true graph (an irregular graph would stop it
-    # first), so only the edge comparison with H(n, q) can catch the move
+def test_a_record_splits_its_code_into_product_factors_once(monkeypatch):
+    # the Hamming [7,4] square: the product decomposition and the
+    # radius-one power form read one ProductSplit
     import crcodes.classify as classify_mod
-    import crcodes.search as search_mod
-    from crcodes.partitions_quotients import CayleyGraph, graph_from_edges
+    from crcodes.constructions import cartesian_product, hamming_code
 
-    real_graph = classify_mod.coset_graph
+    calls = []
+    for name in ("finest_product_blocks", "product_factors"):
+        real = getattr(classify_mod, name)
+        monkeypatch.setattr(classify_mod, name, lambda *args, real=real, name=name:
+                            calls.append(name) or real(*args))
+    ham = hamming_code(3, 2)
+    record = build_record(cartesian_product(ham, ham))
+    assert record["checks"]["product_decomposition"] == "PASS"
+    assert "radius_one_power" in record["form_cases"]
+    assert sorted(calls) == ["finest_product_blocks", "product_factors"]
+
+
+def test_a_moved_coset_graph_edge_fails_the_census(tmp_path, monkeypatch):
+    # move the edges of one element of S in each coset graph whose S misses
+    # a nonzero syndrome; the DRG certificate is held to the true graph (a
+    # graph that is not distance-regular would stop the run first), so only
+    # the comparison of S with the H(lambda e_j) can catch the move
+    import crcodes.classify as classify_mod
+    import crcodes.partitions_quotients as pq_mod
+    import crcodes.search as search_mod
+    from crcodes.partitions_quotients import CayleyGraph
+
+    real_graph = pq_mod.coset_graph_by_syndrome
     real_drg = classify_mod.certify_distance_regular
     true_graph = {}
 
     def moved(code):
         graph = true_graph["last"] = real_graph(code)
-        edges = graph.edges()
-        u, v = edges[0]
-        spare = [w for w in range(graph.n) if w != u and not graph.has_edge(u, w)]
+        spare = [s for s in range(1, graph.n) if s not in graph.connection]
         if not spare:
             return graph
-        rewired = graph_from_edges(graph.n, [(u, spare[0])] + edges[1:], graph.labels)
-        return CayleyGraph(rewired.adjacency, rewired.labels)
+        return CayleyGraph(graph.alphabet, graph.rank,
+                           tuple(sorted(graph.connection[1:] + (spare[0],))))
 
-    monkeypatch.setattr(classify_mod, "coset_graph", moved)
+    for module in (pq_mod, classify_mod, search_mod):
+        monkeypatch.setattr(module, "coset_graph_by_syndrome", moved)
     monkeypatch.setattr(classify_mod, "certify_distance_regular",
                         lambda graph: real_drg(true_graph["last"]))
     with pytest.raises(TheoremViolationError):

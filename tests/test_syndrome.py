@@ -1,8 +1,10 @@
-"""The syndrome certificate of linear codes and the one-root DRG certificate
-of syndrome coset graphs, each against its full-space oracle; the lane-vector
-certificate against the per-syndrome BFS; the least-word witness walk against
-a brute force; parity checks with dependent rows against their full-rank
-twins; and the translation kernels against digit-by-digit addition."""
+"""The syndrome certificate of linear codes against its full-space oracle;
+the coset graph's DRG certificate, census check and folded-cube map, read off
+its connection set, against the walks of the adjacency list built from it;
+the lane-vector certificate against the per-syndrome BFS; the least-word
+witness walk against a brute force; parity checks with dependent rows against
+their full-rank twins; and the translation kernels against digit-by-digit
+addition."""
 
 import random
 
@@ -20,6 +22,7 @@ from crcodes.algebra import (
     rank,
     rref,
 )
+from crcodes.classify import construct_fixture, linear_folded_cube_map
 from crcodes.constructions import (
     extended_hamming_code,
     hamming_code,
@@ -39,6 +42,7 @@ from crcodes.cr_analysis import (
     distance_partition,
     free_coordinates,
     is_reduced,
+    layer_counts,
 )
 from crcodes.hamming_space import (
     DEFAULT_VERTEX_CAP,
@@ -53,8 +57,8 @@ from crcodes.hamming_space import (
     translate,
 )
 from crcodes.partitions_quotients import (
-    CayleyGraph,
-    Graph,
+    IntersectionArray,
+    bfs_distances,
     certify_distance_regular,
     coset_graph_by_syndrome,
     graph_from_edges,
@@ -268,7 +272,9 @@ def test_rank_zero_code_certifies_with_the_full_valency():
             assert cert.numbers.alpha == (space.valency,)
             assert cert.partition.class_sizes == (space.size,)
             assert cert.partition.delta == 1
-            assert coset_graph_by_syndrome(code).adjacency == ((),)
+            graph = coset_graph_by_syndrome(code)
+            assert graph.connection == () and graph.explicit().adjacency == ((),)
+            assert certify_distance_regular(graph).array == IntersectionArray((), ())
 
 
 def _whole_spaces():
@@ -289,12 +295,81 @@ def test_a_whole_space_code_is_not_reduced():
     assert not is_reduced(code) and free_coordinates(code) == [0, 1, 2]
 
 
+# (q, largest n): the census codes on which the checks that used to walk a
+# coset graph at run time are held to that walk (census codes have rank >= 1)
+WALK_CENSUSES = ((2, 7), (3, 5), (4, 4))
+WALK_CODES = [code for q, top in WALK_CENSUSES for n in range(1, top + 1)
+                for code in enumerate_linear_codes(n, q)]
+
+
+def _confirmed_by_layer_counts(graph, witness) -> bool:
+    """Whether the BFS from each root of a DRG witness and the layer counts
+    of the explicit graph put both vertices in layer i with the counts it
+    names: one layer down where those differ, else one layer up."""
+    _, i, (xa, ya), ca, (xb, yb), cb = witness
+    (la, ra), (lb, rb) = [next((layer, counts) for _, layer, counts in layer_counts(
+        bfs_distances(graph, x), graph.adjacency, [y])) for x, y in ((xa, ya), (xb, yb))]
+    j = 0 if ra[0] != rb[0] else 2
+    return la == lb == i and ca != cb and (ra[j], rb[j]) == (ca, cb)
+
+
 def test_one_root_drg_certificate_equals_all_roots():
-    for code in CODES:
+    # the certificate read off S against the BFS from every root of the
+    # adjacency list built from S
+    refuted = 0
+    for code in WALK_CODES:
         graph = coset_graph_by_syndrome(code)
-        assert isinstance(graph, CayleyGraph)
-        plain = Graph(graph.adjacency, graph.labels)
-        assert certify_distance_regular(graph) == certify_distance_regular(plain)
+        plain = graph.explicit()
+        fast, slow = certify_distance_regular(graph), certify_distance_regular(plain)
+        assert (fast.is_drg, fast.array) == (slow.is_drg, slow.array)
+        if not fast.is_drg:
+            assert _confirmed_by_layer_counts(plain, fast.witness)
+            assert _confirmed_by_layer_counts(plain, slow.witness)
+            refuted += 1
+    assert len(WALK_CODES) == 2238 + 229 + 58 and refuted > 1000
+
+
+def _quotient_edges(code) -> set:
+    """The edges s ~ s + H(lambda e_j) of the quotient of H(n, q) by the
+    cosets of C, for every syndrome s under the row basis, each step summed
+    digit by digit in the alphabet."""
+    h = code.linear.row_basis()
+    alpha = h.alphabet
+    n, q, r = code.ambient.n, code.ambient.q, h.nrows
+    steps = {mat_vec(h, tuple(lam if i == j else 0 for i in range(n)))
+             for j in range(n) for lam in range(1, q)}
+    edges = set()
+    for s in range(q**r):
+        for step in steps:
+            t = encode(tuple(alpha.add(a, b) for a, b in zip(decode(s, r, q), step)), q)
+            if s < t:
+                edges.add((s, t))
+    return edges
+
+
+def test_syndrome_quotient_check_agrees_with_the_edge_comparison():
+    for code in WALK_CODES:
+        graph = coset_graph_by_syndrome(code)
+        assert _is_syndrome_quotient(code, graph)
+        assert _quotient_edges(code) == set(graph.explicit().edges())
+
+
+def test_linear_folded_cube_maps_are_isomorphisms_edge_by_edge():
+    graphs = [coset_graph_by_syndrome(code) for code in WALK_CODES]
+    graphs += [coset_graph_by_syndrome(repetition_code(n, 2)) for n in range(5, 13)]
+    mapped = []
+    for graph in graphs:
+        m = len(graph.connection)
+        mapping = linear_folded_cube_map(graph, m)
+        if mapping is None:
+            continue
+        fixture = construct_fixture("folded_cube", m=m)
+        explicit = graph.explicit()
+        assert sorted(mapping) == list(range(fixture.n))
+        assert explicit.edge_count() == fixture.edge_count()
+        assert all(fixture.has_edge(mapping[u], mapping[v]) for u, v in explicit.edges())
+        mapped.append(m)
+    assert set(range(5, 13)) <= set(mapped) and len(mapped) > 20
 
 
 def _count_bfs(monkeypatch):
@@ -309,13 +384,12 @@ def _count_bfs(monkeypatch):
     return roots
 
 
-def test_cayley_graphs_take_one_bfs_and_others_take_one_per_vertex(monkeypatch):
+def test_cayley_graphs_take_no_bfs_and_others_take_one_per_vertex(monkeypatch):
     roots = _count_bfs(monkeypatch)
     graph = coset_graph_by_syndrome(hamming_code(3, 2))
     assert certify_distance_regular(graph).is_drg
-    assert roots == [0]
-    roots.clear()
-    assert certify_distance_regular(Graph(graph.adjacency)).is_drg
+    assert roots == []
+    assert certify_distance_regular(graph.explicit()).is_drg
     assert roots == list(range(graph.n))
 
 
@@ -327,14 +401,12 @@ _LOCALLY_REGULAR_AT_0 = [(0, 3), (0, 4), (0, 9), (1, 2), (1, 3), (1, 7), (2, 6),
 
 def test_unmarked_graph_that_looks_regular_from_vertex_0_is_refuted(monkeypatch):
     graph = graph_from_edges(10, _LOCALLY_REGULAR_AT_0)
-    assert not isinstance(graph, CayleyGraph)
     roots = _count_bfs(monkeypatch)
     cert = certify_distance_regular(graph)
     assert not cert.is_drg
     assert cert.witness[0] == "count" and cert.witness[4][0] == 1
     assert roots == [0, 1]
-    # the marker alone would have accepted it: only root 0 is scanned
-    assert certify_distance_regular(CayleyGraph(graph.adjacency)).is_drg
+    assert _confirmed_by_layer_counts(graph, cert.witness)
 
 
 def _add_digits(v, s, r, alpha):
@@ -436,8 +508,9 @@ def test_dependent_rows_certify_as_the_full_rank_code(pair):
     assert all(dep.partition.class_of_syndrome[relabel[s]] == c
                for s, c in enumerate(cert.partition.class_of_syndrome))
     graph, dep_graph = coset_graph_by_syndrome(code), coset_graph_by_syndrome(dependent)
-    assert dep_graph.n == graph.n and dep_graph.edge_count() == graph.edge_count()
-    assert all(dep_graph.has_edge(relabel[u], relabel[v]) for u, v in graph.edges())
+    explicit, dep_explicit = graph.explicit(), dep_graph.explicit()
+    assert dep_graph.n == graph.n and dep_explicit.edge_count() == explicit.edge_count()
+    assert all(dep_explicit.has_edge(relabel[u], relabel[v]) for u, v in explicit.edges())
     drg, dep_drg = certify_distance_regular(graph), certify_distance_regular(dep_graph)
     assert (dep_drg.is_drg, dep_drg.array) == (drg.is_drg, drg.array)
 
