@@ -243,14 +243,13 @@ class GFMatrix:
     def __post_init__(self):
         if not self.alphabet.is_field:
             raise FieldRequiredError("matrices require a field alphabet")
-        widths = {len(r) for r in self.rows}
-        if len(widths) > 1:
+        if len(set(map(len, self.rows))) > 1:
             raise ValueError("ragged matrix")
         q = self.alphabet.q
-        for r in self.rows:
-            for x in r:
-                if not (0 <= x < q):
-                    raise ValueError(f"entry {x} out of range for q={q}")
+        entries = [x for r in self.rows if r for x in (min(r), max(r))]
+        if entries and not (0 <= min(entries) and max(entries) < q):
+            x = next(x for r in self.rows for x in r if not (0 <= x < q))
+            raise ValueError(f"entry {x} out of range for q={q}")
 
     @property
     def nrows(self) -> int:
@@ -338,8 +337,12 @@ def rank(m: GFMatrix) -> int:
 def is_systematic(m: GFMatrix) -> bool:
     """Whether m = [I_r | A]: its own RREF, with pivots 0..r-1."""
     r = m.nrows
-    return r <= m.ncols and all(row[i] == 1 and row[:r].count(0) == r - 1
-                                for i, row in enumerate(m.rows))
+    return r <= m.ncols and [row[:r] for row in m.rows] == _identity_rows(r)
+
+
+@lru_cache(maxsize=None)
+def _identity_rows(r: int) -> list[tuple[int, ...]]:
+    return [tuple(int(i == j) for j in range(r)) for i in range(r)]
 
 
 def nullspace_basis(m: GFMatrix) -> GFMatrix:

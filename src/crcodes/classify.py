@@ -49,6 +49,7 @@ from .hamming_space import (
 )
 from .partitions_quotients import (
     CayleyGraph,
+    DrgCertificate,
     Graph,
     IntersectionArray,
     certify_distance_regular,
@@ -477,12 +478,26 @@ def classify_quotient(graph: Graph | CayleyGraph, drg=None) -> QuotientFamily:
     return QuotientFamily("other", {}, evidence)
 
 
-def coset_family(code: Code):
+def coset_family(code: Code, certificate: CrCertificate | None = None):
     """The DRG certificate of a CR code's coset graph and the graph's family;
-    a coset graph that is not distance-regular is a theorem violation."""
+    a coset graph that is not distance-regular is a theorem violation.
+
+    A linear code whose H is projective (no zero column and no two parallel
+    columns: its n(q-1) column offsets are distinct) is, up to monomial
+    equivalence, the code H' whose certificate certifies Cay(GF(q)^r, S) in
+    `certify_distance_regular`.  Its own CR certificate, when given, then
+    gives the array b_i = beta_i, c_i = gamma_i, and H' is not certified
+    again."""
     graph = (coset_graph_by_syndrome(code) if code.is_linear
              else quotient_graph(coset_partition(code)))
-    drg = certify_distance_regular(graph)
+    if (certificate is not None and certificate.completely_regular
+            and code.is_linear and len(graph.connection) == code.ambient.valency):
+        numbers = certificate.numbers
+        array = IntersectionArray(numbers.beta[:numbers.rho], numbers.gamma[1:])
+        array.validate()
+        drg = DrgCertificate(True, array)
+    else:
+        drg = certify_distance_regular(graph)
     if not drg.is_drg:
         raise TheoremViolationError(
             "coset graph of a CR code is not distance-regular", witness=drg.witness)

@@ -216,7 +216,7 @@ def _cmd_classify(args) -> int:
             "witness": analysis.certificate.witness.to_json(),
         }, args)
         return EXIT_REFUTED
-    drg, family = coset_family(code)
+    drg, family = coset_family(code, analysis.certificate)
     checks = [r.to_json() for r in coset_graph_checks(code, analysis, family, drg.array)]
     report = {
         "schema": "classification-report@1",
@@ -256,7 +256,7 @@ def _cmd_decompose(args) -> int:
     violation = False
     if is_additive(code):
         report["coordinate_classes"] = [list(c) for c in coordinate_classes(code)]
-    _, family = coset_family(code)
+    _, family = coset_family(code, analysis.certificate)
     report["family"] = family.to_json()
     split = ProductSplit(code)
     if family.tag == "hamming" and analysis.delta is not None and analysis.delta >= 2:

@@ -14,9 +14,12 @@ the quotient matrix of an equitable partition only has graph eigenvalues.
 from __future__ import annotations
 
 import sys
+from array import array
 from collections import Counter, deque
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import groupby, islice
+from math import comb
 
 from .algebra import alphabet, is_systematic, rref
 from .errors import SpectrumError, TheoremViolationError
@@ -26,6 +29,7 @@ from .hamming_space import (
     code_from_words,
     column_offsets,
     decode,
+    minimum_distance,
     neighbor_table,
     neighbors,
     ambient,
@@ -245,56 +249,78 @@ def _scan(part, rows) -> CrCertificate:
 
 # -- lane vectors ----------------------------------------------------------------
 #
-# A lane vector is one Python int holding one `width`-byte lane per syndrome:
-# lane s is bits [8*width*s, 8*width*(s+1)).  A field label is the base-p
+# A lane vector is one Python int holding one `width`-byte lane per syndrome
+# of each of K codes, syndrome-major: lane s*K + k is syndrome s of code k,
+# bits [8*width*(s*K+k), 8*width*(s*K+k+1)).  A field label is the base-p
 # digit string of a polynomial and labels add digit-wise mod p (see
 # `algebra._add_table`), so the q^r syndromes are the base-p strings of
-# length r*e and translating every lane by an offset moves each p-ary digit
-# independently.  For a nonzero digit d at place i, lanes whose digit is
-# below p-d move up d*p^i lanes and the rest move down (p-d)*p^i lanes: one
-# mask, two shifts.  In characteristic 2 that is a swap of lane-index bit i.
+# length r*e and translating every syndrome by an offset moves each p-ary
+# digit independently.  For a nonzero digit d at place i, syndromes whose
+# digit is below p-d move up d*p^i syndromes (d*p^i*K lanes) and the rest
+# move down (p-d)*p^i: one mask, two shifts, and no lane leaves its code.
+# In characteristic 2 that is a swap of syndrome bit i.  Codes whose offsets
+# differ move under selectors, all ones on the codes whose offset has digit
+# d at place i: a K-lane pattern, repeated once per syndrome.
 
 _LANE_CACHE_SIZE = 4
-_LANE_FORMATS = {2: "H", 4: "I", 8: "Q"}
+# The lanes of one packed chunk: the [I_r | A] candidates of one census
+# length and redundancy are certified _CHUNK_LANES // q^r at a time when
+# q^r <= 256, so that an offset fits the byte a selector is translated
+# from, and one at a time otherwise.  A chunk vector takes _CHUNK_LANES
+# bytes for byte lanes, and its masks a few dozen such vectors.
+_CHUNK_LANES = 4096
+_LANE_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
+def _chunk_blocks(size: int) -> int:
+    """Codes to a chunk when each has `size` syndromes."""
+    return _CHUNK_LANES // size if size <= 256 else 1
 
 
 class _Lanes:
-    """Lane-vector arithmetic on the q^r syndromes, `width` bytes a lane.
+    """Lane-vector arithmetic on the q^r syndromes of `blocks` codes,
+    `width` bytes a lane.
 
     Masks are built on first use, one per (digit place, digit), and shared by
-    every offset's plan: r*e*(p-1) masks of q^r lanes at most, which is at
-    most r*q*q^r bytes for byte lanes.
+    every offset's plan: r*e*(p-1) masks of blocks*q^r lanes at most.
     """
 
-    def __init__(self, q: int, r: int, width: int):
+    def __init__(self, q: int, r: int, width: int, blocks: int):
         alpha = alphabet(q)
         self.p, self.places = alpha.p, r * alpha.e
-        self.size, self.width = q**r, width
+        self.size, self.width, self.blocks = q**r, width, blocks
+        self.unit = blocks * width  # the bytes of one syndrome
         self.bits = 8 * width
         self.full = (1 << self.bits) - 1
-        self.ones = int.from_bytes(b"\x01".ljust(width, b"\0") * self.size, "little")
+        self.ones = self.fill([1] * blocks)
         # shifts by bits/2, bits/4, ..., 1 OR every bit of a lane onto its lowest
         self.folds = tuple(1 << k for k in reversed(range(self.bits.bit_length() - 1)))
         self._masks: dict[tuple[int, int], int] = {}
         self._plans: dict[int, tuple] = {}
+        self._tables: dict[tuple, bytes] = {}
+
+    def fill(self, values) -> int:
+        """Code k holds values[k] in every lane."""
+        return int.from_bytes(b"".join(v.to_bytes(self.width, "little") for v in values)
+                              * self.size, "little")
 
     def _mask(self, place: int, digit: int) -> int:
-        """All ones on the lanes whose p-ary digit at `place` is below p-digit."""
+        """All ones on the syndromes whose p-ary digit at `place` is below p-digit."""
         key = (place, digit)
         mask = self._masks.get(key)
         if mask is None:
-            block = self.p**place * self.width
+            block = self.p**place * self.unit
             period = b"\xff" * (block * (self.p - digit)) + bytes(block * digit)
-            mask = int.from_bytes(period * (self.size * self.width // (block * self.p)),
+            mask = int.from_bytes(period * (self.size * self.unit // (block * self.p)),
                                   "little")
             self._masks[key] = mask
         return mask
 
     def plan(self, offset: int) -> tuple[tuple[int, int, int], ...]:
-        """(mask, up, down) bit shifts translating every lane by `offset`."""
+        """(mask, up, down) bit shifts translating every syndrome by `offset`."""
         steps = self._plans.get(offset)
         if steps is None:
-            p, out, stride, rest = self.p, [], self.bits, offset
+            p, out, stride, rest = self.p, [], 8 * self.unit, offset
             for place in range(self.places):
                 rest, d = divmod(rest, p)
                 if d:
@@ -310,23 +336,66 @@ class _Lanes:
             vector = (low << up) | ((vector ^ low) >> down)
         return vector
 
+    def _select(self, offsets: bytes, place: int | None, digit: int, seen: dict) -> int:
+        """All ones on code k when offsets[k] has `digit` at p-ary `place`;
+        place None selects the codes whose offset is 0.  The K-lane pattern
+        is the offsets through a translate table, repeated per syndrome;
+        `seen` keeps each pattern's vector (lambda*t often shares them)."""
+        table = self._tables.get((place, digit))
+        if table is None:
+            step = None if place is None else self.p**place
+            table = self._tables[place, digit] = bytes(
+                255 if (t == 0 if step is None else t // step % self.p == digit) else 0
+                for t in range(256))
+        pattern = offsets.translate(table)
+        vector = seen.get(pattern)
+        if vector is None:
+            wide = pattern if self.width == 1 else b"".join(
+                bytes([x]) * self.width for x in pattern)
+            vector = seen[pattern] = int.from_bytes(wide * self.size, "little")
+        return vector
+
+    def each_plan(self, offsets, seen: dict) -> list[tuple[int, tuple]]:
+        """Steps translating code k by offsets[k], with the codes whose
+        offset is 0 dropped: per digit place, the codes whose digit is 0 and
+        (mask, up, rest, down) for each nonzero digit d, the mask and rest
+        its selector split by d's syndrome mask."""
+        offsets = bytes(offsets)  # below q^r <= 256
+        everywhere = (1 << 8 * self.unit * self.size) - 1
+        p, steps, stride = self.p, [], 8 * self.unit
+        zero = self._select(offsets, None, 0, seen)
+        for place in range(self.places):
+            chosen = [self._select(offsets, place, d, seen) for d in range(p)]
+            if chosen[0] != everywhere:
+                moves = []
+                for d in range(1, p):
+                    if chosen[d]:
+                        low = self._mask(place, d) & chosen[d]
+                        moves.append((low, d * stride, chosen[d] ^ low, (p - d) * stride))
+                steps.append((chosen[0] ^ zero, tuple(moves)))
+                zero = 0
+            stride *= p
+        return steps
+
+    @staticmethod
+    def translate_each(vector: int, steps) -> int:
+        for keep, moves in steps:
+            out = vector & keep
+            for low, up, rest, down in moves:
+                out |= (vector & low) << up | (vector & rest) >> down
+            vector = out
+        return vector
+
     def nonzero(self, vector: int) -> int:
         """1 in each lane of `vector` that is nonzero, 0 elsewhere."""
         for k in self.folds:
             vector |= vector >> k
         return vector & self.ones
 
-    def read(self, vector: int):
-        """The lanes as bytes for byte lanes, as a list of ints otherwise."""
-        raw = vector.to_bytes(self.size * self.width, sys.byteorder)
-        if self.width == 1:
-            return raw
-        return memoryview(raw).cast(_LANE_FORMATS[self.width]).tolist()
-
 
 @lru_cache(maxsize=_LANE_CACHE_SIZE)
-def _lanes(q: int, r: int, width: int) -> _Lanes:
-    return _Lanes(q, r, width)
+def _lanes(q: int, r: int, width: int, blocks: int) -> _Lanes:
+    return _Lanes(q, r, width, blocks)
 
 
 def _lane_width(degree: int) -> int:
@@ -337,87 +406,202 @@ def _lane_width(degree: int) -> int:
     return width
 
 
-def _certify_by_syndrome(code: Code) -> CrCertificate:
-    """BFS from syndrome 0 in the coset graph, one layer at a time.
+def _packed_bfs(space, r: int, offsets) -> list[tuple]:
+    """BFS from syndrome 0 in the coset graphs of K codes at once, one layer
+    at a time, the q^r syndromes of the K codes in one lane vector.
 
-    Syndromes are taken with E = RREF(H), so they are the q^rank words of
-    GF(q)^rank, and the least word with syndrome u is u's digits on E's
-    pivot columns (u itself, with no pivots listed, when H = [I_r | A] is
-    its own E): lane order is least-word order.  N_c counts, in lane s, the
-    neighbours of s in layer L_c, loops aside: N_0 is read off the column
-    offsets, N_c sums L_c translated by each.  Its unseen nonzero lanes are
-    L_(c+1); on L_(c+1) it is the previous count, on L_c the same count.
-    The last layer is not translated: its same count is the loop-free
-    degree less its previous count.  Each layer adds its lowest lane's
-    counts times L_c to two reference vectors.  The code is CR exactly when
-    the counts equal them; otherwise the lowest lane that differs and the
-    lowest lane of its class give the full-space scan's witness.  The class
-    map is then renamed to the syndromes of the row basis; delta is as in
-    `SyndromePartition`.  The q^rank syndromes are held to the vertex cap.
+    offsets[k] lists code k's column offsets lambda*h_j, as `column_offsets`
+    does.  A slot (one column and lambda) with one offset in every code is
+    translated once per distinct offset by the shared syndrome masks; a slot
+    that differs moves code k by its own offset under selectors.  N_c
+    counts, in each lane, the neighbours of its syndrome in layer L_c,
+    loops aside: N_0 is read off the offsets, N_c sums L_c translated.  Its
+    unseen nonzero lanes are L_(c+1); on L_(c+1) it is the previous count,
+    on L_c the same count.  The chunk's last layer is not translated: its
+    same count is the loop-free degree less its previous count.
+
+    Each code's lanes are read off the bytes of the dist, previous and same
+    vectors.  The code is CR exactly when every syndrome's counts equal
+    those of the lowest syndrome of its class (a class-indexed translate
+    table), else the lowest syndrome that differs (an XOR) and the lowest of
+    its class give the full-space scan's witness; delta is as in
+    `SyndromePartition`.  Returns, per code, (class_of, syndromes per class,
+    delta, rows): rows (syndrome, class, (previous, same, next)) for `_scan`.
     """
-    space = code.ambient
-    rows = code.linear.row_basis()
-    q, n, size = rows.alphabet.q, space.n, code.size
-    space.require_materializable("syndrome certificate", q**rows.nrows)
-    h, _, pivots = (rows, 0, None) if is_systematic(rows) else rref(rows)
-    multiplicity = Counter(column_offsets(h))
-    loops = multiplicity.pop(0, 0)
-    moves = space.valency - loops  # the loop-free degree
-    lanes = _lanes(q, h.nrows, _lane_width(space.valency))
-    steps = [(lanes.plan(t), k) for t, k in multiplicity.items()]
-    full, bits, move = lanes.full, lanes.bits, lanes.translate
-    around = sum(k << bits * t for t, k in multiplicity.items())  # N_0
-    layer, unseen = 1, lanes.ones ^ 1
-    dist = prev = same = prev_ref = same_ref = 0
-    sizes, firsts = [], []
-    delta, shell = None, 1  # shell: C(n, c+1) (q-1)^(c+1), the words of weight c+1
+    q, n = space.q, space.n
+    count = len(offsets)
+    width = _lane_width(space.valency)
+    lanes = _lanes(q, r, width, count)
+    size, bits, full = lanes.size, lanes.bits, lanes.full
+    if count == 1:  # every slot is uniform
+        uniform, varying = Counter(offsets[0]), []
+    else:
+        slots = list(zip(*offsets))  # one offset per code
+        uniform = Counter(slot[0] for slot in slots if slot.count(slot[0]) == count)
+        varying = [slot for slot in slots if slot.count(slot[0]) != count]
+    uniform.pop(0, None)  # loops
+    loops = [offs.count(0) for offs in offsets]
+    moves = [space.valency - x for x in loops]  # the loop-free degree
+    roots = (1 << bits * count) // full  # syndrome 0 of every code
+    around = roots * sum(k << bits * count * t for t, k in uniform.items())  # N_0
+    if varying:
+        counts = array(_LANE_FORMATS[width], bytes(count * size * width))
+        for slot in varying:
+            for k, t in enumerate(slot):
+                if t:
+                    counts[t * count + k] += 1
+        if sys.byteorder == "big":
+            counts.byteswap()
+        around += int.from_bytes(counts, "little")
+    steps = [(lanes.plan(t), k) for t, k in uniform.items()]
+    seen: dict[bytes, int] = {}  # selectors, shared by the slots' plans
+    each = [lanes.each_plan(slot, seen) for slot in varying]
+    del seen
+    move, move_each = lanes.translate, lanes.translate_each
+    layer, unseen = roots, lanes.ones ^ roots
+    dist = prev = same = c = 0
     while layer:
-        c = len(sizes)
-        sizes.append(layer.bit_count() * size)
         dist += c * layer
         if unseen:
             reached = lanes.nonzero(around) & unseen
-            if not reached:
-                raise TheoremViolationError(
-                    "columns of a full-rank parity check do not reach every syndrome",
-                    witness={"syndrome": ((unseen & -unseen).bit_length() - 1) // bits,
-                             "reached": lanes.size - unseen.bit_count()})
             unseen ^= reached
             back = around & reached * full
             around &= layer * full
         else:  # the last layer: no next count
             reached = back = 0
-            around = moves * layer - (prev & layer * full)
-        low = (layer & -layer).bit_length() - 1
-        firsts.append(low // bits)
-        prev_ref += (prev >> low & full) * layer
-        same_ref += (around >> low & full) * layer
+            spread = layer * full
+            around = (lanes.fill(moves) & spread) - (prev & spread)
         same += around
         prev += back
-        shell = shell * (n - c) * (q - 1) // (c + 1)
-        if delta is None and reached.bit_count() != shell:
-            delta = 2 * c + 1 if sum(lanes.read(back)) < (c + 1) * shell else 2 * c + 2
         layer = reached
-        if unseen:
-            around = sum(move(layer, plan) * k for plan, k in steps)
-    class_of = bytes(lanes.read(dist))
+        c += 1
+        if layer and unseen:
+            around = (sum(move(layer, plan) * k for plan, k in steps)
+                      + sum(move_each(layer, plan) for plan in each))
+    if unseen:
+        lane = ((unseen & -unseen).bit_length() - 1) // bits
+        stuck = unseen.to_bytes(count * size * width, "little")[lane % count * width::count * width]
+        raise TheoremViolationError(
+            "columns of a full-rank parity check do not reach every syndrome",
+            witness={"syndrome": lane // count, "reached": stuck.count(0)})
+    # the bytes of each vector; counts as byte planes, lowest byte first
+    raw_dist, raw_prev, raw_same = [v.to_bytes(count * size * width, "little")
+                                    for v in (dist, prev, same)]
+    classes = raw_dist[::width]  # dist fits one byte: rho <= r <= 26
+    cut = [raw[b::width] for raw in (raw_prev, raw_same) for b in range(width)]
+    shells = [comb(n, i) * (q - 1)**i for i in range(1, c + 1)]  # words of weight i
+    out = []
+    for k in range(count):
+        cls = classes[k::count]
+        layers = list(map(cls.count, range(c)))
+        while not layers[-1]:
+            layers.pop()
+        firsts = list(map(cls.index, range(len(layers))))
+        planes = [plane[k::count] for plane in cut]
+        differ = 0
+        for plane in planes:  # each syndrome against the lowest of its class
+            expected = cls.translate(bytes(map(plane.__getitem__, firsts)).ljust(256, b"\0"))
+            if plane != expected:
+                differ |= int.from_bytes(plane, "little") ^ int.from_bytes(expected, "little")
+        if differ:  # the lowest syndrome that differs, after the lowest of its class
+            lowest = ((differ & -differ).bit_length() - 1) // 8
+            firsts = [firsts[cls[lowest]], lowest]
+        rows = []
+        for s in firsts:
+            g, m = _lane_value(planes[:width], s), _lane_value(planes[width:], s)
+            rows.append((s, cls[s], (g, m + loops[k], moves[k] - g - m)))
+        delta = None
+        for i, shell in enumerate(shells):  # E: the edges from L_i into L_(i+1)
+            above = layers[i + 1] if i + 1 < len(layers) else 0
+            if above != shell:
+                edges = (0 if not above else moves[k] if i == 0  # all moves leave L_0
+                         else _lane_sum(planes[:width], cls, i + 1))
+                delta = 2 * i + 1 if edges < (i + 1) * shell else 2 * i + 2
+                break
+        out.append((cls, layers, delta, rows))
+    return out
 
-    def row(s):
-        g, m = prev >> s * bits & full, same >> s * bits & full
-        word = s if pivots is None else sum(s // q**i % q * q**j for i, j in enumerate(pivots))
-        return word, dist >> s * bits & full, (g, m + loops, moves - g - m)
 
-    differ = (prev ^ prev_ref) | (same ^ same_ref)
-    if differ:  # the lowest lane that differs, after the lowest lane of its class
-        b = ((differ & -differ).bit_length() - 1) // bits
-        firsts = [firsts[class_of[b]], b]
+def _lane_value(planes, s: int) -> int:
+    """Lane s of a vector read as byte planes, lowest byte first."""
+    if len(planes) == 1:
+        return planes[0][s]
+    return sum(plane[s] << 8 * b for b, plane in enumerate(planes))
+
+
+def _lane_sum(planes, cls: bytes, c: int) -> int:
+    """The sum of the lanes in class c."""
+    chosen = int.from_bytes(cls.translate(bytes(c) + b"\xff" + bytes(255 - c)), "little")
+    return sum(sum((int.from_bytes(plane, "little") & chosen).to_bytes(len(plane), "little"))
+               << 8 * b for b, plane in enumerate(planes))
+
+
+def _certificate(code: Code, block, pivots=None, class_of=None) -> CrCertificate:
+    """The certificate of one block of `_packed_bfs`.  A lane is named by its
+    least word: the lane's digits on the pivots (the lane itself, with no
+    pivots listed).  class_of, if given, replaces the lanes' class map."""
+    cls, layers, delta, rows = block
+    if pivots is not None:
+        q = code.ambient.q
+        rows = [(sum(s // q**i % q * q**j for i, j in enumerate(pivots)), c, counts)
+                for s, c, counts in rows]
+    size = code.size
+    part = SyndromePartition(code, cls if class_of is None else class_of, len(layers) - 1,
+                             tuple(x * size for x in layers), delta)
+    return _scan(part, rows)
+
+
+def _certify_by_syndrome(code: Code) -> CrCertificate:
+    """The packed BFS on a chunk of one code.
+
+    Syndromes are taken with E = RREF(H), so they are the q^rank words of
+    GF(q)^rank, and the least word with syndrome u is u's digits on E's
+    pivot columns (u itself, with no pivots listed, when H = [I_r | A] is
+    its own E): lane order is least-word order, so the lowest lane that
+    differs names the full-space scan's witness.  The class map is then
+    renamed to the syndromes of the row basis.  The q^rank syndromes are
+    held to the vertex cap.
+    """
+    space = code.ambient
+    rows = code.linear.row_basis()
+    space.require_materializable("syndrome certificate", space.q**rows.nrows)
+    h, _, pivots = (rows, 0, None) if is_systematic(rows) else rref(rows)
+    [block] = _packed_bfs(space, h.nrows, [column_offsets(h)])
+    class_of = None
     if h.rows != rows.rows:  # name each coset by its syndrome under the row basis
-        relabeled = bytearray(len(class_of))
+        relabeled = bytearray(len(block[0]))
         for u, (_, s) in enumerate(_least_words(column_offsets(rows), rows.alphabet)):
-            relabeled[s] = class_of[u]  # the u-th least word has E-syndrome u
+            relabeled[s] = block[0][u]  # the u-th least word has E-syndrome u
         class_of = bytes(relabeled)
-    part = SyndromePartition(code, class_of, c, tuple(sizes), delta)
-    return _scan(part, map(row, firsts))
+    return _certificate(code, block, pivots, class_of)
+
+
+def _chunk_key(code: Code):
+    """(space, r) for a linear code whose parity check is [I_r | A], else None."""
+    h = code.linear.parity_check if code.is_linear else None
+    return (code.ambient, h.nrows) if h is not None and is_systematic(h) else None
+
+
+def certify_codes(codes):
+    """Each code with its certificate, in order, a chunk at a time.
+
+    Consecutive codes of one space whose parity checks are [I_r | A] with
+    one r are certified together, `_chunk_blocks` codes to a
+    packed BFS; any other code alone by `certify_completely_regular`.  The
+    runtime cross-check covers both.
+    """
+    for key, group in groupby(codes, _chunk_key):
+        if key is None:
+            for code in group:
+                yield code, certify_completely_regular(code)
+            continue
+        space, r = key
+        space.require_materializable("syndrome certificate", space.q**r)
+        while chunk := list(islice(group, _chunk_blocks(space.q**r))):
+            blocks = _packed_bfs(space, r, [column_offsets(c.linear.parity_check)
+                                            for c in chunk])
+            for code, block in zip(chunk, blocks):
+                yield code, _cross_checked(code, _certificate(code, block))
 
 
 # Spaces of at most this many words (binary length 7) are also certified word
@@ -452,13 +636,18 @@ def certify_completely_regular(code: Code, partition: DistancePartition | None =
     `partition` is passed in.
     """
     if partition is None and code.is_linear:
-        cert = _certify_by_syndrome(code)
-        if code.ambient.size <= _CROSS_CHECK_WORDS:
-            listed = _zero_syndrome_words(code)
-            _cross_check(cert, _certify_words(listed, distance_partition(listed)))
-        return cert
+        return _cross_checked(code, _certify_by_syndrome(code))
     return _certify_words(
         code, partition if partition is not None else distance_partition(code))
+
+
+def _cross_checked(code: Code, cert: CrCertificate) -> CrCertificate:
+    """cert, held to the full-space scan in spaces of at most
+    _CROSS_CHECK_WORDS words."""
+    if code.ambient.size <= _CROSS_CHECK_WORDS:
+        listed = _zero_syndrome_words(code)
+        _cross_check(cert, _certify_words(listed, distance_partition(listed)))
+    return cert
 
 
 def _cross_check(by_syndrome: CrCertificate, by_words: CrCertificate) -> None:
@@ -746,7 +935,7 @@ def is_reduced(code: Code) -> bool:
     rows (the whole space) has n zero columns."""
     if code.is_linear:
         h = code.linear.parity_check
-        return h.nrows > 0 and all(any(col) for col in h.columns())
+        return h.nrows > 0 and all(map(any, h.columns()))
     return not free_coordinates(code)
 
 
@@ -779,14 +968,14 @@ class CodeAnalysis:
         return self.certificate.partition.rho
 
 
-def analyze_code(code: Code) -> CodeAnalysis:
+def analyze_code(code: Code, certificate: CrCertificate | None = None) -> CodeAnalysis:
     """Certificate, minimum distance, reducedness and, for a completely
-    regular code, its quotient matrix, spectrum and bounds.  A linear code
-    takes delta from its syndrome certificate, whatever the rows of its
-    parity check; only a word-listed code runs the weight scan."""
-    from .hamming_space import minimum_distance
-
-    cert = certify_completely_regular(code)
+    regular code, its quotient matrix, spectrum and bounds.  The code's
+    certificate, when given (as `certify_codes` yields it), is not computed
+    again.  A linear code takes delta from its syndrome certificate,
+    whatever the rows of its parity check; only a word-listed code runs the
+    weight scan."""
+    cert = certify_completely_regular(code) if certificate is None else certificate
     if isinstance(cert.partition, SyndromePartition):
         delta = cert.partition.delta
     else:

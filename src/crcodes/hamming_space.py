@@ -10,9 +10,10 @@ a certificate's q^rank syndromes) check their count against a configurable
 cap, 2^26 by default.  It counts entries, not bytes: the syndrome
 certificate peaks at 70-74 MB at 2^21 syndromes.
 
-A linear code holds H, a generator basis and the rank; its q^k members are
-spanned from the basis on first read and cached, and that read is refused
-above the vertex cap.  Its size, membership (Hx = 0), the syndrome
+A linear code holds H, a generator basis and the rank; a code given by its
+parity check builds the basis on first read, and its q^k members are
+spanned from the basis on first read and cached, that read refused above
+the vertex cap.  Its size, membership (Hx = 0), the syndrome
 certificate and the minimum distance that certificate reports read only H,
 so certifying such a code lists no member.  Codes derived from a linear
 code (factors on a block, the reduced code, cartesian products) are cut
@@ -21,11 +22,19 @@ from its H and list nothing either.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .algebra import Alphabet, GFMatrix, alphabet, mat_vec, nullspace_basis, rref
+from .algebra import (
+    Alphabet,
+    GFMatrix,
+    alphabet,
+    is_systematic,
+    mat_vec,
+    nullspace_basis,
+    rref,
+)
 from .errors import (
     CapacityError,
     FieldRequiredError,
@@ -233,9 +242,20 @@ def sphere_size(space: AmbientSpace, radius: int) -> int:
 
 @dataclass(frozen=True)
 class LinearStructure:
+    """H, a generator basis and the rank of H.  A basis given as None is the
+    canonical nullspace basis of H, built on first read of `generators`:
+    certifying a code and recording its H read none.  Structures compare
+    by H and rank, which fix the code."""
+
     parity_check: GFMatrix
-    generators: GFMatrix
+    _generators: GFMatrix | None = field(compare=False, repr=False)
     rank: int
+
+    @property
+    def generators(self) -> GFMatrix:
+        if self._generators is None:
+            object.__setattr__(self, "_generators", nullspace_basis(self.parity_check))
+        return self._generators
 
     def row_basis(self) -> GFMatrix:
         """A basis of the row space of H: H itself when its rows are
@@ -404,14 +424,16 @@ def _span(space: AmbientSpace, basis: GFMatrix) -> list[int]:
 
 
 def code_from_parity_check(space: AmbientSpace, h: GFMatrix) -> Code:
-    """The code {x : H x^T = 0}.  The given H is kept verbatim; the members
-    are spanned from the nullspace basis only when something reads them."""
+    """The code {x : H x^T = 0}.  The given H is kept verbatim, and its rank
+    is its row count when H = [I_r | A].  The nullspace basis is built on
+    first read of the generators, and the members are spanned from it only
+    when something reads them."""
     if not space.alphabet.is_field:
         raise FieldRequiredError("parity-check codes need a field alphabet")
     if h.alphabet != space.alphabet or h.ncols != space.n:
         raise ValueError("parity check does not match the ambient space")
-    gens = nullspace_basis(h)
-    return Code(space, None, LinearStructure(h, gens, space.n - gens.nrows))
+    return Code(space, None, LinearStructure(
+        h, None, h.nrows if is_systematic(h) else rref(h)[1]))
 
 
 def code_from_generators(space: AmbientSpace, g: GFMatrix) -> Code:

@@ -33,7 +33,7 @@ from .classify import (
     coset_graph_checks,
     decompose_product,
 )
-from .cr_analysis import analyze_code, recount_witness
+from .cr_analysis import CrCertificate, analyze_code, certify_codes, recount_witness
 from .errors import DigestMismatchError, TheoremViolationError
 from .hamming_space import Code, ambient, code_from_parity_check, encode
 from .partitions_quotients import (
@@ -44,6 +44,9 @@ from .partitions_quotients import (
 )
 
 RECORD_SCHEMA = "census-record@2"
+
+# json.dumps(..., sort_keys=True, separators=(",", ":")) with one encoder
+_dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def systematic_parity_checks(n: int, q: int, max_redundancy: int | None = None):
@@ -56,8 +59,7 @@ def systematic_parity_checks(n: int, q: int, max_redundancy: int | None = None):
                    if next((x for x in c if x), 1) == 1]
         identity = [tuple(int(i == j) for j in range(r)) for i in range(r)]
         for tail in combinations_with_replacement(columns, n - r):
-            yield GFMatrix(alpha, tuple(
-                row + tuple(col[i] for col in tail) for i, row in enumerate(identity)))
+            yield GFMatrix(alpha, tuple(map(tuple.__add__, identity, zip(*tail))))
 
 
 @dataclass
@@ -69,10 +71,11 @@ def enumerate_linear_codes(n: int, q: int, max_redundancy: int | None = None,
                            stats: EnumerationStats | None = None):
     """Nontrivial linear codes of length n, one per monomial column-frame key
     (see ``systematic_parity_checks``)."""
+    space = ambient(n, q)
     for h in systematic_parity_checks(n, q, max_redundancy):
         if stats is not None:
             stats.candidates += 1
-        yield code_from_parity_check(ambient(n, q), h)
+        yield code_from_parity_check(space, h)
 
 
 def code_digest(code: Code) -> str:
@@ -81,8 +84,7 @@ def code_digest(code: Code) -> str:
         "n": code.ambient.n,
         "parity_check": code.linear.parity_check.to_lists(),
     }
-    blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
+    return hashlib.sha256(_dumps(doc).encode()).hexdigest()
 
 
 def _is_syndrome_quotient(code: Code, graph: CayleyGraph) -> bool:
@@ -98,9 +100,10 @@ def _is_syndrome_quotient(code: Code, graph: CayleyGraph) -> bool:
         h.alphabet, h.nrows, tuple(sorted(steps)))
 
 
-def build_record(code: Code) -> dict:
-    """The full, replayable census record for one code."""
-    analysis = analyze_code(code)
+def build_record(code: Code, certificate: CrCertificate | None = None) -> dict:
+    """The full, replayable census record for one code; its certificate,
+    when given, is not computed again."""
+    analysis = analyze_code(code, certificate)
     record = {
         "schema": RECORD_SCHEMA,
         "q": code.ambient.q,
@@ -127,7 +130,7 @@ def build_record(code: Code) -> dict:
         bounds=analysis.bounds.to_json(),
     )
 
-    drg, family = coset_family(code)
+    drg, family = coset_family(code, analysis.certificate)
     record["family"] = {"tag": family.tag, "params": dict(family.params)}
     record["quotient_array"] = drg.array.to_json()
 
@@ -187,10 +190,6 @@ class CensusParams:
                 "max_redundancy": self.max_redundancy}
 
 
-def _dumps(record: dict) -> str:
-    return json.dumps(record, sort_keys=True, separators=(",", ":"))
-
-
 def run_census(params: CensusParams, out_dir, progress=None) -> dict:
     """Write census.jsonl and summary.csv under out_dir; abort on any FAIL
     after persisting witness.json.  Returns the summary (also printed by the
@@ -212,9 +211,9 @@ def run_census(params: CensusParams, out_dir, progress=None) -> dict:
 
     with census_path.open("w") as stream:
         for n in range(params.min_n, params.max_n + 1):
-            for code in enumerate_linear_codes(n, params.q, params.max_redundancy,
-                                               stats):
-                record = build_record(code)
+            for code, certificate in certify_codes(enumerate_linear_codes(
+                    n, params.q, params.max_redundancy, stats)):
+                record = build_record(code, certificate)
                 fails = sorted(
                     name for name, status in record.get("checks", {}).items()
                     if status == "FAIL"

@@ -721,12 +721,17 @@ def test_a_linear_witness_is_rendered_as_its_parity_check(capsys, no_span):
 @pytest.mark.parametrize("command", ["classify", "decompose"])
 def test_a_coset_graph_that_is_not_distance_regular_is_a_violation(
         tmp_path, capsys, monkeypatch, command):
+    # the Hamming [7,4] code padded by a zero column: its H is not
+    # projective, so its coset graph is certified on its own
     import crcodes.classify as classify_mod
     from crcodes.partitions_quotients import DrgCertificate
 
     monkeypatch.setattr(classify_mod, "certify_distance_regular",
                         lambda graph: DrgCertificate(False, witness={"vertex": 0}))
-    code, _, err = _run(capsys, command, _hamming74_spec(tmp_path))
+    spec = _write_spec(tmp_path, "padded.json", {
+        "type": "construct", "name": "pad", "count": 1,
+        "base": {"type": "construct", "name": "hamming", "q": 2, "r": 3}})
+    code, _, err = _run(capsys, command, spec)
     assert code == 4
     payload = json.loads(err)
     assert payload["error"] == "theorem_violation"
@@ -883,3 +888,24 @@ def test_help_lists_every_command_and_option_of_the_table(capsys):
             assert summary in out
             for option, *_ in options + _COMMON_OPTIONS:
                 assert f"  {option} " in out
+
+
+def test_classify_certifies_a_projective_parity_check_once(tmp_path, capsys, monkeypatch):
+    # binary repetition n = 12: H is projective, so the coset graph's array
+    # comes from the code's own syndrome certificate, with no second BFS
+    import crcodes.cr_analysis as cr_analysis_mod
+
+    runs = []
+    packed = cr_analysis_mod._packed_bfs
+
+    def counting(space, r, offsets):
+        runs.append(len(offsets))
+        return packed(space, r, offsets)
+
+    monkeypatch.setattr(cr_analysis_mod, "_packed_bfs", counting)
+    spec = _write_spec(tmp_path, "rep12.json",
+                       {"type": "construct", "name": "repetition", "q": 2, "n": 12})
+    code, out, _ = _run(capsys, "classify", spec)
+    assert code == 0 and runs == [1]
+    family = json.loads(out)["family"]
+    assert (family["tag"], family["params"]) == ("folded_cube", {"m": 12})

@@ -34,3 +34,22 @@ def test_a_cli_call_imports_neither_argparse_nor_locale(tmp_path):
     run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                          text=True, timeout=60, check=True)
     assert json.loads(run.stdout.splitlines()[-1]) == [0, []]
+
+
+def test_an_import_builds_no_lane_masks_or_tables():
+    # a fresh import compiles src/ and must stay cheap: every cache of the
+    # package (lane masks and plans, neighbour tables, scaled columns,
+    # alphabets) is filled on first use, never at import
+    script = (
+        "import json, sys\n"
+        "import crcodes.cli\n"
+        "print(json.dumps({f'{name}.{attr}': fn.cache_info().currsize\n"
+        "    for name, module in sorted(sys.modules.items()) if name.startswith('crcodes')\n"
+        "    for attr, fn in vars(module).items()\n"
+        "    if hasattr(fn, 'cache_info') and fn.__module__ == name}))\n")
+    env = {**os.environ, "PYTHONPATH": str(SOURCE.parent)}
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, timeout=60, check=True)
+    caches = json.loads(run.stdout.splitlines()[-1])
+    assert "crcodes.cr_analysis._lanes" in caches and "crcodes.algebra.alphabet" in caches
+    assert set(caches.values()) == {0}, caches

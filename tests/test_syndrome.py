@@ -1,12 +1,16 @@
 """The syndrome certificate of linear codes against its full-space oracle;
 the coset graph's DRG certificate, census check and folded-cube map, read off
 its connection set, against the walks of the adjacency list built from it;
-the lane-vector certificate against the per-syndrome BFS; the least-word
+the lane-vector certificate against the per-syndrome BFS, and its packed
+chunks against the per-code lane kernel they replaced; the least-word
 witness walk against a brute force; parity checks with dependent rows against
 their full-rank twins; and the translation kernels against digit-by-digit
 addition."""
 
 import random
+import sys
+from collections import Counter
+from itertools import groupby
 
 import pytest
 from hypothesis import assume, given, settings
@@ -17,12 +21,13 @@ from crcodes.algebra import (
     alphabet,
     gf_identity,
     gf_matrix,
+    is_systematic,
     mat_vec,
     nullspace_basis,
     rank,
     rref,
 )
-from crcodes.classify import construct_fixture, linear_folded_cube_map
+from crcodes.classify import construct_fixture, coset_family, linear_folded_cube_map
 from crcodes.constructions import (
     extended_hamming_code,
     hamming_code,
@@ -38,6 +43,7 @@ from crcodes.cr_analysis import (
     _least_words,
     _scan,
     analyze_code,
+    certify_codes,
     certify_completely_regular,
     distance_partition,
     free_coordinates,
@@ -63,7 +69,7 @@ from crcodes.partitions_quotients import (
     coset_graph_by_syndrome,
     graph_from_edges,
 )
-from crcodes.search import _is_syndrome_quotient, enumerate_linear_codes
+from crcodes.search import CensusParams, _is_syndrome_quotient, enumerate_linear_codes, run_census
 
 # (q, largest n): every census code up to these lengths.
 CENSUSES = ((2, 6), (3, 5), (4, 4), (5, 4))
@@ -131,23 +137,172 @@ def _lane_summary(cert):
     return _summary(cert) + (part.class_of_syndrome, part.delta)
 
 
+def _read_lanes(lanes, vector):
+    """The lanes of a lane vector, as ints, syndrome-major."""
+    raw = vector.to_bytes(lanes.size * lanes.unit, "little")
+    return [int.from_bytes(raw[i:i + lanes.width], "little")
+            for i in range(0, len(raw), lanes.width)]
+
+
+def _per_code_lane_certificate(code):
+    """The per-code lane kernel that the packed chunks replaced, kept as
+    their oracle: one BFS loop per code, each layer's lowest lane's counts
+    added into two reference vectors as the layer completes, and the verdict
+    and witness read off the differences with them."""
+    space = code.ambient
+    rows = code.linear.row_basis()
+    q, n, size = rows.alphabet.q, space.n, code.size
+    h, _, pivots = (rows, 0, None) if is_systematic(rows) else rref(rows)
+    multiplicity = Counter(column_offsets(h))
+    loops = multiplicity.pop(0, 0)
+    moves = space.valency - loops  # the loop-free degree
+    lanes = _lanes(q, h.nrows, _lane_width(space.valency), 1)
+    steps = [(lanes.plan(t), k) for t, k in multiplicity.items()]
+    full, bits, move = lanes.full, lanes.bits, lanes.translate
+    around = sum(k << bits * t for t, k in multiplicity.items())  # N_0
+    layer, unseen = 1, lanes.ones ^ 1
+    dist = prev = same = prev_ref = same_ref = 0
+    sizes, firsts = [], []
+    delta, shell = None, 1  # shell: C(n, c+1) (q-1)^(c+1), the words of weight c+1
+    while layer:
+        c = len(sizes)
+        sizes.append(layer.bit_count() * size)
+        dist += c * layer
+        if unseen:
+            reached = lanes.nonzero(around) & unseen
+            assert reached, "a full-rank parity check reaches every syndrome"
+            unseen ^= reached
+            back = around & reached * full
+            around &= layer * full
+        else:  # the last layer: no next count
+            reached = back = 0
+            around = moves * layer - (prev & layer * full)
+        low = (layer & -layer).bit_length() - 1
+        firsts.append(low // bits)
+        prev_ref += (prev >> low & full) * layer
+        same_ref += (around >> low & full) * layer
+        same += around
+        prev += back
+        shell = shell * (n - c) * (q - 1) // (c + 1)
+        if delta is None and reached.bit_count() != shell:
+            delta = (2 * c + 1 if sum(_read_lanes(lanes, back)) < (c + 1) * shell
+                     else 2 * c + 2)
+        layer = reached
+        if unseen:
+            around = sum(move(layer, plan) * k for plan, k in steps)
+    class_of = bytes(_read_lanes(lanes, dist))
+
+    def row(s):
+        g, m = prev >> s * bits & full, same >> s * bits & full
+        word = s if pivots is None else sum(s // q**i % q * q**j for i, j in enumerate(pivots))
+        return word, dist >> s * bits & full, (g, m + loops, moves - g - m)
+
+    differ = (prev ^ prev_ref) | (same ^ same_ref)
+    if differ:  # the lowest lane that differs, after the lowest lane of its class
+        b = ((differ & -differ).bit_length() - 1) // bits
+        firsts = [firsts[class_of[b]], b]
+    if h.rows != rows.rows:  # name each coset by its syndrome under the row basis
+        relabeled = bytearray(len(class_of))
+        for u, (_, s) in enumerate(_least_words(column_offsets(rows), rows.alphabet)):
+            relabeled[s] = class_of[u]  # the u-th least word has E-syndrome u
+        class_of = bytes(relabeled)
+    part = SyndromePartition(code, class_of, c, tuple(sizes), delta)
+    return _scan(part, map(row, firsts))
+
+
 # (q, largest n) of the lane-vector differential check: every census code.
 ORACLE_CENSUSES = ((2, 8), (3, 6), (4, 5), (5, 4), (7, 3), (8, 3), (9, 3))
 
 
 def test_lane_certificate_equals_the_per_syndrome_bfs():
+    # one code at a time, a census length's packed chunks, and the per-code
+    # lane kernel the chunks replaced, each against the per-syndrome BFS
     checked = refuted = 0
     for q, top in ORACLE_CENSUSES:
         for n in range(1, top + 1):
-            for code in enumerate_linear_codes(n, q):
+            for code, packed in certify_codes(enumerate_linear_codes(n, q)):
                 want = _lane_summary(_per_syndrome_certificate(code))
                 analysis = analyze_code(code)
                 assert _lane_summary(analysis.certificate) == want, (
                     code.linear.parity_check)
+                assert _lane_summary(packed) == want, code.linear.parity_check
+                assert _lane_summary(_per_code_lane_certificate(code)) == want
                 assert analysis.delta == minimum_distance(code)
                 checked += 1
                 refuted += not want[0]
     assert checked == 17617 and refuted > checked // 2
+
+
+def _count_chunks(monkeypatch):
+    """The (r, codes) of every packed BFS run."""
+    chunks = []
+    packed = cr_analysis._packed_bfs
+
+    def counting(space, r, offsets):
+        chunks.append((r, len(offsets)))
+        return packed(space, r, offsets)
+
+    monkeypatch.setattr(cr_analysis, "_packed_bfs", counting)
+    return chunks
+
+
+def test_a_census_length_spans_several_chunks_and_a_chunk_of_one(monkeypatch):
+    # the 122 ternary [6,1] codes of redundancy 5 have 243 syndromes each:
+    # 11 codes to a chunk leaves one code for the last
+    chunks = _count_chunks(monkeypatch)
+    monkeypatch.setattr(cr_analysis, "_CHUNK_LANES", 243 * 11)
+    codes = [code for code in enumerate_linear_codes(6, 3) if code.linear.rank == 5]
+    certified = list(certify_codes(codes))
+    assert chunks == [(5, 11)] * 11 + [(5, 1)]
+    assert [code for code, _ in certified] == codes
+    for code, cert in certified:
+        assert _lane_summary(cert) == _lane_summary(_per_code_lane_certificate(code))
+
+
+def test_one_chunk_mixes_zero_repeated_and_parallel_columns(monkeypatch):
+    # [I_2 | a b] over GF(3) for every pair of columns a, b: zero columns,
+    # equal and parallel pairs, and both tail slots differ across the chunk
+    chunks = _count_chunks(monkeypatch)
+    alpha, space = alphabet(3), ambient(4, 3)
+    columns = [(x, y) for x in range(3) for y in range(3)]
+    codes = [code_from_parity_check(space, gf_matrix(alpha, [[1, 0, a[0], b[0]],
+                                                             [0, 1, a[1], b[1]]]))
+             for a in columns for b in columns]
+    refuted = 0
+    for code, cert in certify_codes(codes):
+        assert _lane_summary(cert) == _lane_summary(_per_code_lane_certificate(code))
+        slow = certify_completely_regular(code, distance_partition(code))
+        assert _summary(cert) == _summary(slow)
+        refuted += not cert.completely_regular
+    assert chunks == [(2, 81)] and 0 < refuted < 81
+
+
+def test_packed_lanes_widen_past_a_valency_of_255(tmp_path):
+    # GF(128): valency 381 at n = 3 needs two-byte lanes, and the redundancy-1
+    # codes of one length share a chunk
+    assert _lane_width(ambient(3, 128).valency) == 2
+    summary = run_census(CensusParams(q=128, max_n=3, max_redundancy=1), tmp_path)
+    codes = [code for n in (2, 3) for code in enumerate_linear_codes(n, 128, 1)]
+    assert summary["recorded"] == len(codes) == 5
+    for code, cert in certify_codes(codes):
+        assert _lane_summary(cert) == _lane_summary(_per_code_lane_certificate(code))
+        assert _lane_summary(cert) == _lane_summary(_per_syndrome_certificate(code))
+
+
+def test_projective_codes_take_their_drg_array_from_their_own_certificate():
+    # H projective: the coset graph's array is read off the code's own
+    # certificate, and equals the certificate of H' it replaces
+    reused = 0
+    for q, top in ORACLE_CENSUSES:
+        for n in range(1, top + 1):
+            for code, cert in certify_codes(enumerate_linear_codes(n, q)):
+                if not cert.completely_regular:
+                    continue
+                graph = coset_graph_by_syndrome(code)
+                drg, _ = coset_family(code, cert)
+                assert drg.array == certify_distance_regular(graph).array
+                reused += len(graph.connection) == code.ambient.valency
+    assert reused > 50
 
 
 def _word_syndromes(h, n):
@@ -429,13 +584,35 @@ def test_translations_add_digit_by_digit(q):
         if size > 729:
             continue
         # lane v holds v+1; translating the lane vector by s moves it to lane v+s
-        lanes = _lanes(q, r, 2)
+        lanes = _lanes(q, r, 2, 1)
         vector = sum((v + 1) << (16 * v) for v in words)
         for s in offsets:
             want = [0] * size
             for v in words:
                 want[_add_digits(v, s, r, alpha)] = v + 1
-            assert lanes.read(lanes.translate(vector, lanes.plan(s))) == want
+            assert _read_lanes(lanes, lanes.translate(vector, lanes.plan(s))) == want
+        # three codes, syndrome-major: lane 3v + k holds 3v + k + 1.  A plan
+        # moves every code by one offset; selectors move code k by its own,
+        # and drop a code whose offset is 0
+        if size > 256:
+            continue
+        packed = _lanes(q, r, 2, 3)
+        vector = sum((lane + 1) << (16 * lane) for lane in range(3 * size))
+
+        def moved(shifts):
+            want = [0] * (3 * size)
+            for v in words:
+                for k, t in enumerate(shifts):
+                    if t is not None:
+                        want[3 * _add_digits(v, t, r, alpha) + k] = 3 * v + k + 1
+            return want
+
+        s = offsets[2]
+        assert _read_lanes(packed, packed.translate(vector, packed.plan(s))) == moved([s] * 3)
+        own = [offsets[2], 0, offsets[3]]
+        if any(own):
+            got = packed.translate_each(vector, packed.each_plan(own, {}))
+            assert _read_lanes(packed, got) == moved([t or None for t in own])
 
 
 # q^n <= 3^7 keeps the full-space oracle fast
@@ -593,6 +770,29 @@ def test_layer_zero_and_the_last_layer_take_no_translation(monkeypatch, code, tr
     assert len(calls) == translations
 
 
+def test_a_chunk_translates_only_its_middle_layers(monkeypatch):
+    # the chunk of [I_2 | a b] over GF(3) reaches rho = 2: only layer 1 is
+    # translated, by the 4 offsets of I_2 shared by every code and by the
+    # 4 tail slots (two columns, two scalars) under selectors
+    alpha, space = alphabet(3), ambient(4, 3)
+    columns = [(x, y) for x in range(3) for y in range(3)]
+    codes = [code_from_parity_check(space, gf_matrix(alpha, [[1, 0, a[0], b[0]],
+                                                             [0, 1, a[1], b[1]]]))
+             for a in columns for b in columns]
+    shared = _count_lane_translations(monkeypatch)
+    each = []
+    move_each = cr_analysis._Lanes.translate_each
+
+    def counting(vector, steps):
+        each.append(steps)
+        return move_each(vector, steps)
+
+    monkeypatch.setattr(cr_analysis._Lanes, "translate_each", staticmethod(counting))
+    certified = list(certify_codes(codes))
+    assert max(cert.partition.rho for _, cert in certified) == 2
+    assert (len(shared), len(each)) == (4, 4)
+
+
 def test_a_systematic_parity_check_takes_its_witness_off_the_lanes(monkeypatch):
     def forbidden(*args):
         raise AssertionError("least words listed")
@@ -600,9 +800,10 @@ def test_a_systematic_parity_check_takes_its_witness_off_the_lanes(monkeypatch):
     refuted = [code for n in (5, 6) for code in enumerate_linear_codes(n, 3)
                if not analyze_code(code).cr]
     monkeypatch.setattr(cr_analysis, "_least_words", forbidden)
-    for code in refuted[::10]:
+    for code, packed in certify_codes(refuted[::10]):
         slow = certify_completely_regular(code, distance_partition(code))
         assert _summary(certify_completely_regular(code)) == _summary(slow)
+        assert _summary(packed) == _summary(slow)
     assert len(refuted[::10]) > 150
 
 
@@ -612,13 +813,16 @@ def test_parity_checks_outside_rref_certify_as_the_full_space_scan():
     # digits on RREF(H)'s pivots, and the class map is relabelled to H's
     checked = outside = refuted = 0
     for n in range(1, 6):
-        for census_code in enumerate_linear_codes(n, 3):
-            h = census_code.linear.parity_check
-            h = h.take_columns(range(n - 1, -1, -1))
-            code = code_from_parity_check(census_code.ambient, h)
+        reversed_codes = [code_from_parity_check(census_code.ambient, h.take_columns(
+            range(n - 1, -1, -1))) for census_code in enumerate_linear_codes(n, 3)
+            for h in [census_code.linear.parity_check]]
+        for code, packed in certify_codes(reversed_codes):
+            h = code.linear.parity_check
             part = distance_partition(code)
             fast = certify_completely_regular(code)
             assert _summary(fast) == _summary(certify_completely_regular(code, part)), h
+            assert _lane_summary(packed) == _lane_summary(fast)
+            assert _lane_summary(fast) == _lane_summary(_per_code_lane_certificate(code))
             leader_weight = fast.partition.class_of_syndrome
             assert bytes(leader_weight[s] for s in _word_syndromes(h, n)) == part.class_of
             checked += 1
