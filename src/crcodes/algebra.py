@@ -246,7 +246,7 @@ class GFMatrix:
         if len(set(map(len, self.rows))) > 1:
             raise ValueError("ragged matrix")
         q = self.alphabet.q
-        entries = [x for r in self.rows if r for x in (min(r), max(r))]
+        entries = set().union(*self.rows)
         if entries and not (0 <= min(entries) and max(entries) < q):
             x = next(x for r in self.rows for x in r if not (0 <= x < q))
             raise ValueError(f"entry {x} out of range for q={q}")

@@ -272,11 +272,6 @@ _CHUNK_LANES = 4096
 _LANE_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
-def _chunk_blocks(size: int) -> int:
-    """Codes to a chunk when each has `size` syndromes."""
-    return _CHUNK_LANES // size if size <= 256 else 1
-
-
 class _Lanes:
     """Lane-vector arithmetic on the q^r syndromes of `blocks` codes,
     `width` bytes a lane.
@@ -288,7 +283,7 @@ class _Lanes:
     def __init__(self, q: int, r: int, width: int, blocks: int):
         alpha = alphabet(q)
         self.p, self.places = alpha.p, r * alpha.e
-        self.size, self.width, self.blocks = q**r, width, blocks
+        self.size, self.width = q**r, width
         self.unit = blocks * width  # the bytes of one syndrome
         self.bits = 8 * width
         self.full = (1 << self.bits) - 1
@@ -342,11 +337,14 @@ class _Lanes:
         is the offsets through a translate table, repeated per syndrome;
         `seen` keeps each pattern's vector (lambda*t often shares them)."""
         table = self._tables.get((place, digit))
-        if table is None:
-            step = None if place is None else self.p**place
-            table = self._tables[place, digit] = bytes(
-                255 if (t == 0 if step is None else t // step % self.p == digit) else 0
-                for t in range(256))
+        if table is None:  # 0xff at the offsets t selected, t < 256
+            if place is None:
+                table = b"\xff" + bytes(255)
+            else:
+                step = self.p**place
+                period = bytes(step * digit) + b"\xff" * step + bytes(step * (self.p - 1 - digit))
+                table = (period * (256 // len(period) + 1))[:256]
+            self._tables[place, digit] = table
         pattern = offsets.translate(table)
         vector = seen.get(pattern)
         if vector is None:
@@ -586,9 +584,9 @@ def certify_codes(codes):
     """Each code with its certificate, in order, a chunk at a time.
 
     Consecutive codes of one space whose parity checks are [I_r | A] with
-    one r are certified together, `_chunk_blocks` codes to a
-    packed BFS; any other code alone by `certify_completely_regular`.  The
-    runtime cross-check covers both.
+    one r are certified together, _CHUNK_LANES // q^r codes to a packed
+    BFS when q^r <= 256 and one otherwise; any other code alone by
+    `certify_completely_regular`.  The runtime cross-check covers both.
     """
     for key, group in groupby(codes, _chunk_key):
         if key is None:
@@ -596,8 +594,9 @@ def certify_codes(codes):
                 yield code, certify_completely_regular(code)
             continue
         space, r = key
-        space.require_materializable("syndrome certificate", space.q**r)
-        while chunk := list(islice(group, _chunk_blocks(space.q**r))):
+        size = space.q**r
+        space.require_materializable("syndrome certificate", size)
+        while chunk := list(islice(group, _CHUNK_LANES // size if size <= 256 else 1)):
             blocks = _packed_bfs(space, r, [column_offsets(c.linear.parity_check)
                                             for c in chunk])
             for code, block in zip(chunk, blocks):

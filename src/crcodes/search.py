@@ -46,7 +46,7 @@ from .partitions_quotients import (
 RECORD_SCHEMA = "census-record@2"
 
 # json.dumps(..., sort_keys=True, separators=(",", ":")) with one encoder
-_dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+_dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False).encode
 
 
 def systematic_parity_checks(n: int, q: int, max_redundancy: int | None = None):
