@@ -337,12 +337,12 @@ def rank(m: GFMatrix) -> int:
 def is_systematic(m: GFMatrix) -> bool:
     """Whether m = [I_r | A]: its own RREF, with pivots 0..r-1."""
     r = m.nrows
-    return r <= m.ncols and [row[:r] for row in m.rows] == _identity_rows(r)
+    return r <= m.ncols and tuple([row[:r] for row in m.rows]) == _identity_rows(r)
 
 
 @lru_cache(maxsize=None)
-def _identity_rows(r: int) -> list[tuple[int, ...]]:
-    return [tuple(int(i == j) for j in range(r)) for i in range(r)]
+def _identity_rows(r: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(int(i == j) for j in range(r)) for i in range(r))
 
 
 def nullspace_basis(m: GFMatrix) -> GFMatrix:

@@ -10,10 +10,10 @@ a certificate's q^rank syndromes) check their count against a configurable
 cap, 2^26 by default.  It counts entries, not bytes: the syndrome
 certificate peaks at 70-74 MB at 2^21 syndromes.
 
-A linear code holds H, a generator basis and the rank; a code given by its
-parity check builds the basis on first read, and its q^k members are
-spanned from the basis on first read and cached, that read refused above
-the vertex cap.  Its size, membership (Hx = 0), the syndrome
+A linear code holds H, its rank and a generator basis, which a code given
+by its parity check builds on first read; its q^k members are spanned from
+the basis on first read and cached, and that read is refused above the
+vertex cap.  Its size, membership (Hx = 0), the syndrome
 certificate and the minimum distance that certificate reports read only H,
 so certifying such a code lists no member.  Codes derived from a linear
 code (factors on a block, the reduced code, cartesian products) are cut
