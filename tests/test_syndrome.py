@@ -50,6 +50,7 @@ from crcodes.cr_analysis import (
     is_reduced,
     layer_counts,
 )
+from crcodes.errors import TheoremViolationError
 from crcodes.hamming_space import (
     DEFAULT_VERTEX_CAP,
     ambient,
@@ -287,6 +288,15 @@ def test_packed_lanes_widen_past_a_valency_of_255(tmp_path):
     for code, cert in certify_codes(codes):
         assert _lane_summary(cert) == _lane_summary(_per_code_lane_certificate(code))
         assert _lane_summary(cert) == _lane_summary(_per_syndrome_certificate(code))
+
+
+def test_offsets_that_miss_a_syndrome_are_a_theorem_violation():
+    # columns of a full-rank H reach every syndrome; offsets that span only
+    # e_1 of GF(2)^2 stop the BFS, in a chunk as for one code
+    for offsets, reached in (([[1, 1, 0]], 2), ([[1, 2, 3], [1, 1, 0]], 2)):
+        with pytest.raises(TheoremViolationError) as caught:
+            cr_analysis._packed_bfs(ambient(3, 2), 2, offsets)
+        assert caught.value.witness == {"syndrome": 2, "reached": reached}
 
 
 def test_projective_codes_take_their_drg_array_from_their_own_certificate():
