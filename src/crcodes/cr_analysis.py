@@ -478,10 +478,10 @@ def _packed_bfs(space, r: int, offsets) -> list[tuple]:
                       + sum(move_each(layer, plan) for plan in each))
     if unseen:
         lane = ((unseen & -unseen).bit_length() - 1) // bits
-        stuck = unseen.to_bytes(count * size * width, "little")[lane % count * width::count * width]
+        code = unseen.to_bytes(count * size * width, "little")[lane % count * width::lanes.unit]
         raise TheoremViolationError(
             "columns of a full-rank parity check do not reach every syndrome",
-            witness={"syndrome": lane // count, "reached": stuck.count(0)})
+            witness={"syndrome": lane // count, "reached": code.count(0)})
     # the bytes of each vector; counts as byte planes, lowest byte first
     raw_dist, raw_prev, raw_same = [v.to_bytes(count * size * width, "little")
                                     for v in (dist, prev, same)]
