@@ -12,11 +12,9 @@ from .classify import (
     classify_quotient,
     classify_small_covering_radius,
     column_classes,
-    construct_fixture,
     coordinate_classes,
     decompose_product,
     graph_isomorphic,
-    max_clique,
 )
 from .codespec import emit_codespec, parse_codespec
 from .constructions import (

@@ -1,14 +1,18 @@
-"""Quotient-graph recognition, fixture graphs, and the structural
-classification of linear completely regular codes with arithmetic spectra.
+"""Quotient-graph recognition and the structural classification of linear
+completely regular codes with arithmetic spectra.
 
 Recognition is parametric-plus-verification: intersection arrays are matched
 against the closed families, and whenever parameters alone cannot decide
 (H(m,4) vs Doob graphs; the array {6,5,4;1,2,6}) the tie is broken by local
-structure or an explicit isomorphism onto a folded cube, never by assumption.
+structure or an isomorphism onto the folded cube, never by assumption.
 A syndrome coset graph, held as its connection set S, gets that isomorphism
-as a linear map read off S at any size, and its local checks read vertex 0
-off S (s ~ s' when s - s' is in S); any other graph gets it from a
-backtracking search against the fixture, up to ISO_VERTEX_CAP vertices.
+as a linear map read off S in O(m^2) steps at any size, reported as the
+m - 1 syndromes sent to the basis vectors of the folded cube
+Cay(GF(2)^(m-1), {e_1, ..., e_(m-1), 1}); one with a folded-cube array and
+no such map is a theorem violation.  Its local checks read vertex 0 off S
+(s ~ s' when s - s' is in S).  Only an explicit quotient graph gets the
+isomorphism from a backtracking search against the folded-cube fixture, up
+to ISO_VERTEX_CAP vertices, and is named by its array alone above that.
 
 The structural classification reads a linear code's parity check H and
 lists none of its members: membership is Hx = 0, coordinate classes are
@@ -43,7 +47,6 @@ from .hamming_space import (
     decode,
     encode,
     is_additive,
-    neighbors,
     sphere_size,
     word_sub,
 )
@@ -55,114 +58,14 @@ from .partitions_quotients import (
     certify_distance_regular,
     coset_graph_by_syndrome,
     coset_partition,
-    graph_from_edges,
     partition_from_classes,
     quotient_graph,
 )
 
 ISO_VERTEX_CAP = 4096
-CLIQUE_VERTEX_CAP = 1 << 16
 
 
-# -- fixture graphs --------------------------------------------------------------
-
-
-def hamming_graph(m: int, q: int) -> Graph:
-    sp = ambient(m, q)
-    if sp.size > ISO_VERTEX_CAP:
-        raise ValueError(f"fixture H({m},{q}) too large")
-    edges = []
-    for v in range(sp.size):
-        for w in neighbors(v, sp):
-            if v < w:
-                edges.append((v, w))
-    return graph_from_edges(sp.size, edges)
-
-
-def folded_cube(m: int) -> Graph:
-    """Antipodal quotient of the m-cube, built as an explicit vertex partition."""
-    if m < 2:
-        raise ValueError("folded cube needs m >= 2")
-    if 2 ** (m - 1) > ISO_VERTEX_CAP:
-        raise ValueError(f"fixture folded {m}-cube too large")
-    sp = ambient(m, 2)
-    mask = sp.size - 1
-    classes = [[v, v ^ mask] for v in range(sp.size) if v < (v ^ mask)]
-    return quotient_graph(partition_from_classes(sp, classes))
-
-
-def shrikhande_graph() -> Graph:
-    """Cayley graph on Z_4 x Z_4, connection set {+-(1,0), +-(0,1), +-(1,1)}."""
-    conn = [(1, 0), (3, 0), (0, 1), (0, 3), (1, 1), (3, 3)]
-    edges = []
-    for a in range(4):
-        for b in range(4):
-            v = a + 4 * b
-            for da, db in conn:
-                w = (a + da) % 4 + 4 * ((b + db) % 4)
-                if v < w:
-                    edges.append((v, w))
-    return graph_from_edges(16, edges)
-
-
-def complete_graph(v: int) -> Graph:
-    return graph_from_edges(v, [(i, j) for i in range(v) for j in range(i + 1, v)])
-
-
-def complete_bipartite(v: int) -> Graph:
-    return graph_from_edges(2 * v, [(i, v + j) for i in range(v) for j in range(v)])
-
-
-def cartesian_product_graph(g1: Graph, g2: Graph) -> Graph:
-    n1, n2 = g1.n, g2.n
-    edges = []
-    for a in range(n1):
-        for b in range(n2):
-            v = a * n2 + b
-            for a2 in g1.adjacency[a]:
-                w = a2 * n2 + b
-                if v < w:
-                    edges.append((v, w))
-            for b2 in g2.adjacency[b]:
-                w = a * n2 + b2
-                if v < w:
-                    edges.append((v, w))
-    return graph_from_edges(n1 * n2, edges)
-
-
-def doob_graph(shrikhande_factors: int, clique_factors: int) -> Graph:
-    if shrikhande_factors < 1:
-        raise ValueError("a Doob graph has at least one Shrikhande factor")
-    g = shrikhande_graph()
-    for _ in range(shrikhande_factors - 1):
-        g = cartesian_product_graph(g, shrikhande_graph())
-    for _ in range(clique_factors):
-        g = cartesian_product_graph(g, complete_graph(4))
-    return g
-
-
-_FIXTURES = {}
-
-
-def construct_fixture(name: str, **params) -> Graph:
-    """Memoized fixture dispatch; keys are (name, sorted params)."""
-    key = (name, tuple(sorted(params.items())))
-    if key not in _FIXTURES:
-        builders = {
-            "hamming": lambda: hamming_graph(params["m"], params["q"]),
-            "folded_cube": lambda: folded_cube(params["m"]),
-            "shrikhande": shrikhande_graph,
-            "doob": lambda: doob_graph(params["s"], params["c"]),
-            "complete": lambda: complete_graph(params["v"]),
-            "complete_bipartite": lambda: complete_bipartite(params["v"]),
-        }
-        if name not in builders:
-            raise ValueError(f"unknown fixture {name!r}")
-        _FIXTURES[key] = builders[name]()
-    return _FIXTURES[key]
-
-
-# -- local structure, isomorphism, cliques ---------------------------------------
+# -- local structure, isomorphism -----------------------------------------------
 
 
 def local_component_profile(graph: Graph | CayleyGraph, v: int) -> tuple[tuple[int, int], ...]:
@@ -204,16 +107,15 @@ def _joint_refine(g1: Graph, g2: Graph):
         c1, c2 = n1, n2
 
 
-def graph_isomorphic(g1: Graph | CayleyGraph, g2: Graph | CayleyGraph) -> list[int] | None:
-    """Explicit isomorphism g1 -> g2 or a definitive None.
+def graph_isomorphic(g1: Graph, g2: Graph) -> list[int] | None:
+    """Explicit isomorphism g1 -> g2 of two explicit graphs, or a definitive
+    None.
 
     Color refinement prunes; exhaustive backtracking decides.  Vertices are
     matched most-constrained-first (rarest color, most mapped neighbors).
-    A Cayley graph is searched as its adjacency list.
     """
     if max(g1.n, g2.n) > ISO_VERTEX_CAP:
         raise ValueError(f"isomorphism capped at {ISO_VERTEX_CAP} vertices")
-    g1, g2 = (g.explicit() if isinstance(g, CayleyGraph) else g for g in (g1, g2))
     if g1.n != g2.n or g1.edge_count() != g2.edge_count():
         return None
     c1, c2 = _joint_refine(g1, g2)
@@ -277,89 +179,74 @@ def graph_isomorphic(g1: Graph | CayleyGraph, g2: Graph | CayleyGraph) -> list[i
     return None
 
 
-def linear_folded_cube_map(graph: Graph | CayleyGraph, m: int) -> list[int] | None:
-    """The isomorphism of a Cayley graph on an XOR group onto the folded
-    m-cube fixture, read off its connection set S, or None.
+def linear_folded_cube_map(graph: CayleyGraph, m: int) -> tuple[int, ...] | None:
+    """The linear isomorphism of a Cayley graph on an XOR group onto the
+    folded m-cube fixture, read off its connection set S in O(m^2) steps, as
+    the m - 1 syndromes s_1, ..., s_(m-1) it sends to e_1, ..., e_(m-1); or
+    None.
 
     The fixture is Cay(GF(2)^d, {e_1, ..., e_d, 1}) with d = m - 1, vertex u
     adjacent to u ^ e_i and to u ^ ones.  When S has d + 1 elements whose
-    first d span and which XOR to 0, the linear map sending the first d
-    elements of S to e_1..e_d sends the last one to ones.  It maps S onto
-    the fixture's connection set, so it is an isomorphism of the two Cayley
-    graphs.
+    first d are independent and which XOR to 0, the linear map sending the
+    first d elements of S to e_1..e_d sends the last one to ones.  It maps S
+    onto the fixture's connection set, so it is an isomorphism of the two
+    Cayley graphs: the graph vertex sent to fixture vertex u is the XOR of
+    the s_i over the set bits of u (bit i - 1 for s_i).
     """
     d = m - 1
-    if not isinstance(graph, CayleyGraph) or graph.alphabet.p != 2 or graph.n != 1 << d:
-        return None
     conn = graph.connection
-    if len(conn) != m or reduce(xor, conn):
+    if (graph.alphabet.p != 2 or graph.n != 1 << d or len(conn) != m
+            or reduce(xor, conn, 0)):
         return None
-    preimage = [0]  # preimage[u]: the graph vertex sent to fixture vertex u
+    pivots = {}  # the first elements of S, reduced, by leading bit
     for s in conn[:d]:
-        preimage += [x ^ s for x in preimage]
-    mapping = [-1] * graph.n
-    for u, v in enumerate(preimage):
-        mapping[v] = u
-    return None if -1 in mapping else mapping  # -1: the first d do not span
+        while s and s.bit_length() in pivots:
+            s ^= pivots[s.bit_length()]
+        if not s:
+            return None
+        pivots[s.bit_length()] = s
+    return conn[:d]
 
 
-def folded_cube_isomorphism(graph: Graph | CayleyGraph, m: int) -> list[int] | None:
-    """An isomorphism of the graph onto the folded m-cube fixture, or None:
-    the linear map of a syndrome coset graph, else the backtracking search,
-    which is not tried on more than ISO_VERTEX_CAP vertices."""
-    mapping = linear_folded_cube_map(graph, m)
-    if mapping is None and 2 ** (m - 1) <= ISO_VERTEX_CAP:
-        mapping = graph_isomorphic(graph, construct_fixture("folded_cube", m=m))
-    return mapping
+def folded_cube(m: int) -> Graph:
+    """Antipodal quotient of the m-cube, built as an explicit vertex partition:
+    the target of the backtracking search on an explicit graph."""
+    if m < 2:
+        raise ValueError("folded cube needs m >= 2")
+    if 2 ** (m - 1) > ISO_VERTEX_CAP:
+        raise ValueError(f"fixture folded {m}-cube too large")
+    sp = ambient(m, 2)
+    mask = sp.size - 1
+    classes = [[v, v ^ mask] for v in range(sp.size) if v < (v ^ mask)]
+    return quotient_graph(partition_from_classes(sp, classes))
 
 
-def max_clique(graph: Graph) -> int:
-    """Exact clique number by branch-and-bound with a greedy coloring bound."""
-    n = graph.n
-    if n > CLIQUE_VERTEX_CAP:
-        raise ValueError(f"clique search capped at {CLIQUE_VERTEX_CAP} vertices")
-    if n == 0:
-        return 0
-    masks = [0] * n
-    for v in range(n):
-        for w in graph.adjacency[v]:
-            masks[v] |= 1 << w
-    order = sorted(range(n), key=graph.degree, reverse=True)
-    best = 1
+def folded_cube_isomorphism(graph: Graph | CayleyGraph, m: int) -> dict | None:
+    """The evidence entry that a graph with the folded m-cube's intersection
+    array is the folded m-cube, or None.
 
-    def color_bound(cand: list[int]) -> list[tuple[int, int]]:
-        # greedy coloring; result sorted by color so the bound prunes validly
-        class_masks: list[int] = []
-        class_lists: list[list[int]] = []
-        for v in cand:
-            for ci, cmask in enumerate(class_masks):
-                if not (cmask & masks[v]):
-                    class_masks[ci] |= 1 << v
-                    class_lists[ci].append(v)
-                    break
-            else:
-                class_masks.append(1 << v)
-                class_lists.append([v])
-        out = []
-        for ci, members in enumerate(class_lists):
-            out.extend((v, ci + 1) for v in members)
-        return out
-
-    def expand(cand: list[int], size: int) -> None:
-        nonlocal best
-        colored = color_bound(cand)
-        for i in range(len(colored) - 1, -1, -1):
-            v, bound = colored[i]
-            if size + bound <= best:
-                return
-            nxt = [u for u, _ in colored[:i] if masks[v] >> u & 1]
-            if size + 1 > best:
-                best = size + 1
-            if nxt:
-                expand(nxt, size + 1)
-
-    expand(order, 0)
-    return best
+    A Cayley graph gets its linear map, ``{"linear_isomorphism": [s_1, ...,
+    s_(m-1)]}``.  A binary Cayley graph with this array always has one: S
+    spans GF(2)^(m-1), so exactly one subset T of its m elements XORs to 0,
+    and the graph is the folded |T|-cube times the (m - |T|)-cube, whose
+    diameter is floor(m/2) only when T = S.  One over any other alphabet does
+    not exist (q^r is not 2^(m-1), or a scalar-closed S is too small to
+    span).  So a connection set without the map raises TheoremViolationError
+    with S as its witness.  An explicit graph gets the backtracking search's
+    vertex map, ``{"isomorphism": [...]}``, or None when the search refutes
+    it; above ISO_VERTEX_CAP vertices no search is run and the array alone
+    names it, ``{"isomorphism": "by_array_parameters"}``."""
+    if isinstance(graph, CayleyGraph):
+        basis = linear_folded_cube_map(graph, m)
+        if basis is None:
+            raise TheoremViolationError(
+                f"Cayley graph with the folded {m}-cube's array has no linear map "
+                "onto the folded cube", witness=list(graph.connection))
+        return {"linear_isomorphism": list(basis)}
+    if 2 ** (m - 1) > ISO_VERTEX_CAP:
+        return {"isomorphism": "by_array_parameters"}
+    mapping = graph_isomorphic(graph, folded_cube(m))
+    return None if mapping is None else {"isomorphism": mapping}
 
 
 # -- quotient family recognition --------------------------------------------------
@@ -466,11 +353,8 @@ def classify_quotient(graph: Graph | CayleyGraph, drg=None) -> QuotientFamily:
     folded_m = _folded_array_m(array)
     if folded_m is not None and folded_m >= 5:
         iso = folded_cube_isomorphism(graph, folded_m)
-        if iso is None and 2 ** (folded_m - 1) > ISO_VERTEX_CAP:
-            iso = "by_array_parameters"
         if iso is not None:
-            return QuotientFamily("folded_cube", {"m": folded_m},
-                                  {**evidence, "isomorphism": iso})
+            return QuotientFamily("folded_cube", {"m": folded_m}, {**evidence, **iso})
         if array == IA_654:
             return QuotientFamily("ia654_non_folded", {}, evidence)
         return QuotientFamily("other", {}, {**evidence, "folded_iso": "failed"})
@@ -482,16 +366,19 @@ def coset_family(code: Code, certificate: CrCertificate | None = None):
     """The DRG certificate of a CR code's coset graph and the graph's family;
     a coset graph that is not distance-regular is a theorem violation.
 
-    A linear code whose H is projective (no zero column and no two parallel
-    columns: its n(q-1) column offsets are distinct) is, up to monomial
-    equivalence, the code H' whose certificate certifies Cay(GF(q)^r, S) in
-    `certify_distance_regular`.  Its own CR certificate, when given, then
-    gives the array b_i = beta_i, c_i = gamma_i, and H' is not certified
-    again."""
+    A linear code whose nonzero columns of H are pairwise non-parallel (its
+    (n - z)(q - 1) nonzero column offsets are distinct, z the number of zero
+    columns) is, up to monomial equivalence and its z free coordinates, the
+    code H' whose certificate certifies Cay(GF(q)^r, S) in
+    `certify_distance_regular`.  A zero column is a loop: it leaves S, and
+    the code's beta_i and gamma_i, unchanged.  The code's own CR
+    certificate, when given, then gives the array b_i = beta_i,
+    c_i = gamma_i, and H' is not certified again."""
     graph = (coset_graph_by_syndrome(code) if code.is_linear
              else quotient_graph(coset_partition(code)))
-    if (certificate is not None and certificate.completely_regular
-            and code.is_linear and len(graph.connection) == code.ambient.valency):
+    if (certificate is not None and certificate.completely_regular and code.is_linear
+            and len(graph.connection) == (code.ambient.q - 1) * sum(
+                any(col) for col in code.linear.parity_check.columns())):
         numbers = certificate.numbers
         array = IntersectionArray(numbers.beta[:numbers.rho], numbers.gamma[1:])
         array.validate()
@@ -1026,13 +913,14 @@ def classify_arithmetic_forms(code: Code, analysis: CodeAnalysis | None = None,
     cases = []
     if (q == 2 and form.matches and d_code.size == 2 and 2**m - 1 in d_code
             and m >= 2):
-        if folded_cube_isomorphism(coset_graph_by_syndrome(code), m) is not None:
-            cases.append({
-                "case": "folded_cube_replication",
-                "copies": form.copies,
-                "base_length": m,
-                "quotient": f"folded_{m}_cube",
-            })
+        # raises unless the coset graph is the folded m-cube
+        folded_cube_isomorphism(coset_graph_by_syndrome(code), m)
+        cases.append({
+            "case": "folded_cube_replication",
+            "copies": form.copies,
+            "base_length": m,
+            "quotient": f"folded_{m}_cube",
+        })
     if rho == 1 and form.matches:
         degenerate = m == 1 and d_code.size == 1
         if degenerate or is_hamming_equivalent(d_code):

@@ -13,26 +13,20 @@ from crcodes.classify import (
     classify_small_covering_radius,
     clique_bound_checks,
     column_classes,
-    complete_bipartite,
-    complete_graph,
-    construct_fixture,
     coordinate_classes,
     decompose_product,
     finest_product_blocks,
     folded_cube,
     folded_cube_isomorphism,
     graph_isomorphic,
-    hamming_graph,
     is_extended_hamming_equivalent,
     is_hamming_equivalent,
     linear_folded_cube_map,
     local_component_profile,
-    max_clique,
     product_factors,
     radius_one_factors_equivalent,
     replicated_normal_form,
     restrict_to_coordinates,
-    shrikhande_graph,
 )
 from crcodes.constructions import (
     cartesian_product,
@@ -44,7 +38,7 @@ from crcodes.constructions import (
 )
 from crcodes.algebra import alphabet, gf_identity, gf_matrix, hstack
 from crcodes.cr_analysis import analyze_code
-from crcodes.errors import DisconnectedGraphError
+from crcodes.errors import DisconnectedGraphError, TheoremViolationError
 from crcodes.hamming_space import (
     Code,
     ambient,
@@ -61,6 +55,15 @@ from crcodes.partitions_quotients import (
     graph_from_edges,
     partition_from_classes,
     quotient_graph,
+)
+from fixture_graphs import (
+    assert_maps_onto_folded_cube,
+    complete_bipartite,
+    complete_graph,
+    construct_fixture,
+    expand_linear_map,
+    hamming_graph,
+    shrikhande_graph,
 )
 
 
@@ -124,13 +127,6 @@ def test_folded_6_cube_isomorphic_to_relabeled_self():
 def test_four_cycle_is_h22():
     square = graph_from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
     assert graph_isomorphic(square, hamming_graph(2, 2)) is not None
-
-
-def test_max_clique():
-    assert max_clique(complete_graph(8)) == 8
-    assert max_clique(folded_cube(6)) == 2
-    assert max_clique(shrikhande_graph()) == 3
-    assert max_clique(hamming_graph(2, 4)) == 4
 
 
 # -- classification ----------------------------------------------------------
@@ -505,7 +501,7 @@ def test_forms_folded_cube_case():
     assert case["copies"] == 2 and case["base_length"] == 4
     # quotient is the folded 4-cube, i.e. K_{4,4}
     syn = coset_graph_by_syndrome(code)
-    assert graph_isomorphic(syn, complete_bipartite(4)) is not None
+    assert graph_isomorphic(syn.explicit(), complete_bipartite(4)) is not None
 
 
 def test_forms_hamming_replication_case():
@@ -676,7 +672,7 @@ def test_isomorphism_search_deeper_than_the_recursion_limit():
     try:
         syn = coset_graph_by_syndrome(repetition_code(11, 2))
         fixture = construct_fixture("folded_cube", m=11)
-        mapping = graph_isomorphic(syn, fixture)
+        mapping = graph_isomorphic(syn.explicit(), fixture)
     finally:
         sys.setrecursionlimit(limit)
     assert sorted(mapping) == list(range(1024))
@@ -843,6 +839,9 @@ def _folded_m(drg):
 
 
 def test_linear_folded_cube_map_is_the_backtrackers_map(census_runs):
+    # the m - 1 syndromes, expanded, map every edge onto the fixture, and the
+    # expanded map is the one the backtracking search finds on the explicit
+    # graph
     cases = [(graph, drg) for graph, drg in census_runs[2, 8][1] if _folded_m(drg)]
     assert sorted(_folded_m(drg) for _, drg in cases) == [5] * 4 + [6] * 3 + [7] * 2 + [8]
     for n in (10, 11):
@@ -850,13 +849,41 @@ def test_linear_folded_cube_map_is_the_backtrackers_map(census_runs):
         cases.append((graph, certify_distance_regular(graph)))
     for graph, drg in cases:
         m = _folded_m(drg)
-        oracle = graph_isomorphic(graph, construct_fixture("folded_cube", m=m))
-        assert oracle is not None
-        assert linear_folded_cube_map(graph, m) == oracle
+        basis = linear_folded_cube_map(graph, m)
+        mapping = assert_maps_onto_folded_cube(graph, basis, m)
+        oracle = graph_isomorphic(graph.explicit(), construct_fixture("folded_cube", m=m))
+        assert mapping == oracle
         fast = classify_quotient(graph, drg)
         slow = classify_quotient(graph.explicit(), drg)
         assert fast == slow and fast.params == {"m": m}
-        assert fast.evidence["isomorphism"] == slow.evidence["isomorphism"] == oracle
+        assert fast.evidence["linear_isomorphism"] == list(basis)
+        assert slow.evidence["isomorphism"] == oracle
+        assert "isomorphism" not in fast.evidence and "linear_isomorphism" not in slow.evidence
+
+
+def test_no_cayley_graph_reaches_the_backtracker(census_runs, tmp_path, monkeypatch):
+    import json
+
+    import crcodes.classify as classify_mod
+    from crcodes.cli import main
+
+    def forbidden(g1, g2):
+        raise AssertionError(f"backtracking search on {g1.n} vertices")
+
+    monkeypatch.setattr(classify_mod, "graph_isomorphic", forbidden)
+    folded = [(graph, drg) for graph, drg in census_runs[2, 8][1] if _folded_m(drg)]
+    assert folded
+    for graph, drg in folded:
+        assert isinstance(graph, CayleyGraph)
+        assert classify_quotient(graph, drg).params == {"m": _folded_m(drg)}
+    spec, out = tmp_path / "rep.json", tmp_path / "report.json"
+    for n in range(5, 17):
+        spec.write_text(json.dumps({"type": "construct", "name": "repetition", "q": 2, "n": n}))
+        for command in ("classify", "decompose"):
+            assert main([command, str(spec), "--out", str(out)]) == 0
+            family = json.loads(out.read_text())["family"]
+            assert (family["tag"], family["params"]) == ("folded_cube", {"m": n})
+            assert len(family["evidence"]["linear_isomorphism"]) == n - 1
 
 
 @st.composite
@@ -889,12 +916,7 @@ def folded_cube_parity_checks(draw, m):
 def test_linear_map_of_a_random_folded_cube_check_is_an_isomorphism(m, data):
     h = data.draw(folded_cube_parity_checks(m))
     graph = coset_graph_by_syndrome(code_from_parity_check(ambient(m, 2), h))
-    fixture = construct_fixture("folded_cube", m=m)
-    mapping = linear_folded_cube_map(graph, m)
-    assert sorted(mapping) == list(range(fixture.n))
-    explicit = graph.explicit()
-    assert explicit.edge_count() == fixture.edge_count()
-    assert all(fixture.has_edge(mapping[u], mapping[v]) for u, v in explicit.edges())
+    assert_maps_onto_folded_cube(graph, linear_folded_cube_map(graph, m), m)
 
 
 def _counted_searches(monkeypatch):
@@ -910,12 +932,15 @@ def _counted_searches(monkeypatch):
 def test_connection_sets_that_are_no_folded_cube_get_no_linear_map(monkeypatch):
     alpha = alphabet(2)
     searches = _counted_searches(monkeypatch)
-    # the dependency {e_1, e_2, e_1 + e_2} is a proper subset of S
+    # the dependency {e_1, e_2, e_1 + e_2} is a proper subset of S: a Cayley
+    # graph is never searched, so the missing map is a theorem violation
     subset = coset_graph_by_syndrome(code_from_parity_check(
         ambient(5, 2), hstack([gf_identity(alpha, 4), gf_matrix(alpha, [[1], [1], [0], [0]])])))
     assert len(subset.connection) == 5 and not certify_distance_regular(subset).is_drg
     assert linear_folded_cube_map(subset, 5) is None
-    assert folded_cube_isomorphism(subset, 5) is None and searches == [16]
+    with pytest.raises(TheoremViolationError) as caught:
+        folded_cube_isomorphism(subset, 5)
+    assert caught.value.witness == list(subset.connection) and searches == []
     # S XORs to 0 but spans 4 of 5 dimensions: a disconnected graph
     rank_four = CayleyGraph(alpha, 5, (1, 2, 3, 4, 8, 12))
     assert linear_folded_cube_map(rank_four, 6) is None
@@ -926,15 +951,14 @@ def test_connection_sets_that_are_no_folded_cube_get_no_linear_map(monkeypatch):
 def test_a_graph_the_linear_map_refuses_gets_the_backtrackers_verdict(monkeypatch):
     true = coset_graph_by_syndrome(repetition_code(6, 2))
     fixture = construct_fixture("folded_cube", m=6)
-    oracle = graph_isomorphic(true, fixture)
     searches = _counted_searches(monkeypatch)
-    assert classify_quotient(true).evidence["isomorphism"] == oracle
+    basis = classify_quotient(true).evidence["linear_isomorphism"]
+    assert expand_linear_map(basis) == graph_isomorphic(true.explicit(), fixture)
     assert searches == []
     # plain graphs carry no connection set to read a map off
     explicit = quotient_graph(coset_partition(repetition_code(6, 2)))
     for graph in (true.explicit(), explicit):
         assert certify_distance_regular(graph).is_drg
-        assert linear_folded_cube_map(graph, 6) is None
         searches.clear()
         fam = classify_quotient(graph)
         assert fam.tag == "folded_cube" and fam.params == {"m": 6}
@@ -951,12 +975,10 @@ def test_above_the_search_cap_only_a_graph_with_no_linear_map_is_named_by_its_ar
     drg = certify_distance_regular(syn)
     searches = _counted_searches(monkeypatch)
     family = classify_quotient(syn, drg)
-    mapping = family.evidence["isomorphism"]
-    assert family.params == {"m": 14} and sorted(mapping) == list(range(2**13))
-    steps = {1 << i for i in range(13)} | {2**13 - 1}
+    assert family.params == {"m": 14}
+    assert_maps_onto_folded_cube(syn, family.evidence["linear_isomorphism"], 14)
     bare = syn.explicit()
-    assert all(mapping[u] ^ mapping[v] in steps for u, v in bare.edges())
-    assert folded_cube_isomorphism(bare, 14) is None
+    assert folded_cube_isomorphism(bare, 14) == {"isomorphism": "by_array_parameters"}
     family = classify_quotient(bare, drg)
     assert family.params == {"m": 14}
     assert family.evidence["isomorphism"] == "by_array_parameters"

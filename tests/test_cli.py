@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from crcodes.cli import main
+from fixture_graphs import expand_linear_map
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -223,8 +224,8 @@ def test_folded_cube_forms_build_no_adjacency_list(tmp_path, capsys, monkeypatch
 # SHA-256 of the report of binary repetition n=11, whose coset graph is the
 # folded 11-cube: both reports carry the folded-cube isomorphism
 _REP11_REPORTS = {
-    "classify": "aa0f8a304c3ba92eb0d3dd1e60f8708a51cb3104c90b8123982a5b22429acf11",
-    "decompose": "895cd67a65057cee5370e3a2ef0260cfcd00bd57548996f0342db05a367f9b7e",
+    "classify": "fd4307f4fa8da6ca4fb9f3f2752de7cf17e5d0ab8a85d209fa887dae0c1b129b",
+    "decompose": "8ce9b76de49f5cc3593a2e0c67087087d8919cc994b5ebbc4ff87bdc5b5d1ddb",
 }
 
 
@@ -379,7 +380,8 @@ def test_a_long_repetition_code_classifies_with_no_adjacency_list(
         assert (code, err) == (0, "")
         family = json.loads(out)["family"]
         assert (family["tag"], family["params"]) == ("folded_cube", {"m": 16})
-        assert sorted(family["evidence"]["isomorphism"]) == list(range(2**15))
+        assert sorted(expand_linear_map(family["evidence"]["linear_isomorphism"])) == list(
+            range(2**15))
     code, out, err = _run(capsys, "search", "--q", "2", "--max-n", "6",
                           "--out-dir", str(tmp_path / "census"))
     assert (code, err) == (0, "") and json.loads(out)["failures"] == 0
@@ -607,9 +609,9 @@ _LADDER_DECOMPOSE = {
     "hamming-7-4-twice": (
         0, "872c6e3305180e43c0c4ca65894d56dc2d31bf1ab63472f98497d5cee49ea5b0"),
     "repetition-2-10": (
-        0, "3534d4fd65b567483f16b924a23df78eeac14737bd2d550ea4d8670755878d65"),
+        0, "3747a821020796331f9727490877b67bfec87b6bbd398c837e6754d9db2ac454"),
     "repetition-2-11": (
-        0, "895cd67a65057cee5370e3a2ef0260cfcd00bd57548996f0342db05a367f9b7e"),
+        0, "8ce9b76de49f5cc3593a2e0c67087087d8919cc994b5ebbc4ff87bdc5b5d1ddb"),
     "repetition-3-7": (
         1, "2f9bb3b81cf297f2595655e500a06ca66dd871c0aab243bb5a9591981b253077"),
 }
@@ -625,7 +627,8 @@ def test_decompose_finds_the_folded_cube_of_a_long_repetition_code(tmp_path, cap
     report = json.loads(out)
     assert [c["case"] for c in report["forms"]["cases"]] == ["folded_cube_replication"]
     assert report["family"]["params"] == {"m": 14}
-    assert sorted(report["family"]["evidence"]["isomorphism"]) == list(range(2**13))
+    assert sorted(expand_linear_map(report["family"]["evidence"]["linear_isomorphism"])) == list(
+        range(2**13))
 
 
 def test_decompose_reports_of_the_certify_ladder_keep_their_bytes(tmp_path):
@@ -721,15 +724,15 @@ def test_a_linear_witness_is_rendered_as_its_parity_check(capsys, no_span):
 @pytest.mark.parametrize("command", ["classify", "decompose"])
 def test_a_coset_graph_that_is_not_distance_regular_is_a_violation(
         tmp_path, capsys, monkeypatch, command):
-    # the Hamming [7,4] code padded by a zero column: its H is not
-    # projective, so its coset graph is certified on its own
+    # the Hamming [7,4] code with every column twice: its columns are
+    # parallel in pairs, so its coset graph is certified on its own
     import crcodes.classify as classify_mod
     from crcodes.partitions_quotients import DrgCertificate
 
     monkeypatch.setattr(classify_mod, "certify_distance_regular",
                         lambda graph: DrgCertificate(False, witness={"vertex": 0}))
-    spec = _write_spec(tmp_path, "padded.json", {
-        "type": "construct", "name": "pad", "count": 1,
+    spec = _write_spec(tmp_path, "twice.json", {
+        "type": "construct", "name": "replicate", "s": 2,
         "base": {"type": "construct", "name": "hamming", "q": 2, "r": 3}})
     code, _, err = _run(capsys, command, spec)
     assert code == 4

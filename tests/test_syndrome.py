@@ -27,7 +27,7 @@ from crcodes.algebra import (
     rank,
     rref,
 )
-from crcodes.classify import construct_fixture, coset_family, linear_folded_cube_map
+from crcodes.classify import coset_family, linear_folded_cube_map
 from crcodes.constructions import (
     extended_hamming_code,
     hamming_code,
@@ -71,6 +71,7 @@ from crcodes.partitions_quotients import (
     graph_from_edges,
 )
 from crcodes.search import CensusParams, _is_syndrome_quotient, enumerate_linear_codes, run_census
+from fixture_graphs import assert_maps_onto_folded_cube
 
 # (q, largest n): every census code up to these lengths.
 CENSUSES = ((2, 6), (3, 5), (4, 4), (5, 4))
@@ -299,20 +300,35 @@ def test_offsets_that_miss_a_syndrome_are_a_theorem_violation():
         assert caught.value.witness == {"syndrome": 2, "reached": reached}
 
 
-def test_projective_codes_take_their_drg_array_from_their_own_certificate():
-    # H projective: the coset graph's array is read off the code's own
-    # certificate, and equals the certificate of H' it replaces
-    reused = 0
+def test_projective_codes_take_their_drg_array_from_their_own_certificate(monkeypatch):
+    # the nonzero columns of H pairwise non-parallel (H projective, or so up
+    # to zero columns, which are loops): the coset graph's array is read off
+    # the code's own certificate and equals the certificate of H' it
+    # replaces, which is not run
+    import crcodes.classify as classify_mod
+
+    runs = []
+    real = classify_mod.certify_distance_regular
+    monkeypatch.setattr(classify_mod, "certify_distance_regular",
+                        lambda graph: runs.append(graph.n) or real(graph))
+    reused = with_zero_columns = 0
     for q, top in ORACLE_CENSUSES:
         for n in range(1, top + 1):
             for code, cert in certify_codes(enumerate_linear_codes(n, q)):
                 if not cert.completely_regular:
                     continue
                 graph = coset_graph_by_syndrome(code)
+                runs.clear()
                 drg, _ = coset_family(code, cert)
                 assert drg.array == certify_distance_regular(graph).array
-                reused += len(graph.connection) == code.ambient.valency
-    assert reused > 50
+                offsets = [s for s in column_offsets(code.linear.parity_check) if s]
+                if len(set(offsets)) < len(offsets):
+                    assert len(runs) == 1
+                    continue
+                assert runs == []
+                reused += 1
+                with_zero_columns += len(offsets) < code.ambient.valency
+    assert (reused, with_zero_columns) == (192, 123)
 
 
 def _word_syndromes(h, n):
@@ -525,14 +541,10 @@ def test_linear_folded_cube_maps_are_isomorphisms_edge_by_edge():
     mapped = []
     for graph in graphs:
         m = len(graph.connection)
-        mapping = linear_folded_cube_map(graph, m)
-        if mapping is None:
+        basis = linear_folded_cube_map(graph, m)
+        if basis is None:
             continue
-        fixture = construct_fixture("folded_cube", m=m)
-        explicit = graph.explicit()
-        assert sorted(mapping) == list(range(fixture.n))
-        assert explicit.edge_count() == fixture.edge_count()
-        assert all(fixture.has_edge(mapping[u], mapping[v]) for u, v in explicit.edges())
+        assert_maps_onto_folded_cube(graph, basis, m)
         mapped.append(m)
     assert set(range(5, 13)) <= set(mapped) and len(mapped) > 20
 
