@@ -364,8 +364,14 @@ def nullspace_basis(m: GFMatrix) -> GFMatrix:
 
 def _nullspace_by_rref(m: GFMatrix) -> GFMatrix:
     """The basis read off the RREF of m, for any m not of the form [I_r | A]."""
-    alpha, n = m.alphabet, m.ncols
     reduced, _, pivots = rref(m)
+    return echelon_nullspace(reduced, pivots, m.ncols)
+
+
+def echelon_nullspace(reduced: GFMatrix, pivots: Sequence[int], n: int) -> GFMatrix:
+    """`nullspace_basis` of a matrix with n columns, read off its RREF and
+    pivot columns with no further reduction."""
+    alpha = reduced.alphabet
     free = [j for j in range(n) if j not in pivots]
     rows = []
     for f in free:

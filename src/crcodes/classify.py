@@ -29,7 +29,7 @@ from functools import cached_property, reduce
 from math import prod
 from operator import xor
 
-from .algebra import GFMatrix, rank, rref
+from .algebra import GFMatrix, rank
 from .constructions import replicate_columns
 from .cr_analysis import (
     CodeAnalysis,
@@ -44,6 +44,7 @@ from .hamming_space import (
     ambient,
     code_from_parity_check,
     code_from_words,
+    column_offsets,
     decode,
     encode,
     is_additive,
@@ -511,7 +512,6 @@ class ColumnClassReport:
     matches_gamma1: bool
     representatives: tuple[int, ...]
     restricted_code: Code  # the code cut down to one coordinate per class
-    restricted_delta: int | None
 
     def to_json(self) -> dict:
         return {
@@ -530,8 +530,9 @@ def column_classes(code: Code, analysis: CodeAnalysis | None = None) -> ColumnCl
     They are its coordinate classes: with no zero column, e_i - lambda e_j
     is in C exactly when h_i = lambda h_j.  Class size must be uniformly
     gamma_1; the deduplicated column selection P (smallest index per class)
-    defines D = nullspace(H|_P), the factor of C on P, whose syndrome
-    certificate must give minimum distance >= 3 whenever it is nontrivial.
+    defines D = nullspace(H|_P), the factor of C on P, whose minimum
+    distance must be >= 3 whenever it is nontrivial: H|_P's columns must be
+    nonzero and pairwise non-parallel.
     """
     if not code.is_linear:
         raise ValueError("column classes need a linear code")
@@ -555,12 +556,11 @@ def column_classes(code: Code, analysis: CodeAnalysis | None = None) -> ColumnCl
             witness={"classes": classes, "gamma1": gamma1})
     reps = tuple(c[0] for c in classes)
     restricted = restrict_to_coordinates(code, reps)
-    delta_d = certify_completely_regular(restricted).partition.delta
-    if delta_d is not None and delta_d < 3:
+    if not _is_projective(restricted.linear.parity_check):
         raise TheoremViolationError(
             "deduplicated code has minimum distance < 3", witness=restricted)
     return ColumnClassReport(classes, uniform, class_size, gamma1,
-                             class_size == gamma1, reps, restricted, delta_d)
+                             class_size == gamma1, reps, restricted)
 
 
 # -- product decomposition ----------------------------------------------------------
@@ -591,8 +591,9 @@ def finest_product_blocks(code: Code) -> tuple[tuple[int, ...], ...]:
         raise ValueError("product decomposition needs an additive code")
     space = code.ambient
     if code.is_linear:
-        reduced, _, pivots = rref(code.linear.parity_check)
-        return _classes(space.n, ((p, j) for p, row in zip(pivots, reduced.rows)
+        linear = code.linear
+        return _classes(space.n, ((p, j) for p, row in zip(
+            linear.pivots or range(linear.rank), linear.echelon.rows)
                                   for j, x in enumerate(row) if x))
     supports = {w: _support_mask(w, space) for w in code.members if w}
     joined = []
@@ -611,9 +612,12 @@ def restrict_to_coordinates(code: Code, coords: tuple[int, ...]) -> Code:
 
     For a linear code that is the code of H_B, the columns of H on the
     block B: a word x supported inside B has Hx = H_B x_B, so it is in C
-    exactly when H_B x_B = 0.  Other codes are filtered member by member."""
+    exactly when H_B x_B = 0.  Other codes are filtered member by member.
+    Every coordinate, in order, gives C itself, with no new parity check."""
     space = code.ambient
     q = space.q
+    if tuple(coords) == tuple(range(space.n)):
+        return code
     h = code.linear.parity_check if code.is_linear else None
     if h is not None and h.nrows:
         return code_from_parity_check(ambient(len(coords), q), h.take_columns(coords))
@@ -735,20 +739,16 @@ def is_hamming_equivalent(code: Code) -> bool:
     """
     if not code.is_linear:
         return False
-    alpha = code.ambient.alphabet
-    q, n = code.ambient.q, code.ambient.n
-    h = code.linear.row_basis()
-    r = h.nrows
-    if r < 2 or (q**r - 1) // (q - 1) != n:
-        return False
-    seen = set()
-    for col in h.columns():
-        lead = next((x for x in col if x), None)
-        if lead is None:
-            return False
-        inv = alpha.inv(lead)
-        seen.add(tuple(alpha.mul(inv, x) for x in col))
-    return len(seen) == n
+    q, n, r = code.ambient.q, code.ambient.n, code.linear.rank
+    return r >= 2 and (q**r - 1) // (q - 1) == n and _is_projective(code.linear.echelon)
+
+
+def _is_projective(h: GFMatrix) -> bool:
+    """Whether the columns of h are nonzero and pairwise non-parallel, that
+    is, their nonzero multiples are distinct and nonzero: the code of h then
+    has no word of weight 1 or 2."""
+    offsets = column_offsets(h)
+    return 0 not in offsets and len(set(offsets)) == len(offsets)
 
 
 def is_extended_hamming_equivalent(code: Code) -> bool:
@@ -758,13 +758,14 @@ def is_extended_hamming_equivalent(code: Code) -> bool:
     Its dual is the first-order Reed-Muller code RM(1, r) (MacWilliams &
     Sloane, ch. 13), spanned by the all-ones word and the r coordinate
     functions: its columns are (1, v) for the 2^r vectors v of GF(2)^r.  So
-    a binary linear code is equivalent exactly when the row basis of its H
-    has rank r + 1, has the all-ones word in its row space, and has pairwise
-    distinct columns.  Sound: take a basis of the row space led by the
-    all-ones word; its other r rows give n = 2^r distinct columns, so every
-    vector of GF(2)^r once, which is RM(1, r) up to a coordinate permutation.
-    Complete: RM(1, r) has all three properties.  A change of basis keeps
-    columns distinct, so the row basis itself can be tested.
+    a binary linear code is equivalent exactly when its echelon E, a basis
+    of H's row space, has rank r + 1, has the all-ones word in its row
+    space, and has pairwise distinct columns.  Sound: take a basis of the
+    row space led by the all-ones word; its other r rows give n = 2^r
+    distinct columns, so every vector of GF(2)^r once, which is RM(1, r) up
+    to a coordinate permutation.  Complete: RM(1, r) has all three
+    properties.  A change of basis keeps columns distinct, so E itself can
+    be tested.
     """
     space = code.ambient
     if space.q != 2 or not code.is_linear:
@@ -773,7 +774,7 @@ def is_extended_hamming_equivalent(code: Code) -> bool:
     r = n.bit_length() - 1
     if n != 2**r or r < 2 or code.linear.rank != r + 1:
         return False
-    basis = code.linear.row_basis()
+    basis = code.linear.echelon
     return (len(set(basis.columns())) == n
             and rank(GFMatrix(basis.alphabet, (*basis.rows, (1,) * n))) == r + 1)
 

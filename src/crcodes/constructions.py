@@ -97,7 +97,7 @@ def cartesian_product(c1: Code, c2: Code) -> Code:
 
         return Code(space, None, LinearStructure(
             diagonal(l1.parity_check, l2.parity_check),
-            diagonal(l1.generators, l2.generators), l1.rank + l2.rank))
+            diagonal(l1.generators, l2.generators)))
     shift = s1.size
     return Code(space, tuple(sorted(u + shift * v for v in c2.members for u in c1.members)))
 

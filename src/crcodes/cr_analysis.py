@@ -21,7 +21,7 @@ from functools import lru_cache
 from itertools import groupby, islice
 from math import comb
 
-from .algebra import alphabet, is_systematic, rref
+from .algebra import alphabet
 from .errors import SpectrumError, TheoremViolationError
 from .hamming_space import (
     Code,
@@ -144,19 +144,20 @@ class SyndromePartition:
     """Distance classes of a linear code, read off its syndromes.
 
     Translation by a codeword is an automorphism of H(n,q) fixing the code,
-    so d(x, C) depends only on the syndrome s = Hx, taken with the row basis
-    of H: the BFS distance of s from 0 in the Cayley graph on GF(q)^r with
-    connection multiset {lambda*h_j}.  class_of_syndrome[s] holds it in one
-    byte (rho <= r <= 26 under the default vertex cap, as every syndrome is
-    a sum of at most r independent columns); class i has (syndromes at
-    distance i) * |C| words, and `distance_partition` is the word map.
+    so d(x, C) depends only on the syndrome s = Ex, E the code's
+    `LinearStructure.echelon`: the BFS distance of s from 0 in the Cayley
+    graph on GF(q)^r with connection multiset {lambda*e_j}.
+    class_of_syndrome[s] holds it in one byte (rho <= r <= 26 under the
+    default vertex cap, as every syndrome is a sum of at most r independent
+    columns); class i has (syndromes at distance i) * |C| words, and
+    `distance_partition` is the word map.
 
     delta is the minimum distance (None for the zero code).  Let t be the
     largest radius with |L_j| = C(n,j)(q-1)^j for every j <= t, L_j the
     syndromes at distance j: the words of weight <= t have distinct
-    syndromes, so delta >= 2t+1.  The E edges from L_t into L_(t+1), with
+    syndromes, so delta >= 2t+1.  The M edges from L_t into L_(t+1), with
     column multiplicity, are t+1 per weight-(t+1) word whose syndrome lies
-    in L_(t+1); past the last layer E = 0.  If E < (t+1)C(n,t+1)(q-1)^(t+1),
+    in L_(t+1); past the last layer M = 0.  If M < (t+1)C(n,t+1)(q-1)^(t+1),
     a weight-(t+1) word shares its syndrome with a lighter one and delta =
     2t+1; otherwise two weight-(t+1) words share one and delta = 2t+2.
     """
@@ -166,32 +167,6 @@ class SyndromePartition:
     rho: int
     class_sizes: tuple[int, ...]
     delta: int | None
-
-
-def _least_words(offsets, alpha):
-    """(least word, syndrome) for every syndrome, in encoding order of the words.
-
-    `offsets` lists lambda*h_j for lambda = 1..q-1, column by column, as
-    `column_offsets` does.  The least words lie on the greedy basis P (h_j
-    kept when it is not a combination of the kept lower columns: RREF(H)'s
-    pivots) and are listed one kept coordinate j at a time, the list so far
-    with lambda*q^j added and translated by lambda*h_j.  So the u-th word
-    listed has RREF syndrome u: the listing relabels a class map to H.
-    """
-    q = alpha.q
-    words, syndromes, spanned = [0], [0], {0}
-    yield 0, 0
-    for j in range(len(offsets) // (q - 1)):
-        column = offsets[j * (q - 1):(j + 1) * (q - 1)]
-        if column[0] in spanned:
-            continue
-        size = len(words)
-        for lam, s in enumerate(column, 1):
-            shift = lam * q**j
-            words += [w + shift for w in words[:size]]
-            syndromes += translate(syndromes[:size], s, alpha)
-            yield from zip(words[-size:], syndromes[-size:])
-        spanned.update(syndromes[size:])
 
 
 def first_conflict(rows):
@@ -263,11 +238,11 @@ def _scan(part, rows) -> CrCertificate:
 # d at place i: a K-lane pattern, repeated once per syndrome.
 
 _LANE_CACHE_SIZE = 4
-# The lanes of one packed chunk: the [I_r | A] candidates of one census
-# length and redundancy are certified _CHUNK_LANES // q^r at a time when
-# q^r <= 256, so that an offset fits the byte a selector is translated
-# from, and one at a time otherwise.  A chunk vector takes _CHUNK_LANES
-# bytes for byte lanes, and its masks a few dozen such vectors.
+# The lanes of one packed chunk: consecutive linear codes of one space and
+# rank (a census length and redundancy) are certified _CHUNK_LANES // q^r
+# at a time when q^r <= 256, so that an offset fits the byte a selector is
+# translated from, and one at a time otherwise.  A chunk vector takes
+# _CHUNK_LANES bytes for byte lanes, and its masks a few dozen such vectors.
 _CHUNK_LANES = 4096
 _LANE_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
@@ -509,7 +484,7 @@ def _packed_bfs(space, r: int, offsets) -> list[tuple]:
             g, m = _lane_value(planes[:width], s), _lane_value(planes[width:], s)
             rows.append((s, cls[s], (g, m + loops[k], moves[k] - g - m)))
         delta = None
-        for i, shell in enumerate(shells):  # E: the edges from L_i into L_(i+1)
+        for i, shell in enumerate(shells):  # M: the edges from L_i into L_(i+1)
             above = layers[i + 1] if i + 1 < len(layers) else 0
             if above != shell:
                 edges = (0 if not above else moves[k] if i == 0  # all moves leave L_0
@@ -534,71 +509,39 @@ def _lane_sum(planes, cls: bytes, c: int) -> int:
                << 8 * b for b, plane in enumerate(planes))
 
 
-def _certificate(code: Code, block, pivots=None, class_of=None) -> CrCertificate:
+def _certificate(code: Code, block) -> CrCertificate:
     """The certificate of one block of `_packed_bfs`.  A lane is named by its
-    least word: the lane's digits on the pivots (the lane itself, with no
-    pivots listed).  class_of, if given, replaces the lanes' class map."""
+    least word: the lane's digits on E's pivots (the lane itself when E is
+    H = [I_r | A] and lists no pivots)."""
     cls, layers, delta, rows = block
+    pivots = code.linear.pivots
     if pivots is not None:
         q = code.ambient.q
         rows = [(sum(s // q**i % q * q**j for i, j in enumerate(pivots)), c, counts)
                 for s, c, counts in rows]
     size = code.size
-    part = SyndromePartition(code, cls if class_of is None else class_of, len(layers) - 1,
-                             tuple(x * size for x in layers), delta)
+    part = SyndromePartition(code, cls, len(layers) - 1, tuple(x * size for x in layers), delta)
     return _scan(part, rows)
 
 
-def _certify_by_syndrome(code: Code) -> CrCertificate:
-    """The packed BFS on a chunk of one code.
-
-    Syndromes are taken with E = RREF(H), so they are the q^rank words of
-    GF(q)^rank, and the least word with syndrome u is u's digits on E's
-    pivot columns (u itself, with no pivots listed, when H = [I_r | A] is
-    its own E): lane order is least-word order, so the lowest lane that
-    differs names the full-space scan's witness.  The class map is then
-    renamed to the syndromes of the row basis.  The q^rank syndromes are
-    held to the vertex cap.
-    """
-    space = code.ambient
-    rows = code.linear.row_basis()
-    space.require_materializable("syndrome certificate", space.q**rows.nrows)
-    h, _, pivots = (rows, 0, None) if is_systematic(rows) else rref(rows)
-    [block] = _packed_bfs(space, h.nrows, [column_offsets(h)])
-    class_of = None
-    if h.rows != rows.rows:  # name each coset by its syndrome under the row basis
-        relabeled = bytearray(len(block[0]))
-        for u, (_, s) in enumerate(_least_words(column_offsets(rows), rows.alphabet)):
-            relabeled[s] = block[0][u]  # the u-th least word has E-syndrome u
-        class_of = bytes(relabeled)
-    return _certificate(code, block, pivots, class_of)
-
-
-def _chunk_key(code: Code):
-    """(space, r) for a linear code whose parity check is [I_r | A], else None."""
-    h = code.linear.parity_check if code.is_linear else None
-    return (code.ambient, h.nrows) if h is not None and is_systematic(h) else None
-
-
 def certify_codes(codes):
-    """Each code with its certificate, in order, a chunk at a time.
+    """Each linear code with its certificate, in order, a chunk at a time.
 
-    Consecutive codes of one space whose parity checks are [I_r | A] with
-    one r are certified together, _CHUNK_LANES // q^r codes to a packed
-    BFS when q^r <= 256 and one otherwise; any other code alone by
-    `certify_completely_regular`.  The runtime cross-check covers both.
+    Consecutive codes of one space and one rank are certified together on
+    the syndromes Ex of their echelons E, _CHUNK_LANES // q^r codes to a
+    packed BFS when q^r <= 256 and one otherwise.  E's rows are
+    independent, so its syndromes are the q^rank words of GF(q)^rank, and
+    the least word with syndrome u is u's digits on E's pivot columns (u
+    itself when E is H = [I_r | A]): lane order is least-word order, so the
+    lowest lane that differs names the full-space scan's witness.  The
+    q^rank syndromes are held to the vertex cap, and the runtime cross-check
+    covers every code.
     """
-    for key, group in groupby(codes, _chunk_key):
-        if key is None:
-            for code in group:
-                yield code, certify_completely_regular(code)
-            continue
-        space, r = key
+    for (space, r), group in groupby(codes, lambda code: (code.ambient, code.linear.rank)):
         size = space.q**r
         space.require_materializable("syndrome certificate", size)
         while chunk := list(islice(group, _CHUNK_LANES // size if size <= 256 else 1)):
-            blocks = _packed_bfs(space, r, [column_offsets(c.linear.parity_check)
-                                            for c in chunk])
+            blocks = _packed_bfs(space, r, [column_offsets(c.linear.echelon) for c in chunk])
             for code, block in zip(chunk, blocks):
                 yield code, _cross_checked(code, _certificate(code, block))
 
@@ -616,8 +559,8 @@ def _zero_syndrome_words(code: Code) -> Code:
     so far, translated by lambda*h_j for lambda = 0..q-1."""
     space = code.ambient
     alpha, q = space.alphabet, space.q
-    # a row basis of rank 0 has no rows, and so no columns: all are zero
-    offsets = column_offsets(code.linear.row_basis()) or [0] * space.valency
+    # an echelon of rank 0 has no rows, and so no columns: all are zero
+    offsets = column_offsets(code.linear.echelon) or [0] * space.valency
     syndromes = [0]
     for j in range(0, len(offsets), q - 1):
         syndromes = [t for s in (0, *offsets[j:j + q - 1])
@@ -628,14 +571,15 @@ def _zero_syndrome_words(code: Code) -> Code:
 def certify_completely_regular(code: Code, partition: DistancePartition | None = None) -> CrCertificate:
     """Check the distance partition is equitable; witness the first conflict.
 
-    A linear code is certified on the q^rank syndromes of the row basis of
-    its parity check, whether or not the rows of H are independent; the
-    verdict, numbers, class sizes and witness are those of the full-space
-    scan, which runs for word-listed codes and whenever a word-indexed
-    `partition` is passed in.
+    A linear code is a chunk of one of `certify_codes`, on the q^rank
+    syndromes of its echelon, whether or not the rows of H are independent;
+    the verdict, numbers, class sizes and witness are those of the
+    full-space scan, which runs for word-listed codes and whenever a
+    word-indexed `partition` is passed in.
     """
     if partition is None and code.is_linear:
-        return _cross_checked(code, _certify_by_syndrome(code))
+        [(_, cert)] = certify_codes([code])
+        return cert
     return _certify_words(
         code, partition if partition is not None else distance_partition(code))
 

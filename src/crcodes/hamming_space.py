@@ -10,14 +10,15 @@ a certificate's q^rank syndromes) check their count against a configurable
 cap, 2^26 by default.  It counts entries, not bytes: the syndrome
 certificate peaks at 70-74 MB at 2^21 syndromes.
 
-A linear code holds H, its rank and a generator basis, which a code given
-by its parity check builds on first read; its q^k members are spanned from
-the basis on first read and cached, and that read is refused above the
-vertex cap.  Its size, membership (Hx = 0), the syndrome
-certificate and the minimum distance that certificate reports read only H,
-so certifying such a code lists no member.  Codes derived from a linear
-code (factors on a block, the reduced code, cartesian products) are cut
-from its H and list nothing either.
+A linear code holds H, the echelon E that names its syndromes Ex (H
+itself when H = [I_r | A], else RREF(H), row-reduced once), its rank and a
+generator basis, which a code given by its parity check builds on first
+read; its q^k members are spanned from the basis on first read and cached,
+and that read is refused above the vertex cap.  Its size, membership
+(Hx = 0), the syndrome certificate and the minimum distance that
+certificate reports read only H and E, so certifying such a code lists no
+member.  Codes derived from a linear code (factors on a block, the reduced
+code, cartesian products) are cut from its H and list nothing either.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .algebra import (
     Alphabet,
     GFMatrix,
     alphabet,
+    echelon_nullspace,
     is_systematic,
     mat_vec,
     nullspace_basis,
@@ -242,29 +244,41 @@ def sphere_size(space: AmbientSpace, radius: int) -> int:
 
 @dataclass(frozen=True)
 class LinearStructure:
-    """H, a generator basis and the rank of H.  A basis given as None is the
-    canonical nullspace basis of H, built on first read of `generators`:
-    certifying a code and recording its H read none.  Structures compare
-    by H and rank, which fix the code."""
+    """H, a generator basis, and the echelon E that names every syndrome.
+
+    E is H itself when H = [I_r | A], with `pivots` None; otherwise it is
+    the nonzero rows of RREF(H), with their pivot columns.  Either way its
+    rows are a basis of H's row space, so the syndromes Ex are exactly the
+    q^rank words of GF(q)^rank, and E, its pivots and the rank are set once,
+    from H, when the structure is built.  A basis given as None is the
+    canonical nullspace basis of H, read off E on first read of
+    `generators`: certifying a code and recording its H read none.
+    Structures compare by H, which fixes the code."""
 
     parity_check: GFMatrix
-    _generators: GFMatrix | None = field(compare=False, repr=False)
-    rank: int
+    _generators: GFMatrix | None = field(default=None, compare=False, repr=False)
+    echelon: GFMatrix = field(init=False, compare=False, repr=False)
+    pivots: tuple[int, ...] | None = field(init=False, compare=False, repr=False)
+    rank: int = field(init=False, compare=False)
+
+    def __post_init__(self):
+        h = self.parity_check
+        if is_systematic(h):
+            echelon, rank, pivots = h, h.nrows, None
+        else:
+            reduced, rank, pivots = rref(h)
+            echelon, pivots = GFMatrix(h.alphabet, reduced.rows[:rank]), tuple(pivots)
+        object.__setattr__(self, "echelon", echelon)
+        object.__setattr__(self, "pivots", pivots)
+        object.__setattr__(self, "rank", rank)
 
     @property
     def generators(self) -> GFMatrix:
         if self._generators is None:
-            object.__setattr__(self, "_generators", nullspace_basis(self.parity_check))
+            h = self.parity_check
+            object.__setattr__(self, "_generators", nullspace_basis(h) if self.pivots is None
+                               else echelon_nullspace(self.echelon, self.pivots, h.ncols))
         return self._generators
-
-    def row_basis(self) -> GFMatrix:
-        """A basis of the row space of H: H itself when its rows are
-        independent, the nonzero rows of RREF(H) otherwise.  Syndromes taken
-        with it are exactly the q^rank words of GF(q)^rank."""
-        h = self.parity_check
-        if h.nrows == self.rank:
-            return h
-        return GFMatrix(h.alphabet, rref(h)[0].rows[:self.rank])
 
 
 class Code:
@@ -424,16 +438,15 @@ def _span(space: AmbientSpace, basis: GFMatrix) -> list[int]:
 
 
 def code_from_parity_check(space: AmbientSpace, h: GFMatrix) -> Code:
-    """The code {x : H x^T = 0}.  The given H is kept verbatim, and its rank
-    is its row count when H = [I_r | A].  The nullspace basis is built on
-    first read of the generators, and the members are spanned from it only
-    when something reads them."""
+    """The code {x : H x^T = 0}.  The given H is kept verbatim; E and the
+    rank are read off it with no row reduction when H = [I_r | A].  The
+    nullspace basis is built on first read of the generators, and the
+    members are spanned from it only when something reads them."""
     if not space.alphabet.is_field:
         raise FieldRequiredError("parity-check codes need a field alphabet")
     if h.alphabet != space.alphabet or h.ncols != space.n:
         raise ValueError("parity check does not match the ambient space")
-    return Code(space, None, LinearStructure(
-        h, None, h.nrows if is_systematic(h) else rref(h)[1]))
+    return Code(space, None, LinearStructure(h))
 
 
 def code_from_generators(space: AmbientSpace, g: GFMatrix) -> Code:
@@ -444,7 +457,7 @@ def code_from_generators(space: AmbientSpace, g: GFMatrix) -> Code:
     basis, k, _ = rref(g)
     basis = GFMatrix(g.alphabet, basis.rows[:k])
     h = nullspace_basis(basis) if k else nullspace_basis(g)
-    return Code(space, None, LinearStructure(h, basis, space.n - k))
+    return Code(space, None, LinearStructure(h, basis))
 
 
 def minimum_distance(code: Code) -> int:

@@ -2,8 +2,8 @@
 distance-regularity certification with intersection arrays.
 
 The coset graph of a linear code is the Cayley graph Cay(GF(q)^r, S), r the
-rank of H, held as S, the nonzero multiples of the columns of the row basis
-of H, and certified on syndromes with no adjacency list.  The explicit
+rank of H, held as S, the nonzero multiples of the columns of the code's
+echelon E, and certified on syndromes with no adjacency list.  The explicit
 coset partition and quotient graph are for additive codes without a parity
 check and for showing the quotient itself, where the class-to-syndrome
 bijection lets the two constructions be compared.
@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import Counter, deque
 from dataclasses import dataclass, field
 
-from .algebra import Alphabet, GFMatrix, mat_vec, rank
+from .algebra import Alphabet, GFMatrix, mat_vec
 from .cr_analysis import (
     CrCertificate,
     IntersectionNumbers,
@@ -265,24 +265,24 @@ def quotient_graph(partition: VertexPartition) -> Graph:
 def coset_graph_by_syndrome(code: Code) -> CayleyGraph:
     """Coset graph on syndrome words: s ~ s + lambda*h_i for nonzero lambda.
 
-    Syndromes are taken with the row basis of H, so the vertices are the
-    q^rank words of GF(q)^rank and S is the distinct nonzero lambda*h_i.
+    Syndromes are taken with the code's echelon E, so the vertices are the
+    q^rank words of GF(q)^rank and S is the distinct nonzero lambda*e_i.
     Isomorphic to the quotient graph of the coset partition (the coset of x
-    goes to the syndrome Hx, see ``coset_to_syndrome``) without touching the
+    goes to the syndrome Ex, see ``coset_to_syndrome``) without touching the
     q^n words, and held as S alone.
     """
     if not code.is_linear:
         raise NotAdditiveError("syndrome construction needs a linear code")
-    h = code.linear.row_basis()
+    h = code.linear.echelon
     connection = tuple(sorted(set(column_offsets(h)) - {0}))
     return CayleyGraph(h.alphabet, h.nrows, connection, code.ambient.max_vertices)
 
 
 def coset_to_syndrome(code: Code, partition: VertexPartition) -> tuple[int, ...]:
-    """The syndrome, under the row basis of H, of each class of the coset
+    """The syndrome Ex, E the code's echelon, of each class of the coset
     partition of a linear code, checked to be a bijection onto the q^rank
     syndromes."""
-    h = code.linear.row_basis()
+    h = code.linear.echelon
     space = code.ambient
     q = space.q
     r = h.nrows
@@ -403,27 +403,34 @@ def _certify_cayley(graph: CayleyGraph) -> DrgCertificate:
     digit is 1).  H''s syndrome certificate is the BFS from vertex 0, so the
     graph is distance-regular exactly when H' is CR, with b_i = beta_i and
     c_i = gamma_i (Brouwer, Cohen and Neumaier, *Distance-Regular Graphs*,
-    11.1).  A non-CR witness names its words' syndromes, recounted on S one
-    layer down or, where those agree, one layer up."""
+    11.1).  A non-CR witness names its words' syndromes H'x, the graph's
+    own vertices, and is recounted one layer down or, where those agree,
+    one layer up around their syndromes Ex under the echelon E of H', which
+    the class map names; E differs from H' when S holds no unit vector."""
     alpha, r, q = graph.alphabet, graph.rank, graph.alphabet.q
     columns = [d for d in (decode(s, r, q) for s in graph.connection)
                if next((x for x in d if x), 0) == 1]
     h = GFMatrix(alpha, tuple(zip(*columns)))
     if sorted(column_offsets(h)) != list(graph.connection):
         raise ValueError("the connection set must be nonzero and closed under nonzero scalars")
-    if rank(h) < r:
+    m = len(columns)
+    if m < r or (code := code_from_parity_check(
+            ambient(m, q, graph.max_vertices), h)).linear.rank < r:
         raise DisconnectedGraphError("the connection set does not span the group")
-    code = code_from_parity_check(ambient(len(columns), q, graph.max_vertices), h)
     cert = certify_completely_regular(code)
     numbers, w = cert.numbers, cert.witness
     if w is None:
         array = IntersectionArray(numbers.beta[:numbers.rho], numbers.gamma[1:])
         array.validate()
         return DrgCertificate(True, array)
-    ys = [encode(mat_vec(h, decode(x, len(columns), q)), q) for x in (w.vertex_a, w.vertex_b)]
+    words = [decode(x, m, q) for x in (w.vertex_a, w.vertex_b)]
+    ys = [encode(mat_vec(h, x), q) for x in words]
+    e = code.linear.echelon
+    zs = [encode(mat_vec(e, x), q) for x in words]
+    steps = column_offsets(e)
     j = 0 if w.direction == "previous" else 2
     (*_, a), (*_, b) = layer_counts(cert.partition.class_of_syndrome,
-                                    {y: graph.neighbours(y) for y in ys}, ys)
+                                    {z: translate(steps, z, alpha) for z in zs}, zs)
     return DrgCertificate(False, witness=("count", w.class_index, (0, ys[0]), a[j],
                                           (0, ys[1]), b[j]))
 

@@ -89,10 +89,10 @@ def code_digest(code: Code) -> str:
 
 def _is_syndrome_quotient(code: Code, graph: CayleyGraph) -> bool:
     """Whether graph is the quotient of H(n, q) by the cosets of C, named by
-    syndrome under the row basis of H: a Cayley graph on the q^rank
-    syndromes whose S is the nonzero H(lambda e_j) for every coordinate j and
-    nonzero lambda, each H times a word, independently of how S was found."""
-    h = code.linear.row_basis()
+    syndrome Ex, E the code's echelon: a Cayley graph on the q^rank
+    syndromes whose S is the nonzero E(lambda e_j) for every coordinate j and
+    nonzero lambda, each E times a word, independently of how S was found."""
+    h = code.linear.echelon
     n, q = code.ambient.n, code.ambient.q
     steps = {encode(mat_vec(h, tuple(lam if i == j else 0 for i in range(n))), q)
              for j in range(n) for lam in range(1, q)} - {0}

@@ -260,7 +260,7 @@ def test_column_classes_doubled_hamming():
     assert report.class_size == 2 and report.gamma1 == 2
     ham = hamming_code(3, 2)
     assert report.restricted_code.members == ham.members
-    assert report.restricted_delta == 3
+    assert analyze_code(report.restricted_code).delta == 3
 
 
 def test_column_classes_hamming_itself():
@@ -283,6 +283,18 @@ def test_column_classes_triple_repetition_check():
 def test_column_classes_match_coordinate_classes():
     for code in (_doubled_hamming(), hamming_code(3, 2), repetition_code(5, 2)):
         assert column_classes(code).classes == coordinate_classes(code)
+
+
+def test_column_classes_refuse_parallel_representatives(monkeypatch):
+    # uniform classes of size gamma_1 = 2 that pair the doubled Hamming code
+    # across the wrong copies: representatives 0 and 7 are one column twice,
+    # so the deduplicated code has a word of weight 2
+    import crcodes.classify as classify_mod
+
+    wrong = ((0, 1), (7, 8), (2, 9), (3, 10), (4, 11), (5, 12), (6, 13))
+    monkeypatch.setattr(classify_mod, "coordinate_classes", lambda code: wrong)
+    with pytest.raises(TheoremViolationError, match="minimum distance < 3"):
+        column_classes(_doubled_hamming())
 
 
 # -- decomposition ----------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -385,6 +386,50 @@ def test_a_long_repetition_code_classifies_with_no_adjacency_list(
     code, out, err = _run(capsys, "search", "--q", "2", "--max-n", "6",
                           "--out-dir", str(tmp_path / "census"))
     assert (code, err) == (0, "") and json.loads(out)["failures"] == 0
+
+
+def test_decompose_of_a_long_repetition_code_runs_one_syndrome_bfs(
+        tmp_path, capsys, monkeypatch):
+    # binary repetition n=20, 2^19 syndromes: the deduplicated code of the
+    # column classes is the code itself, checked on its columns, not certified
+    import crcodes.cr_analysis as cr_mod
+
+    runs = []
+    packed = cr_mod._packed_bfs
+    monkeypatch.setattr(cr_mod, "_packed_bfs",
+                        lambda space, r, offsets: runs.append(r) or packed(space, r, offsets))
+    spec = _write_spec(tmp_path, "rep20.json", {
+        "type": "construct", "name": "repetition", "q": 2, "n": 20})
+    code, out, err = _run(capsys, "decompose", spec)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["column_classes"]["representatives"] == list(range(20))
+    assert runs == [19]
+
+
+def test_a_parity_check_outside_rref_is_row_reduced_once(tmp_path, capsys, monkeypatch):
+    # the chained checks x_i = x_(i+1) of binary repetition n=7 are full rank
+    # and not in RREF: each command row-reduces that H once, and no other
+    # matrix twice
+    import crcodes.algebra as algebra_mod
+    import crcodes.hamming_space as hamming_mod
+
+    reduced = Counter()
+    rref = algebra_mod.rref
+
+    def counting(m):
+        reduced[m.rows] += 1
+        return rref(m)
+
+    for module in (algebra_mod, hamming_mod):
+        monkeypatch.setattr(module, "rref", counting)
+    h = [[int(j in (i, i + 1)) for j in range(7)] for i in range(6)]
+    spec = _write_spec(tmp_path, "chained.json",
+                       {"type": "linear", "q": 2, "n": 7, "parity_check": h})
+    for command in ("check", "classify", "decompose", "quotient"):
+        reduced.clear()
+        code, _, err = _run(capsys, command, spec)
+        assert (code, err) == (0, "")
+        assert reduced[tuple(map(tuple, h))] == 1 and max(reduced.values()) == 1, command
 
 
 def test_a_padded_word_list_keeps_the_lowered_cap(tmp_path, capsys):

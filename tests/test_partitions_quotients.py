@@ -166,8 +166,8 @@ def test_syndrome_graph_extended_hamming_is_k88():
     explicit = g.explicit()
     assert g.n == explicit.n == 16
     assert all(explicit.degree(v) == 8 for v in range(16))
-    # bipartition by last syndrome bit: no edge joins same-parity syndromes
-    side = [s >> 3 & 1 for s in range(16)]
+    # bipartite: a BFS 2-colouring leaves no edge inside a colour class
+    side = [d % 2 for d in bfs_distances(explicit, 0)]
     assert all(side[u] != side[v] for u, v in explicit.edges())
     cert = certify_distance_regular(g)
     assert cert.array == IntersectionArray((8, 7), (1, 8))

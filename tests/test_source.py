@@ -20,6 +20,16 @@ def test_no_assert_statement_in_the_package():
     assert found == []
 
 
+def test_only_the_algebra_and_the_linear_structure_row_reduce():
+    # a linear code's parity check is row-reduced once, when its
+    # LinearStructure is built; every other module reads the stored echelon
+    calls = {path.name for path in SOURCE.glob("*.py")
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Call)
+             and "rref" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))}
+    assert calls == {"algebra.py", "hamming_space.py"}
+
+
 def test_a_cli_call_imports_neither_argparse_nor_locale(tmp_path):
     # building an argparse parser on every call cost more than the analysis
     # of a small code; locale comes with argparse's gettext lookups

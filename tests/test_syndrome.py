@@ -2,15 +2,15 @@
 the coset graph's DRG certificate, census check and folded-cube map, read off
 its connection set, against the walks of the adjacency list built from it;
 the lane-vector certificate against the per-syndrome BFS, and its packed
-chunks against the per-code lane kernel they replaced; the least-word
-witness walk against a brute force; parity checks with dependent rows against
-their full-rank twins; and the translation kernels against digit-by-digit
+chunks against the per-code lane kernel they replaced; parity checks
+outside RREF and with dependent rows against the full-space scan and their
+full-rank twins; and the translation kernels against digit-by-digit
 addition."""
 
 import random
 import sys
 from collections import Counter
-from itertools import groupby
+from itertools import combinations
 
 import pytest
 from hypothesis import assume, given, settings
@@ -21,11 +21,9 @@ from crcodes.algebra import (
     alphabet,
     gf_identity,
     gf_matrix,
-    is_systematic,
     mat_vec,
     nullspace_basis,
     rank,
-    rref,
 )
 from crcodes.classify import coset_family, linear_folded_cube_map
 from crcodes.constructions import (
@@ -40,7 +38,6 @@ from crcodes.cr_analysis import (
     SyndromePartition,
     _lane_width,
     _lanes,
-    _least_words,
     _scan,
     analyze_code,
     certify_codes,
@@ -64,6 +61,7 @@ from crcodes.hamming_space import (
     translate,
 )
 from crcodes.partitions_quotients import (
+    CayleyGraph,
     IntersectionArray,
     bfs_distances,
     certify_distance_regular,
@@ -96,9 +94,9 @@ def _per_syndrome_certificate(code):
     """The oracle of the lane-vector certificate: BFS from syndrome 0 with one
     step per edge, the (previous, same, next) counts of every syndrome, and,
     for a code that is not completely regular, the words in encoding order
-    looked up by their syndromes H x.  Its delta is the weight scan over the
+    looked up by their syndromes E x.  Its delta is the weight scan over the
     spanned members."""
-    h = code.linear.row_basis()
+    h = code.linear.echelon
     alpha = h.alphabet
     q, n, r = alpha.q, h.ncols, h.nrows
     size = q**r
@@ -152,9 +150,8 @@ def _per_code_lane_certificate(code):
     added into two reference vectors as the layer completes, and the verdict
     and witness read off the differences with them."""
     space = code.ambient
-    rows = code.linear.row_basis()
-    q, n, size = rows.alphabet.q, space.n, code.size
-    h, _, pivots = (rows, 0, None) if is_systematic(rows) else rref(rows)
+    q, n, size = space.q, space.n, code.size
+    h, pivots = code.linear.echelon, code.linear.pivots
     multiplicity = Counter(column_offsets(h))
     loops = multiplicity.pop(0, 0)
     moves = space.valency - loops  # the loop-free degree
@@ -203,11 +200,6 @@ def _per_code_lane_certificate(code):
     if differ:  # the lowest lane that differs, after the lowest lane of its class
         b = ((differ & -differ).bit_length() - 1) // bits
         firsts = [firsts[class_of[b]], b]
-    if h.rows != rows.rows:  # name each coset by its syndrome under the row basis
-        relabeled = bytearray(len(class_of))
-        for u, (_, s) in enumerate(_least_words(column_offsets(rows), rows.alphabet)):
-            relabeled[s] = class_of[u]  # the u-th least word has E-syndrome u
-        class_of = bytes(relabeled)
     part = SyndromePartition(code, class_of, c, tuple(sizes), delta)
     return _scan(part, map(row, firsts))
 
@@ -353,27 +345,6 @@ def test_syndrome_certificate_equals_the_full_space_scan():
     assert refuted > len(CODES) // 2  # the witness walk is exercised
 
 
-# (q, largest n) of the least-word walk's brute-force check
-LEAST_WORD_CENSUSES = ((2, 6), (3, 5), (4, 4), (7, 3), (8, 3), (9, 3))
-
-
-def test_least_words_list_each_syndrome_once_with_its_least_word():
-    walked = 0
-    for q, top in LEAST_WORD_CENSUSES:
-        for n in range(1, top + 1):
-            for code in enumerate_linear_codes(n, q):
-                h = code.linear.parity_check
-                least = {}
-                for x, s in enumerate(_word_syndromes(h, n)):
-                    least.setdefault(s, x)
-                want = sorted((x, s) for s, x in least.items())
-                got = list(_least_words(column_offsets(h), h.alphabet))
-                assert got == want, h  # strictly increasing words, one per syndrome
-                assert len(got) == q**code.linear.rank
-                walked += 1
-    assert walked == 769
-
-
 def test_late_conflict_walk_stops_at_the_full_space_witness():
     # Hamming [15,11] x {0}: the first conflict needs the top coordinate
     ham = hamming_code(4, 2)
@@ -407,11 +378,12 @@ def test_late_conflict_walk_lists_at_most_the_syndromes(monkeypatch):
     code = _golay_times_zero()
     cert = certify_completely_regular(code)
     assert not cert.completely_regular and cert.partition.delta == 7
-    # the full-space scan reads 2^23 + 4 words to reach this conflict
+    # the full-space scan reads 2^23 + 4 words to reach this conflict; H is
+    # not in RREF, and the certificate still lists no word
     assert cert.witness.to_json() == {
         "class": 3, "direction": "same", "vertex_a": 7, "count_a": 20,
         "vertex_b": (1 << 23) + 3, "count_b": 0}
-    assert 0 < sum(listed) <= 1 << 12
+    assert code.linear.pivots is not None and listed == []
 
 
 def test_zero_and_repeated_columns_count_with_multiplicity():
@@ -510,11 +482,34 @@ def test_one_root_drg_certificate_equals_all_roots():
     assert len(WALK_CODES) == 2238 + 229 + 58 and refuted > 1000
 
 
+def test_a_connection_set_with_no_unit_vector_gets_the_explicit_graphs_witness():
+    # every spanning, scalar-closed S of GF(2)^4 and GF(3)^3 with no unit
+    # vector: H' has no identity column, so it is not its own echelon E,
+    # and the witness names the graph's vertices H'x, not the syndromes Ex
+    refuted = 0
+    for q, r in ((2, 4), (3, 3)):
+        alpha = alphabet(q)
+        points = [p for p in range(1, q**r) if p not in {q**i for i in range(r)}
+                  and next(d for d in decode(p, r, q) if d) == 1]
+        for k in range(r, len(points) + 1):
+            for chosen in combinations(points, k):
+                h = gf_matrix(alpha, zip(*(decode(p, r, q) for p in chosen)))
+                if rank(h) < r:
+                    continue
+                graph = CayleyGraph(alpha, r, tuple(sorted(column_offsets(h))))
+                cert, plain = certify_distance_regular(graph), graph.explicit()
+                assert cert.is_drg == certify_distance_regular(plain).is_drg
+                if not cert.is_drg:
+                    assert _confirmed_by_layer_counts(plain, cert.witness), chosen
+                    refuted += 1
+    assert refuted == 1363 + 844
+
+
 def _quotient_edges(code) -> set:
-    """The edges s ~ s + H(lambda e_j) of the quotient of H(n, q) by the
-    cosets of C, for every syndrome s under the row basis, each step summed
-    digit by digit in the alphabet."""
-    h = code.linear.row_basis()
+    """The edges s ~ s + E(lambda e_j) of the quotient of H(n, q) by the
+    cosets of C, for every syndrome s = Ex, each step summed digit by digit
+    in the alphabet."""
+    h = code.linear.echelon
     alpha = h.alphabet
     n, q, r = code.ambient.n, code.ambient.q, h.nrows
     steps = {mat_vec(h, tuple(lam if i == j else 0 for i in range(n)))
@@ -696,22 +691,10 @@ def test_dependent_rows_certify_as_the_full_rank_code(pair):
     assert isinstance(dep.partition, SyndromePartition)
     assert _summary(dep) == _summary(cert)
     assert analyze_code(dependent).delta == dep.partition.delta == cert.partition.delta
-    # the two name a coset by its syndrome under H and under RREF(H)
-    h, basis = code.linear.parity_check, dependent.linear.row_basis()
-    assert basis.rows == rref(h)[0].rows
-    space = code.ambient
-    relabel = {}
-    for x, s in enumerate(_word_syndromes(h, space.n)):
-        relabel.setdefault(s, encode(mat_vec(basis, decode(x, space.n, space.q)), space.q))
-    assert sorted(relabel.values()) == list(range(space.q**code.linear.rank))
-    assert all(dep.partition.class_of_syndrome[relabel[s]] == c
-               for s, c in enumerate(cert.partition.class_of_syndrome))
-    graph, dep_graph = coset_graph_by_syndrome(code), coset_graph_by_syndrome(dependent)
-    explicit, dep_explicit = graph.explicit(), dep_graph.explicit()
-    assert dep_graph.n == graph.n and dep_explicit.edge_count() == explicit.edge_count()
-    assert all(dep_explicit.has_edge(relabel[u], relabel[v]) for u, v in explicit.edges())
-    drg, dep_drg = certify_distance_regular(graph), certify_distance_regular(dep_graph)
-    assert (dep_drg.is_drg, dep_drg.array) == (drg.is_drg, drg.array)
+    # H and H with a dependent row share one echelon, so one name per coset
+    assert dependent.linear.echelon == code.linear.echelon
+    assert dep.partition.class_of_syndrome == cert.partition.class_of_syndrome
+    assert coset_graph_by_syndrome(dependent) == coset_graph_by_syndrome(code)
 
 
 def test_lanes_widen_past_a_valency_of_255():
@@ -815,13 +798,9 @@ def test_a_chunk_translates_only_its_middle_layers(monkeypatch):
     assert (len(shared), len(each)) == (4, 4)
 
 
-def test_a_systematic_parity_check_takes_its_witness_off_the_lanes(monkeypatch):
-    def forbidden(*args):
-        raise AssertionError("least words listed")
-
+def test_a_systematic_parity_check_takes_its_witness_off_the_lanes():
     refuted = [code for n in (5, 6) for code in enumerate_linear_codes(n, 3)
                if not analyze_code(code).cr]
-    monkeypatch.setattr(cr_analysis, "_least_words", forbidden)
     for code, packed in certify_codes(refuted[::10]):
         slow = certify_completely_regular(code, distance_partition(code))
         assert _summary(certify_completely_regular(code)) == _summary(slow)
@@ -831,8 +810,8 @@ def test_a_systematic_parity_check_takes_its_witness_off_the_lanes(monkeypatch):
 
 def test_parity_checks_outside_rref_certify_as_the_full_space_scan():
     # the census H = [I_r | A] with its columns reversed is mostly not in
-    # RREF: the lanes are RREF(H)'s syndromes, the witness places a lane's
-    # digits on RREF(H)'s pivots, and the class map is relabelled to H's
+    # RREF: the lanes and the class map are the syndromes of E = RREF(H),
+    # and the witness places a lane's digits on E's pivots
     checked = outside = refuted = 0
     for n in range(1, 6):
         reversed_codes = [code_from_parity_check(census_code.ambient, h.take_columns(
@@ -846,9 +825,10 @@ def test_parity_checks_outside_rref_certify_as_the_full_space_scan():
             assert _lane_summary(packed) == _lane_summary(fast)
             assert _lane_summary(fast) == _lane_summary(_per_code_lane_certificate(code))
             leader_weight = fast.partition.class_of_syndrome
-            assert bytes(leader_weight[s] for s in _word_syndromes(h, n)) == part.class_of
+            syndromes = _word_syndromes(code.linear.echelon, n)
+            assert bytes(leader_weight[s] for s in syndromes) == part.class_of
             checked += 1
-            relabelled = h.rows != rref(h)[0].rows
-            outside += relabelled
-            refuted += relabelled and not fast.completely_regular
+            reduced = h.rows != code.linear.echelon.rows
+            outside += reduced
+            refuted += reduced and not fast.completely_regular
     assert (checked, outside) == (229, 204) and refuted > 150
