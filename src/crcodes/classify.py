@@ -29,7 +29,7 @@ from functools import cached_property, reduce
 from math import prod
 from operator import xor
 
-from .algebra import GFMatrix, rank
+from .algebra import GFMatrix, mat_vec, rank
 from .constructions import replicate_columns
 from .cr_analysis import (
     CodeAnalysis,
@@ -37,6 +37,7 @@ from .cr_analysis import (
     analyze_code,
     certify_completely_regular,
     is_reduced,
+    reduce_code,
 )
 from .errors import TheoremViolationError, jsonable
 from .hamming_space import (
@@ -59,7 +60,9 @@ from .partitions_quotients import (
     certify_distance_regular,
     coset_graph_by_syndrome,
     coset_partition,
+    drg_spectrum,
     partition_from_classes,
+    predicted_quotient_array,
     quotient_graph,
 )
 
@@ -446,23 +449,6 @@ _ARITHMETIC_QUOTIENT_FAMILIES = frozenset(
     {"hamming", "doob", "folded_cube", "ia654_non_folded"})
 
 
-def coset_graph_checks(code: Code, analysis: CodeAnalysis, family: QuotientFamily,
-                       array: IntersectionArray) -> list[CheckResult]:
-    """Every theorem check on the coset graph of a CR additive code: the
-    clique bounds, no Doob coset graph for a linear code, and (for an
-    arithmetic spectrum with rho >= 3) an allowed quotient family."""
-    out = clique_bound_checks(code.ambient.q, family, array, analysis.delta)
-    if code.is_linear:
-        out.append(CheckResult("no_doob_coset_quotient",
-                               "FAIL" if family.tag == "doob" else "PASS"))
-    if analysis.arithmetic.arithmetic and analysis.rho >= 3:
-        out.append(CheckResult(
-            "arithmetic_quotient_family",
-            "PASS" if family.tag in _ARITHMETIC_QUOTIENT_FAMILIES else "FAIL",
-            family.tag))
-    return out
-
-
 # -- coordinate and column equivalence ----------------------------------------------
 
 
@@ -639,22 +625,6 @@ def product_factors(code: Code, blocks: tuple[tuple[int, ...], ...]
     return factors, tuple(certify_completely_regular(f) for f in factors)
 
 
-class ProductSplit:
-    """An additive code's `finest_product_blocks` and its `product_factors`
-    on them, each computed on first use and shared by the product cases."""
-
-    def __init__(self, code: Code):
-        self.code = code
-
-    @cached_property
-    def blocks(self) -> tuple[tuple[int, ...], ...]:
-        return finest_product_blocks(self.code)
-
-    @cached_property
-    def factors(self) -> tuple[tuple[Code, ...], tuple[CrCertificate, ...]]:
-        return product_factors(self.code, self.blocks)
-
-
 def radius_one_factors_equivalent(factors: tuple[Code, ...],
                                   certs: tuple[CrCertificate, ...]) -> bool:
     """Whether the factors of a reduced linear code are all completely
@@ -693,7 +663,7 @@ class DecompositionReport:
 
 
 def decompose_product(code: Code, family: QuotientFamily, min_distance: int,
-                      split: ProductSplit | None = None) -> DecompositionReport:
+                      context: CheckContext | None = None) -> DecompositionReport:
     """Under an H(m, q') quotient, split an additive code with min distance
     (given, as computed by ``analyze_code``) >= 2 into m blockwise factors of
     covering radius 1 and verify that their product is the code.
@@ -708,13 +678,13 @@ def decompose_product(code: Code, family: QuotientFamily, min_distance: int,
     if min_distance < 2:
         raise ValueError("decomposition needs minimum distance >= 2")
     m = family.params["m"]
-    split = split or ProductSplit(code)
-    blocks = split.blocks
+    context = context or CheckContext(code)
+    blocks = context.blocks
     if len(blocks) != m or len({len(b) for b in blocks}) != 1:
         return DecompositionReport(
             blocks, (), (), False,
             f"expected {m} equal blocks, found sizes {[len(b) for b in blocks]}")
-    factors, certs = split.factors
+    factors, certs = context.factors
     if not all(c.completely_regular for c in certs):
         return DecompositionReport(blocks, factors, (), False,
                                    "factor is not completely regular")
@@ -793,7 +763,7 @@ class SmallRadiusReport:
 
 
 def classify_small_covering_radius(code: Code, analysis: CodeAnalysis | None = None,
-                                   split: ProductSplit | None = None) -> SmallRadiusReport:
+                                   context: CheckContext | None = None) -> SmallRadiusReport:
     """Covering radius 1 forces a perfect Hamming-equivalent code; radius 2
     forces a two-block product of one Hamming code or, binary, an extended
     Hamming code or the repetition code {00000, 11111}, whose coset graph is
@@ -813,14 +783,13 @@ def classify_small_covering_radius(code: Code, analysis: CodeAnalysis | None = N
         if perfect and is_hamming_equivalent(code):
             return SmallRadiusReport("hamming", {"perfect": True})
         return SmallRadiusReport(None, {"perfect": perfect})
-    split = split or ProductSplit(code)
-    blocks = split.blocks
+    context = context or CheckContext(code)
+    blocks = context.blocks
     if len(blocks) == 2 and len(blocks[0]) == len(blocks[1]):
         # Hamming-equivalent factors are perfect, so CR with rho = 1, and of
         # one length: the rho = 1 theorem makes them equivalent
-        factors, certs = split.factors
-        if (all(is_hamming_equivalent(f) for f in factors)
-                and radius_one_factors_equivalent(factors, certs)):
+        factors = context.factors[0]
+        if all(is_hamming_equivalent(f) for f in factors) and context.factors_equivalent:
             return SmallRadiusReport(
                 "hamming_product",
                 {"factor_length": factors[0].ambient.n,
@@ -890,9 +859,9 @@ class ArithmeticFormsReport:
 
 
 def classify_arithmetic_forms(code: Code, analysis: CodeAnalysis | None = None,
-                              split: ProductSplit | None = None) -> ArithmeticFormsReport:
+                              context: CheckContext | None = None) -> ArithmeticFormsReport:
     """The four forms of a reduced linear arithmetic CR code, with its
-    column classes.  A caller holding the code's analysis or `ProductSplit`
+    column classes.  A caller holding the code's analysis or `CheckContext`
     passes them in, and they are not recomputed."""
     analysis = analysis or analyze_code(code)
     if not code.is_linear:
@@ -938,15 +907,13 @@ def classify_arithmetic_forms(code: Code, analysis: CodeAnalysis | None = None,
             "base_length": m,
         })
     if rho >= 2:
-        split = split or ProductSplit(code)
-        if len(split.blocks) == rho:
-            factors, certs = split.factors
-            if radius_one_factors_equivalent(factors, certs):
-                cases.append({
-                    "case": "radius_one_power",
-                    "exponent": rho,
-                    "factor_length": factors[0].ambient.n,
-                })
+        context = context or CheckContext(code)
+        if len(context.blocks) == rho and context.factors_equivalent:
+            cases.append({
+                "case": "radius_one_power",
+                "exponent": rho,
+                "factor_length": context.factors[0][0].ambient.n,
+            })
     return ArithmeticFormsReport(tuple(cases), violation=not cases, column_report=report)
 
 
@@ -984,8 +951,6 @@ def classify_hamming_quotient_code(code: Code, analysis: CodeAnalysis,
     then classify the reduced code against the replication forms.  The
     code's analysis and its coset graph's family come from the caller, and
     so may the forms report of the code itself, used when it is reduced."""
-    from .cr_analysis import reduce_code
-
     if not analysis.cr:
         raise ValueError("pipeline needs a completely regular code")
     if family.tag != "hamming":
@@ -1009,3 +974,138 @@ def classify_hamming_quotient_code(code: Code, analysis: CodeAnalysis,
     restricted = ArithmeticFormsReport(cases, violation=not cases,
                                        column_report=forms.column_report)
     return HammingQuotientReport(m, qprime, derived_t, stripped, restricted)
+
+
+# -- the table of theorem checks ---------------------------------------------------------
+
+
+class CheckContext:
+    """One code and what its theorem checks read: the analysis it is given
+    (or computes) and, each computed on first use and shared by every row,
+    its coset graph's certificate and family, its product blocks and
+    factors, and its structure reports, None where a theorem does not apply."""
+
+    def __init__(self, code: Code, analysis: CodeAnalysis | None = None):
+        self.code = code
+        if analysis is not None:
+            self.analysis = analysis
+
+    @cached_property
+    def analysis(self) -> CodeAnalysis:
+        return analyze_code(self.code)
+
+    @cached_property
+    def coset(self) -> tuple[DrgCertificate, QuotientFamily]:
+        return coset_family(self.code, self.analysis.certificate)
+
+    @cached_property
+    def blocks(self) -> tuple[tuple[int, ...], ...]:
+        return finest_product_blocks(self.code)
+
+    @cached_property
+    def factors(self) -> tuple[tuple[Code, ...], tuple[CrCertificate, ...]]:
+        return product_factors(self.code, self.blocks)
+
+    @cached_property
+    def factors_equivalent(self) -> bool:
+        return radius_one_factors_equivalent(*self.factors)
+
+    @cached_property
+    def decomposition(self) -> DecompositionReport | None:
+        family, delta = self.coset[1], self.analysis.delta
+        if family.tag != "hamming" or delta is None or delta < 2:
+            return None
+        return decompose_product(self.code, family, delta, self)
+
+    @cached_property
+    def forms(self) -> ArithmeticFormsReport | None:
+        analysis = self.analysis
+        if not (self.code.is_linear and analysis.reduced and analysis.arithmetic.arithmetic):
+            return None
+        return classify_arithmetic_forms(self.code, analysis, self)
+
+    @cached_property
+    def hamming_quotient(self) -> HammingQuotientReport | None:
+        if self.forms is None or self.coset[1].tag != "hamming":
+            return None
+        return classify_hamming_quotient_code(self.code, self.analysis, self.coset[1],
+                                              self.forms)
+
+    @cached_property
+    def small_radius(self) -> SmallRadiusReport | None:
+        analysis, delta = self.analysis, self.analysis.delta
+        if not (self.code.is_linear and delta is not None and delta >= 3
+                and analysis.arithmetic.arithmetic and analysis.rho in (1, 2)):
+            return None
+        return classify_small_covering_radius(self.code, analysis, self)
+
+
+def _is_syndrome_quotient(code: Code, graph: CayleyGraph) -> bool:
+    """Whether graph is the quotient of H(n, q) by the cosets of C, named by
+    syndrome Ex, E the code's echelon: a Cayley graph on the q^rank
+    syndromes whose S is the nonzero E(lambda e_j) for every coordinate j and
+    nonzero lambda, each E times a word, independently of how S was found."""
+    h = code.linear.echelon
+    n, q = code.ambient.n, code.ambient.q
+    steps = {encode(mat_vec(h, tuple(lam if i == j else 0 for i in range(n))), q)
+             for j in range(n) for lam in range(1, q)} - {0}
+    return (graph.alphabet, graph.rank, graph.connection) == (
+        h.alphabet, h.nrows, tuple(sorted(steps)))
+
+
+def _verdict(name: str, holds: bool | None, detail: str = "") -> list[CheckResult]:
+    """One check's result: INAPPLICABLE when ``holds`` is None."""
+    status = "INAPPLICABLE" if holds is None else "PASS" if holds else "FAIL"
+    return [CheckResult(name, status, detail)]
+
+
+def _arithmetic_quotient_family(c: CheckContext) -> list[CheckResult]:
+    tag = c.coset[1].tag
+    if not (c.analysis.arithmetic.arithmetic and c.analysis.rho >= 3):
+        return []
+    return _verdict("arithmetic_quotient_family", tag in _ARITHMETIC_QUOTIENT_FAMILIES, tag)
+
+
+def _smallest_eigenvalue_bound(c: CheckContext) -> list[CheckResult]:
+    slack = c.analysis.bounds.min_eigenvalue_slack
+    return _verdict("smallest_eigenvalue_bound", None if slack is None else slack >= 0)
+
+
+def _spectrum_scaling(c: CheckContext) -> list[CheckResult]:
+    numbers = c.analysis.numbers
+    scaled = tuple((eta - numbers.alpha[0]) // numbers.gamma[1] for eta in c.analysis.spectrum)
+    return _verdict("spectrum_scaling", drg_spectrum(c.coset[0].array) == scaled)
+
+
+# Every theorem check on a CR code, in order, as (section, row): a row maps
+# the code's CheckContext to its results, none where its check cannot apply
+# at all.  `crcodes classify` runs the coset_graph section, `crcodes
+# decompose` the structure section, and the census every row.
+THEOREM_CHECKS = (
+    ("coset_graph", lambda c: clique_bound_checks(
+        c.code.ambient.q, c.coset[1], c.coset[0].array, c.analysis.delta)),
+    ("coset_graph", lambda c: _verdict("no_doob_coset_quotient", c.coset[1].tag != "doob")
+     if c.code.is_linear else []),
+    ("coset_graph", _arithmetic_quotient_family),
+    ("structure", lambda c: _verdict("coset_case_forms", c.forms and not c.forms.violation)),
+    ("structure", lambda c: _verdict(
+        "product_decomposition", c.decomposition and c.decomposition.verified)),
+    ("structure", lambda c: _verdict(
+        "small_radius_case", c.small_radius and c.small_radius.case is not None)),
+    ("census", _smallest_eigenvalue_bound),
+    ("census", lambda c: _verdict(
+        "reduced_min_distance", c.analysis.delta >= 2 if c.analysis.reduced else None)),
+    ("census", lambda c: _verdict(
+        "predicted_array_matches",
+        predicted_quotient_array(c.analysis.numbers) == c.coset[0].array)),
+    ("census", lambda c: _verdict(
+        "syndrome_graph_isomorphic",
+        _is_syndrome_quotient(c.code, coset_graph_by_syndrome(c.code)))),
+    ("census", _spectrum_scaling),
+)
+
+
+def run_checks(context: CheckContext, section: str | None = None) -> list[CheckResult]:
+    """The results of the THEOREM_CHECKS rows of one section, or of every row."""
+    return [result for where, row in THEOREM_CHECKS if section in (None, where)
+            for result in row(context)]

@@ -18,16 +18,7 @@ import time
 from pathlib import Path
 from types import SimpleNamespace
 
-from .classify import (
-    ProductSplit,
-    classify_arithmetic_forms,
-    classify_hamming_quotient_code,
-    classify_small_covering_radius,
-    coordinate_classes,
-    coset_family,
-    coset_graph_checks,
-    decompose_product,
-)
+from .classify import CheckContext, coordinate_classes, run_checks
 from .codespec import emit_codespec, parse_codespec
 from .constructions import (
     NotCompletelyRegularError,
@@ -208,20 +199,19 @@ def _cmd_quotient(args) -> int:
 
 def _cmd_classify(args) -> int:
     code = _load(args.spec, args)
-    analysis = analyze_code(code)
-    if not analysis.cr:
+    context = CheckContext(code, analyze_code(code))
+    if not context.analysis.cr:
         _emit({
             "schema": "classification-report@1",
             "cr": False,
-            "witness": analysis.certificate.witness.to_json(),
+            "witness": context.analysis.certificate.witness.to_json(),
         }, args)
         return EXIT_REFUTED
-    drg, family = coset_family(code, analysis.certificate)
-    checks = [r.to_json() for r in coset_graph_checks(code, analysis, family, drg.array)]
+    checks = [r.to_json() for r in run_checks(context, "coset_graph")]
     report = {
         "schema": "classification-report@1",
         "cr": True,
-        "family": family.to_json(),
+        "family": context.coset[1].to_json(),
         "theorem_checks": checks,
     }
     if any(c["status"] == "FAIL" for c in checks):
@@ -248,35 +238,22 @@ def _cmd_product(args) -> int:
 
 def _cmd_decompose(args) -> int:
     code = _load(args.spec, args)
-    analysis = analyze_code(code)
-    if not analysis.cr:
+    context = CheckContext(code, analyze_code(code))
+    if not context.analysis.cr:
         _emit({"schema": "decomposition-report@1", "cr": False}, args)
         return EXIT_REFUTED
     report = {"schema": "decomposition-report@1", "cr": True}
-    violation = False
     if is_additive(code):
         report["coordinate_classes"] = [list(c) for c in coordinate_classes(code)]
-    _, family = coset_family(code, analysis.certificate)
-    report["family"] = family.to_json()
-    split = ProductSplit(code)
-    if family.tag == "hamming" and analysis.delta is not None and analysis.delta >= 2:
-        decomposition = decompose_product(code, family, analysis.delta, split)
-        report["decomposition"] = decomposition.to_json()
-        violation |= not decomposition.verified
-    if code.is_linear and analysis.reduced and analysis.arithmetic.arithmetic:
-        forms = classify_arithmetic_forms(code, analysis, split)
-        report["column_classes"] = forms.column_report.to_json()
-        report["forms"] = forms.to_json()
-        violation |= forms.violation
-        if family.tag == "hamming":
-            report["hamming_quotient"] = classify_hamming_quotient_code(
-                code, analysis, family, forms).to_json()
-    if (code.is_linear and analysis.delta is not None and analysis.delta >= 3
-            and analysis.arithmetic.arithmetic and analysis.rho in (1, 2)):
-        small = classify_small_covering_radius(code, analysis, split)
-        report["small_radius"] = small.to_json()
-        violation |= small.case is None
-    if violation:
+    report["family"] = context.coset[1].to_json()
+    forms = context.forms
+    for key, part in (("decomposition", context.decomposition),
+                      ("column_classes", forms and forms.column_report), ("forms", forms),
+                      ("hamming_quotient", context.hamming_quotient),
+                      ("small_radius", context.small_radius)):
+        if part is not None:
+            report[key] = part.to_json()
+    if any(r.status == "FAIL" for r in run_checks(context, "structure")):
         raise TheoremViolationError("decomposition case analysis found no "
                                     "matching structural case", witness=report)
     _emit(report, args)

@@ -11,8 +11,10 @@ survive as separate records, which the census tolerates as redundancy.
 RREF frames of ``census-record@1``, so the open-question scan may name
 another digest for the same code; every invariant field is unchanged.
 
-Any theorem-check FAIL aborts the run after writing a replayable witness
-file; a FAIL always means an implementation bug, never a new theorem.
+A CR record's ``checks`` are the statuses of every row of the theorem-check
+table ``classify.THEOREM_CHECKS``, which the CLI runs too.  Any FAIL aborts
+the run after writing a replayable witness file; a FAIL always means an
+implementation bug, never a new theorem.
 """
 
 from __future__ import annotations
@@ -25,23 +27,11 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement, product
 from pathlib import Path
 
-from .algebra import GFMatrix, alphabet, gf_matrix, mat_vec
-from .classify import (
-    ProductSplit,
-    classify_arithmetic_forms,
-    coset_family,
-    coset_graph_checks,
-    decompose_product,
-)
+from .algebra import GFMatrix, alphabet, gf_matrix
+from .classify import CheckContext, run_checks
 from .cr_analysis import CrCertificate, analyze_code, certify_codes, recount_witness
 from .errors import DigestMismatchError, TheoremViolationError
-from .hamming_space import Code, ambient, code_from_parity_check, encode
-from .partitions_quotients import (
-    CayleyGraph,
-    coset_graph_by_syndrome,
-    drg_spectrum,
-    predicted_quotient_array,
-)
+from .hamming_space import Code, ambient, code_from_parity_check
 
 RECORD_SCHEMA = "census-record@2"
 
@@ -87,22 +77,10 @@ def code_digest(code: Code) -> str:
     return hashlib.sha256(_dumps(doc).encode()).hexdigest()
 
 
-def _is_syndrome_quotient(code: Code, graph: CayleyGraph) -> bool:
-    """Whether graph is the quotient of H(n, q) by the cosets of C, named by
-    syndrome Ex, E the code's echelon: a Cayley graph on the q^rank
-    syndromes whose S is the nonzero E(lambda e_j) for every coordinate j and
-    nonzero lambda, each E times a word, independently of how S was found."""
-    h = code.linear.echelon
-    n, q = code.ambient.n, code.ambient.q
-    steps = {encode(mat_vec(h, tuple(lam if i == j else 0 for i in range(n))), q)
-             for j in range(n) for lam in range(1, q)} - {0}
-    return (graph.alphabet, graph.rank, graph.connection) == (
-        h.alphabet, h.nrows, tuple(sorted(steps)))
-
-
 def build_record(code: Code, certificate: CrCertificate | None = None) -> dict:
     """The full, replayable census record for one code; its certificate,
-    when given, is not computed again."""
+    when given, is not computed again.  A CR code's ``checks`` map the name
+    of every theorem check to its status on one `CheckContext` of the code."""
     analysis = analyze_code(code, certificate)
     record = {
         "schema": RECORD_SCHEMA,
@@ -130,51 +108,15 @@ def build_record(code: Code, certificate: CrCertificate | None = None) -> dict:
         bounds=analysis.bounds.to_json(),
     )
 
-    drg, family = coset_family(code, analysis.certificate)
+    context = CheckContext(code, analysis)
+    drg, family = context.coset
     record["family"] = {"tag": family.tag, "params": dict(family.params)}
     record["quotient_array"] = drg.array.to_json()
-
-    checks: dict[str, str] = {}
-
-    slack = analysis.bounds.min_eigenvalue_slack
-    checks["smallest_eigenvalue_bound"] = (
-        "INAPPLICABLE" if slack is None else ("PASS" if slack >= 0 else "FAIL"))
-
-    if analysis.reduced:
-        checks["reduced_min_distance"] = "PASS" if analysis.delta >= 2 else "FAIL"
-    else:
-        checks["reduced_min_distance"] = "INAPPLICABLE"
-
-    checks["arithmetic_quotient_family"] = "INAPPLICABLE"  # unless listed below
-    for result in coset_graph_checks(code, analysis, family, drg.array):
-        checks[result.name] = result.status
-
-    split = ProductSplit(code)
-    if analysis.reduced and analysis.arithmetic.arithmetic:
-        forms = classify_arithmetic_forms(code, analysis, split)
-        checks["coset_case_forms"] = "FAIL" if forms.violation else "PASS"
-        record["form_cases"] = sorted(forms.case_names())
-    else:
-        checks["coset_case_forms"] = "INAPPLICABLE"
-
-    if family.tag == "hamming" and analysis.delta >= 2:
-        decomposition = decompose_product(code, family, analysis.delta, split)
-        checks["product_decomposition"] = "PASS" if decomposition.verified else "FAIL"
-    else:
-        checks["product_decomposition"] = "INAPPLICABLE"
-
-    predicted = predicted_quotient_array(numbers)
-    checks["predicted_array_matches"] = "PASS" if predicted == drg.array else "FAIL"
-
-    checks["syndrome_graph_isomorphic"] = (
-        "PASS" if _is_syndrome_quotient(code, coset_graph_by_syndrome(code)) else "FAIL")
-
-    g1 = numbers.gamma[1]
-    scaled = tuple((eta - numbers.alpha[0]) // g1 for eta in analysis.spectrum)
-    checks["spectrum_scaling"] = (
-        "PASS" if drg_spectrum(drg.array) == scaled else "FAIL")
-
-    record["checks"] = checks
+    # arithmetic_quotient_family is named even where it cannot apply
+    record["checks"] = {"arithmetic_quotient_family": "INAPPLICABLE",
+                        **{result.name: result.status for result in run_checks(context)}}
+    if context.forms is not None:
+        record["form_cases"] = sorted(context.forms.case_names())
     return record
 
 
@@ -214,10 +156,8 @@ def run_census(params: CensusParams, out_dir, progress=None) -> dict:
             for code, certificate in certify_codes(enumerate_linear_codes(
                     n, params.q, params.max_redundancy, stats)):
                 record = build_record(code, certificate)
-                fails = sorted(
-                    name for name, status in record.get("checks", {}).items()
-                    if status == "FAIL"
-                )
+                fails = sorted(name for name, status in record.get("checks", {}).items()
+                               if status == "FAIL")
                 if fails:
                     witness_path.write_text(_dumps(
                         {"failed_checks": fails, "record": record}) + "\n")
@@ -286,17 +226,17 @@ def replay(record_or_path) -> dict:
     if code_digest(code) != record["digest"]:
         raise DigestMismatchError(
             f"stored digest {record['digest']} does not match the rebuilt code")
-    fresh = build_record(code)
-    ignore = {"schema"}
-    diffs = sorted(
-        key
-        for key in set(record) | set(fresh)
-        if key not in ignore and record.get(key) != fresh.get(key)
-    )
+    [(_, certificate)] = certify_codes([code])
+    fresh = build_record(code, certificate)
+    checks = fresh.get("checks", {})
+    if "checks" in record and "FAIL" not in checks.values():
+        # a record written before a check existed replays on the checks it
+        # names; a fresh FAIL of any check still differs
+        fresh["checks"] = {name: checks.get(name) for name in record["checks"]}
+    diffs = sorted(key for key in (set(record) | set(fresh)) - {"schema"}
+                   if record.get(key) != fresh.get(key))
     result = {"digest": record["digest"], "match": not diffs, "differences": diffs}
     if not record["cr"] and "witness" in record:
-        code_analysis = analyze_code(code)
-        w = code_analysis.certificate.witness
-        counts = recount_witness(code, w)
+        counts = recount_witness(code, certificate.witness)
         result["witness_reconfirmed"] = counts[0] != counts[1]
     return result

@@ -553,6 +553,53 @@ def test_theorem_violation_witness_is_json(tmp_path, capsys, monkeypatch):
     assert payload["witness"] == {"gamma": [0, 0], "alpha": [0, 7], "beta": [7, 0]}
 
 
+def test_one_table_of_theorem_checks_serves_the_census_and_the_cli(
+        tmp_path, capsys, monkeypatch):
+    # a FAIL planted in one section of the table stops the census, which
+    # runs every row; `classify` exits 4 only for the coset_graph section
+    # and `decompose` only for the structure section
+    import crcodes.classify as classify_mod
+    from crcodes.classify import CheckResult
+    from crcodes.constructions import hamming_code
+    from crcodes.errors import TheoremViolationError
+    from crcodes.search import CensusParams, build_record, replay, run_census
+
+    spec = _hamming74_spec(tmp_path)
+    record = build_record(hamming_code(3, 2))
+    table = classify_mod.THEOREM_CHECKS
+    for section in ("coset_graph", "structure", "census"):
+        planted = (section, lambda context: [CheckResult("planted", "FAIL")])
+        monkeypatch.setattr(classify_mod, "THEOREM_CHECKS", (*table, planted))
+        out = tmp_path / section
+        with pytest.raises(TheoremViolationError):
+            run_census(CensusParams(q=2, max_n=3), out)
+        assert json.loads((out / "witness.json").read_text())["failed_checks"] == ["planted"]
+        assert _run(capsys, "classify", spec)[0] == (4 if section == "coset_graph" else 0)
+        assert _run(capsys, "decompose", spec)[0] == (4 if section == "structure" else 0)
+    monkeypatch.setattr(classify_mod, "THEOREM_CHECKS", table)
+
+    # a row calls its check through the module at call time, so one patch
+    # reaches the census, `classify` and `replay`
+    calls = []
+    real = classify_mod.clique_bound_checks
+
+    def refuted(q, family, array, min_distance):
+        calls.append(q)
+        first, *rest = real(q, family, array, min_distance)
+        return [CheckResult(first.name, "FAIL"), *rest]
+
+    monkeypatch.setattr(classify_mod, "clique_bound_checks", refuted)
+    with pytest.raises(TheoremViolationError):
+        run_census(CensusParams(q=2, max_n=3), tmp_path / "refuted")
+    witness = json.loads((tmp_path / "refuted" / "witness.json").read_text())
+    assert witness["failed_checks"] == ["hamming_alphabet_bound"]
+    code, _, err = _run(capsys, "classify", spec)
+    assert code == 4 and json.loads(err)["witness"]["theorem_checks"][0]["status"] == "FAIL"
+    assert replay(record)["differences"] == ["checks"]
+    assert len(calls) == 3
+    assert _run(capsys, "decompose", spec)[0] == 0 and len(calls) == 3
+
+
 def test_census_classify_and_decompose_never_build_the_coset_partition(
         tmp_path, capsys, monkeypatch):
     # the coset graph of a linear code comes from its syndromes alone: with
@@ -587,7 +634,7 @@ def test_census_classify_and_decompose_never_build_the_coset_partition(
     digests = {name: hashlib.sha256((tmp_path / "census" / name).read_bytes()).hexdigest()
                for name in ("census.jsonl", "summary.csv")}
     assert digests == {
-        "census.jsonl": "d5d02fad160138635edd8c8167f015fbc21dcb11ca20ce57cf8ac9a2cc37d55b",
+        "census.jsonl": "f30da41d5c26b72c22983ef18a7da764d3ca277dc2900321cdf49f58d896b004",
         "summary.csv": "b1034097b9c00b718ec9c28cde8061d2cf62b1ea56b127e59670136557ad58e7",
     }
     guarded = [_run(capsys, command, spec) for command, spec in runs]

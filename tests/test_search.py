@@ -254,11 +254,11 @@ def test_census_bytes_do_not_depend_on_progress(tmp_path):
 # SHA-256 of census.jsonl and summary.csv for one length, past the word-by-word
 # cross-check of spaces up to 2^7 words: only the syndrome certificate runs.
 _ONE_LENGTH_DIGESTS = {
-    (3, 5): ("d6ab29fb165af8dd79e53dcf7ce05edf81dd57467e1c1052101a8f542512f006",
+    (3, 5): ("2771040e5aa1c0a669941196f8aaa144139262b2afd5453a3c7ff8df561853fd",
              "d25778426fac07d8c963fec96a4f0b17b0db230f42410b9ff1ccc7dd91e83d7b"),
-    (4, 4): ("3e0358936352352979d2a513dc419314cca7186ca0b49d241fc7f756b0968ff2",
+    (4, 4): ("77eb4049eb8f6263a76b28ce4bed7051c132822f78fb30bf5165d59583ff685e",
              "12215fb5c910fce1e5f42191350fd2d2add0cbe9caf3d95ed3e2b28c28ea06d3"),
-    (5, 4): ("376d8fc643345a4ff4bb53f57c64f2fda9fef0895ebb31f6dd980f25b9e426c6",
+    (5, 4): ("13a2022b4b62adb641e9c424f9a7aca313a46d272a36776850ed0e031d4d8e4f",
              "2f8b661a35f67e5cc5f4a1b602ebc74c6af61e3a38410d8bb155302dab8ea08b"),
 }
 
@@ -285,7 +285,7 @@ def test_census_spans_no_member(tmp_path, monkeypatch):
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                for name in ("census.jsonl", "summary.csv")}
     assert digests == {
-        "census.jsonl": "3040bdae1979ba402cf74a484a4cb195ac5a484bffafb5e03e144eb1a2743ffa",
+        "census.jsonl": "df72443a26e3a840cf1bdcfc66d19e4d5270fae9f0c49e23115fe5f9ec63a42d",
         "summary.csv": "a0e68f0ca4b0d6d89bad4dd48fd05bf840355f633dd50bf3657f36b5e858ebf1",
     }
     assert summary["recorded"] == 229 and summary["completely_regular"] == 30
@@ -365,6 +365,63 @@ def test_census_fail_aborts_and_persists_witness(tmp_path, monkeypatch):
     assert result["digest"] == witness["record"]["digest"]
 
 
+def test_the_census_classifies_small_covering_radius(tmp_path):
+    # binary repetition n=5, whose coset graph is the folded 5-cube, is a
+    # covering radius 2 case; every CR record names small_radius_case
+    run_census(CensusParams(q=2, max_n=5), tmp_path)
+    records = [json.loads(line)
+               for line in (tmp_path / "census.jsonl").read_text().splitlines()]
+    statuses = [r["checks"]["small_radius_case"] for r in records if r["cr"]]
+    assert set(statuses) == {"PASS", "INAPPLICABLE"}
+    [rep5] = [r for r in records if r["n"] == 5 and r["delta"] == 5]
+    assert rep5["family"] == {"tag": "folded_cube", "params": {"m": 5}}
+    assert rep5["checks"]["small_radius_case"] == "PASS"
+
+
+def test_a_small_radius_code_with_no_case_stops_the_census(tmp_path, monkeypatch):
+    import crcodes.classify as classify_mod
+    from crcodes.classify import SmallRadiusReport
+
+    monkeypatch.setattr(classify_mod, "classify_small_covering_radius",
+                        lambda code, analysis, context: SmallRadiusReport(None))
+    with pytest.raises(TheoremViolationError):
+        run_census(CensusParams(q=2, max_n=5), tmp_path)
+    witness = json.loads((tmp_path / "witness.json").read_text())
+    assert witness["failed_checks"] == ["small_radius_case"]
+
+
+def test_replay_compares_the_checks_a_record_names(monkeypatch):
+    # a record written before small_radius_case existed still replays; a
+    # fresh FAIL of that check still fails the replay
+    import crcodes.classify as classify_mod
+    from crcodes.classify import SmallRadiusReport
+    from crcodes.constructions import hamming_code
+
+    record = build_record(hamming_code(3, 2))
+    assert record["checks"].pop("small_radius_case") == "PASS"
+    assert replay(record) == {"digest": record["digest"], "match": True, "differences": []}
+    monkeypatch.setattr(classify_mod, "classify_small_covering_radius",
+                        lambda code, analysis, context: SmallRadiusReport(None))
+    assert replay(record)["differences"] == ["checks"]
+
+
+def test_a_non_cr_replay_certifies_its_code_once(monkeypatch):
+    import crcodes.cr_analysis as cr_mod
+    import crcodes.search as search_mod
+    from crcodes.cr_analysis import analyze_code
+
+    code = next(c for c in enumerate_linear_codes(8, 2) if not analyze_code(c).cr)
+    record = build_record(code)
+    calls = []
+    real = cr_mod.certify_codes
+    for module in (cr_mod, search_mod):
+        monkeypatch.setattr(module, "certify_codes",
+                            lambda codes: calls.append(1) or real(codes))
+    result = replay(record)
+    assert result["match"] and result["witness_reconfirmed"]
+    assert len(calls) == 1
+
+
 def test_a_record_splits_its_code_into_product_factors_once(monkeypatch):
     # the Hamming [7,4] square: the product decomposition and the
     # radius-one power form read one ProductSplit
@@ -405,7 +462,7 @@ def test_a_moved_coset_graph_edge_fails_the_census(tmp_path, monkeypatch):
         return CayleyGraph(graph.alphabet, graph.rank,
                            tuple(sorted(graph.connection[1:] + (spare[0],))))
 
-    for module in (pq_mod, classify_mod, search_mod):
+    for module in (pq_mod, classify_mod):
         monkeypatch.setattr(module, "coset_graph_by_syndrome", moved)
     monkeypatch.setattr(classify_mod, "certify_distance_regular",
                         lambda graph: real_drg(true_graph["last"]))

@@ -30,6 +30,19 @@ def test_only_the_algebra_and_the_linear_structure_row_reduce():
     assert calls == {"algebra.py", "hamming_space.py"}
 
 
+def test_only_the_table_of_theorem_checks_decides_which_apply():
+    # the census, `crcodes classify` and `crcodes decompose` read one table
+    # in classify.py; no other module calls a check that applies to some
+    # codes only
+    guarded = {"coset_family", "clique_bound_checks", "classify_arithmetic_forms",
+               "decompose_product", "classify_small_covering_radius"}
+    calls = {path.name for path in SOURCE.glob("*.py")
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Call)
+             and {getattr(node.func, "id", None), getattr(node.func, "attr", None)} & guarded}
+    assert calls == {"classify.py"}
+
+
 def test_a_cli_call_imports_neither_argparse_nor_locale(tmp_path):
     # building an argparse parser on every call cost more than the analysis
     # of a small code; locale comes with argparse's gettext lookups

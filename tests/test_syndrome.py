@@ -25,7 +25,7 @@ from crcodes.algebra import (
     nullspace_basis,
     rank,
 )
-from crcodes.classify import coset_family, linear_folded_cube_map
+from crcodes.classify import _is_syndrome_quotient, coset_family, linear_folded_cube_map
 from crcodes.constructions import (
     extended_hamming_code,
     hamming_code,
@@ -68,7 +68,7 @@ from crcodes.partitions_quotients import (
     coset_graph_by_syndrome,
     graph_from_edges,
 )
-from crcodes.search import CensusParams, _is_syndrome_quotient, enumerate_linear_codes, run_census
+from crcodes.search import CensusParams, enumerate_linear_codes, run_census
 from fixture_graphs import assert_maps_onto_folded_cube
 
 # (q, largest n): every census code up to these lengths.
