@@ -29,7 +29,7 @@ from functools import cached_property, reduce
 from math import prod
 from operator import xor
 
-from .algebra import GFMatrix, mat_vec, rank
+from .algebra import GFMatrix, alphabet, mat_vec, rank
 from .constructions import replicate_columns
 from .cr_analysis import (
     CodeAnalysis,
@@ -50,7 +50,6 @@ from .hamming_space import (
     encode,
     is_additive,
     sphere_size,
-    word_sub,
 )
 from .partitions_quotients import (
     CayleyGraph,
@@ -61,7 +60,6 @@ from .partitions_quotients import (
     coset_graph_by_syndrome,
     coset_partition,
     drg_spectrum,
-    partition_from_classes,
     predicted_quotient_array,
     quotient_graph,
 )
@@ -213,16 +211,15 @@ def linear_folded_cube_map(graph: CayleyGraph, m: int) -> tuple[int, ...] | None
 
 
 def folded_cube(m: int) -> Graph:
-    """Antipodal quotient of the m-cube, built as an explicit vertex partition:
-    the target of the backtracking search on an explicit graph."""
+    """Antipodal quotient of the m-cube, the Cayley graph of GF(2)^(m-1) with
+    S = {e_1, ..., e_(m-1), 1}: the target of the backtracking search on an
+    explicit graph."""
     if m < 2:
         raise ValueError("folded cube needs m >= 2")
     if 2 ** (m - 1) > ISO_VERTEX_CAP:
         raise ValueError(f"fixture folded {m}-cube too large")
-    sp = ambient(m, 2)
-    mask = sp.size - 1
-    classes = [[v, v ^ mask] for v in range(sp.size) if v < (v ^ mask)]
-    return quotient_graph(partition_from_classes(sp, classes))
+    steps = {1 << i for i in range(m - 1)} | {2 ** (m - 1) - 1}  # e_1 = 1 when m = 2
+    return CayleyGraph(alphabet(2), m - 1, tuple(sorted(steps))).explicit()
 
 
 def folded_cube_isomorphism(graph: Graph | CayleyGraph, m: int) -> dict | None:
@@ -582,12 +579,12 @@ def finest_product_blocks(code: Code) -> tuple[tuple[int, ...], ...]:
             linear.pivots or range(linear.rank), linear.echelon.rows)
                                   for j, x in enumerate(row) if x))
     supports = {w: _support_mask(w, space) for w in code.members if w}
+    # words with disjoint supports add digit by digit with no carry
+    decomposable = {c1 + c2 for c1, m1 in supports.items()
+                    for c2, m2 in supports.items() if not m1 & m2}
     joined = []
     for c, m in supports.items():
-        for c1, m1 in supports.items():
-            if c1 != c and m1 & m == m1 and supports.get(word_sub(c, c1, space)) == m & ~m1:
-                break  # c is decomposable
-        else:
+        if c not in decomposable:
             bits = [i for i in range(space.n) if m >> i & 1]
             joined += [(bits[0], b) for b in bits[1:]]
     return _classes(space.n, joined)

@@ -79,25 +79,24 @@ def replicate_columns(h: GFMatrix, s: int) -> GFMatrix:
     return hstack([h] * s)
 
 
+def _require_one_alphabet(c1: Code, c2: Code) -> None:
+    if c1.ambient.alphabet != c2.ambient.alphabet:
+        raise ValueError("product factors must share one alphabet")
+
+
 def cartesian_product(c1: Code, c2: Code) -> Code:
     """Concatenation code {(u, v) : u in C1, v in C2} in H(n1+n2, q).  Two
-    linear factors give the code of the block-diagonal parity check, with
-    the block-diagonal generators, and list no member.  The product space
-    keeps the smaller vertex cap of the two."""
+    linear factors give the code of the block-diagonal parity check, which
+    lists no member.  The product space keeps the smaller vertex cap of the
+    two."""
+    _require_one_alphabet(c1, c2)
     s1, s2 = c1.ambient, c2.ambient
-    if s1.q != s2.q or s1.alphabet != s2.alphabet:
-        raise ValueError("product factors must share one alphabet")
     space = ambient(s1.n + s2.n, s1.q, min(s1.max_vertices, s2.max_vertices))
     if c1.is_linear and c2.is_linear:
-        l1, l2 = c1.linear, c2.linear
-
-        def diagonal(m1: GFMatrix, m2: GFMatrix) -> GFMatrix:
-            return GFMatrix(m1.alphabet, tuple(r + (0,) * s2.n for r in m1.rows)
-                            + tuple((0,) * s1.n + r for r in m2.rows))
-
-        return Code(space, None, LinearStructure(
-            diagonal(l1.parity_check, l2.parity_check),
-            diagonal(l1.generators, l2.generators)))
+        h1, h2 = c1.linear.parity_check, c2.linear.parity_check
+        return Code(space, None, LinearStructure(GFMatrix(
+            h1.alphabet, tuple(r + (0,) * s2.n for r in h1.rows)
+            + tuple((0,) * s1.n + r for r in h2.rows))))
     shift = s1.size
     return Code(space, tuple(sorted(u + shift * v for v in c2.members for u in c1.members)))
 
@@ -178,6 +177,7 @@ def _linear_growth(values: tuple[int, ...]) -> int | None:
 
 def product_cr_criterion(c1: Code, c2: Code) -> ProductCompatibility:
     """Decide whether C x C' is completely regular, from the factors alone."""
+    _require_one_alphabet(c1, c2)
     cert1 = certify_completely_regular(c1)
     cert2 = certify_completely_regular(c2)
     for name, cert in (("first", cert1), ("second", cert2)):

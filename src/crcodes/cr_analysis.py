@@ -534,8 +534,9 @@ def certify_codes(codes):
     the least word with syndrome u is u's digits on E's pivot columns (u
     itself when E is H = [I_r | A]): lane order is least-word order, so the
     lowest lane that differs names the full-space scan's witness.  The
-    q^rank syndromes are held to the vertex cap, and the runtime cross-check
-    covers every code.
+    q^rank syndromes are held to the vertex cap.  Codes in spaces of at
+    most _CROSS_CHECK_WORDS words are also certified word by word, and the
+    two certificates must agree.
     """
     for (space, r), group in groupby(codes, lambda code: (code.ambient, code.linear.rank)):
         size = space.q**r

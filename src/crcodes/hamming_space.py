@@ -10,12 +10,15 @@ a certificate's q^rank syndromes) check their count against a configurable
 cap, 2^26 by default.  It counts entries, not bytes: the syndrome
 certificate peaks at 70-74 MB at 2^21 syndromes.
 
-A linear code holds H, the echelon E that names its syndromes Ex (H
-itself when H = [I_r | A], else RREF(H), row-reduced once), its rank and a
-generator basis, which a code given by its parity check builds on first
-read; its q^k members are spanned from the basis on first read and cached,
-and that read is refused above the vertex cap.  Its size, membership
-(Hx = 0), the syndrome certificate and the minimum distance that
+Words add digit by digit over the alphabet through `translate`, which moves
+a whole list of words by one offset: coset partitions, the additivity check
+and Cayley-graph walks all use it.
+
+A linear code holds only H, the echelon E that names its syndromes Ex (H
+itself when H = [I_r | A], else RREF(H), row-reduced once) and its rank;
+its q^k members are spanned from the nullspace basis of E on first read and
+cached, and that read is refused above the vertex cap.  Its size,
+membership (Hx = 0), the syndrome certificate and the minimum distance that
 certificate reports read only H and E, so certifying such a code lists no
 member.  Codes derived from a linear code (factors on a block, the reduced
 code, cartesian products) are cut from its H and list nothing either.
@@ -136,35 +139,6 @@ def distance(u: int, v: int, space: AmbientSpace) -> int:
     return d
 
 
-def word_add(u: int, v: int, space: AmbientSpace) -> int:
-    alpha = space.alphabet
-    if alpha.is_field and alpha.p == 2:
-        return u ^ v  # digit-wise GF(2^e) addition never carries
-    q, out, mult = space.q, 0, 1
-    for _ in range(space.n):
-        u, du = divmod(u, q)
-        v, dv = divmod(v, q)
-        out += alpha.add(du, dv) * mult
-        mult *= q
-    return out
-
-
-def word_neg(u: int, space: AmbientSpace) -> int:
-    alpha = space.alphabet
-    if alpha.is_field and alpha.p == 2:
-        return u
-    q, out, mult = space.q, 0, 1
-    for _ in range(space.n):
-        u, du = divmod(u, q)
-        out += alpha.neg(du) * mult
-        mult *= q
-    return out
-
-
-def word_sub(u: int, v: int, space: AmbientSpace) -> int:
-    return word_add(u, word_neg(v, space), space)
-
-
 def neighbors(u: int, space: AmbientSpace) -> list[int]:
     """The n(q-1) words at distance 1, coordinate-major then symbol-ascending."""
     q, n = space.q, space.n
@@ -244,19 +218,17 @@ def sphere_size(space: AmbientSpace, radius: int) -> int:
 
 @dataclass(frozen=True)
 class LinearStructure:
-    """H, a generator basis, and the echelon E that names every syndrome.
+    """H and the echelon E that names every syndrome.
 
     E is H itself when H = [I_r | A], with `pivots` None; otherwise it is
     the nonzero rows of RREF(H), with their pivot columns.  Either way its
     rows are a basis of H's row space, so the syndromes Ex are exactly the
     q^rank words of GF(q)^rank, and E, its pivots and the rank are set once,
-    from H, when the structure is built.  A basis given as None is the
-    canonical nullspace basis of H, read off E on first read of
-    `generators`: certifying a code and recording its H read none.
-    Structures compare by H, which fixes the code."""
+    from H, when the structure is built.  The code's generators are the
+    nullspace basis read off E and its pivots, and only spanning the members
+    reads them.  Structures compare by H, which fixes the code."""
 
     parity_check: GFMatrix
-    _generators: GFMatrix | None = field(default=None, compare=False, repr=False)
     echelon: GFMatrix = field(init=False, compare=False, repr=False)
     pivots: tuple[int, ...] | None = field(init=False, compare=False, repr=False)
     rank: int = field(init=False, compare=False)
@@ -272,22 +244,14 @@ class LinearStructure:
         object.__setattr__(self, "pivots", pivots)
         object.__setattr__(self, "rank", rank)
 
-    @property
-    def generators(self) -> GFMatrix:
-        if self._generators is None:
-            h = self.parity_check
-            object.__setattr__(self, "_generators", nullspace_basis(h) if self.pivots is None
-                               else echelon_nullspace(self.echelon, self.pivots, h.ncols))
-        return self._generators
-
 
 class Code:
     """A nonempty set of words of H(n, q), optionally with linear structure.
 
     `members` is the sorted tuple of encodings.  A code given only its linear
-    structure (``members=None``) spans the generator rows the first time the
-    members are read and keeps them; its size (q^(n - rank)) and membership
-    never need them.  Codes are immutable values: equality compares space,
+    structure (``members=None``) spans the nullspace basis of its echelon
+    the first time the members are read and keeps them; its size
+    (q^(n - rank)) and membership never need them.  Codes are immutable values: equality compares space,
     linear structure and the members (of a linear code only when both codes
     list them), and the hash of a linear code is taken from its space and
     structure alone.
@@ -323,9 +287,12 @@ class Code:
     @property
     def members(self) -> tuple[int, ...]:
         if self._members is None:
-            self.ambient.require_materializable("spanning the members", self.size)
-            object.__setattr__(self, "_members",
-                               tuple(_span(self.ambient, self.linear.generators)))
+            space, linear = self.ambient, self.linear
+            space.require_materializable("spanning the members", self.size)
+            # n comes from the space: an H with no rows has no columns
+            pivots = linear.pivots or range(linear.rank)
+            basis = echelon_nullspace(linear.echelon, pivots, space.n)
+            object.__setattr__(self, "_members", tuple(_span(space, basis)))
         return self._members
 
     @property
@@ -407,9 +374,9 @@ def code_from_words(space: AmbientSpace, words: Iterable, *, additive: bool | No
 
 
 def is_additive(code: Code) -> bool:
-    """Closure under subtraction (hence a subgroup of Q^n).  A word-listed
-    code is checked on all |C|^2 differences, so it may have at most
-    ADDITIVE_CHECK_WORDS words."""
+    """Closure under addition: a finite nonempty set closed under + is a
+    subgroup of Q^n.  A word-listed code is checked on all |C|^2 sums, so it
+    may have at most ADDITIVE_CHECK_WORDS words."""
     if code.is_linear:
         return True
     if 0 not in code:
@@ -418,10 +385,9 @@ def is_additive(code: Code) -> bool:
     if len(members) > ADDITIVE_CHECK_WORDS:
         raise CapacityError(
             f"additivity check of {len(members)} listed words would compare "
-            f"{len(members)}^2 differences (cap {ADDITIVE_CHECK_WORDS} words)")
-    space = code.ambient
-    return all(w in code for v in members
-               for w in translate(members, word_neg(v, space), space.alphabet))
+            f"{len(members)}^2 sums (cap {ADDITIVE_CHECK_WORDS} words)")
+    alpha = code.ambient.alphabet
+    return all(w in code for v in members for w in translate(members, v, alpha))
 
 
 def _span(space: AmbientSpace, basis: GFMatrix) -> list[int]:
@@ -439,9 +405,8 @@ def _span(space: AmbientSpace, basis: GFMatrix) -> list[int]:
 
 def code_from_parity_check(space: AmbientSpace, h: GFMatrix) -> Code:
     """The code {x : H x^T = 0}.  The given H is kept verbatim; E and the
-    rank are read off it with no row reduction when H = [I_r | A].  The
-    nullspace basis is built on first read of the generators, and the
-    members are spanned from it only when something reads them."""
+    rank are read off it with no row reduction when H = [I_r | A], and the
+    members are spanned only when something reads them."""
     if not space.alphabet.is_field:
         raise FieldRequiredError("parity-check codes need a field alphabet")
     if h.alphabet != space.alphabet or h.ncols != space.n:
@@ -454,10 +419,7 @@ def code_from_generators(space: AmbientSpace, g: GFMatrix) -> Code:
         raise FieldRequiredError("generator codes need a field alphabet")
     if g.alphabet != space.alphabet or g.ncols != space.n:
         raise ValueError("generator matrix does not match the ambient space")
-    basis, k, _ = rref(g)
-    basis = GFMatrix(g.alphabet, basis.rows[:k])
-    h = nullspace_basis(basis) if k else nullspace_basis(g)
-    return Code(space, None, LinearStructure(h, basis))
+    return Code(space, None, LinearStructure(nullspace_basis(g)))
 
 
 def minimum_distance(code: Code) -> int:

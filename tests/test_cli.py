@@ -77,6 +77,30 @@ def test_product_incompatible_exits_one(tmp_path, capsys):
     assert report["verified"]["matches_prediction"]
 
 
+@pytest.mark.parametrize("command", ["", "--verify"])
+def test_product_of_factors_over_two_alphabets_exits_two(tmp_path, capsys, command):
+    ternary = _write_spec(tmp_path, "hamming-3-4-2.json",
+                          {"type": "construct", "name": "hamming", "q": 3, "r": 2})
+    code, out, err = _run(capsys, "product", *filter(None, [command]),
+                          _hamming74_spec(tmp_path), ternary)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "input",
+                               "message": "product factors must share one alphabet"}
+
+
+@pytest.mark.parametrize("doc", [
+    {"type": "linear", "q": 3, "n": 2, "parity_check": [[0, 0]]},
+    {"type": "words", "q": 2, "n": 2, "words": [[0, 0], [0, 1], [1, 0], [1, 1]]},
+], ids=["zero-parity-check", "listed-space"])
+def test_quotient_of_a_code_with_covering_radius_zero(tmp_path, capsys, doc):
+    code, out, err = _run(capsys, "quotient", _write_spec(tmp_path, "whole.json", doc))
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["classes"] == 1
+    assert report["predicted_array"] == report["drg"]["array"] == {"b": [], "c": []}
+    assert report["quotient_spectrum"] == [0]
+
+
 def test_quotient_subcommand(tmp_path, capsys):
     spec = _write_spec(tmp_path, "rep6.json",
                        {"type": "construct", "name": "repetition", "q": 2, "n": 6})
@@ -303,6 +327,18 @@ def test_dependent_parity_check_rows_change_no_report(tmp_path, capsys, command)
     want = _run(capsys, command, _write_spec(tmp_path, "twin.json", twin))
     assert want[0] == 0
     assert _run(capsys, command, _write_spec(tmp_path, "dependent.json", dependent)) == want
+
+
+@pytest.mark.parametrize("argv", [
+    ["--max-redundancy", "-1", "--max-n", "3"], ["--max-redundancy", "0", "--max-n", "3"],
+    ["--q", "6", "--max-n", "1"],
+    ["--min-n", "3", "--max-n", "2"], ["--min-n", "0", "--max-n", "2"]])
+def test_search_refuses_parameters_that_make_no_census(tmp_path, capsys, argv):
+    out_dir = tmp_path / "census"
+    code, out, err = _run(capsys, "search", *argv, "--out-dir", str(out_dir))
+    assert (code, out) == (2, "") and len(err.splitlines()) == 1
+    assert json.loads(err)["error"] == "input"
+    assert not (out_dir / "census.jsonl").exists()
 
 
 def test_search_progress_goes_to_stderr_only(tmp_path, capsys, monkeypatch):

@@ -1,11 +1,12 @@
 import copy
+import itertools
 import pickle
 import random
 
 import pytest
 
 from crcodes import hamming_space
-from crcodes.algebra import alphabet, gf_matrix, mat_vec
+from crcodes.algebra import alphabet, gf_identity, gf_matrix, mat_vec
 from crcodes.constructions import cartesian_product, hamming_code
 from crcodes.errors import CapacityError, NotAdditiveError, UndefinedMinimumDistanceError
 from crcodes.hamming_space import (
@@ -23,10 +24,9 @@ from crcodes.hamming_space import (
     neighbor_table,
     neighbors,
     sphere_size,
+    translate,
     weight,
-    word_add,
     word_string,
-    word_sub,
 )
 
 
@@ -221,6 +221,88 @@ def test_additivity_check_refuses_more_words_than_its_bound():
         code_from_words(space, words, additive=True)
 
 
+def _digitwise(op, u: int, v: int, space) -> int:
+    """u op v coordinate by coordinate, by the alphabet's own tables."""
+    n, q = space.n, space.q
+    return encode([op(a, b) for a, b in zip(decode(u, n, q), decode(v, n, q))], q)
+
+
+def _closure_under_subtraction(words, space) -> bool:
+    return all(_digitwise(space.alphabet.sub, u, v, space) in words
+               for u in words for v in words)
+
+
+def test_is_additive_agrees_with_a_subtraction_closure_oracle():
+    # the subgroup generated by a few random words, sometimes with a word
+    # taken out, a stray word put in or a second subgroup joined to it, over
+    # fields and over Z_6
+    rng = random.Random(25)
+
+    def subgroup(space):
+        words = {0}
+        for g in rng.sample(range(space.size), rng.randint(0, 2)):
+            while True:
+                grown = words | {_digitwise(space.alphabet.add, w, g, space) for w in words}
+                if grown == words:
+                    return words
+                words = grown
+        return words
+
+    for q in (2, 3, 4, 5, 6):
+        space = ambient(3, q)
+        verdicts = set()
+        for _ in range(40):
+            words = subgroup(space)
+            change = rng.randrange(4)
+            if change == 1 and len(words) > 1:
+                words.discard(rng.choice(sorted(words)))
+            elif change == 2:
+                words.add(rng.randrange(space.size))
+            elif change == 3:
+                words |= subgroup(space)
+            want = _closure_under_subtraction(words, space)
+            assert is_additive(code_from_words(space, sorted(words))) == want
+            verdicts.add(want)
+        assert verdicts == {True, False}
+
+
+def _span_oracle(g, space) -> list[int]:
+    """Every combination sum_i c_i g_i, summed in the test's own arithmetic."""
+    alpha = space.alphabet
+    span = set()
+    for coeffs in itertools.product(range(space.q), repeat=g.nrows):
+        vec = [0] * space.n
+        for c, row in zip(coeffs, g.rows):
+            vec = [alpha.add(x, alpha.mul(c, y)) for x, y in zip(vec, row)]
+        span.add(encode(vec, space.q))
+    return sorted(span)
+
+
+def test_members_of_a_generated_code_are_the_span_of_its_generators():
+    # a zero G, an identity G (whose parity check has no rows) and random
+    # G, alone and as the factors of a cartesian product
+    rng = random.Random(11)
+    codes = []
+    for q, n in ((2, 4), (3, 3), (4, 2), (5, 2)):
+        space = ambient(n, q)
+        alpha = space.alphabet
+        for g in (gf_matrix(alpha, [[0] * n]), gf_identity(alpha, n),
+                  gf_matrix(alpha, [[rng.randrange(q) for _ in range(n)] for _ in range(2)])):
+            code = code_from_generators(space, g)
+            assert code.members == tuple(_span_oracle(g, space))
+            codes.append((code, g))
+    assert any(code.linear.parity_check.nrows == 0 for code, _ in codes)
+    for (c1, g1), (c2, g2) in itertools.product(codes, repeat=2):
+        s1, s2 = c1.ambient, c2.ambient
+        if s1.q != s2.q:
+            continue
+        product = cartesian_product(c1, c2)
+        diagonal = gf_matrix(s1.alphabet, [r + (0,) * s2.n for r in g1.rows]
+                             + [(0,) * s1.n + r for r in g2.rows])
+        assert product.linear is not None
+        assert product.members == tuple(_span_oracle(diagonal, product.ambient))
+
+
 def test_code_from_generators_repetition():
     sp = ambient(3, 2)
     code = code_from_generators(sp, gf_matrix(alphabet(2), [[1, 1, 1]]))
@@ -290,20 +372,22 @@ def test_minimum_distance_pairwise_agrees_with_weight_route():
             min(distance(x, m, sp) for m in ham.members) for x in range(0, sp.size, 7)
         )
         shifted = sorted(
-            min(distance(word_add(x, c, sp), m, sp) for m in ham.members)
-            for x in range(0, sp.size, 7)
+            min(distance(y, m, sp) for m in ham.members)
+            for y in translate(range(0, sp.size, 7), c, sp.alphabet)
         )
         assert base == shifted
 
 
-def test_word_sub_is_group_inverse():
+def test_translate_by_a_word_then_its_negation_is_the_identity():
     for q in (2, 3, 4, 6):
         sp = ambient(3, q)
+        alpha = sp.alphabet
         rng = random.Random(q)
         for _ in range(30):
             u = rng.randrange(sp.size)
             v = rng.randrange(sp.size)
-            assert word_add(word_sub(u, v, sp), v, sp) == u
+            minus_v = encode([alpha.neg(d) for d in decode(v, 3, q)], q)
+            assert translate(translate([u], v, alpha), minus_v, alpha) == [u]
 
 
 def test_weight_counts_nonzero_digits():

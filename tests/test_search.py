@@ -15,7 +15,6 @@ from crcodes.errors import DigestMismatchError, TheoremViolationError
 from crcodes.hamming_space import ambient, code_from_parity_check
 from crcodes.search import (
     CensusParams,
-    EnumerationStats,
     build_record,
     enumerate_linear_codes,
     replay,
@@ -149,12 +148,12 @@ def test_replay_accepts_rref_records_of_schema_one():
     assert replayed[True] and replayed[False]
 
 
-def test_redundancy_one_dedup_matches_weight_classes():
+def test_redundancy_one_dedup_matches_weight_classes(tmp_path):
     # n=3, q=2, redundancy 1: the candidates are [1 | a b] for the sorted
     # column pairs ab in {00, 01, 11}, one per weight: {1,0,0}, {1,1,0}, {1,1,1}
-    stats = EnumerationStats()
-    codes = list(enumerate_linear_codes(3, 2, max_redundancy=1, stats=stats))
-    assert stats.candidates == 3
+    codes = list(enumerate_linear_codes(3, 2, max_redundancy=1))
+    summary = run_census(CensusParams(q=2, min_n=3, max_n=3, max_redundancy=1), tmp_path)
+    assert summary["enumerated_subspaces"] == summary["recorded"] == 3
     assert len(codes) == 3
     weights = sorted(sum(code.linear.parity_check.rows[0]) for code in codes)
     assert weights == [1, 2, 3]
@@ -189,8 +188,7 @@ def test_dedup_is_sound_and_bounded_by_orbits():
     # at n=4 the census size sits between the permutation-orbit count and the
     # raw subspace count for every redundancy
     for r in range(1, 4):
-        stats = EnumerationStats()
-        codes = list(enumerate_linear_codes(4, 2, max_redundancy=r, stats=stats))
+        codes = list(enumerate_linear_codes(4, 2, max_redundancy=r))
         codes = [c for c in codes if c.linear.rank == r]
         kept = len(codes)
         orbit = _orbit_count(4, 2, r)
