@@ -57,7 +57,6 @@ from .partitions_quotients import (
     coset_graph_by_syndrome,
     coset_partition,
     drg_spectrum,
-    partition_from_classes,
     predicted_quotient_array,
     quotient_graph,
 )

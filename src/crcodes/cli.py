@@ -155,7 +155,7 @@ def _cmd_spectrum(args) -> int:
 def _cmd_quotient(args) -> int:
     code = _load(args.spec, args)
     partition = coset_partition(code)
-    cert = certify_cr_partition(partition)
+    cert = certify_cr_partition(code, partition)
     report = {
         "schema": "quotient-report@1",
         "classes": partition.class_count,
@@ -166,7 +166,10 @@ def _cmd_quotient(args) -> int:
         _emit(report, args)
         return EXIT_REFUTED
     graph = quotient_graph(partition)
-    drg = certify_distance_regular(graph)
+    # a linear code's quotient is certified as its Cayley coset graph, whose
+    # array the edge-by-edge comparison below carries over to the explicit one
+    cayley = coset_graph_by_syndrome(code) if code.is_linear else None
+    drg = certify_distance_regular(graph if cayley is None else cayley)
     predicted = predicted_quotient_array(cert.numbers)
     report.update(
         gamma=list(cert.numbers.gamma),
@@ -182,8 +185,8 @@ def _cmd_quotient(args) -> int:
             "quotient of a completely regular partition failed its "
             "distance-regularity prediction", witness=report)
     report["quotient_spectrum"] = list(drg_spectrum(drg.array))
-    if code.is_linear:
-        syndrome_graph = coset_graph_by_syndrome(code).explicit()
+    if cayley is not None:
+        syndrome_graph = cayley.explicit()
         phi = coset_to_syndrome(code, partition)
         same = graph.edge_count() == syndrome_graph.edge_count() and all(
             syndrome_graph.has_edge(phi[u], phi[v]) for u, v in graph.edges())

@@ -6,7 +6,10 @@ rank of H, held as S, the nonzero multiples of the columns of the code's
 echelon E, and certified on syndromes with no adjacency list.  The explicit
 coset partition and quotient graph are for additive codes without a parity
 check and for showing the quotient itself, where the class-to-syndrome
-bijection lets the two constructions be compared.
+bijection lets the two constructions be compared.  Every coset x + C of an
+additive code is the image of C under the translation by x, an automorphism
+of H(n, q), so the coset partition is certified by C's own certificate and
+one equitability scan, never class by class.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ from dataclasses import dataclass, field
 
 from .algebra import Alphabet, GFMatrix, mat_vec
 from .cr_analysis import (
-    CrCertificate,
     IntersectionNumbers,
     certify_completely_regular,
     first_conflict,
@@ -141,37 +143,6 @@ class VertexPartition:
     representatives: tuple[int, ...]
     class_sizes: tuple[int, ...]
 
-    def class_members(self, i: int) -> list[int]:
-        return [v for v, c in enumerate(self.class_of) if c == i]
-
-    def classes(self) -> list[list[int]]:
-        out = [[] for _ in range(self.class_count)]
-        for v, c in enumerate(self.class_of):
-            out[c].append(v)
-        return out
-
-
-def partition_from_classes(space, class_lists) -> VertexPartition:
-    space.require_materializable("vertex partition")
-    class_of = [-1] * space.size
-    reps = []
-    sizes = []
-    for idx, members in enumerate(class_lists):
-        members = sorted(
-            m if isinstance(m, int) else encode(list(m), space.q) for m in members
-        )
-        if not members:
-            raise ValueError("partition classes must be nonempty")
-        for m in members:
-            if class_of[m] != -1:
-                raise ValueError(f"vertex {m} assigned to two classes")
-            class_of[m] = idx
-        reps.append(members[0])
-        sizes.append(len(members))
-    if any(c == -1 for c in class_of):
-        raise ValueError("partition does not cover the space")
-    return VertexPartition(space, tuple(class_of), len(reps), tuple(reps), tuple(sizes))
-
 
 def coset_partition(code: Code) -> VertexPartition:
     """Translates of an additive code, ordered by smallest member."""
@@ -196,7 +167,6 @@ def coset_partition(code: Code) -> VertexPartition:
 class CrPartitionCertificate:
     is_cr_partition: bool
     numbers: IntersectionNumbers | None = None
-    class_certificates: tuple[CrCertificate, ...] | None = None
     failure: str | None = None
     witness: object = None
 
@@ -213,32 +183,21 @@ def _partition_equitable(partition: VertexPartition):
     return None if conflict is None else (conflict[1], conflict[3], conflict[0])
 
 
-def certify_cr_partition(partition: VertexPartition) -> CrPartitionCertificate:
-    """Certify that every class is completely regular with equal numbers and
-    that the partition itself is equitable (the full definition)."""
+def certify_cr_partition(code: Code, partition: VertexPartition) -> CrPartitionCertificate:
+    """Certify ``partition``, the coset partition of the additive code C, as
+    a completely regular partition: it is equitable, and each class x + C is
+    C translated by x, an automorphism of H(n, q), so every class has C's
+    intersection numbers and C is certified once.  Class 0 is C, so a C
+    that is not CR fails as class 0."""
     equit_witness = _partition_equitable(partition)
     if equit_witness is not None:
         return CrPartitionCertificate(
             False, failure="partition_not_equitable", witness=equit_witness)
-    certs = []
-    numbers = None
-    for idx in range(partition.class_count):
-        members = partition.class_members(idx)
-        class_code = Code(partition.space, tuple(members))
-        cert = certify_completely_regular(class_code)
-        certs.append(cert)
-        if not cert.completely_regular:
-            return CrPartitionCertificate(
-                False, failure="class_not_completely_regular",
-                witness=(idx, cert.witness))
-        if numbers is None:
-            numbers = cert.numbers
-        elif numbers != cert.numbers:
-            return CrPartitionCertificate(
-                False, failure="intersection_numbers_differ",
-                witness=(idx, numbers, cert.numbers))
-    return CrPartitionCertificate(True, numbers=numbers,
-                                  class_certificates=tuple(certs))
+    cert = certify_completely_regular(code)
+    if not cert.completely_regular:
+        return CrPartitionCertificate(
+            False, failure="class_not_completely_regular", witness=(0, cert.witness))
+    return CrPartitionCertificate(True, numbers=cert.numbers)
 
 
 def quotient_graph(partition: VertexPartition) -> Graph:

@@ -49,11 +49,9 @@ from crcodes.hamming_space import (
 )
 from crcodes.partitions_quotients import (
     IntersectionArray,
-    certify_cr_partition,
     certify_distance_regular,
     coset_graph_by_syndrome,
     coset_partition,
-    partition_from_classes,
     predicted_quotient_array,
     quotient_graph,
 )
@@ -64,6 +62,11 @@ from fixture_graphs import (
     construct_fixture,
     hamming_graph,
     shrikhande_graph,
+)
+from partition_oracle import (
+    certify_partition_class_by_class,
+    partition_classes,
+    partition_from_classes,
 )
 
 
@@ -232,7 +235,7 @@ def test_acceptance_08_h24_partition():
             [[2, 0], [2, 1], [3, 0], [3, 1]],
             [[2, 2], [2, 3], [3, 2], [3, 3]],
         ])
-        cert = certify_cr_partition(partition)
+        cert, _ = certify_partition_class_by_class(partition)
         assert cert.is_cr_partition
         assert cert.numbers.gamma[1] == 2 and cert.numbers.beta[0] == 4
         graph = quotient_graph(partition)
@@ -243,7 +246,7 @@ def test_acceptance_08_h24_partition():
         # classes have minimum distance 1, so every clique check must be
         # reported inapplicable rather than asserted
         class_delta = min(minimum_distance(Code(sp, tuple(members)))
-                          for members in partition.classes())
+                          for members in partition_classes(partition))
         assert class_delta == 1
         checks = clique_bound_checks(4, family, drg.array, class_delta)
         assert all(c.status == "INAPPLICABLE" for c in checks)

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -6,7 +7,11 @@ from hypothesis import strategies as st
 
 from crcodes.classify import (
     IA_654,
+    ArithmeticFormsReport,
+    CheckContext,
+    DecompositionReport,
     QuotientFamily,
+    SmallRadiusReport,
     classify_arithmetic_forms,
     classify_hamming_quotient_code,
     classify_quotient,
@@ -27,6 +32,7 @@ from crcodes.classify import (
     radius_one_factors_equivalent,
     replicated_normal_form,
     restrict_to_coordinates,
+    run_checks,
 )
 from crcodes.constructions import (
     cartesian_product,
@@ -49,11 +55,12 @@ from crcodes.hamming_space import (
 )
 from crcodes.partitions_quotients import (
     CayleyGraph,
+    DrgCertificate,
+    IntersectionArray,
     certify_distance_regular,
     coset_graph_by_syndrome,
     coset_partition,
     graph_from_edges,
-    partition_from_classes,
     quotient_graph,
 )
 from fixture_graphs import (
@@ -65,6 +72,7 @@ from fixture_graphs import (
     hamming_graph,
     shrikhande_graph,
 )
+from partition_oracle import partition_classes, partition_from_classes
 
 
 # -- fixtures ---------------------------------------------------------------
@@ -199,7 +207,7 @@ def _class_min_distance(partition):
     """Oracle: least minimum distance over the classes with two or more
     members, each scanned as a word list; None when all are singletons."""
     dists = [minimum_distance(Code(partition.space, tuple(members)))
-             for members in partition.classes() if len(members) >= 2]
+             for members in partition_classes(partition) if len(members) >= 2]
     return min(dists, default=None)
 
 
@@ -1262,3 +1270,100 @@ def test_codes_cut_from_a_parity_check_list_no_member_of_their_source(monkeypatc
     assert coordinate_classes(doubled) == tuple((i, i + 7) for i in range(7))
     assert "hamming_replication" in classify_arithmetic_forms(doubled).case_names()
     assert spanned == []  # the deduplicated code D is certified from H_P
+
+
+# -- a planted violation for every theorem check -----------------------------------------
+
+
+def _plant_family(tag, params=None):
+    def plant(ctx, monkeypatch):
+        ctx.__dict__["coset"] = (ctx.coset[0], QuotientFamily(tag, params or {}))
+    return plant
+
+
+def _plant_array(b, c):
+    def plant(ctx, monkeypatch):
+        ctx.__dict__["coset"] = (DrgCertificate(True, IntersectionArray(b, c)), ctx.coset[1])
+    return plant
+
+
+def _plant_analysis(changes):
+    def plant(ctx, monkeypatch):
+        ctx.__dict__["analysis"] = dataclasses.replace(ctx.analysis, **changes(ctx.analysis))
+    return plant
+
+
+def _plant_report(key, report):
+    def plant(ctx, monkeypatch):
+        ctx.__dict__[key] = report
+    return plant
+
+
+def _plant_moved_syndrome_graph(ctx, monkeypatch):
+    # one element of S moved to a syndrome it misses; the coset family and
+    # the structure reports were read before, off the true graph
+    import crcodes.classify as classify_mod
+
+    graph = coset_graph_by_syndrome(ctx.code)
+    spare = next(s for s in range(1, graph.n) if s not in graph.connection)
+    moved = CayleyGraph(graph.alphabet, graph.rank,
+                        tuple(sorted(graph.connection[1:] + (spare,))))
+    monkeypatch.setattr(classify_mod, "coset_graph_by_syndrome", lambda code: moved)
+
+
+# check name -> (a CR code on which the check passes, the least forged input
+# of its CheckContext that breaks the check's theorem)
+_PLANTED_VIOLATIONS = {
+    "hamming_alphabet_bound": (hamming_code(2, 3), _plant_family(
+        "hamming", {"m": 1, "q": 2})),
+    "no_doob_quotient_q_ge_4": (hamming_code(2, 4), _plant_family(
+        "doob", {"shrikhande_factors": 1, "clique_factors": 0})),
+    "no_folded_array_q_ge_3": (hamming_code(2, 3), _plant_array((4, 3), (1, 4))),
+    "additive_654_array_is_folded": (repetition_code(6, 2),
+                                     _plant_family("ia654_non_folded")),
+    "no_doob_coset_quotient": (hamming_code(3, 2), _plant_family(
+        "doob", {"shrikhande_factors": 1, "clique_factors": 0})),
+    "arithmetic_quotient_family": (repetition_code(6, 2), _plant_family("other")),
+    "coset_case_forms": (hamming_code(3, 2), _plant_report(
+        "forms", ArithmeticFormsReport((), violation=True))),
+    "product_decomposition": (hamming_code(3, 2), _plant_report(
+        "decomposition", DecompositionReport((), (), (), False, "planted"))),
+    "small_radius_case": (hamming_code(3, 2), _plant_report(
+        "small_radius", SmallRadiusReport(None))),
+    "smallest_eigenvalue_bound": (hamming_code(3, 2), _plant_analysis(
+        lambda a: {"bounds": dataclasses.replace(a.bounds, min_eigenvalue_slack=-1)})),
+    "reduced_min_distance": (hamming_code(3, 2), _plant_analysis(
+        lambda a: {"delta": 1})),
+    "predicted_array_matches": (hamming_code(3, 2), _plant_array((6,), (1,))),
+    "syndrome_graph_isomorphic": (repetition_code(6, 2),
+                                  _plant_moved_syndrome_graph),
+    "spectrum_scaling": (hamming_code(3, 2), _plant_analysis(
+        lambda a: {"spectrum": a.spectrum[:-1] + (a.spectrum[-1] - 1,)})),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PLANTED_VIOLATIONS))
+def test_a_planted_violation_fails_its_theorem_check(name, monkeypatch):
+    code, plant = _PLANTED_VIOLATIONS[name]
+    context = CheckContext(code)
+    statuses = lambda: {r.name: r.status for r in run_checks(context)}
+    assert statuses()[name] == "PASS"  # every lazy input is now read and held
+    plant(context, monkeypatch)
+    assert statuses()[name] == "FAIL"
+
+
+def test_every_theorem_check_has_a_planted_violation():
+    # the names the rows emit on the CR codes of a small census and on the
+    # planted codes; a new row cannot land without its planted violation
+    from crcodes.search import enumerate_linear_codes
+
+    codes = [code for code, _ in _PLANTED_VIOLATIONS.values()]
+    codes += [code for q, top in ((2, 6), (3, 4), (4, 3)) for n in range(1, top + 1)
+              for code in enumerate_linear_codes(n, q)]
+    emitted = set()
+    for code in codes:
+        context = CheckContext(code)
+        if context.analysis.cr:
+            emitted |= {r.name for r in run_checks(context)}
+    assert emitted == set(_PLANTED_VIOLATIONS)
+    assert len(emitted) == 14

@@ -114,6 +114,50 @@ def test_quotient_subcommand(tmp_path, capsys):
     assert report["quotient_spectrum"] == [6, 2, -2, -6]
 
 
+def test_quotient_certifies_the_code_once_and_refuses_classes_above_the_cap(
+        tmp_path, capsys, monkeypatch):
+    # above the class cap the command stops with exit 3 and no class is
+    # certified on its own; at the cap every coset shares the code's one
+    # certificate, and a linear code's quotient array is its Cayley coset
+    # graph's, carried to the explicit quotient by the edge comparison
+    import crcodes.cli as cli_mod
+    import crcodes.partitions_quotients as pq_mod
+    from crcodes.codespec import parse_codespec
+    from crcodes.partitions_quotients import CayleyGraph, coset_graph_by_syndrome
+
+    monkeypatch.setattr(pq_mod, "QUOTIENT_CLASS_CAP", 64)
+    rep8 = _write_spec(tmp_path, "rep8.json",
+                       {"type": "construct", "name": "repetition", "q": 2, "n": 8})
+    code, out, err = _run(capsys, "quotient", rep8)
+    assert (code, out) == (3, "")
+    assert [json.loads(line)["error"] for line in err.splitlines()] == ["capacity"]
+
+    hamham = _write_spec(tmp_path, "hamham.json", {
+        "type": "construct", "name": "product",
+        "factors": [{"type": "construct", "name": "hamming", "q": 2, "r": 3}] * 2})
+    drg = pq_mod.certify_distance_regular(coset_graph_by_syndrome(parse_codespec(Path(hamham))))
+    real_certify = pq_mod.certify_completely_regular
+    certified, graphs = [], []
+
+    def counted(code):
+        certified.append(code)
+        return real_certify(code)
+
+    def recorded(graph):
+        graphs.append(type(graph))
+        return drg
+
+    monkeypatch.setattr(pq_mod, "certify_completely_regular", counted)
+    monkeypatch.setattr(cli_mod, "certify_distance_regular", recorded)
+    code, out, err = _run(capsys, "quotient", hamham)
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["classes"] == 64 and report["syndrome_isomorphic"] is True
+    assert report["drg"]["array"] == report["predicted_array"] == {"b": [14, 7], "c": [1, 2]}
+    assert len(certified) == 1
+    assert graphs == [CayleyGraph]
+
+
 def test_classify_subcommand(tmp_path, capsys):
     spec = _write_spec(tmp_path, "rep6.json",
                        {"type": "construct", "name": "repetition", "q": 2, "n": 6})

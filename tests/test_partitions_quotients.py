@@ -1,4 +1,5 @@
 import functools
+import random
 
 import pytest
 
@@ -15,7 +16,14 @@ from crcodes.cr_analysis import (
     quotient_matrix,
 )
 from crcodes.errors import NotAdditiveError
-from crcodes.hamming_space import ambient, code_from_parity_check, code_from_words
+from crcodes.hamming_space import (
+    AmbientSpace,
+    ambient,
+    code_from_parity_check,
+    code_from_words,
+    encode,
+    translate,
+)
 from crcodes.partitions_quotients import (
     CayleyGraph,
     Graph,
@@ -28,11 +36,15 @@ from crcodes.partitions_quotients import (
     coset_to_syndrome,
     drg_spectrum,
     graph_from_edges,
-    partition_from_classes,
     predicted_quotient_array,
     quotient_graph,
 )
 from crcodes.search import enumerate_linear_codes
+from partition_oracle import (
+    certify_partition_class_by_class,
+    partition_classes,
+    partition_from_classes,
+)
 
 
 def _rep6():
@@ -73,7 +85,7 @@ def test_coset_partition_hamming74_matches_syndromes():
     h = ham.linear.parity_check
     col0 = h.column(0)
     coset_idx = part.class_of[1]  # word e_0 has encoding 1
-    for v in part.class_members(coset_idx):
+    for v in partition_classes(part)[coset_idx]:
         assert mat_vec(h, decode(v, 7, 2)) == col0
 
 
@@ -82,20 +94,23 @@ def test_h24_partition_is_coset_partition():
     p1 = code_from_words(sp, [[0, 0], [0, 1], [1, 0], [1, 1]])
     explicit = _h24_partition()
     cosets = coset_partition(p1)
-    as_sets = lambda part: {frozenset(c) for c in part.classes()}
+    as_sets = lambda part: {frozenset(c) for c in partition_classes(part)}
     assert as_sets(explicit) == as_sets(cosets)
 
 
 def test_certify_cr_partition_full_check():
-    part = coset_partition(hamming_code(3, 2))
-    cert = certify_cr_partition(part)
+    ham = hamming_code(3, 2)
+    part = coset_partition(ham)
+    cert = certify_cr_partition(ham, part)
     assert cert.is_cr_partition
     assert cert.numbers.gamma == (0, 1)
-    assert len(cert.class_certificates) == 8
+    oracle, class_certs = certify_partition_class_by_class(part)
+    assert oracle == cert
+    assert len(class_certs) == 8
 
 
 def test_certify_h24_partition():
-    cert = certify_cr_partition(_h24_partition())
+    cert, _ = certify_partition_class_by_class(_h24_partition())
     assert cert.is_cr_partition
     assert cert.numbers.gamma == (0, 2, 4)
     assert cert.numbers.alpha == (2, 2, 2)
@@ -105,32 +120,69 @@ def test_certify_h24_partition():
 def test_singleton_plus_rest_is_not_cr_partition():
     sp = ambient(2, 2)
     part = partition_from_classes(sp, [[0], [1, 2, 3]])
-    cert = certify_cr_partition(part)
+    cert, _ = certify_partition_class_by_class(part)
     assert not cert.is_cr_partition
 
 
 @functools.lru_cache(maxsize=None)
+def _census_codes():
+    """(code, analysis) for every code of the census at q=2 n<=6, q=3 n<=5
+    and q=4 n<=4."""
+    return tuple((code, analyze_code(code)) for q, top in ((2, 6), (3, 5), (4, 4))
+                 for n in range(1, top + 1) for code in enumerate_linear_codes(n, q))
+
+
 def _census_cr_codes():
-    """(code, analysis) for every CR code of the census at q=2 n<=6,
-    q=3 n<=5 and q=4 n<=4."""
-    out = []
-    for q, top in ((2, 6), (3, 5), (4, 4)):
-        for n in range(1, top + 1):
-            for code in enumerate_linear_codes(n, q):
-                analysis = analyze_code(code)
-                if analysis.cr:
-                    out.append((code, analysis))
-    return tuple(out)
+    """The CR codes of `_census_codes`."""
+    return tuple(item for item in _census_codes() if item[1].cr)
+
+
+def _listed_additive_codes():
+    """Subgroups of H(n, q) as word lists over GF(4), over Z_4 (the
+    cyclic-group alphabet of size 4, which the package only builds for q not
+    a prime power) and over Z_6: diagonal ones, then closures of one to
+    three random generators under translation."""
+    from crcodes.algebra import CYCLIC, _with_additive_tables
+
+    z4 = _with_additive_tables(4, CYCLIC, 0, 0, modulus=None)
+    out = [code_from_words(space, [[d] * space.n for d in digits], additive=True)
+           for space, digits in ((ambient(2, 4), range(4)), (ambient(3, 4), (0, 1)),
+                                 (AmbientSpace(2, z4), range(4)),
+                                 (AmbientSpace(3, z4), (0, 2)), (ambient(2, 6), (0, 3)),
+                                 (ambient(3, 6), (0, 2, 4)))]
+    spaces = (ambient(3, 4), ambient(4, 4), AmbientSpace(3, z4), AmbientSpace(4, z4),
+              ambient(3, 6))
+    rng = random.Random(26)
+    for space in spaces:
+        n, q = space.n, space.q
+        for _ in range(12):
+            words = [0]
+            for _ in range(rng.randint(1, 3)):
+                g = encode([rng.randrange(q) for _ in range(n)], q)
+                while True:
+                    grown = sorted(set(words) | set(translate(words, g, space.alphabet)))
+                    if grown == words:
+                        break
+                    words = grown
+            out.append(code_from_words(space, words, additive=True))
+    return out
 
 
 def test_coset_partition_of_a_cr_code_is_a_cr_partition():
-    # the full definition, class by class, agrees with the code's certificate
-    codes = _census_cr_codes()
-    assert len(codes) > 50
-    for code, analysis in codes:
-        cert = certify_cr_partition(coset_partition(code))
-        assert cert.is_cr_partition
-        assert cert.numbers == analysis.numbers
+    # the code's one certificate and the equitability scan against the full
+    # definition, every class certified as its own word list, on every census
+    # code (CR or not) and on word-listed subgroups over GF(4), Z_4 and Z_6
+    codes = [code for code, _ in _census_codes()] + _listed_additive_codes()
+    verdicts = set()
+    for code in codes:
+        partition = coset_partition(code)
+        cert = certify_cr_partition(code, partition)
+        oracle, _ = certify_partition_class_by_class(partition)
+        assert (cert.is_cr_partition, cert.failure, cert.numbers) == (
+            oracle.is_cr_partition, oracle.failure, oracle.numbers)
+        verdicts.add((code.is_linear, cert.is_cr_partition))
+    assert len(_census_cr_codes()) > 50
+    assert verdicts == {(True, True), (True, False), (False, True), (False, False)}
 
 
 def test_quotient_graph_h24_is_four_cycle():
@@ -263,7 +315,7 @@ def test_predicted_quotient_arrays():
     rep = certify_completely_regular(_rep6())
     assert predicted_quotient_array(rep.numbers) == IntersectionArray((6, 5, 4), (1, 2, 6))
 
-    eh = certify_cr_partition(_h24_partition())
+    eh, _ = certify_partition_class_by_class(_h24_partition())
     assert predicted_quotient_array(eh.numbers) == IntersectionArray((2, 1), (1, 2))
 
     ext = certify_completely_regular(extended_hamming_code(3))
@@ -310,7 +362,7 @@ def test_min_eigenvalue_bound_on_certified_partitions():
     for code in (hamming_code(2, 2), hamming_code(3, 2), _rep6(),
                  extended_hamming_code(3), hamming_code(2, 3)):
         part = coset_partition(code)
-        cert = certify_cr_partition(part)
+        cert = certify_cr_partition(code, part)
         assert cert.is_cr_partition
         numbers = cert.numbers
         spec = code_spectrum(quotient_matrix(numbers), part.space)
