@@ -8,13 +8,16 @@ coset partition and quotient graph are for additive codes without a parity
 check and for showing the quotient itself, where the class-to-syndrome
 bijection lets the two constructions be compared.  Every coset x + C of an
 additive code is the image of C under the translation by x, an automorphism
-of H(n, q), so the coset partition is certified by C's own certificate and
-one equitability scan, never class by class.
+of H(n, q).  So the coset partition is equitable by construction and is
+certified by C's own certificate, never class by class, and every member of
+a class has the neighbouring classes of the class's representative: the
+quotient graph is read off the representatives, and no q^n x n(q - 1)
+neighbour walk is left in the quotient path.
 """
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass, field
 
 from .algebra import Alphabet, GFMatrix, mat_vec
@@ -40,7 +43,7 @@ from .hamming_space import (
     decode,
     encode,
     is_additive,
-    neighbor_table,
+    neighbors,
     translate,
 )
 
@@ -171,28 +174,13 @@ class CrPartitionCertificate:
     witness: object = None
 
 
-def _partition_equitable(partition: VertexPartition):
-    """The first vertex whose class-to-class neighbour counts differ from
-    those of its class's first vertex, as (first vertex, vertex, class), or
-    None."""
-    class_of = partition.class_of
-    table = neighbor_table(partition.space)
-    _, conflict = first_conflict(
-        (v, class_of[v], Counter(map(class_of.__getitem__, table[v])))
-        for v in range(partition.space.size))
-    return None if conflict is None else (conflict[1], conflict[3], conflict[0])
-
-
 def certify_cr_partition(code: Code, partition: VertexPartition) -> CrPartitionCertificate:
     """Certify ``partition``, the coset partition of the additive code C, as
-    a completely regular partition: it is equitable, and each class x + C is
-    C translated by x, an automorphism of H(n, q), so every class has C's
-    intersection numbers and C is certified once.  Class 0 is C, so a C
-    that is not CR fails as class 0."""
-    equit_witness = _partition_equitable(partition)
-    if equit_witness is not None:
-        return CrPartitionCertificate(
-            False, failure="partition_not_equitable", witness=equit_witness)
+    a completely regular partition by C's one certificate.  Each class x + C
+    is C translated by x, an automorphism of H(n, q), so the partition is
+    equitable and every class has C's intersection numbers; the partition
+    itself is not walked.  Class 0 is C, so a C that is not CR fails as
+    class 0."""
     cert = certify_completely_regular(code)
     if not cert.completely_regular:
         return CrPartitionCertificate(
@@ -201,23 +189,21 @@ def certify_cr_partition(code: Code, partition: VertexPartition) -> CrPartitionC
 
 
 def quotient_graph(partition: VertexPartition) -> Graph:
-    """Classes adjacent iff some cross edge exists in H(n, q)."""
+    """Classes adjacent iff some cross edge exists in H(n, q), for
+    ``partition`` the coset partition of an additive code C (every
+    VertexPartition the package builds).  A member x + c of the class of x
+    has the neighbours x + c + lambda*e_j, in the classes of x + lambda*e_j,
+    so each class is joined to the classes of its representative's n(q - 1)
+    neighbours and no other word is walked."""
     if partition.class_count > QUOTIENT_CLASS_CAP:
         raise CapacityError(
             f"refusing to materialize a quotient on {partition.class_count} classes; "
             "use the syndrome construction instead")
-    space = partition.space
-    class_of = partition.class_of
-    edges = set()
-    table = neighbor_table(space)
-    for v in range(space.size):
-        cv = class_of[v]
-        for w in table[v]:
-            cw = class_of[w]
-            if cv != cw:
-                edges.add((cv, cw) if cv < cw else (cw, cv))
-    labels = tuple(str(r) for r in partition.representatives)
-    return graph_from_edges(partition.class_count, edges, labels)
+    class_of, space = partition.class_of, partition.space
+    adjacency = tuple(
+        tuple(sorted({class_of[w] for w in neighbors(rep, space)} - {c}))
+        for c, rep in enumerate(partition.representatives))
+    return Graph(adjacency, tuple(str(r) for r in partition.representatives))
 
 
 def coset_graph_by_syndrome(code: Code) -> CayleyGraph:

@@ -1,20 +1,25 @@
-"""Partitions of H(n, q) given class by class, and the class-by-class
-certificate of a completely regular partition: the oracle of
-`crcodes.partitions_quotients.certify_cr_partition`.
+"""Partitions of H(n, q) given class by class, their equitability scan and
+quotient graph over all q^n words, and the class-by-class certificate of a
+completely regular partition: the oracles of
+`crcodes.partitions_quotients.certify_cr_partition` and `quotient_graph`.
 
-The package certifies only coset partitions of additive codes, by the code's
-one certificate and an equitability scan; here every class is listed by a
-scan of all q^n words and certified as its own word-listed code, which is
-the full definition of a completely regular partition and holds for any
-partition.
+The package handles only coset partitions of additive codes, which are
+equitable by construction: it certifies the code once and reads the quotient
+off the class representatives.  Here every word's neighbour list is walked
+and every class is certified as its own word-listed code, which is the full
+definition of a completely regular partition and of its quotient and holds
+for any partition.
 """
 
-from crcodes.cr_analysis import certify_completely_regular
-from crcodes.hamming_space import Code, encode
+from collections import Counter
+
+from crcodes.cr_analysis import certify_completely_regular, first_conflict
+from crcodes.hamming_space import Code, encode, neighbor_table
 from crcodes.partitions_quotients import (
     CrPartitionCertificate,
+    Graph,
     VertexPartition,
-    _partition_equitable,
+    graph_from_edges,
 )
 
 
@@ -50,13 +55,36 @@ def partition_classes(partition: VertexPartition) -> list[list[int]]:
     return out
 
 
+def partition_equitable(partition: VertexPartition):
+    """The first vertex whose class-to-class neighbour counts differ from
+    those of its class's first vertex, as (first vertex, vertex, class), or
+    None."""
+    class_of = partition.class_of
+    table = neighbor_table(partition.space)
+    _, conflict = first_conflict(
+        (v, class_of[v], Counter(map(class_of.__getitem__, table[v])))
+        for v in range(partition.space.size))
+    return None if conflict is None else (conflict[1], conflict[3], conflict[0])
+
+
+def quotient_graph_of_all_words(partition: VertexPartition) -> Graph:
+    """Classes adjacent iff some cross edge exists in H(n, q), from every
+    edge of H(n, q); labelled by the representatives."""
+    class_of = partition.class_of
+    table = neighbor_table(partition.space)
+    edges = {(class_of[v], class_of[w]) for v in range(partition.space.size)
+             for w in table[v]}
+    labels = tuple(str(r) for r in partition.representatives)
+    return graph_from_edges(partition.class_count, edges, labels)
+
+
 def certify_partition_class_by_class(partition: VertexPartition):
     """The certificate of any partition by the full definition: equitable,
     and every class completely regular with equal intersection numbers.
     Returns it with the certificates of the classes certified, in class
     order (all of them when the partition is completely regular)."""
     certs = []
-    equit_witness = _partition_equitable(partition)
+    equit_witness = partition_equitable(partition)
     if equit_witness is not None:
         return CrPartitionCertificate(
             False, failure="partition_not_equitable", witness=equit_witness), certs

@@ -67,6 +67,7 @@ from partition_oracle import (
     certify_partition_class_by_class,
     partition_classes,
     partition_from_classes,
+    quotient_graph_of_all_words,
 )
 
 
@@ -238,7 +239,7 @@ def test_acceptance_08_h24_partition():
         cert, _ = certify_partition_class_by_class(partition)
         assert cert.is_cr_partition
         assert cert.numbers.gamma[1] == 2 and cert.numbers.beta[0] == 4
-        graph = quotient_graph(partition)
+        graph = quotient_graph_of_all_words(partition)
         assert graph_isomorphic(graph, hamming_graph(2, 2)) is not None
         drg = certify_distance_regular(graph)
         family = classify_quotient(graph, drg)

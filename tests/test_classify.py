@@ -72,7 +72,11 @@ from fixture_graphs import (
     hamming_graph,
     shrikhande_graph,
 )
-from partition_oracle import partition_classes, partition_from_classes
+from partition_oracle import (
+    partition_classes,
+    partition_from_classes,
+    quotient_graph_of_all_words,
+)
 
 
 # -- fixtures ---------------------------------------------------------------
@@ -89,7 +93,7 @@ def test_folded_cube_is_the_antipodal_quotient_of_the_cube():
         cube = ambient(m, 2)
         mask = cube.size - 1
         pairs = [[v, v ^ mask] for v in range(cube.size) if v < v ^ mask]
-        oracle = quotient_graph(partition_from_classes(cube, pairs))
+        oracle = quotient_graph_of_all_words(partition_from_classes(cube, pairs))
         assert folded_cube(m).adjacency == oracle.adjacency
 
 
@@ -231,7 +235,7 @@ def test_clique_checks_h24_partition_inapplicable():
         [[2, 0], [2, 1], [3, 0], [3, 1]],
         [[2, 2], [2, 3], [3, 2], [3, 3]],
     ])
-    g = quotient_graph(part)
+    g = quotient_graph_of_all_words(part)
     drg = certify_distance_regular(g)
     family = classify_quotient(g, drg)
     assert family.tag == "hamming" and family.params == {"m": 2, "q": 2}
@@ -358,8 +362,10 @@ def test_finest_blocks_of_a_parity_check_match_the_member_scan(monkeypatch):
 def test_finest_blocks_of_listed_words_match_a_subtraction_scan():
     # additive codes with no parity check (over Z_4 and Z_6) and over GF(4),
     # against the pairwise scan: c is decomposable when some other nonzero
-    # c1 inside its support leaves c - c1 a codeword on exactly the rest
-    from crcodes.hamming_space import code_from_words, translate
+    # c1 inside its support leaves c - c1 a codeword on exactly the rest;
+    # Z_4 is built from the cyclic-group tables, since alphabet(4) is GF(4)
+    from crcodes.algebra import CYCLIC, _with_additive_tables
+    from crcodes.hamming_space import AmbientSpace, code_from_words, translate
 
     def scan(code):
         space = code.ambient
@@ -382,10 +388,13 @@ def test_finest_blocks_of_listed_words_match_a_subtraction_scan():
                 blocks.remove(block_b)
         return tuple(sorted(tuple(sorted(x)) for x in blocks))
 
+    z4 = _with_additive_tables(4, CYCLIC, 0, 0, modulus=None)
     rng = random.Random(4)
     splits = 0
-    for q, n in ((4, 3), (6, 3), (4, 4)):
-        space = ambient(n, q)
+    z4_splits = 0
+    for space in (ambient(3, 4), ambient(3, 6), ambient(4, 4), AmbientSpace(3, z4),
+                  AmbientSpace(4, z4)):
+        n, q = space.n, space.q
         for _ in range(25):
             # generators on random supports, so that some codes split
             words = [0]
@@ -401,7 +410,8 @@ def test_finest_blocks_of_listed_words_match_a_subtraction_scan():
             blocks = finest_product_blocks(code)
             assert blocks == scan(code)
             splits += len(blocks) > 1
-    assert splits >= 25
+            z4_splits += len(blocks) > 1 and space.alphabet is z4
+    assert splits >= 25 and z4_splits >= 20
 
 
 def test_decompose_hamming_squared():

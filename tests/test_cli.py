@@ -680,6 +680,47 @@ def test_one_table_of_theorem_checks_serves_the_census_and_the_cli(
     assert _run(capsys, "decompose", spec)[0] == 0 and len(calls) == 3
 
 
+def test_quotient_walks_only_the_neighbours_of_the_class_representatives(
+        tmp_path, capsys, monkeypatch):
+    # Hamming [7,4] padded by 3 zero coordinates has 128 words in each of its
+    # 8 cosets: the quotient reads each class's neighbours off its
+    # representative, no neighbour table of the 2^10 words is built (the
+    # Cayley certificate may still tabulate the 2^7 words of its own code),
+    # and the report keeps its bytes
+    import hashlib
+
+    import crcodes.cr_analysis as cr_mod
+    import crcodes.hamming_space as hs_mod
+    import crcodes.partitions_quotients as pq_mod
+    from crcodes.codespec import parse_codespec
+
+    spec = _write_spec(tmp_path, "ham74pad3.json", {
+        "type": "construct", "name": "pad", "count": 3,
+        "base": {"type": "construct", "name": "hamming", "q": 2, "r": 3}})
+    representatives = pq_mod.coset_partition(parse_codespec(Path(spec))).representatives
+    real_neighbors, real_table = pq_mod.neighbors, hs_mod.neighbor_table
+    walked = []
+
+    def counted(u, space):
+        walked.append(u)
+        return real_neighbors(u, space)
+
+    def guarded(space):
+        if space.n == 10:
+            raise AssertionError("neighbour table of every word built")
+        return real_table(space)
+
+    assert not hasattr(pq_mod, "neighbor_table")
+    for module in (hs_mod, cr_mod):
+        monkeypatch.setattr(module, "neighbor_table", guarded)
+    monkeypatch.setattr(pq_mod, "neighbors", counted)
+    code, out, err = _run(capsys, "quotient", spec)
+    assert (code, err) == (0, "")
+    assert walked == list(representatives) and len(walked) == 8
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "02e1250464983947f7512fce68ff594674eb0fa1c7e9a857b14da180d6108950")
+
+
 def test_census_classify_and_decompose_never_build_the_coset_partition(
         tmp_path, capsys, monkeypatch):
     # the coset graph of a linear code comes from its syndromes alone: with

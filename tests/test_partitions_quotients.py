@@ -43,7 +43,9 @@ from crcodes.search import enumerate_linear_codes
 from partition_oracle import (
     certify_partition_class_by_class,
     partition_classes,
+    partition_equitable,
     partition_from_classes,
+    quotient_graph_of_all_words,
 )
 
 
@@ -169,9 +171,10 @@ def _listed_additive_codes():
 
 
 def test_coset_partition_of_a_cr_code_is_a_cr_partition():
-    # the code's one certificate and the equitability scan against the full
-    # definition, every class certified as its own word list, on every census
-    # code (CR or not) and on word-listed subgroups over GF(4), Z_4 and Z_6
+    # the code's one certificate against the full definition, the partition
+    # scanned for equitability and every class certified as its own word
+    # list, on every census code (CR or not) and on word-listed subgroups
+    # over GF(4), Z_4 and Z_6
     codes = [code for code, _ in _census_codes()] + _listed_additive_codes()
     verdicts = set()
     for code in codes:
@@ -185,8 +188,22 @@ def test_coset_partition_of_a_cr_code_is_a_cr_partition():
     assert verdicts == {(True, True), (True, False), (False, True), (False, False)}
 
 
+def test_quotient_graph_of_the_representatives_matches_the_all_words_walk():
+    # every coset partition is equitable, which is why neither the package's
+    # certificate nor its quotient walks the q^n words, and its quotient read
+    # off the class representatives is the one every edge of H(n, q) gives,
+    # on every census code and on word-listed subgroups over GF(4), Z_4 and Z_6
+    codes = [code for code, _ in _census_codes()] + _listed_additive_codes()
+    for code in codes:
+        partition = coset_partition(code)
+        assert partition_equitable(partition) is None
+        graph, oracle = quotient_graph(partition), quotient_graph_of_all_words(partition)
+        assert (graph.adjacency, graph.labels) == (oracle.adjacency, oracle.labels)
+    assert len(codes) > 700
+
+
 def test_quotient_graph_h24_is_four_cycle():
-    g = quotient_graph(_h24_partition())
+    g = quotient_graph_of_all_words(_h24_partition())
     assert g.n == 4
     assert sorted(g.degree(v) for v in range(4)) == [2, 2, 2, 2]
     cert = certify_distance_regular(g)
