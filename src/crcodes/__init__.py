@@ -6,6 +6,7 @@ and their coset/quotient graphs, entirely in integer arithmetic.
 
 from .algebra import Alphabet, GFMatrix, alphabet, gf_matrix, nullspace_basis, rref
 from .classify import (
+    CheckContext,
     QuotientFamily,
     classify_arithmetic_forms,
     classify_hamming_quotient_code,

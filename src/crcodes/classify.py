@@ -36,8 +36,6 @@ from .cr_analysis import (
     CrCertificate,
     analyze_code,
     certify_completely_regular,
-    is_reduced,
-    reduce_code,
 )
 from .errors import TheoremViolationError, jsonable
 from .hamming_space import (
@@ -260,10 +258,6 @@ class QuotientFamily:
     params: dict = field(default_factory=dict)
     evidence: dict = field(default_factory=dict, compare=False)
 
-    def to_json(self) -> dict:
-        return {"tag": self.tag, "params": dict(self.params),
-                "evidence": jsonable(self.evidence)}
-
 
 def _hamming_array_params(array: IntersectionArray) -> tuple[int, int] | None:
     m = array.diameter
@@ -363,9 +357,11 @@ def classify_quotient(graph: Graph | CayleyGraph, drg=None) -> QuotientFamily:
     return QuotientFamily("other", {}, evidence)
 
 
-def coset_family(code: Code, certificate: CrCertificate | None = None):
+def coset_family(context: CheckContext) -> tuple[DrgCertificate, QuotientFamily] | None:
     """The DRG certificate of a CR code's coset graph and the graph's family;
-    a coset graph that is not distance-regular is a theorem violation.
+    None for a code that is not CR.  A code that is not additive has no
+    coset graph and is refused (`coset_partition` raises NotAdditiveError),
+    and a coset graph that is not distance-regular is a theorem violation.
 
     A linear code whose nonzero columns of H are pairwise non-parallel (its
     (n - z)(q - 1) nonzero column offsets are distinct, z the number of zero
@@ -373,13 +369,15 @@ def coset_family(code: Code, certificate: CrCertificate | None = None):
     code H' whose certificate certifies Cay(GF(q)^r, S) in
     `certify_distance_regular`.  A zero column is a loop: it leaves S, and
     the code's beta_i and gamma_i, unchanged.  The code's own CR
-    certificate, when given, then gives the array b_i = beta_i,
-    c_i = gamma_i, and H' is not certified again."""
+    certificate then gives the array b_i = beta_i, c_i = gamma_i, and H' is
+    not certified again."""
+    code, certificate = context.code, context.analysis.certificate
+    if not certificate.completely_regular:
+        return None
     graph = (coset_graph_by_syndrome(code) if code.is_linear
              else quotient_graph(coset_partition(code)))
-    if (certificate is not None and certificate.completely_regular and code.is_linear
-            and len(graph.connection) == (code.ambient.q - 1) * sum(
-                any(col) for col in code.linear.parity_check.columns())):
+    if code.is_linear and len(graph.connection) == (code.ambient.q - 1) * sum(
+            any(col) for col in code.linear.parity_check.columns()):
         numbers = certificate.numbers
         array = IntersectionArray(numbers.beta[:numbers.rho], numbers.gamma[1:])
         array.validate()
@@ -400,9 +398,6 @@ class CheckResult:
     name: str
     status: str  # PASS | FAIL | INAPPLICABLE
     detail: str = ""
-
-    def to_json(self) -> dict:
-        return {"name": self.name, "status": self.status, "detail": self.detail}
 
 
 def clique_bound_checks(q: int, family: QuotientFamily, array: IntersectionArray,
@@ -507,8 +502,9 @@ class ColumnClassReport:
         }
 
 
-def column_classes(code: Code, analysis: CodeAnalysis | None = None) -> ColumnClassReport:
-    """Parallel-column classes of the parity check of a reduced linear CR code.
+def column_classes(context: CheckContext) -> ColumnClassReport | None:
+    """Parallel-column classes of the parity check of a reduced linear CR
+    code; None for any other code.
 
     They are its coordinate classes: with no zero column, e_i - lambda e_j
     is in C exactly when h_i = lambda h_j.  Class size must be uniformly
@@ -517,13 +513,9 @@ def column_classes(code: Code, analysis: CodeAnalysis | None = None) -> ColumnCl
     distance must be >= 3 whenever it is nontrivial: H|_P's columns must be
     nonzero and pairwise non-parallel.
     """
-    if not code.is_linear:
-        raise ValueError("column classes need a linear code")
-    if not is_reduced(code):
-        raise ValueError("column classes are defined for reduced codes")
-    analysis = analysis or analyze_code(code)
-    if not analysis.cr:
-        raise ValueError("column classes need a completely regular code")
+    code, analysis = context.code, context.analysis
+    if not (code.is_linear and analysis.reduced and analysis.cr):
+        return None
     if analysis.delta is not None and analysis.delta < 2:
         raise TheoremViolationError(
             "reduced nontrivial linear CR code with minimum distance < 2",
@@ -659,23 +651,19 @@ class DecompositionReport:
         }
 
 
-def decompose_product(code: Code, family: QuotientFamily, min_distance: int,
-                      context: CheckContext | None = None) -> DecompositionReport:
-    """Under an H(m, q') quotient, split an additive code with min distance
-    (given, as computed by ``analyze_code``) >= 2 into m blockwise factors of
-    covering radius 1 and verify that their product is the code.
+def decompose_product(context: CheckContext) -> DecompositionReport | None:
+    """Under an H(m, q') coset graph, split a CR code with minimum distance
+    at least 2 into m blockwise factors of covering radius 1 and verify that
+    their product is the code; None for any other CR code.  Like
+    `coset_family`, it refuses a code that is not additive.
 
     The factors are the words of C supported inside disjoint blocks, so their
     direct sum is a subgroup of C of size prod |C_B|; C is that product
     exactly when prod |C_B| = |C|."""
-    if family.tag != "hamming":
-        raise ValueError("decomposition applies to Hamming-quotient codes")
-    if not is_additive(code):
-        raise ValueError("decomposition needs an additive code")
-    if min_distance < 2:
-        raise ValueError("decomposition needs minimum distance >= 2")
-    m = family.params["m"]
-    context = context or CheckContext(code)
+    coset, delta = context.coset, context.analysis.delta
+    if coset is None or coset[1].tag != "hamming" or delta is None or delta < 2:
+        return None
+    m = coset[1].params["m"]
     blocks = context.blocks
     if len(blocks) != m or len({len(b) for b in blocks}) != 1:
         return DecompositionReport(
@@ -689,7 +677,7 @@ def decompose_product(code: Code, family: QuotientFamily, min_distance: int,
     if any(r != 1 for r in radii):
         return DecompositionReport(blocks, factors, radii, False,
                                    "factor covering radius differs from 1")
-    verified = prod(f.size for f in factors) == code.size
+    verified = prod(f.size for f in factors) == context.code.size
     return DecompositionReport(blocks, factors, radii, verified,
                                "" if verified else "product does not rebuild the code")
 
@@ -755,32 +743,23 @@ class SmallRadiusReport:
     #                   binary_repetition | None (violation)
     detail: dict = field(default_factory=dict)
 
-    def to_json(self) -> dict:
-        return {"case": self.case, "detail": jsonable(self.detail)}
 
-
-def classify_small_covering_radius(code: Code, analysis: CodeAnalysis | None = None,
-                                   context: CheckContext | None = None) -> SmallRadiusReport:
-    """Covering radius 1 forces a perfect Hamming-equivalent code; radius 2
-    forces a two-block product of one Hamming code or, binary, an extended
-    Hamming code or the repetition code {00000, 11111}, whose coset graph is
-    the folded 5-cube."""
-    analysis = analysis or analyze_code(code)
-    if not code.is_linear:
-        raise ValueError("classification applies to linear codes")
-    if analysis.delta is None or analysis.delta < 3:
-        raise ValueError("classification needs minimum distance >= 3")
-    if not analysis.cr or not analysis.arithmetic.arithmetic:
-        raise ValueError("classification needs a CR code with arithmetic spectrum")
-    rho = analysis.rho
-    if rho not in (1, 2):
-        raise ValueError("classification covers covering radius 1 and 2 only")
-    if rho == 1:
+def classify_small_covering_radius(context: CheckContext) -> SmallRadiusReport | None:
+    """For a linear CR code with minimum distance at least 3, an arithmetic
+    spectrum and covering radius 1 or 2 (None for any other code): radius 1
+    forces a perfect Hamming-equivalent code; radius 2 forces a two-block
+    product of one Hamming code or, binary, an extended Hamming code or the
+    repetition code {00000, 11111}, whose coset graph is the folded 5-cube."""
+    code, analysis = context.code, context.analysis
+    delta = analysis.delta
+    if not (code.is_linear and analysis.cr and delta is not None and delta >= 3
+            and analysis.arithmetic.arithmetic and analysis.rho in (1, 2)):
+        return None
+    if analysis.rho == 1:
         perfect = code.size * sphere_size(code.ambient, 1) == code.ambient.size
         if perfect and is_hamming_equivalent(code):
             return SmallRadiusReport("hamming", {"perfect": True})
         return SmallRadiusReport(None, {"perfect": perfect})
-    context = context or CheckContext(code)
     blocks = context.blocks
     if len(blocks) == 2 and len(blocks[0]) == len(blocks[1]):
         # Hamming-equivalent factors are perfect, so CR with rho = 1, and of
@@ -841,8 +820,8 @@ def replicated_normal_form(code: Code, report: ColumnClassReport) -> NormalFormR
 
 @dataclass(frozen=True)
 class ArithmeticFormsReport:
-    """Which of the four structural forms a reduced linear arithmetic CR code
-    matches; overlapping matches report every case."""
+    """Which of the four structural forms a nontrivial reduced linear
+    arithmetic CR code matches; overlapping matches report every case."""
 
     cases: tuple[dict, ...]
     violation: bool
@@ -855,25 +834,17 @@ class ArithmeticFormsReport:
         return {"cases": [jsonable(c) for c in self.cases], "violation": self.violation}
 
 
-def classify_arithmetic_forms(code: Code, analysis: CodeAnalysis | None = None,
-                              context: CheckContext | None = None) -> ArithmeticFormsReport:
-    """The four forms of a reduced linear arithmetic CR code, with its
-    column classes.  A caller holding the code's analysis or `CheckContext`
-    passes them in, and they are not recomputed."""
-    analysis = analysis or analyze_code(code)
-    if not code.is_linear:
-        raise ValueError("form classification applies to linear codes")
-    if code.size < 2 or code.size == code.ambient.size:
-        raise ValueError("form classification needs a nontrivial code")
-    if not analysis.reduced:
-        raise ValueError("form classification needs a reduced code")
-    if not analysis.cr:
-        raise ValueError("form classification needs a completely regular code")
-    if not analysis.arithmetic.arithmetic:
-        raise ValueError("form classification needs an arithmetic spectrum")
+def classify_arithmetic_forms(context: CheckContext) -> ArithmeticFormsReport | None:
+    """The four forms of a nontrivial (2 <= |C| < q^n) reduced linear CR code
+    with an arithmetic spectrum, with its column classes; None for any other
+    code."""
+    code, analysis = context.code, context.analysis
+    if not (code.is_linear and 2 <= code.size < code.ambient.size and analysis.reduced
+            and analysis.cr and analysis.arithmetic.arithmetic):
+        return None
     q = code.ambient.q
     rho = analysis.rho
-    report = column_classes(code, analysis)
+    report = column_classes(context)
     form = replicated_normal_form(code, report)
     d_code = report.restricted_code
     m = d_code.ambient.n
@@ -904,7 +875,6 @@ def classify_arithmetic_forms(code: Code, analysis: CodeAnalysis | None = None,
             "base_length": m,
         })
     if rho >= 2:
-        context = context or CheckContext(code)
         if len(context.blocks) == rho and context.factors_equivalent:
             cases.append({
                 "case": "radius_one_power",
@@ -922,37 +892,23 @@ class HammingQuotientReport:
     m: int
     qprime: int
     derived_t: int
-    stripped: tuple[int, ...]
+    stripped: tuple[int, ...]  # always empty: forms exist only for reduced codes
     forms: ArithmeticFormsReport
-
-    def to_json(self) -> dict:
-        return {
-            "m": self.m,
-            "qprime": self.qprime,
-            "derived_t": self.derived_t,
-            "stripped": list(self.stripped),
-            "forms": self.forms.to_json(),
-        }
 
 
 _COROLLARY_CASES = {"hamming_replication", "extended_hamming_replication",
                     "radius_one_power"}
 
 
-def classify_hamming_quotient_code(code: Code, analysis: CodeAnalysis,
-                                   family: QuotientFamily,
-                                   forms: ArithmeticFormsReport | None = None
-                                   ) -> HammingQuotientReport:
-    """For a linear CR code whose coset graph is H(m, q'): derive the
-    arithmetic step from the quotient spectrum mapping (t = gamma_1 q' / q),
-    then classify the reduced code against the replication forms.  The
-    code's analysis and its coset graph's family come from the caller, and
-    so may the forms report of the code itself, used when it is reduced."""
-    if not analysis.cr:
-        raise ValueError("pipeline needs a completely regular code")
-    if family.tag != "hamming":
-        raise ValueError(f"coset graph is not a Hamming graph (got {family.tag})")
-    m, qprime = family.params["m"], family.params["q"]
+def classify_hamming_quotient_code(context: CheckContext) -> HammingQuotientReport | None:
+    """For a code with arithmetic forms (`classify_arithmetic_forms`) whose
+    coset graph is H(m, q'): derive the arithmetic step from the quotient
+    spectrum mapping (t = gamma_1 q' / q), then keep the replication forms
+    that the quotient allows.  None for any other code."""
+    if context.forms is None or context.coset[1].tag != "hamming":
+        return None
+    code, analysis, forms = context.code, context.analysis, context.forms
+    m, qprime = context.coset[1].params["m"], context.coset[1].params["q"]
     q = code.ambient.q
     gamma1 = analysis.numbers.gamma[1]
     if (gamma1 * qprime) % q:
@@ -960,17 +916,14 @@ def classify_hamming_quotient_code(code: Code, analysis: CodeAnalysis,
             "derived arithmetic step gamma_1 q'/q is not an integer",
             witness={"gamma1": gamma1, "qprime": qprime, "q": q})
     derived_t = gamma1 * qprime // q
-    if not analysis.arithmetic.arithmetic or analysis.arithmetic.t != derived_t:
+    if analysis.arithmetic.t != derived_t:
         raise TheoremViolationError(
             "spectrum is not the arithmetic progression the quotient forces",
             witness={"spectrum": analysis.spectrum, "derived_t": derived_t})
-    reduced, stripped = reduce_code(code)
-    if forms is None or stripped:
-        forms = classify_arithmetic_forms(reduced, None if stripped else analysis)
     cases = tuple(c for c in forms.cases if c["case"] in _COROLLARY_CASES)
     restricted = ArithmeticFormsReport(cases, violation=not cases,
                                        column_report=forms.column_report)
-    return HammingQuotientReport(m, qprime, derived_t, stripped, restricted)
+    return HammingQuotientReport(m, qprime, derived_t, (), restricted)
 
 
 # -- the table of theorem checks ---------------------------------------------------------
@@ -980,7 +933,9 @@ class CheckContext:
     """One code and what its theorem checks read: the analysis it is given
     (or computes) and, each computed on first use and shared by every row,
     its coset graph's certificate and family, its product blocks and
-    factors, and its structure reports, None where a theorem does not apply."""
+    factors, and its structure reports.  Each report is its classifier's
+    result, cached; the classifier decides where its theorem applies and
+    returns None elsewhere."""
 
     def __init__(self, code: Code, analysis: CodeAnalysis | None = None):
         self.code = code
@@ -992,8 +947,8 @@ class CheckContext:
         return analyze_code(self.code)
 
     @cached_property
-    def coset(self) -> tuple[DrgCertificate, QuotientFamily]:
-        return coset_family(self.code, self.analysis.certificate)
+    def coset(self) -> tuple[DrgCertificate, QuotientFamily] | None:
+        return coset_family(self)
 
     @cached_property
     def blocks(self) -> tuple[tuple[int, ...], ...]:
@@ -1009,32 +964,19 @@ class CheckContext:
 
     @cached_property
     def decomposition(self) -> DecompositionReport | None:
-        family, delta = self.coset[1], self.analysis.delta
-        if family.tag != "hamming" or delta is None or delta < 2:
-            return None
-        return decompose_product(self.code, family, delta, self)
+        return decompose_product(self)
 
     @cached_property
     def forms(self) -> ArithmeticFormsReport | None:
-        analysis = self.analysis
-        if not (self.code.is_linear and analysis.reduced and analysis.arithmetic.arithmetic):
-            return None
-        return classify_arithmetic_forms(self.code, analysis, self)
+        return classify_arithmetic_forms(self)
 
     @cached_property
     def hamming_quotient(self) -> HammingQuotientReport | None:
-        if self.forms is None or self.coset[1].tag != "hamming":
-            return None
-        return classify_hamming_quotient_code(self.code, self.analysis, self.coset[1],
-                                              self.forms)
+        return classify_hamming_quotient_code(self)
 
     @cached_property
     def small_radius(self) -> SmallRadiusReport | None:
-        analysis, delta = self.analysis, self.analysis.delta
-        if not (self.code.is_linear and delta is not None and delta >= 3
-                and analysis.arithmetic.arithmetic and analysis.rho in (1, 2)):
-            return None
-        return classify_small_covering_radius(self.code, analysis, self)
+        return classify_small_covering_radius(self)
 
 
 def _is_syndrome_quotient(code: Code, graph: CayleyGraph) -> bool:

@@ -34,7 +34,7 @@ from .errors import (
     TheoremViolationError,
     jsonable,
 )
-from .hamming_space import DEFAULT_VERTEX_CAP, is_additive
+from .hamming_space import DEFAULT_VERTEX_CAP
 from .partitions_quotients import (
     certify_cr_partition,
     certify_distance_regular,
@@ -119,7 +119,7 @@ def _cr_report(code, analysis) -> dict:
             quotient_matrix=analysis.quotient.to_lists(),
             spectrum=list(analysis.spectrum),
             arithmetic=analysis.arithmetic.to_json(),
-            bounds=analysis.bounds.to_json(),
+            bounds=jsonable(analysis.bounds),
         )
     else:
         report["witness"] = analysis.certificate.witness.to_json()
@@ -155,7 +155,7 @@ def _cmd_spectrum(args) -> int:
 def _cmd_quotient(args) -> int:
     code = _load(args.spec, args)
     partition = coset_partition(code)
-    cert = certify_cr_partition(code, partition)
+    cert = certify_cr_partition(code)
     report = {
         "schema": "quotient-report@1",
         "classes": partition.class_count,
@@ -176,9 +176,8 @@ def _cmd_quotient(args) -> int:
         alpha=list(cert.numbers.alpha),
         beta=list(cert.numbers.beta),
         graph=graph.to_json(),
-        drg={"is_drg": drg.is_drg,
-             "array": drg.array.to_json() if drg.array else None},
-        predicted_array=predicted.to_json(),
+        drg={"is_drg": drg.is_drg, "array": jsonable(drg.array)},
+        predicted_array=jsonable(predicted),
     )
     if not drg.is_drg or drg.array != predicted:
         raise TheoremViolationError(
@@ -202,7 +201,7 @@ def _cmd_quotient(args) -> int:
 
 def _cmd_classify(args) -> int:
     code = _load(args.spec, args)
-    context = CheckContext(code, analyze_code(code))
+    context = CheckContext(code)
     if not context.analysis.cr:
         _emit({
             "schema": "classification-report@1",
@@ -210,11 +209,11 @@ def _cmd_classify(args) -> int:
             "witness": context.analysis.certificate.witness.to_json(),
         }, args)
         return EXIT_REFUTED
-    checks = [r.to_json() for r in run_checks(context, "coset_graph")]
+    checks = jsonable(run_checks(context, "coset_graph"))
     report = {
         "schema": "classification-report@1",
         "cr": True,
-        "family": context.coset[1].to_json(),
+        "family": jsonable(context.coset[1]),
         "theorem_checks": checks,
     }
     if any(c["status"] == "FAIL" for c in checks):
@@ -228,7 +227,7 @@ def _cmd_product(args) -> int:
     c1 = _load(args.spec1, args)
     c2 = _load(args.spec2, args)
     compat = product_cr_criterion(c1, c2)
-    report = {"schema": "product-report@1", **compat.to_json()}
+    report = {"schema": "product-report@1", **jsonable(compat)}
     if args.verify:
         report["verified"] = verify_product_cr(c1, c2, compat)
         if not report["verified"]["matches_prediction"]:
@@ -241,21 +240,21 @@ def _cmd_product(args) -> int:
 
 def _cmd_decompose(args) -> int:
     code = _load(args.spec, args)
-    context = CheckContext(code, analyze_code(code))
+    context = CheckContext(code)
     if not context.analysis.cr:
         _emit({"schema": "decomposition-report@1", "cr": False}, args)
         return EXIT_REFUTED
-    report = {"schema": "decomposition-report@1", "cr": True}
-    if is_additive(code):
-        report["coordinate_classes"] = [list(c) for c in coordinate_classes(code)]
-    report["family"] = context.coset[1].to_json()
+    family = context.coset[1]  # refuses a code that is not additive
+    report = {"schema": "decomposition-report@1", "cr": True,
+              "coordinate_classes": [list(c) for c in coordinate_classes(code)],
+              "family": jsonable(family)}
     forms = context.forms
     for key, part in (("decomposition", context.decomposition),
                       ("column_classes", forms and forms.column_report), ("forms", forms),
                       ("hamming_quotient", context.hamming_quotient),
                       ("small_radius", context.small_radius)):
         if part is not None:
-            report[key] = part.to_json()
+            report[key] = jsonable(part)
     if any(r.status == "FAIL" for r in run_checks(context, "structure")):
         raise TheoremViolationError("decomposition case analysis found no "
                                     "matching structural case", witness=report)

@@ -130,9 +130,6 @@ class PredictedProduct:
     gamma: tuple[int, ...]
     beta: tuple[int, ...]
 
-    def to_json(self) -> dict:
-        return {"rho": self.rho, "gamma": list(self.gamma), "beta": list(self.beta)}
-
 
 @dataclass(frozen=True)
 class ProductCompatibility:
@@ -148,15 +145,6 @@ class ProductCompatibility:
     n2: int | None = None
     failing_condition: str | None = None
     predicted: PredictedProduct | None = None
-
-    def to_json(self) -> dict:
-        return {
-            "compatible": self.compatible,
-            "n1": self.n1,
-            "n2": self.n2,
-            "failing_condition": self.failing_condition,
-            "predicted": self.predicted.to_json() if self.predicted else None,
-        }
 
 
 class NotCompletelyRegularError(CrcodesError):

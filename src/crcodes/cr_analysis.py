@@ -406,12 +406,9 @@ def _packed_bfs(space, r: int, offsets) -> list[tuple]:
     width = _lane_width(space.valency)
     lanes = _lanes(q, r, width, count)
     size, bits, full = lanes.size, lanes.bits, lanes.full
-    if count == 1:  # every slot is uniform
-        uniform, varying = Counter(offsets[0]), []
-    else:
-        slots = list(zip(*offsets))  # one offset per code
-        uniform = Counter(slot[0] for slot in slots if slot.count(slot[0]) == count)
-        varying = [slot for slot in slots if slot.count(slot[0]) != count]
+    slots = list(zip(*offsets))  # one offset per code
+    uniform = Counter(slot[0] for slot in slots if slot.count(slot[0]) == count)
+    varying = [slot for slot in slots if slot.count(slot[0]) != count]
     uniform.pop(0, None)  # loops
     loops = [offs.count(0) for offs in offsets]
     moves = [space.valency - x for x in loops]  # the loop-free degree
@@ -800,12 +797,6 @@ class BoundsReport:
 
     min_eigenvalue_slack: int | None
     arithmetic_covering_slack: int | None
-
-    def to_json(self) -> dict:
-        return {
-            "min_eigenvalue_slack": self.min_eigenvalue_slack,
-            "arithmetic_covering_slack": self.arithmetic_covering_slack,
-        }
 
 
 def eigenvalue_bounds(numbers: IntersectionNumbers, spectrum: tuple[int, ...],

@@ -174,12 +174,12 @@ class CrPartitionCertificate:
     witness: object = None
 
 
-def certify_cr_partition(code: Code, partition: VertexPartition) -> CrPartitionCertificate:
-    """Certify ``partition``, the coset partition of the additive code C, as
-    a completely regular partition by C's one certificate.  Each class x + C
-    is C translated by x, an automorphism of H(n, q), so the partition is
+def certify_cr_partition(code: Code) -> CrPartitionCertificate:
+    """Certify the coset partition of the additive code C as a completely
+    regular partition by C's one certificate.  Each class x + C is C
+    translated by x, an automorphism of H(n, q), so the partition is
     equitable and every class has C's intersection numbers; the partition
-    itself is not walked.  Class 0 is C, so a C that is not CR fails as
+    itself is not read.  Class 0 is C, so a C that is not CR fails as
     class 0."""
     cert = certify_completely_regular(code)
     if not cert.completely_regular:
@@ -271,9 +271,6 @@ class IntersectionArray:
         if min(self.b + self.c, default=1) < 1:
             raise TheoremViolationError(
                 "every b_i and c_i must be positive", witness=self)
-
-    def to_json(self) -> dict:
-        return {"b": list(self.b), "c": list(self.c)}
 
     def __str__(self) -> str:
         return "{%s;%s}" % (",".join(map(str, self.b)), ",".join(map(str, self.c)))

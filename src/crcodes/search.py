@@ -30,7 +30,7 @@ from pathlib import Path
 from .algebra import GFMatrix, alphabet, field_alphabet, gf_matrix
 from .classify import CheckContext, run_checks
 from .cr_analysis import CrCertificate, analyze_code, certify_codes, recount_witness
-from .errors import DigestMismatchError, TheoremViolationError
+from .errors import DigestMismatchError, TheoremViolationError, jsonable
 from .hamming_space import Code, ambient, code_from_parity_check
 
 RECORD_SCHEMA = "census-record@2"
@@ -97,13 +97,13 @@ def build_record(code: Code, certificate: CrCertificate | None = None) -> dict:
         beta=list(numbers.beta),
         spectrum=list(analysis.spectrum),
         arithmetic=analysis.arithmetic.to_json(),
-        bounds=analysis.bounds.to_json(),
+        bounds=jsonable(analysis.bounds),
     )
 
     context = CheckContext(code, analysis)
     drg, family = context.coset
     record["family"] = {"tag": family.tag, "params": dict(family.params)}
-    record["quotient_array"] = drg.array.to_json()
+    record["quotient_array"] = jsonable(drg.array)
     # arithmetic_quotient_family is named even where it cannot apply
     record["checks"] = {"arithmetic_quotient_family": "INAPPLICABLE",
                         **{result.name: result.status for result in run_checks(context)}}

@@ -12,6 +12,7 @@ from contextlib import contextmanager
 from itertools import combinations
 
 from crcodes.classify import (
+    CheckContext,
     classify_arithmetic_forms,
     classify_quotient,
     classify_small_covering_radius,
@@ -39,6 +40,7 @@ from crcodes.cr_analysis import (
     _charpoly_coefficients,
     _poly_from_roots,
 )
+from crcodes.errors import jsonable
 from crcodes.hamming_space import (
     Code,
     ambient,
@@ -154,7 +156,7 @@ def test_acceptance_03_extended_hamming():
         assert graph_isomorphic(syn.explicit(), complete_bipartite(8)) is not None
         drg = certify_distance_regular(syn)
         assert drg.array == IntersectionArray((8, 7), (1, 8))
-        small = classify_small_covering_radius(ext, analysis)
+        small = classify_small_covering_radius(CheckContext(ext, analysis))
         assert small.case == "extended_hamming"
 
 
@@ -206,7 +208,7 @@ def test_acceptance_06_decompose_hamming_squared():
         syn = coset_graph_by_syndrome(hamham)
         family = classify_quotient(syn)
         assert family.tag == "hamming" and family.params == {"m": 2, "q": 8}
-        report = decompose_product(hamham, family, minimum_distance(hamham))
+        report = decompose_product(CheckContext(hamham))
         assert report.verified
         assert len(report.factors) == 2
         assert all(f.members == ham.members for f in report.factors)
@@ -218,10 +220,11 @@ def test_acceptance_07_replicated_parity_check():
         hh = replicate_columns(hamming_parity_check(3, 2), 2)
         code = code_from_parity_check(ambient(14, 2), hh)
         analysis = analyze_code(code)
-        report = column_classes(code, analysis)
+        context = CheckContext(code, analysis)
+        report = column_classes(context)
         assert len(report.classes) == 7
         assert report.class_size == 2 == analysis.numbers.gamma[1]
-        forms = classify_arithmetic_forms(code, analysis)
+        forms = classify_arithmetic_forms(context)
         assert "hamming_replication" in forms.case_names()
         syn = coset_graph_by_syndrome(code)
         assert graph_isomorphic(syn.explicit(), complete_graph(8)) is not None
@@ -342,6 +345,6 @@ def test_acceptance_11_product_criterion_census_sweep():
                     if not agree:
                         disagreements.append((c1.linear.parity_check.to_lists(),
                                               c2.linear.parity_check.to_lists(),
-                                              compat.to_json(), verified))
+                                              jsonable(compat), verified))
         assert not disagreements, f"criterion and product disagree: {disagreements}"
         assert (pairs, compatible) == (2784, 395)

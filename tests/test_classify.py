@@ -19,6 +19,7 @@ from crcodes.classify import (
     clique_bound_checks,
     column_classes,
     coordinate_classes,
+    coset_family,
     decompose_product,
     finest_product_blocks,
     folded_cube,
@@ -49,6 +50,7 @@ from crcodes.hamming_space import (
     Code,
     ambient,
     code_from_parity_check,
+    code_from_words,
     decode,
     encode,
     minimum_distance,
@@ -278,7 +280,7 @@ def test_coordinate_classes():
 
 def test_column_classes_doubled_hamming():
     doubled = _doubled_hamming()
-    report = column_classes(doubled)
+    report = column_classes(CheckContext(doubled))
     assert report.classes == tuple((i, i + 7) for i in range(7))
     assert report.class_size == 2 and report.gamma1 == 2
     ham = hamming_code(3, 2)
@@ -288,7 +290,7 @@ def test_column_classes_doubled_hamming():
 
 def test_column_classes_hamming_itself():
     ham = hamming_code(3, 2)
-    report = column_classes(ham)
+    report = column_classes(CheckContext(ham))
     assert report.class_size == 1 and report.gamma1 == 1
     assert report.restricted_code.members == ham.members
 
@@ -298,14 +300,14 @@ def test_column_classes_triple_repetition_check():
     m = hstack([gf_identity(alpha, 3), gf_matrix(alpha, [[1], [1], [1]])])
     mmm = replicate_columns(m, 3)
     code = code_from_parity_check(ambient(12, 2), mmm)
-    report = column_classes(code)
+    report = column_classes(CheckContext(code))
     assert len(report.classes) == 4
     assert report.class_size == 3 and report.gamma1 == 3
 
 
 def test_column_classes_match_coordinate_classes():
     for code in (_doubled_hamming(), hamming_code(3, 2), repetition_code(5, 2)):
-        assert column_classes(code).classes == coordinate_classes(code)
+        assert column_classes(CheckContext(code)).classes == coordinate_classes(code)
 
 
 def test_column_classes_refuse_parallel_representatives(monkeypatch):
@@ -317,7 +319,7 @@ def test_column_classes_refuse_parallel_representatives(monkeypatch):
     wrong = ((0, 1), (7, 8), (2, 9), (3, 10), (4, 11), (5, 12), (6, 13))
     monkeypatch.setattr(classify_mod, "coordinate_classes", lambda code: wrong)
     with pytest.raises(TheoremViolationError, match="minimum distance < 3"):
-        column_classes(_doubled_hamming())
+        column_classes(CheckContext(_doubled_hamming()))
 
 
 # -- decomposition ----------------------------------------------------------------
@@ -420,7 +422,7 @@ def test_decompose_hamming_squared():
     syn = coset_graph_by_syndrome(hamham)
     family = classify_quotient(syn)
     assert family.tag == "hamming" and family.params == {"m": 2, "q": 8}
-    report = decompose_product(hamham, family, minimum_distance(hamham))
+    report = decompose_product(CheckContext(hamham))
     assert report.verified
     assert report.blocks == (tuple(range(7)), tuple(range(7, 14)))
     assert all(f.members == ham.members for f in report.factors)
@@ -431,7 +433,7 @@ def test_decompose_single_factor():
     doubled = _doubled_hamming()
     family = classify_quotient(coset_graph_by_syndrome(doubled))
     assert family.params == {"m": 1, "q": 8}
-    report = decompose_product(doubled, family, minimum_distance(doubled))
+    report = decompose_product(CheckContext(doubled))
     assert report.verified and len(report.factors) == 1
     assert report.factors[0].members == doubled.members
 
@@ -441,7 +443,7 @@ def test_decompose_rep2_squared():
     sq = cartesian_product(rep2, rep2)
     family = classify_quotient(coset_graph_by_syndrome(sq))
     assert family.tag == "hamming" and family.params == {"m": 2, "q": 2}
-    report = decompose_product(sq, family, minimum_distance(sq))
+    report = decompose_product(CheckContext(sq))
     assert report.verified
     assert all(f.members == rep2.members for f in report.factors)
 
@@ -553,26 +555,26 @@ def test_extended_hamming_identity_agrees_with_puncture_and_extend():
 
 
 def test_small_radius_hamming():
-    report = classify_small_covering_radius(hamming_code(3, 2))
+    report = classify_small_covering_radius(CheckContext(hamming_code(3, 2)))
     assert report.case == "hamming"
 
 
 def test_small_radius_extended_hamming():
-    report = classify_small_covering_radius(extended_hamming_code(3))
+    report = classify_small_covering_radius(CheckContext(extended_hamming_code(3)))
     assert report.case == "extended_hamming"
 
 
 def test_small_radius_binary_repetition_of_length_five():
     # {00000, 11111}: rho = 2, delta = 5, spectrum {5, 1, -3}, coset graph
     # the folded 5-cube; neither a product nor an extended Hamming code
-    report = classify_small_covering_radius(repetition_code(5, 2))
+    report = classify_small_covering_radius(CheckContext(repetition_code(5, 2)))
     assert report.case == "binary_repetition"
 
 
 def test_small_radius_product_branch():
     rep3 = hamming_code(2, 2)
     sq = cartesian_product(rep3, rep3)
-    report = classify_small_covering_radius(sq)
+    report = classify_small_covering_radius(CheckContext(sq))
     assert report.case == "hamming_product"
     assert report.detail["factor_length"] == 3
 
@@ -585,7 +587,7 @@ def test_forms_folded_cube_case():
     m = hstack([gf_identity(alpha, 3), gf_matrix(alpha, [[1], [1], [1]])])
     mm = replicate_columns(m, 2)
     code = code_from_parity_check(ambient(8, 2), mm)
-    forms = classify_arithmetic_forms(code)
+    forms = classify_arithmetic_forms(CheckContext(code))
     assert "folded_cube_replication" in forms.case_names()
     case = next(c for c in forms.cases if c["case"] == "folded_cube_replication")
     assert case["copies"] == 2 and case["base_length"] == 4
@@ -595,7 +597,7 @@ def test_forms_folded_cube_case():
 
 
 def test_forms_hamming_replication_case():
-    forms = classify_arithmetic_forms(_doubled_hamming())
+    forms = classify_arithmetic_forms(CheckContext(_doubled_hamming()))
     assert "hamming_replication" in forms.case_names()
     case = next(c for c in forms.cases if c["case"] == "hamming_replication")
     assert case["copies"] == 2 and not case["degenerate_base"]
@@ -603,24 +605,24 @@ def test_forms_hamming_replication_case():
 
 def test_forms_even_weight_degenerate_hamming():
     code = code_from_parity_check(ambient(4, 2), gf_matrix(alphabet(2), [[1, 1, 1, 1]]))
-    forms = classify_arithmetic_forms(code)
+    forms = classify_arithmetic_forms(CheckContext(code))
     case = next(c for c in forms.cases if c["case"] == "hamming_replication")
     assert case["degenerate_base"] and case["copies"] == 4
 
 
 def test_forms_repetition3_matches_two_cases():
-    forms = classify_arithmetic_forms(hamming_code(2, 2))
+    forms = classify_arithmetic_forms(CheckContext(hamming_code(2, 2)))
     assert {"folded_cube_replication", "hamming_replication"} <= forms.case_names()
 
 
 def test_forms_extended_hamming_case():
-    forms = classify_arithmetic_forms(extended_hamming_code(3))
+    forms = classify_arithmetic_forms(CheckContext(extended_hamming_code(3)))
     assert "extended_hamming_replication" in forms.case_names()
 
 
 def test_forms_power_case():
     ham = hamming_code(3, 2)
-    forms = classify_arithmetic_forms(cartesian_product(ham, ham))
+    forms = classify_arithmetic_forms(CheckContext(cartesian_product(ham, ham)))
     assert "radius_one_power" in forms.case_names()
     case = next(c for c in forms.cases if c["case"] == "radius_one_power")
     assert case["exponent"] == 2 and case["factor_length"] == 7
@@ -628,7 +630,7 @@ def test_forms_power_case():
 
 def test_replicated_normal_form_direct():
     doubled = _doubled_hamming()
-    report = column_classes(doubled)
+    report = column_classes(CheckContext(doubled))
     result = replicated_normal_form(doubled, report)
     assert result.matches and result.copies == 2 and result.base_length == 7
 
@@ -637,8 +639,7 @@ def test_replicated_normal_form_direct():
 
 
 def _pipeline(code):
-    family = classify_quotient(coset_graph_by_syndrome(code))
-    return classify_hamming_quotient_code(code, analyze_code(code), family)
+    return classify_hamming_quotient_code(CheckContext(code))
 
 
 def test_pipeline_hamming74():
@@ -662,8 +663,8 @@ def test_pipeline_hamming_squared():
 
 
 def test_pipeline_rejects_non_hamming_quotient():
-    with pytest.raises(ValueError):
-        _pipeline(repetition_code(6, 2))
+    # the coset graph of binary repetition 6 is the folded 6-cube
+    assert _pipeline(repetition_code(6, 2)) is None
 
 
 # -- nonbinary paths -------------------------------------------------------------
@@ -674,9 +675,9 @@ def test_scaled_column_class_over_gf3():
     # the normal-form check must apply that scaling
     code = code_from_parity_check(ambient(2, 3), gf_matrix(alphabet(3), [[1, 2]]))
     assert code.word_strings() == ["00", "11", "22"]
-    report = column_classes(code)
+    report = column_classes(CheckContext(code))
     assert report.classes == ((0, 1),) and report.class_size == 2
-    forms = classify_arithmetic_forms(code)
+    forms = classify_arithmetic_forms(CheckContext(code))
     assert forms.case_names() == {"hamming_replication"}
     assert not forms.violation
 
@@ -686,7 +687,7 @@ def test_decompose_ternary_hamming_squared():
     sq = cartesian_product(th, th)
     family = classify_quotient(coset_graph_by_syndrome(sq))
     assert family.tag == "hamming" and family.params == {"m": 2, "q": 9}
-    report = decompose_product(sq, family, minimum_distance(sq))
+    report = decompose_product(CheckContext(sq))
     assert report.verified and report.factor_radii == (1, 1)
     assert all(f.members == th.members for f in report.factors)
 
@@ -804,8 +805,8 @@ def test_clique_checks_take_the_known_min_distance(monkeypatch):
 
 
 def test_decompose_product_takes_the_known_min_distance(monkeypatch):
-    # on every Hamming-quotient census code the analysis' delta gives the
-    # report of the weight-scan oracle, and decompose_product scans nothing
+    # on every Hamming-quotient census code the analysis' delta is the
+    # weight-scan oracle's, and decompose_product scans nothing
     import crcodes.hamming_space as hamming_mod
     from crcodes.search import enumerate_linear_codes
 
@@ -820,17 +821,15 @@ def test_decompose_product_takes_the_known_min_distance(monkeypatch):
                 if family.tag != "hamming":
                     continue
                 assert analysis.delta == minimum_distance(code)
-                cases.append((code, family, analysis.delta,
-                              decompose_product(code, family, minimum_distance(code))))
+                cases.append((code, analysis))
     assert len(cases) > 20
-    assert all(report.verified for *_, report in cases)
 
     def no_scan(code):
         raise AssertionError("minimum distance recomputed")
 
     monkeypatch.setattr(hamming_mod, "minimum_distance", no_scan)
-    for code, family, delta, report in cases:
-        assert decompose_product(code, family, delta) == report
+    for code, analysis in cases:
+        assert decompose_product(CheckContext(code, analysis)).verified
 
 
 # -- folded cubes from the connection set -------------------------------------------
@@ -882,9 +881,10 @@ def census_recordings(tmp_path_factory):
                    lambda factors, certs: comparisons.append((factors, certs))
                    or real_compare(factors, certs))
 
-        def decompose(code, family, delta, split=None):
-            report = real_decompose(code, family, delta, split)
-            decompositions.append((code, report))
+        def decompose(context):
+            report = real_decompose(context)
+            if report is not None:
+                decompositions.append((context.code, report))
             return report
 
         def normal_form(code, report):
@@ -1157,14 +1157,13 @@ def test_permuted_hamming_squares_are_radius_one_powers_by_rule_and_search():
         rng.shuffle(perm)
         code = code_from_parity_check(
             ambient(14, 2), gf_matrix(h.alphabet, [[row[j] for j in perm] for row in h.rows]))
-        forms = classify_arithmetic_forms(code)
+        forms = classify_arithmetic_forms(CheckContext(code))
         assert "radius_one_power" in forms.case_names()
         blocks = finest_product_blocks(code)
         assert len(blocks) == 2 and blocks != ((*range(7),), (*range(7, 14),))
         factors, certs = product_factors(code, blocks)
         assert _rule_and_search(factors, certs) == [(True, True, 2)]
-        family = classify_quotient(coset_graph_by_syndrome(code))
-        report = decompose_product(code, family, minimum_distance(code))
+        report = decompose_product(CheckContext(code))
         assert report.verified and _rebuilds(code, report.blocks, report.factors)
 
 
@@ -1185,10 +1184,9 @@ def test_wrong_blocks_fail_the_size_identity_and_the_rebuild(monkeypatch):
 
     ham = hamming_code(3, 2)
     hamham = cartesian_product(ham, ham)
-    family = classify_quotient(coset_graph_by_syndrome(hamham))
     interleaved = ((0, 2, 4, 6, 8, 10, 12), (1, 3, 5, 7, 9, 11, 13))
     monkeypatch.setattr(classify_mod, "finest_product_blocks", lambda code: interleaved)
-    report = decompose_product(hamham, family, 3)
+    report = decompose_product(CheckContext(hamham))
     assert report.blocks == interleaved and not report.verified
     assert not _rebuilds(hamham, report.blocks, report.factors)
     # blocks whose factors are both CR with rho = 1, so that only the size
@@ -1197,7 +1195,9 @@ def test_wrong_blocks_fail_the_size_identity_and_the_rebuild(monkeypatch):
     even = code_from_parity_check(ambient(4, 2), gf_matrix(alphabet(2), [[1, 1, 1, 1]]))
     halves = ((0, 1), (2, 3))
     monkeypatch.setattr(classify_mod, "finest_product_blocks", lambda code: halves)
-    report = decompose_product(even, QuotientFamily("hamming", {"m": 2, "q": 2}), 2)
+    context = CheckContext(even)  # its coset graph is K_2, forged as H(2, 2)
+    context.coset = (context.coset[0], QuotientFamily("hamming", {"m": 2, "q": 2}))
+    report = decompose_product(context)
     assert report.factor_radii == (1, 1)
     assert not report.verified and report.detail == "product does not rebuild the code"
     assert not _rebuilds(even, report.blocks, report.factors)
@@ -1235,7 +1235,7 @@ def test_census_normal_forms_agree_with_the_member_map(census_recordings):
     from dataclasses import replace
 
     doubled = _doubled_hamming()
-    report = column_classes(doubled)
+    report = column_classes(CheckContext(doubled))
     wrong = replace(report, classes=tuple((i, 7 + (i + 1) % 7) for i in range(7)))
     assert replicated_normal_form(doubled, report).matches
     assert not replicated_normal_form(doubled, wrong).matches
@@ -1278,8 +1278,107 @@ def test_codes_cut_from_a_parity_check_list_no_member_of_their_source(monkeypatc
     assert spanned == []
     doubled = _doubled_hamming()
     assert coordinate_classes(doubled) == tuple((i, i + 7) for i in range(7))
-    assert "hamming_replication" in classify_arithmetic_forms(doubled).case_names()
+    assert "hamming_replication" in classify_arithmetic_forms(CheckContext(doubled)).case_names()
     assert spanned == []  # the deduplicated code D is certified from H_P
+
+
+# -- where each structure theorem applies ---------------------------------------------
+
+
+def _applies(code: Code) -> dict[str, bool]:
+    """Where each structure classifier's theorem applies to an additive code,
+    from the code's certificate, the member scans of its free coordinates
+    and minimum distance, its spectrum's gaps and its coset graph's family,
+    none of them read off a CheckContext."""
+    from crcodes.cr_analysis import (
+        certify_completely_regular,
+        code_spectrum,
+        free_coordinates,
+        quotient_matrix,
+    )
+    from crcodes.partitions_quotients import coset_partition, quotient_graph
+
+    space = code.ambient
+    cert = certify_completely_regular(code)
+    if not cert.completely_regular:
+        return dict.fromkeys(_CLASSIFIERS, False)
+    spectrum = code_spectrum(quotient_matrix(cert.numbers), space)
+    arithmetic = len({a - b for a, b in zip(spectrum, spectrum[1:])}) <= 1
+    delta = minimum_distance(code) if code.size >= 2 else 0
+    reduced = not free_coordinates(code)
+    graph = (coset_graph_by_syndrome(code) if code.is_linear
+             else quotient_graph(coset_partition(code)))
+    hamming = classify_quotient(graph).tag == "hamming"
+    forms = (code.is_linear and 2 <= code.size < space.size and reduced
+             and arithmetic)
+    return {
+        "coset_family": True,
+        "column_classes": code.is_linear and reduced,
+        "classify_arithmetic_forms": forms,
+        "decompose_product": hamming and delta >= 2,
+        "classify_small_covering_radius": (code.is_linear and delta >= 3 and arithmetic
+                                           and cert.partition.rho in (1, 2)),
+        "classify_hamming_quotient_code": forms and hamming,
+    }
+
+
+_CLASSIFIERS = {
+    "coset_family": coset_family,
+    "column_classes": column_classes,
+    "classify_arithmetic_forms": classify_arithmetic_forms,
+    "decompose_product": decompose_product,
+    "classify_small_covering_radius": classify_small_covering_radius,
+    "classify_hamming_quotient_code": classify_hamming_quotient_code,
+}
+
+
+def _zero_codes():
+    """The one-word code {0} of q=2 n=1, q=2 n=3 and q=3 n=2, by parity
+    check I_n and by word list."""
+    for q, n in ((2, 1), (2, 3), (3, 2)):
+        space = ambient(n, q)
+        yield code_from_parity_check(space, gf_identity(space.alphabet, n))
+        yield code_from_words(space, [(0,) * n])
+
+
+def test_each_structure_classifier_returns_none_exactly_where_its_theorem_does_not_apply():
+    from crcodes.search import enumerate_linear_codes
+
+    codes = [code for q, top in ((2, 6), (3, 4)) for n in range(1, top + 1)
+             for code in enumerate_linear_codes(n, q)]
+    codes += _zero_codes()
+    # the census codes of q=2 n<=4 and q=3 n<=3 as word lists, and two
+    # word-listed codes with free coordinates
+    codes += [code_from_words(code.ambient, code.members) for code in codes
+              if code.is_linear and code.ambient.size <= 27]
+    codes += [code_from_words(ambient(3, 2), [(0, 0, 0), (0, 1, 1), (1, 0, 0), (1, 1, 1)]),
+              code_from_words(ambient(2, 3), [(0, 0), (1, 0), (2, 0)])]
+    seen = {name: set() for name in _CLASSIFIERS}
+    for code in codes:
+        context = CheckContext(code)
+        applies = _applies(code)
+        for name, classifier in _CLASSIFIERS.items():
+            result = classifier(context)
+            assert (result is not None) == applies[name], (name, code)
+            seen[name].add(result is not None)
+    assert all(outcomes == {True, False} for outcomes in seen.values()), seen
+
+
+def test_a_code_that_is_not_additive_has_no_coset_graph():
+    # {100, 011}, a translate of the repetition code {000, 111}, is CR; the
+    # structure classifiers that need a linear code give None, and the two
+    # that read the coset graph refuse the code
+    from crcodes.errors import NotAdditiveError
+
+    code = code_from_words(ambient(3, 2), [(1, 0, 0), (0, 1, 1)])
+    context = CheckContext(code)
+    assert context.analysis.cr
+    for name in ("column_classes", "classify_arithmetic_forms",
+                 "classify_small_covering_radius", "classify_hamming_quotient_code"):
+        assert _CLASSIFIERS[name](context) is None
+    for classifier in (coset_family, decompose_product):
+        with pytest.raises(NotAdditiveError):
+            classifier(context)
 
 
 # -- a planted violation for every theorem check -----------------------------------------

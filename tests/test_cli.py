@@ -545,6 +545,24 @@ def test_decompose_of_the_binary_repetition_code_of_length_five(tmp_path, capsys
     assert [c["case"] for c in report["forms"]["cases"]] == ["folded_cube_replication"]
 
 
+@pytest.mark.parametrize("q,n", [(2, 1), (2, 3), (3, 2)])
+def test_decompose_of_the_zero_code_is_one_report_by_parity_check_or_word_list(
+        tmp_path, capsys, q, n):
+    # {0} given as the code of H = I_n or as a one-word list: no structure
+    # theorem applies to a one-word code, so both give the same report
+    by_h = _write_spec(tmp_path, "zero-h.json", {
+        "type": "linear", "q": q, "n": n,
+        "parity_check": [[int(i == j) for j in range(n)] for i in range(n)]})
+    by_words = _write_spec(tmp_path, "zero-words.json",
+                           {"type": "words", "q": q, "n": n, "words": [[0] * n]})
+    for fmt in ("json", "text"):
+        runs = [_run(capsys, "decompose", spec, "--format", fmt) for spec in (by_h, by_words)]
+        assert runs[0] == runs[1] and runs[0][0] == 0
+    report = json.loads(_run(capsys, "decompose", by_h)[1])
+    assert report["family"]["params"] == {"m": n, "q": q}
+    assert not {"forms", "column_classes", "decomposition", "small_radius"} & set(report)
+
+
 def test_check_of_a_padded_hamming_code_lists_no_member(tmp_path, capsys, monkeypatch):
     import crcodes.hamming_space as hamming_mod
 

@@ -103,7 +103,7 @@ def test_h24_partition_is_coset_partition():
 def test_certify_cr_partition_full_check():
     ham = hamming_code(3, 2)
     part = coset_partition(ham)
-    cert = certify_cr_partition(ham, part)
+    cert = certify_cr_partition(ham)
     assert cert.is_cr_partition
     assert cert.numbers.gamma == (0, 1)
     oracle, class_certs = certify_partition_class_by_class(part)
@@ -179,7 +179,7 @@ def test_coset_partition_of_a_cr_code_is_a_cr_partition():
     verdicts = set()
     for code in codes:
         partition = coset_partition(code)
-        cert = certify_cr_partition(code, partition)
+        cert = certify_cr_partition(code)
         oracle, _ = certify_partition_class_by_class(partition)
         assert (cert.is_cr_partition, cert.failure, cert.numbers) == (
             oracle.is_cr_partition, oracle.failure, oracle.numbers)
@@ -379,7 +379,7 @@ def test_min_eigenvalue_bound_on_certified_partitions():
     for code in (hamming_code(2, 2), hamming_code(3, 2), _rep6(),
                  extended_hamming_code(3), hamming_code(2, 3)):
         part = coset_partition(code)
-        cert = certify_cr_partition(code, part)
+        cert = certify_cr_partition(code)
         assert cert.is_cr_partition
         numbers = cert.numbers
         spec = code_spectrum(quotient_matrix(numbers), part.space)

@@ -381,7 +381,7 @@ def test_a_small_radius_code_with_no_case_stops_the_census(tmp_path, monkeypatch
     from crcodes.classify import SmallRadiusReport
 
     monkeypatch.setattr(classify_mod, "classify_small_covering_radius",
-                        lambda code, analysis, context: SmallRadiusReport(None))
+                        lambda context: SmallRadiusReport(None))
     with pytest.raises(TheoremViolationError):
         run_census(CensusParams(q=2, max_n=5), tmp_path)
     witness = json.loads((tmp_path / "witness.json").read_text())
@@ -399,7 +399,7 @@ def test_replay_compares_the_checks_a_record_names(monkeypatch):
     assert record["checks"].pop("small_radius_case") == "PASS"
     assert replay(record) == {"digest": record["digest"], "match": True, "differences": []}
     monkeypatch.setattr(classify_mod, "classify_small_covering_radius",
-                        lambda code, analysis, context: SmallRadiusReport(None))
+                        lambda context: SmallRadiusReport(None))
     assert replay(record)["differences"] == ["checks"]
 
 

@@ -25,7 +25,12 @@ from crcodes.algebra import (
     nullspace_basis,
     rank,
 )
-from crcodes.classify import _is_syndrome_quotient, coset_family, linear_folded_cube_map
+from crcodes.classify import (
+    CheckContext,
+    _is_syndrome_quotient,
+    coset_family,
+    linear_folded_cube_map,
+)
 from crcodes.constructions import (
     extended_hamming_code,
     hamming_code,
@@ -311,7 +316,7 @@ def test_projective_codes_take_their_drg_array_from_their_own_certificate(monkey
                     continue
                 graph = coset_graph_by_syndrome(code)
                 runs.clear()
-                drg, _ = coset_family(code, cert)
+                drg, _ = coset_family(CheckContext(code, analyze_code(code, cert)))
                 assert drg.array == certify_distance_regular(graph).array
                 offsets = [s for s in column_offsets(code.linear.parity_check) if s]
                 if len(set(offsets)) < len(offsets):
