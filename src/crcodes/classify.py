@@ -29,7 +29,7 @@ from functools import cached_property, reduce
 from math import prod
 from operator import xor
 
-from .algebra import GFMatrix, alphabet, mat_vec, rank
+from .algebra import GFMatrix, alphabet, rank
 from .constructions import replicate_columns
 from .cr_analysis import (
     CodeAnalysis,
@@ -51,6 +51,7 @@ from .hamming_space import (
 )
 from .partitions_quotients import (
     CayleyGraph,
+    CosetQuotient,
     DrgCertificate,
     Graph,
     IntersectionArray,
@@ -58,6 +59,7 @@ from .partitions_quotients import (
     coset_graph_by_syndrome,
     coset_partition,
     drg_spectrum,
+    is_syndrome_quotient,
     predicted_quotient_array,
     quotient_graph,
 )
@@ -318,8 +320,9 @@ def classify_quotient(graph: Graph | CayleyGraph, drg=None) -> QuotientFamily:
     if ham is not None:
         m, qprime = ham
         # the local graphs: vertex 0 stands for every vertex of a Cayley graph
-        profiles = {local_component_profile(graph, v)
-                    for v in range(1 if isinstance(graph, CayleyGraph) else graph.n)}
+        # or a coset quotient, both vertex-transitive
+        roots = 1 if isinstance(graph, (CayleyGraph, CosetQuotient)) else graph.n
+        profiles = {local_component_profile(graph, v) for v in range(roots)}
         if qprime == 4:  # triangles and hexagons, the same at every vertex
             profile = profiles.pop()
             hexa, tri = profile.count((6, 6)), profile.count((3, 3))
@@ -467,12 +470,11 @@ def coordinate_classes(code: Code) -> tuple[tuple[int, ...], ...]:
     """Classes of i ~ j iff some scalar multiple of e_j equals e_i mod C.
 
     Concretely: e_i - lambda * e_j is a codeword for some nonzero lambda.
-    Additivity makes this an equivalence relation.  For a linear code that
-    is h_i = lambda h_j, tested as a syndrome: columns parallel over GF(q),
+    Additivity, not scanned again here (the coset family refuses any other
+    code), makes this an equivalence relation.  For a linear code that is
+    h_i = lambda h_j, tested as a syndrome: columns parallel over GF(q),
     with the zero columns as one more class.
     """
-    if not is_additive(code):
-        raise ValueError("coordinate classes need an additive code")
     space = code.ambient
     q, n = space.q, space.n
     alpha = space.alphabet
@@ -979,19 +981,6 @@ class CheckContext:
         return classify_small_covering_radius(self)
 
 
-def _is_syndrome_quotient(code: Code, graph: CayleyGraph) -> bool:
-    """Whether graph is the quotient of H(n, q) by the cosets of C, named by
-    syndrome Ex, E the code's echelon: a Cayley graph on the q^rank
-    syndromes whose S is the nonzero E(lambda e_j) for every coordinate j and
-    nonzero lambda, each E times a word, independently of how S was found."""
-    h = code.linear.echelon
-    n, q = code.ambient.n, code.ambient.q
-    steps = {encode(mat_vec(h, tuple(lam if i == j else 0 for i in range(n))), q)
-             for j in range(n) for lam in range(1, q)} - {0}
-    return (graph.alphabet, graph.rank, graph.connection) == (
-        h.alphabet, h.nrows, tuple(sorted(steps)))
-
-
 def _verdict(name: str, holds: bool | None, detail: str = "") -> list[CheckResult]:
     """One check's result: INAPPLICABLE when ``holds`` is None."""
     status = "INAPPLICABLE" if holds is None else "PASS" if holds else "FAIL"
@@ -1039,7 +1028,7 @@ THEOREM_CHECKS = (
         predicted_quotient_array(c.analysis.numbers) == c.coset[0].array)),
     ("census", lambda c: _verdict(
         "syndrome_graph_isomorphic",
-        _is_syndrome_quotient(c.code, coset_graph_by_syndrome(c.code)))),
+        is_syndrome_quotient(c.code, coset_graph_by_syndrome(c.code)))),
     ("census", _spectrum_scaling),
 )
 

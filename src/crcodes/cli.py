@@ -40,10 +40,11 @@ from .partitions_quotients import (
     certify_distance_regular,
     coset_graph_by_syndrome,
     coset_partition,
-    coset_to_syndrome,
     drg_spectrum,
+    is_syndrome_quotient,
     predicted_quotient_array,
     quotient_graph,
+    syndrome_quotient_graph,
 )
 from .search import CensusParams, replay, run_census
 
@@ -154,21 +155,24 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_quotient(args) -> int:
     code = _load(args.spec, args)
-    partition = coset_partition(code)
+    # a linear code's classes are its syndromes; only a word list's are listed
+    cayley = coset_graph_by_syndrome(code) if code.is_linear else None
+    partition = coset_partition(code) if cayley is None else None
     cert = certify_cr_partition(code)
     report = {
         "schema": "quotient-report@1",
-        "classes": partition.class_count,
+        "classes": partition.class_count if cayley is None else cayley.n,
         "cr_partition": cert.is_cr_partition,
     }
     if not cert.is_cr_partition:
         report["failure"] = cert.failure
         _emit(report, args)
         return EXIT_REFUTED
-    graph = quotient_graph(partition)
-    # a linear code's quotient is certified as its Cayley coset graph, whose
-    # array the edge-by-edge comparison below carries over to the explicit one
-    cayley = coset_graph_by_syndrome(code) if code.is_linear else None
+    if cayley is None:
+        graph = quotient_graph(partition)
+    else:
+        syndrome_graph = cayley.explicit()
+        graph = syndrome_quotient_graph(code, syndrome_graph)
     drg = certify_distance_regular(graph if cayley is None else cayley)
     predicted = predicted_quotient_array(cert.numbers)
     report.update(
@@ -185,15 +189,11 @@ def _cmd_quotient(args) -> int:
             "distance-regularity prediction", witness=report)
     report["quotient_spectrum"] = list(drg_spectrum(drg.array))
     if cayley is not None:
-        syndrome_graph = cayley.explicit()
-        phi = coset_to_syndrome(code, partition)
-        same = graph.edge_count() == syndrome_graph.edge_count() and all(
-            syndrome_graph.has_edge(phi[u], phi[v]) for u, v in graph.edges())
         report["syndrome_graph"] = syndrome_graph.to_json()
-        report["syndrome_isomorphic"] = same
-        if not same:
+        report["syndrome_isomorphic"] = is_syndrome_quotient(code, cayley)
+        if not report["syndrome_isomorphic"]:
             raise TheoremViolationError(
-                "syndrome graph disagrees with the explicit quotient",
+                "syndrome graph is not the quotient by the cosets of the code",
                 witness=report)
     _emit(report, args)
     return EXIT_OK

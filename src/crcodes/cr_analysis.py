@@ -508,14 +508,9 @@ def _lane_sum(planes, cls: bytes, c: int) -> int:
 
 def _certificate(code: Code, block) -> CrCertificate:
     """The certificate of one block of `_packed_bfs`.  A lane is named by its
-    least word: the lane's digits on E's pivots (the lane itself when E is
-    H = [I_r | A] and lists no pivots)."""
+    least word, `LinearStructure.least_word`."""
     cls, layers, delta, rows = block
-    pivots = code.linear.pivots
-    if pivots is not None:
-        q = code.ambient.q
-        rows = [(sum(s // q**i % q * q**j for i, j in enumerate(pivots)), c, counts)
-                for s, c, counts in rows]
+    rows = [(code.linear.least_word(s), c, counts) for s, c, counts in rows]
     size = code.size
     part = SyndromePartition(code, cls, len(layers) - 1, tuple(x * size for x in layers), delta)
     return _scan(part, rows)
@@ -528,8 +523,7 @@ def certify_codes(codes):
     the syndromes Ex of their echelons E, _CHUNK_LANES // q^r codes to a
     packed BFS when q^r <= 256 and one otherwise.  E's rows are
     independent, so its syndromes are the q^rank words of GF(q)^rank, and
-    the least word with syndrome u is u's digits on E's pivot columns (u
-    itself when E is H = [I_r | A]): lane order is least-word order, so the
+    lane order is least-word order (`LinearStructure.least_word`), so the
     lowest lane that differs names the full-space scan's witness.  The
     q^rank syndromes are held to the vertex cap.  Codes in spaces of at
     most _CROSS_CHECK_WORDS words are also certified word by word, and the
@@ -566,20 +560,18 @@ def _zero_syndrome_words(code: Code) -> Code:
     return Code(space, tuple(x for x, s in enumerate(syndromes) if not s))
 
 
-def certify_completely_regular(code: Code, partition: DistancePartition | None = None) -> CrCertificate:
+def certify_completely_regular(code: Code) -> CrCertificate:
     """Check the distance partition is equitable; witness the first conflict.
 
     A linear code is a chunk of one of `certify_codes`, on the q^rank
     syndromes of its echelon, whether or not the rows of H are independent;
     the verdict, numbers, class sizes and witness are those of the
-    full-space scan, which runs for word-listed codes and whenever a
-    word-indexed `partition` is passed in.
+    full-space scan, which runs for word-listed codes.
     """
-    if partition is None and code.is_linear:
+    if code.is_linear:
         [(_, cert)] = certify_codes([code])
         return cert
-    return _certify_words(
-        code, partition if partition is not None else distance_partition(code))
+    return _certify_words(code, distance_partition(code))
 
 
 def _cross_checked(code: Code, cert: CrCertificate) -> CrCertificate:

@@ -244,6 +244,13 @@ class LinearStructure:
         object.__setattr__(self, "pivots", pivots)
         object.__setattr__(self, "rank", rank)
 
+    def least_word(self, syndrome: int) -> int:
+        """The least x with Ex = `syndrome`: its digits on E's pivots (itself
+        when E = [I_r | A]).  Pivots ascend, so this keeps syndrome order."""
+        q = self.echelon.alphabet.q
+        return syndrome if self.pivots is None else sum(
+            syndrome // q**i % q * q**j for i, j in enumerate(self.pivots))
+
 
 class Code:
     """A nonempty set of words of H(n, q), optionally with linear structure.

@@ -1,18 +1,17 @@
 """Vertex partitions, coset partitions, quotient and coset graphs, and
 distance-regularity certification with intersection arrays.
 
+Every coset x + C of an additive code is C translated by x, an automorphism
+of H(n, q) that permutes the cosets.  So the coset partition is equitable by
+construction and certified by C's own certificate, each class has its
+representative's neighbouring classes, and the quotient is vertex-transitive:
+distance-regularity is read off class 0.
+
 The coset graph of a linear code is the Cayley graph Cay(GF(q)^r, S), r the
 rank of H, held as S, the nonzero multiples of the columns of the code's
-echelon E, and certified on syndromes with no adjacency list.  The explicit
-coset partition and quotient graph are for additive codes without a parity
-check and for showing the quotient itself, where the class-to-syndrome
-bijection lets the two constructions be compared.  Every coset x + C of an
-additive code is the image of C under the translation by x, an automorphism
-of H(n, q).  So the coset partition is equitable by construction and is
-certified by C's own certificate, never class by class, and every member of
-a class has the neighbouring classes of the class's representative: the
-quotient graph is read off the representatives, and no q^n x n(q - 1)
-neighbour walk is left in the quotient path.
+echelon E, and certified on syndromes with no adjacency list.  Its class k
+is the coset of syndrome k, so no word of the q^n is listed; the explicit
+coset partition is for additive codes without a parity check.
 """
 
 from __future__ import annotations
@@ -97,6 +96,12 @@ class Graph:
 
 
 @dataclass(frozen=True)
+class CosetQuotient(Graph):
+    """The quotient of an additive code's coset partition: translations
+    permute the cosets, so each class sees class 0's layering."""
+
+
+@dataclass(frozen=True)
 class CayleyGraph:
     """Cay(GF(q)^r, S), v ~ v + s for s in S, held as its alphabet, rank r
     and S (sorted vertex numbers, words of GF(q)^r) with no adjacency list;
@@ -119,6 +124,7 @@ class CayleyGraph:
     def explicit(self) -> Graph:
         """The adjacency list: each element of S translates every vertex."""
         q, r, count = self.alphabet.q, self.rank, self.n
+        _refuse_large_quotient(count)
         translates = [translate(range(count), s, self.alphabet) for s in self.connection]
         adjacency = tuple(tuple(sorted(nbrs)) for nbrs in zip(*translates)) or ((),) * count
         labels = tuple(str(decode(s, r, q)) for s in range(count))
@@ -188,32 +194,35 @@ def certify_cr_partition(code: Code) -> CrPartitionCertificate:
     return CrPartitionCertificate(True, numbers=cert.numbers)
 
 
-def quotient_graph(partition: VertexPartition) -> Graph:
+def quotient_graph(partition: VertexPartition) -> CosetQuotient:
     """Classes adjacent iff some cross edge exists in H(n, q), for
     ``partition`` the coset partition of an additive code C (every
     VertexPartition the package builds).  A member x + c of the class of x
     has the neighbours x + c + lambda*e_j, in the classes of x + lambda*e_j,
     so each class is joined to the classes of its representative's n(q - 1)
     neighbours and no other word is walked."""
-    if partition.class_count > QUOTIENT_CLASS_CAP:
-        raise CapacityError(
-            f"refusing to materialize a quotient on {partition.class_count} classes; "
-            "use the syndrome construction instead")
+    _refuse_large_quotient(partition.class_count)
     class_of, space = partition.class_of, partition.space
     adjacency = tuple(
         tuple(sorted({class_of[w] for w in neighbors(rep, space)} - {c}))
         for c, rep in enumerate(partition.representatives))
-    return Graph(adjacency, tuple(str(r) for r in partition.representatives))
+    return CosetQuotient(adjacency, tuple(str(r) for r in partition.representatives))
+
+
+def _refuse_large_quotient(classes: int) -> None:
+    if classes > QUOTIENT_CLASS_CAP:
+        raise CapacityError(f"refusing to materialize a quotient on {classes} classes; "
+                            "use the syndrome construction instead")
 
 
 def coset_graph_by_syndrome(code: Code) -> CayleyGraph:
     """Coset graph on syndrome words: s ~ s + lambda*h_i for nonzero lambda.
 
     Syndromes are taken with the code's echelon E, so the vertices are the
-    q^rank words of GF(q)^rank and S is the distinct nonzero lambda*e_i.
-    Isomorphic to the quotient graph of the coset partition (the coset of x
-    goes to the syndrome Ex, see ``coset_to_syndrome``) without touching the
-    q^n words, and held as S alone.
+    q^rank words of GF(q)^rank and S is the distinct nonzero lambda*e_i,
+    held alone.  Syndrome k is the coset of its least word, and least words
+    keep syndrome order, so this is the quotient of the coset partition with
+    class k at syndrome k (`syndrome_quotient_graph`), with no q^n word read.
     """
     if not code.is_linear:
         raise NotAdditiveError("syndrome construction needs a linear code")
@@ -222,20 +231,24 @@ def coset_graph_by_syndrome(code: Code) -> CayleyGraph:
     return CayleyGraph(h.alphabet, h.nrows, connection, code.ambient.max_vertices)
 
 
-def coset_to_syndrome(code: Code, partition: VertexPartition) -> tuple[int, ...]:
-    """The syndrome Ex, E the code's echelon, of each class of the coset
-    partition of a linear code, checked to be a bijection onto the q^rank
-    syndromes."""
+def is_syndrome_quotient(code: Code, graph: CayleyGraph) -> bool:
+    """Whether graph is the quotient of H(n, q) by the cosets of C, named by
+    syndrome Ex, E the code's echelon: a Cayley graph on the q^rank
+    syndromes whose S is the nonzero E(lambda e_j) for every coordinate j and
+    nonzero lambda, each E times a word, independently of how S was found."""
     h = code.linear.echelon
-    space = code.ambient
-    q = space.q
-    r = h.nrows
-    mapping = [encode(mat_vec(h, decode(rep, space.n, q)), q) if r else 0
-               for rep in partition.representatives]
-    if sorted(mapping) != list(range(q**r)):
-        raise TheoremViolationError("coset-to-syndrome map is not a bijection",
-                                    witness=mapping)
-    return tuple(mapping)
+    n, q = code.ambient.n, code.ambient.q
+    steps = {encode(mat_vec(h, tuple(lam if i == j else 0 for i in range(n))), q)
+             for j in range(n) for lam in range(1, q)} - {0}
+    return (graph.alphabet, graph.rank, graph.connection) == (
+        h.alphabet, h.nrows, tuple(sorted(steps)))
+
+
+def syndrome_quotient_graph(code: Code, syndrome_graph: Graph) -> CosetQuotient:
+    """The quotient graph of a linear code's coset partition: the explicit
+    syndrome graph, class k labelled by its least word, its representative."""
+    return CosetQuotient(syndrome_graph.adjacency,
+                         tuple(str(code.linear.least_word(s)) for s in range(syndrome_graph.n)))
 
 
 # -- distance-regularity -------------------------------------------------------
@@ -300,7 +313,9 @@ def certify_distance_regular(graph: Graph | CayleyGraph) -> DrgCertificate:
     """A regular graph is distance-regular when every vertex, as a one-vertex
     code, is completely regular with the same numbers: the `first_conflict`
     scan of the `layer_counts` of the BFS layers from every root, so b_i
-    and c_i are the next and previous counts of layer i.  A CayleyGraph is
+    and c_i are the next and previous counts of layer i.  A CosetQuotient
+    is vertex-transitive: every root repeats root 0's rows, so root 0 alone
+    gives the all-roots verdict, array and witness.  A CayleyGraph is
     certified with no BFS and no adjacency list, by `_certify_cayley`.
     """
     if graph.n == 0:
@@ -316,7 +331,7 @@ def certify_distance_regular(graph: Graph | CayleyGraph) -> DrgCertificate:
         return DrgCertificate(False, witness=("degree", a, graph.degree(a), b, graph.degree(b)))
 
     def rows():
-        for x in range(graph.n):
+        for x in range(1 if isinstance(graph, CosetQuotient) else graph.n):
             dist = bfs_distances(graph, x)
             if min(dist) < 0:
                 raise DisconnectedGraphError("graph is not connected")

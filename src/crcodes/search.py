@@ -130,10 +130,6 @@ class CensusParams:
             raise ValueError(f"max_redundancy must be >= 1, got {self.max_redundancy}")
         field_alphabet(self.q)
 
-    def to_json(self) -> dict:
-        return {"q": self.q, "max_n": self.max_n, "min_n": self.min_n,
-                "max_redundancy": self.max_redundancy}
-
 
 def run_census(params: CensusParams, out_dir, progress=None) -> dict:
     """Write census.jsonl and summary.csv under out_dir; abort on any FAIL
@@ -190,7 +186,7 @@ def run_census(params: CensusParams, out_dir, progress=None) -> dict:
     summary_path.write_text(buffer.getvalue())
 
     summary = {
-        "params": params.to_json(),
+        "params": jsonable(params),
         # census-summary@1 names: every generated candidate becomes a record
         # or aborts the run, so the candidates are the records
         "enumerated_subspaces": recorded,

@@ -119,7 +119,7 @@ def test_quotient_certifies_the_code_once_and_refuses_classes_above_the_cap(
     # above the class cap the command stops with exit 3 and no class is
     # certified on its own; at the cap every coset shares the code's one
     # certificate, and a linear code's quotient array is its Cayley coset
-    # graph's, carried to the explicit quotient by the edge comparison
+    # graph's, whose syndromes are its classes
     import crcodes.cli as cli_mod
     import crcodes.partitions_quotients as pq_mod
     from crcodes.codespec import parse_codespec
@@ -701,21 +701,29 @@ def test_one_table_of_theorem_checks_serves_the_census_and_the_cli(
 def test_quotient_walks_only_the_neighbours_of_the_class_representatives(
         tmp_path, capsys, monkeypatch):
     # Hamming [7,4] padded by 3 zero coordinates has 128 words in each of its
-    # 8 cosets: the quotient reads each class's neighbours off its
-    # representative, no neighbour table of the 2^10 words is built (the
-    # Cayley certificate may still tabulate the 2^7 words of its own code),
-    # and the report keeps its bytes
+    # 8 cosets.  Given as words, the quotient reads each class's neighbours
+    # off its representative; given by its parity check, no coset partition
+    # is built and no word is walked: the quotient is read off the syndromes,
+    # no neighbour table of the 2^10 words is built (the Cayley certificate
+    # may still tabulate the 2^7 words of its own code), and the report keeps
+    # its bytes.  The two reports agree but for the syndrome graph.
     import hashlib
 
+    import crcodes.cli as cli_mod
     import crcodes.cr_analysis as cr_mod
     import crcodes.hamming_space as hs_mod
     import crcodes.partitions_quotients as pq_mod
     from crcodes.codespec import parse_codespec
+    from crcodes.hamming_space import decode
 
-    spec = _write_spec(tmp_path, "ham74pad3.json", {
+    linear = _write_spec(tmp_path, "ham74pad3.json", {
         "type": "construct", "name": "pad", "count": 3,
         "base": {"type": "construct", "name": "hamming", "q": 2, "r": 3}})
-    representatives = pq_mod.coset_partition(parse_codespec(Path(spec))).representatives
+    code = parse_codespec(Path(linear))
+    words = _write_spec(tmp_path, "ham74pad3-words.json", {
+        "type": "words", "q": 2, "n": 10,
+        "words": [list(decode(w, 10, 2)) for w in code.members]})
+    representatives = pq_mod.coset_partition(code).representatives
     real_neighbors, real_table = pq_mod.neighbors, hs_mod.neighbor_table
     walked = []
 
@@ -723,20 +731,87 @@ def test_quotient_walks_only_the_neighbours_of_the_class_representatives(
         walked.append(u)
         return real_neighbors(u, space)
 
+    monkeypatch.setattr(pq_mod, "neighbors", counted)
+    status, listed, err = _run(capsys, "quotient", words)
+    assert (status, err) == (0, "")
+    assert walked == list(representatives) and len(walked) == 8
+
     def guarded(space):
         if space.n == 10:
             raise AssertionError("neighbour table of every word built")
         return real_table(space)
 
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a word of the coset partition walked")
+
     assert not hasattr(pq_mod, "neighbor_table")
     for module in (hs_mod, cr_mod):
         monkeypatch.setattr(module, "neighbor_table", guarded)
-    monkeypatch.setattr(pq_mod, "neighbors", counted)
-    code, out, err = _run(capsys, "quotient", spec)
-    assert (code, err) == (0, "")
-    assert walked == list(representatives) and len(walked) == 8
+    for module, name in ((cli_mod, "coset_partition"), (pq_mod, "coset_partition"),
+                         (cli_mod, "quotient_graph"), (pq_mod, "quotient_graph"),
+                         (pq_mod, "neighbors")):
+        monkeypatch.setattr(module, name, forbidden)
+    status, out, err = _run(capsys, "quotient", linear)
+    assert (status, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "02e1250464983947f7512fce68ff594674eb0fa1c7e9a857b14da180d6108950")
+    report = json.loads(out)
+    assert report.pop("syndrome_isomorphic") is True
+    assert report.pop("syndrome_graph")["edges"] == report["graph"]["edges"]
+    assert report == json.loads(listed)
+
+
+def test_decompose_of_a_word_list_scans_its_additivity_once(tmp_path, capsys, monkeypatch):
+    # the coset family refuses a code that is not additive, so the coordinate
+    # classes read after it do not scan the |C|^2 sums again
+    import crcodes.classify as classify_mod
+    import crcodes.hamming_space as hs_mod
+    import crcodes.partitions_quotients as pq_mod
+
+    spec = _write_spec(tmp_path, "rep5-words.json", {
+        "type": "words", "q": 2, "n": 5, "words": [[0] * 5, [1] * 5]})
+    real, scanned = hs_mod.is_additive, []
+
+    def counted(code):
+        scanned.append(code)
+        return real(code)
+
+    for module in (hs_mod, pq_mod, classify_mod):
+        monkeypatch.setattr(module, "is_additive", counted)
+    status, out, err = _run(capsys, "decompose", spec)
+    assert (status, err) == (0, "")
+    assert len(scanned) == 1
+    assert json.loads(out)["coordinate_classes"] == [[0], [1], [2], [3], [4]]
+
+
+def test_quotient_of_a_linear_code_lists_no_word_above_the_vertex_cap(tmp_path, capsys):
+    # Hamming [15,11] padded by 12 lives in H(27, 2), above the 2^26 vertex
+    # cap, but its 16 cosets are its 16 syndromes: the quotient is K_16
+    spec = _write_spec(tmp_path, "ham15pad12.json", {
+        "type": "construct", "name": "pad", "count": 12,
+        "base": {"type": "construct", "name": "hamming", "q": 2, "r": 4}})
+    status, out, err = _run(capsys, "quotient", spec)
+    assert (status, err) == (0, "")
+    report = json.loads(out)
+    assert report["classes"] == 16 and report["syndrome_isomorphic"] is True
+    assert report["graph"]["edges"] == [[u, v] for u in range(16) for v in range(u + 1, 16)]
+    assert report["graph"]["labels"][:3] == ["0", str(1 << 12), str(1 << 13)]
+    assert report["drg"]["array"] == report["predicted_array"] == {"b": [15], "c": [1]}
+
+
+def test_quotient_refuses_a_syndrome_graph_that_is_not_the_coset_quotient(
+        tmp_path, capsys, monkeypatch):
+    # the connection-set test behind `syndrome_isomorphic` is a runtime check
+    import crcodes.cli as cli_mod
+
+    spec = _write_spec(tmp_path, "rep6.json",
+                       {"type": "construct", "name": "repetition", "q": 2, "n": 6})
+    monkeypatch.setattr(cli_mod, "is_syndrome_quotient", lambda code, graph: False)
+    status, out, err = _run(capsys, "quotient", spec)
+    assert (status, out) == (4, "")
+    error = json.loads(err)
+    assert error["error"] == "theorem_violation"
+    assert error["witness"]["syndrome_isomorphic"] is False
 
 
 def test_census_classify_and_decompose_never_build_the_coset_partition(

@@ -3,10 +3,13 @@ import random
 
 import pytest
 
+from crcodes.algebra import alphabet, gf_matrix, mat_vec
+from crcodes.classify import classify_quotient
 from crcodes.constructions import (
     extended_hamming_code,
     hamming_code,
     hamming_parity_check,
+    pad_code,
     replicate_columns,
 )
 from crcodes.cr_analysis import (
@@ -15,17 +18,19 @@ from crcodes.cr_analysis import (
     code_spectrum,
     quotient_matrix,
 )
-from crcodes.errors import NotAdditiveError
+from crcodes.errors import NotAdditiveError, jsonable
 from crcodes.hamming_space import (
     AmbientSpace,
     ambient,
     code_from_parity_check,
     code_from_words,
+    decode,
     encode,
     translate,
 )
 from crcodes.partitions_quotients import (
     CayleyGraph,
+    CosetQuotient,
     Graph,
     IntersectionArray,
     bfs_distances,
@@ -33,11 +38,11 @@ from crcodes.partitions_quotients import (
     certify_distance_regular,
     coset_graph_by_syndrome,
     coset_partition,
-    coset_to_syndrome,
     drg_spectrum,
     graph_from_edges,
     predicted_quotient_array,
     quotient_graph,
+    syndrome_quotient_graph,
 )
 from crcodes.search import enumerate_linear_codes
 from partition_oracle import (
@@ -250,20 +255,65 @@ def test_syndrome_graph_replicated_check_is_k8_again():
 
 
 def test_syndrome_map_is_graph_isomorphism():
-    from crcodes.constructions import repetition_code
+    # the quotient `crcodes quotient` reads off a linear code's syndromes
+    # (class k at syndrome k, labelled by its least word) against the coset
+    # partition of all q^n words, on every census code, its copy with the
+    # columns of H reversed (mostly outside RREF), a rank-deficient H and
+    # Hamming [15,11] padded by 3; class k's representative has syndrome k
+    census = [code for code, _ in _census_codes()]
+    reversed_columns = [code_from_parity_check(code.ambient, code.linear.parity_check.take_columns(
+        range(code.ambient.n - 1, -1, -1))) for code in census]
+    rank_deficient = code_from_parity_check(ambient(4, 2), gf_matrix(
+        alphabet(2), [[1, 1, 0, 0], [0, 0, 1, 1], [1, 1, 1, 1]]))
+    outside_rref = 0
+    for code in census + reversed_columns + [rank_deficient, pad_code(hamming_code(4, 2), 3)]:
+        partition = coset_partition(code)
+        oracle = quotient_graph(partition)
+        graph = syndrome_quotient_graph(code, coset_graph_by_syndrome(code).explicit())
+        assert graph.n == partition.class_count == code.ambient.q**code.linear.rank
+        assert (graph.adjacency, graph.labels) == (oracle.adjacency, oracle.labels)
+        h, n, q = code.linear.echelon, code.ambient.n, code.ambient.q
+        syndromes = [encode(mat_vec(h, decode(rep, n, q)), q) if h.nrows else 0
+                     for rep in partition.representatives]
+        assert syndromes == list(range(partition.class_count))
+        outside_rref += code.linear.pivots is not None
+    assert len(census) > 700 and outside_rref > 600
+    assert rank_deficient.linear.rank == 2
 
-    named = (hamming_code(2, 2), hamming_code(3, 2), repetition_code(6, 2),
-             extended_hamming_code(3), hamming_code(2, 3), hamming_code(2, 4),
-             repetition_code(4, 3), repetition_code(3, 5))
-    for code in named + tuple(code for code, _ in _census_cr_codes()):
-        part = coset_partition(code)
-        quotient = quotient_graph(part)
-        syn = coset_graph_by_syndrome(code).explicit()
-        phi = coset_to_syndrome(code, part)
-        assert sorted(phi) == list(range(quotient.n))
-        assert quotient.edge_count() == syn.edge_count()
-        for u, v in quotient.edges():
-            assert syn.has_edge(phi[u], phi[v])
+
+def test_a_coset_quotient_is_certified_from_class_0_alone(monkeypatch):
+    # the quotient of a coset partition is vertex-transitive: its DRG
+    # certificate runs one BFS, from class 0, and equals the all-roots scan
+    # of a plain Graph with the same adjacency, as do its witness when it is
+    # not distance-regular and its family
+    import crcodes.partitions_quotients as pq_mod
+
+    real_bfs, roots = pq_mod.bfs_distances, []
+
+    def counted(graph, root):
+        roots.append(root)
+        return real_bfs(graph, root)
+
+    monkeypatch.setattr(pq_mod, "bfs_distances", counted)
+    rep12 = quotient_graph(coset_partition(code_from_words(ambient(12, 2), [0, 4095])))
+    assert type(rep12) is CosetQuotient and rep12.n == 2048
+    cert = certify_distance_regular(rep12)
+    assert roots == [0]
+    assert cert == certify_distance_regular(Graph(rep12.adjacency, rep12.labels))
+    assert len(roots) == 1 + 2048
+    assert cert.array == IntersectionArray((12, 11, 10, 9, 8, 7), (1, 2, 3, 4, 5, 12))
+    verdicts = set()
+    for code in _listed_additive_codes():
+        quotient = quotient_graph(coset_partition(code))
+        plain = Graph(quotient.adjacency, quotient.labels)
+        roots.clear()
+        cert = certify_distance_regular(quotient)
+        assert len(roots) <= 1 and cert == certify_distance_regular(plain)
+        if cert.is_drg:
+            assert jsonable(classify_quotient(quotient, cert)) == jsonable(
+                classify_quotient(plain, cert))
+        verdicts.add(cert.is_drg)
+    assert verdicts == {True, False}
 
 
 def test_cayley_graph_compares_by_its_connection_set_and_serializes_its_adjacency():
@@ -275,8 +325,11 @@ def test_cayley_graph_compares_by_its_connection_set_and_serializes_its_adjacenc
     same = CayleyGraph(alphabet(2), 5, (1, 2, 4, 8, 16, 31), max_vertices=64)
     assert same == graph and hash(same) == hash(graph)
     assert CayleyGraph(alphabet(2), 5, (1, 2, 4, 8, 17, 30)) != graph
-    plain = graph.explicit()
-    assert type(plain) is Graph and plain == quotient_graph(coset_partition(_rep6()))
+    plain, quotient = graph.explicit(), quotient_graph(coset_partition(_rep6()))
+    assert type(plain) is Graph and type(quotient) is CosetQuotient
+    assert plain.adjacency == quotient.adjacency
+    assert plain.labels == tuple(str(decode(s, 5, 2)) for s in range(32))
+    assert syndrome_quotient_graph(repetition_code(6, 2), plain).labels == quotient.labels
     assert plain.to_json() == same.explicit().to_json()
     assert set(plain.to_json()) == {"n", "edges", "labels"}
     assert all(plain.adjacency[v] == graph.neighbours(v) for v in range(32))

@@ -27,7 +27,6 @@ from crcodes.algebra import (
 )
 from crcodes.classify import (
     CheckContext,
-    _is_syndrome_quotient,
     coset_family,
     linear_folded_cube_map,
 )
@@ -55,6 +54,7 @@ from crcodes.cr_analysis import (
 from crcodes.errors import TheoremViolationError
 from crcodes.hamming_space import (
     DEFAULT_VERTEX_CAP,
+    Code,
     ambient,
     code_from_generators,
     code_from_parity_check,
@@ -72,6 +72,7 @@ from crcodes.partitions_quotients import (
     certify_distance_regular,
     coset_graph_by_syndrome,
     graph_from_edges,
+    is_syndrome_quotient,
 )
 from crcodes.search import CensusParams, enumerate_linear_codes, run_census
 from fixture_graphs import assert_maps_onto_folded_cube
@@ -93,6 +94,11 @@ def _summary(cert):
     witness = cert.witness.to_json() if cert.witness else None
     return (cert.completely_regular, cert.numbers, cert.partition.rho,
             cert.partition.class_sizes, witness)
+
+
+def _word_listed(code):
+    """The code as a list of its words, which the full-space scan certifies."""
+    return Code(code.ambient, code.members)
 
 
 def _per_syndrome_certificate(code):
@@ -270,7 +276,7 @@ def test_one_chunk_mixes_zero_repeated_and_parallel_columns(monkeypatch):
     refuted = 0
     for code, cert in certify_codes(codes):
         assert _lane_summary(cert) == _lane_summary(_per_code_lane_certificate(code))
-        slow = certify_completely_regular(code, distance_partition(code))
+        slow = certify_completely_regular(_word_listed(code))
         assert _summary(cert) == _summary(slow)
         refuted += not cert.completely_regular
     assert chunks == [(2, 81)] and 0 < refuted < 81
@@ -339,7 +345,7 @@ def test_syndrome_certificate_equals_the_full_space_scan():
     for code in CODES:
         part = distance_partition(code)
         fast = certify_completely_regular(code)
-        slow = certify_completely_regular(code, part)
+        slow = certify_completely_regular(_word_listed(code))
         assert isinstance(fast.partition, SyndromePartition)
         assert isinstance(slow.partition, DistancePartition)
         assert _summary(fast) == _summary(slow), code.linear.parity_check
@@ -356,7 +362,7 @@ def test_late_conflict_walk_stops_at_the_full_space_witness():
     rows = [r + (0,) for r in ham.linear.parity_check.rows] + [(0,) * 15 + (1,)]
     code = code_from_parity_check(ambient(16, 2), gf_matrix(alphabet(2), rows))
     fast = certify_completely_regular(code)
-    slow = certify_completely_regular(code, distance_partition(code))
+    slow = certify_completely_regular(_word_listed(code))
     assert not fast.completely_regular
     assert _summary(fast) == _summary(slow)
     assert fast.witness.vertex_b >= 1 << 15
@@ -402,7 +408,7 @@ def test_zero_and_repeated_columns_count_with_multiplicity():
     cert = certify_completely_regular(twice)
     assert cert.numbers.gamma == (0, 2)
     for code in (padded, twice):
-        slow = certify_completely_regular(code, distance_partition(code))
+        slow = certify_completely_regular(_word_listed(code))
         assert _summary(certify_completely_regular(code)) == _summary(slow)
 
 
@@ -414,7 +420,7 @@ def test_rank_deficient_parity_check_certifies_on_its_row_basis():
     assert isinstance(cert.partition, SyndromePartition)
     assert len(cert.partition.class_of_syndrome) == 4
     assert cert.completely_regular and cert.partition.class_sizes == (4, 8, 4)
-    assert _summary(cert) == _summary(certify_completely_regular(code, distance_partition(code)))
+    assert _summary(cert) == _summary(certify_completely_regular(_word_listed(code)))
 
 
 def test_rank_zero_code_certifies_with_the_full_valency():
@@ -531,7 +537,7 @@ def _quotient_edges(code) -> set:
 def test_syndrome_quotient_check_agrees_with_the_edge_comparison():
     for code in WALK_CODES:
         graph = coset_graph_by_syndrome(code)
-        assert _is_syndrome_quotient(code, graph)
+        assert is_syndrome_quotient(code, graph)
         assert _quotient_edges(code) == set(graph.explicit().edges())
 
 
@@ -663,13 +669,13 @@ def full_rank_parity_checks(draw):
 @given(full_rank_parity_checks())
 def test_random_parity_checks_certify_as_the_full_space_scan(code):
     fast = certify_completely_regular(code)
-    slow = certify_completely_regular(code, distance_partition(code))
+    slow = certify_completely_regular(_word_listed(code))
     assert isinstance(fast.partition, SyndromePartition)
     assert _summary(fast) == _summary(slow)
     # the lane summary holds delta, against the weight scan of the oracle
     assert _lane_summary(fast) == _lane_summary(_per_syndrome_certificate(code))
     assert analyze_code(code).delta == fast.partition.delta
-    assert _is_syndrome_quotient(code, coset_graph_by_syndrome(code))
+    assert is_syndrome_quotient(code, coset_graph_by_syndrome(code))
 
 
 @st.composite
@@ -807,7 +813,7 @@ def test_a_systematic_parity_check_takes_its_witness_off_the_lanes():
     refuted = [code for n in (5, 6) for code in enumerate_linear_codes(n, 3)
                if not analyze_code(code).cr]
     for code, packed in certify_codes(refuted[::10]):
-        slow = certify_completely_regular(code, distance_partition(code))
+        slow = certify_completely_regular(_word_listed(code))
         assert _summary(certify_completely_regular(code)) == _summary(slow)
         assert _summary(packed) == _summary(slow)
     assert len(refuted[::10]) > 150
@@ -826,7 +832,7 @@ def test_parity_checks_outside_rref_certify_as_the_full_space_scan():
             h = code.linear.parity_check
             part = distance_partition(code)
             fast = certify_completely_regular(code)
-            assert _summary(fast) == _summary(certify_completely_regular(code, part)), h
+            assert _summary(fast) == _summary(certify_completely_regular(_word_listed(code))), h
             assert _lane_summary(packed) == _lane_summary(fast)
             assert _lane_summary(fast) == _lane_summary(_per_code_lane_certificate(code))
             leader_weight = fast.partition.class_of_syndrome
