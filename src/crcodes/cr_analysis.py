@@ -507,10 +507,10 @@ def _lane_sum(planes, cls: bytes, c: int) -> int:
 
 
 def _certificate(code: Code, block) -> CrCertificate:
-    """The certificate of one block of `_packed_bfs`.  A lane is named by its
-    least word, `LinearStructure.least_word`."""
+    """The certificate of one block of `_packed_bfs`, lanes named by least word."""
     cls, layers, delta, rows = block
-    rows = [(code.linear.least_word(s), c, counts) for s, c, counts in rows]
+    if code.linear.pivots is not None:  # else E = [I_r | A]: each lane is its least word
+        rows = [(code.linear.least_word(s), c, counts) for s, c, counts in rows]
     size = code.size
     part = SyndromePartition(code, cls, len(layers) - 1, tuple(x * size for x in layers), delta)
     return _scan(part, rows)

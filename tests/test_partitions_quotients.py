@@ -257,16 +257,22 @@ def test_syndrome_graph_replicated_check_is_k8_again():
 def test_syndrome_map_is_graph_isomorphism():
     # the quotient `crcodes quotient` reads off a linear code's syndromes
     # (class k at syndrome k, labelled by its least word) against the coset
-    # partition of all q^n words, on every census code, its copy with the
-    # columns of H reversed (mostly outside RREF), a rank-deficient H and
-    # Hamming [15,11] padded by 3; class k's representative has syndrome k
+    # partition of all q^n words, on named codes up to q = 5, every census
+    # code, its copy with the columns of H reversed (mostly outside RREF), a
+    # rank-deficient H and Hamming [15,11] padded by 3; class k's
+    # representative has syndrome k
+    from crcodes.constructions import repetition_code
+
+    named = [hamming_code(2, 2), hamming_code(3, 2), repetition_code(6, 2),
+             extended_hamming_code(3), hamming_code(2, 3), hamming_code(2, 4),
+             repetition_code(4, 3), repetition_code(3, 5), pad_code(hamming_code(4, 2), 3)]
     census = [code for code, _ in _census_codes()]
     reversed_columns = [code_from_parity_check(code.ambient, code.linear.parity_check.take_columns(
         range(code.ambient.n - 1, -1, -1))) for code in census]
     rank_deficient = code_from_parity_check(ambient(4, 2), gf_matrix(
         alphabet(2), [[1, 1, 0, 0], [0, 0, 1, 1], [1, 1, 1, 1]]))
     outside_rref = 0
-    for code in census + reversed_columns + [rank_deficient, pad_code(hamming_code(4, 2), 3)]:
+    for code in named + census + reversed_columns + [rank_deficient]:
         partition = coset_partition(code)
         oracle = quotient_graph(partition)
         graph = syndrome_quotient_graph(code, coset_graph_by_syndrome(code).explicit())
